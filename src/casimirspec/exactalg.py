@@ -22,6 +22,7 @@ resultant(q, p)``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
@@ -51,6 +52,22 @@ def rational_to_str(value: Fraction) -> str:
 def rational_from_str(text: str) -> Fraction:
     """Parse the ``num/den`` serialization (den optional)."""
     return Fraction(text.strip())
+
+
+def primitive_vector(vector: Sequence[RationalLike]) -> tuple:
+    """Primitive integer vector on the ray of a rational vector.
+
+    Denominators are cleared and the content divided out; the first
+    nonzero entry is made positive.  The zero vector maps to itself.
+    """
+    scale = lcm(*[x.denominator for x in vector])
+    vector = [int(x * scale) for x in vector]
+    content = gcd(*vector)
+    if content:
+        vector = [x // content for x in vector]
+    if next((x for x in vector if x), 0) < 0:
+        vector = [-x for x in vector]
+    return tuple(vector)
 
 
 class MultiPoly:
@@ -230,6 +247,9 @@ class MultiPoly:
         return self._key() == other._key()
 
     def __hash__(self):
+        # a constant compares equal to its value, so it hashes like it
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash(self._key())
 
     def to_json(self) -> dict:

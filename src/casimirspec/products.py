@@ -16,11 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import gcd, lcm
 from typing import Iterator, Sequence, Union
 
+import numpy as np
+
 from .exactalg import rational_to_str
-from .spectrum import EigenvalueForm, eigenvalue
+from .spectrum import EigenvalueForm, eigenvalue, equal_value_groups, exact_dtype, weight_box
 from .symmdata import RestrictedDatum, cross_datum
 
 
@@ -67,36 +70,6 @@ def lambda_array(factors: Sequence[FactorSpectrum], indices: Sequence[int]) -> t
     return tuple(f.eigenvalues[indices[i]] for i, f in enumerate(factors))
 
 
-def _index_box(shape) -> Iterator[tuple]:
-    current = [0] * len(shape)
-    while True:
-        yield tuple(current)
-        i = len(shape) - 1
-        while i >= 0 and current[i] == shape[i]:
-            current[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        current[i] += 1
-
-
-def _primitive_direction(vector) -> tuple:
-    content = 0
-    scale = 1
-    for x in vector:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    ints = [int(x * scale) for x in vector]
-    for value in ints:
-        content = gcd(content, value)
-    return tuple(value // content for value in ints)
-
-
-def _integral_values(factors) -> bool:
-    return all(
-        v.denominator == 1 for f in factors for v in f.eigenvalues
-    )
-
-
 def collision_hyperplanes(factors: Sequence[FactorSpectrum], bound: int = None) -> list:
     """Primitive normals of the collision hyperplanes meeting the orthant.
 
@@ -111,38 +84,21 @@ def collision_hyperplanes(factors: Sequence[FactorSpectrum], bound: int = None) 
         raise ValueError("need at least one factor")
     if bound is None:
         bound = min(f.bound for f in factors)
-    shape = tuple(bound for _ in factors)
-    arrays = list(_index_box(shape))
-    integral = _integral_values(factors)
-    if integral:
-        values = [
-            tuple(int(f.eigenvalues[a[i]]) for i, f in enumerate(factors))
-            for a in arrays
-        ]
-    else:
-        values = [
-            tuple(f.eigenvalues[a[i]] for i, f in enumerate(factors))
-            for a in arrays
-        ]
+    # one common scale keeps every difference on its ray
+    denom = lcm(*(v.denominator for f in factors for v in f.eigenvalues))
+    values = [
+        tuple(int(f.eigenvalues[m] * denom) for m, f in zip(array, factors))
+        for array in weight_box(len(factors), bound).tolist()
+    ]
     normals = set()
-    for i in range(len(arrays)):
-        vi = values[i]
-        for j in range(i + 1, len(arrays)):
-            vj = values[j]
+    for i, vi in enumerate(values):
+        for vj in values[i + 1:]:
             diff = tuple(x - y for x, y in zip(vi, vj))
-            has_pos = any(x > 0 for x in diff)
-            has_neg = any(x < 0 for x in diff)
-            if not (has_pos and has_neg):
-                continue
-            if integral:
-                content = 0
-                for value in diff:
-                    content = gcd(content, value)
-                primitive = tuple(value // content for value in diff)
-            else:
-                primitive = _primitive_direction(diff)
-            normals.add(primitive)
-            normals.add(tuple(-x for x in primitive))
+            if any(x > 0 for x in diff) and any(x < 0 for x in diff):
+                content = gcd(*diff)
+                primitive = tuple(x // content for x in diff)
+                normals.add(primitive)
+                normals.add(tuple(-x for x in primitive))
     return sorted(normals)
 
 
@@ -163,7 +119,14 @@ class CollisionWitness:
 
 
 def check_beta(factors: Sequence[FactorSpectrum], beta: Sequence, bound: int = None) -> list:
-    """All collision witnesses for a candidate weight vector, sorted."""
+    """All collision witnesses for a candidate weight vector, sorted.
+
+    The box values are the outer sum of the per-factor tables
+    beta_i * lambda_i(m), scaled by the lcm D of their denominators to
+    exact integers.  Every entry and partial sum is at most the sum over
+    factors of the largest |D * beta_i * lambda_i(m)|; the box is summed
+    in int64 when that bound is below 2**63 and in Python ints otherwise.
+    """
     if bound is None:
         bound = min(f.bound for f in factors)
     beta = [Fraction(x) for x in beta]
@@ -171,31 +134,21 @@ def check_beta(factors: Sequence[FactorSpectrum], beta: Sequence, bound: int = N
         raise ValueError("beta length must match the factor count")
     if any(x <= 0 for x in beta):
         raise ValueError("beta entries must be positive")
-    shape = tuple(bound for _ in factors)
-    # weighted eigenvalue tables per factor; plain ints when possible
-    if _integral_values(factors) and all(b.denominator == 1 for b in beta):
-        tables = [
-            [int(b) * int(v) for v in f.eigenvalues[: bound + 1]]
-            for b, f in zip(beta, factors)
-        ]
-    else:
-        tables = [
-            [b * v for v in f.eigenvalues[: bound + 1]]
-            for b, f in zip(beta, factors)
-        ]
-    groups = {}
-    for array in _index_box(shape):
-        value = sum(tables[i][array[i]] for i in range(len(factors)))
-        groups.setdefault(value, []).append(array)
+    if any(f.bound < bound for f in factors):
+        raise ValueError("bound exceeds a factor's spectrum")
+    tables = [[b * v for v in f.eigenvalues[: bound + 1]] for b, f in zip(beta, factors)]
+    denom = lcm(*(x.denominator for table in tables for x in table))
+    tables = [[int(x * denom) for x in table] for table in tables]
+    dtype = exact_dtype(sum(max(abs(x) for x in table) for table in tables))
+    values = np.zeros(1, dtype)
+    for table in tables:
+        values = np.add.outer(values, np.array(table, dtype)).ravel()
+    box = weight_box(len(factors), bound)
     witnesses = []
-    for value, arrays in groups.items():
-        if len(arrays) < 2:
-            continue
-        for i in range(len(arrays)):
-            for j in range(i + 1, len(arrays)):
-                witnesses.append(
-                    CollisionWitness(arrays[i], arrays[j], Fraction(value))
-                )
+    for value, members in equal_value_groups(values):
+        arrays = [tuple(a) for a in box[members].tolist()]
+        value = Fraction(value, denom)
+        witnesses.extend(CollisionWitness(a, b, value) for a, b in combinations(arrays, 2))
     witnesses.sort(key=lambda w: (w.array_a, w.array_b))
     return witnesses
 

@@ -18,8 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from itertools import combinations
+from math import ceil, lcm
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .exactalg import MultiPoly, rational_to_str
 from .symmdata import RestrictedDatum, dual_permutation
@@ -114,18 +117,36 @@ class CollisionReport:
         }
 
 
-def _box(rank: int, bound: int):
-    """Dominant weights with every coordinate <= bound, lexicographic."""
-    current = [0] * rank
-    while True:
-        yield tuple(current)
-        i = rank - 1
-        while i >= 0 and current[i] == bound:
-            current[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        current[i] += 1
+def weight_box(rank: int, bound: int) -> np.ndarray:
+    """Every weight with coordinates in [0, bound], one per row, lexicographic."""
+    return np.indices((bound + 1,) * rank, dtype=np.int64).reshape(rank, -1).T
+
+
+def exact_dtype(magnitude: int):
+    """``int64`` when ``magnitude`` fits it, else ``object`` (Python ints).
+
+    ``magnitude`` must bound the absolute value of every entry and every
+    partial sum a scan computes, so the int64 path cannot overflow.
+    """
+    return np.int64 if magnitude < 2**63 else object
+
+
+def equal_value_groups(values: np.ndarray) -> list:
+    """Runs of two or more equal entries of a 1-D array of exact integers.
+
+    Returns ``(value, indices)`` per run: runs in ascending value, and
+    the indices of each run ascending, since a stable sort keeps equal
+    entries in input order.  ``values`` is ``int64`` or an ``object``
+    array of Python ints; both take the same path and neither rounds.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    runs = ends - starts >= 2
+    return [
+        (int(ordered[s]), order[s:e]) for s, e in zip(starts[runs], ends[runs])
+    ]
 
 
 def enumerate_collisions(
@@ -136,41 +157,43 @@ def enumerate_collisions(
     Weights sharing an exact eigenvalue are grouped; every unordered pair
     inside a group is reported, flagged when the two weights are duals of
     each other.  Output is sorted lexicographically by (weight_a, weight_b).
+
+    The scan is exact integer arithmetic: with D the lcm of the
+    denominators of G and of c = G^T shift, D * lambda(w) = w^T (D G) w +
+    (D c) . w is an integer.  Every entry and partial sum is at most
+    bound^2 * sum|D G| + bound * sum|D c| in absolute value; the box is
+    evaluated in int64 when that bound is below 2**63 and in Python ints
+    otherwise.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    form = EigenvalueForm.from_datum(datum)
     rank = datum.rank
-    if rank == 1:
-        # lambda(m) = a m^2 + b m with a = G00, b = shift * G00
-        a = form.gram[0][0]
-        b = form.shift[0] * form.gram[0][0]
-        groups = {}
-        for m in range(bound + 1):
-            groups.setdefault(a * m * m + b * m, []).append((m,))
-    else:
-        groups = {}
-        for weight in _box(rank, bound):
-            groups.setdefault(eigenvalue(form, weight), []).append(weight)
+    gram = datum.gram
+    linear = [
+        sum(datum.two_delta_bar[i] * gram[i][j] for i in range(rank))
+        for j in range(rank)
+    ]
+    denom = lcm(*(x.denominator for x in [*linear, *(g for row in gram for g in row)]))
+    quad = [[int(g * denom) for g in row] for row in gram]
+    lin = [int(x * denom) for x in linear]
+    magnitude = (
+        bound * bound * sum(abs(q) for row in quad for q in row)
+        + bound * sum(abs(x) for x in lin)
+    )
+    dtype = exact_dtype(magnitude)
+    box = weight_box(rank, bound).astype(dtype, copy=False)
+    values = ((box @ np.array(quad, dtype)) * box).sum(1) + box @ np.array(lin, dtype)
 
+    sigma = dual_permutation(datum.descriptor)
     reports = []
-    for value, weights in groups.items():
-        if len(weights) < 2:
-            continue
-        for i in range(len(weights)):
-            for j in range(i + 1, len(weights)):
-                wa, wb = weights[i], weights[j]
-                dual = dual_weight(datum, wa) == wb
-                if exclude_dual_pairs and dual:
-                    continue
-                reports.append(
-                    CollisionReport(
-                        weight_a=wa,
-                        weight_b=wb,
-                        eigenvalue=Fraction(value),
-                        dual_related=dual,
-                    )
-                )
+    for value, members in equal_value_groups(values):
+        eigen = Fraction(value, denom)
+        weights = [tuple(w) for w in box[members].tolist()]
+        duals = [tuple(w[k] for k in sigma) for w in weights]
+        for (wa, dual_a), (wb, _) in combinations(zip(weights, duals), 2):
+            dual = dual_a == wb
+            if not (exclude_dual_pairs and dual):
+                reports.append(CollisionReport(wa, wb, eigen, dual))
     reports.sort(key=lambda rep: (rep.weight_a, rep.weight_b))
     return reports
 
@@ -210,12 +233,6 @@ class ReflectionWitness:
             "w": list(self.weight_w),
             "eigenvalue": rational_to_str(self.eigenvalue),
         }
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 def reflect(datum: RestrictedDatum, alpha: Sequence, vector: Sequence) -> tuple:
@@ -272,9 +289,7 @@ def reflection_witness(datum: RestrictedDatum, max_retries: int = 16) -> Reflect
     alpha = [
         (beta_gram[i][k] - beta_gram[j][k]) / norms[k] for k in range(n)
     ]
-    scale = 1
-    for a in alpha:
-        scale = _lcm(scale, Fraction(a).denominator)
+    scale = lcm(*(Fraction(a).denominator for a in alpha))
     alpha = tuple(a * scale for a in alpha)
 
     # fixing the half-sum is exact: equal coefficients and equal norms
@@ -299,9 +314,7 @@ def reflection_witness(datum: RestrictedDatum, max_retries: int = 16) -> Reflect
         image = reflect(datum, alpha, seed)
         if any(c < 0 for c in image):
             raise WitnessError("reflected weight left the dominant cone")
-        multiplier = 1
-        for c in image:
-            multiplier = _lcm(multiplier, Fraction(c).denominator)
+        multiplier = lcm(*(Fraction(c).denominator for c in image))
         v = tuple(multiplier * c for c in seed)
         w = tuple(int(multiplier * c) for c in image)
         if any(Fraction(multiplier * c).denominator != 1 for c in image):

@@ -29,10 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import combinations
+from math import lcm
 from typing import Optional
 
-from .exactalg import MultiPoly, ParametricMatrix, rational_to_str
+import numpy as np
+
+from .exactalg import MultiPoly, ParametricMatrix, primitive_vector, rational_to_str
+from .spectrum import equal_value_groups, exact_dtype
 
 GROUP_ROOT_ORDER = 12
 
@@ -191,22 +195,6 @@ def averaging_projector(k: int) -> list:
     ]
 
 
-def _primitive(vector) -> tuple:
-    scale = 1
-    for x in vector:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    ints = [int(x * scale) for x in vector]
-    content = 0
-    for value in ints:
-        content = gcd(content, value)
-    if content:
-        ints = [value // content for value in ints]
-    first = next((value for value in ints if value), 0)
-    if first < 0:
-        ints = [-value for value in ints]
-    return tuple(ints)
-
-
 @lru_cache(maxsize=None)
 def fixed_space(k: int) -> FixedSpaceBasis:
     """F-invariant subspace of V_k by exact 12-element averaging."""
@@ -231,7 +219,7 @@ def fixed_space(k: int) -> FixedSpaceBasis:
             if r != row and rows[r][pivot_col] != 0:
                 factor = rows[r][pivot_col]
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[row])]
-        basis.append(_primitive(rows[row]))
+        basis.append(primitive_vector(rows[row]))
         row += 1
         pivot_col += 1
 
@@ -346,17 +334,22 @@ def su2f_representation_family(kmax: int) -> list:
 
 
 def collisions_at_metric(kmax: int, a: Fraction, b: Fraction) -> list:
-    """Pairs of distinct invariant lines with equal eigenvalue at (a, b)."""
-    values = {}
-    for form in all_forms(kmax):
-        values.setdefault(form.value(a, b), []).append((form.k, form.gap_squared))
+    """Pairs of distinct invariant lines with equal eigenvalue at (a, b).
+
+    Pairs come in ascending eigenvalue.  The values are scaled by the lcm
+    D of their denominators to exact integers, grouped in int64 when the
+    largest |D * value| is below 2**63 and in Python ints otherwise.
+    """
+    forms = all_forms(kmax)
+    values = [form.value(a, b) for form in forms]
+    denom = lcm(*(v.denominator for v in values))
+    values = [int(v * denom) for v in values]
+    values = np.array(values, exact_dtype(max(map(abs, values), default=0)))
     collisions = []
-    for value, keys in sorted(values.items()):
-        if len(keys) < 2:
-            continue
-        for i in range(len(keys)):
-            for j in range(i + 1, len(keys)):
-                collisions.append((keys[i], keys[j], value))
+    for value, members in equal_value_groups(values):
+        keys = [(forms[m].k, forms[m].gap_squared) for m in members]
+        value = Fraction(value, denom)
+        collisions.extend((ka, kb, value) for ka, kb in combinations(keys, 2))
     return collisions
 
 

@@ -12,6 +12,7 @@ from casimirspec.exactalg import (
     derivative,
     determinant,
     exact_div,
+    primitive_vector,
     rational_from_str,
     rational_to_str,
     resultant,
@@ -100,6 +101,28 @@ class TestMultiPoly:
     def test_variable_mismatch(self):
         with pytest.raises(ValueError):
             var("a") + MultiPoly.variable(("c",), "c")
+
+    @pytest.mark.parametrize("value", [3, 0, Fraction(3), Fraction(-5, 7)])
+    def test_constant_hashes_like_its_value(self, value):
+        p = MultiPoly.constant(AB, value)
+        assert p == value and hash(p) == hash(value)
+        assert len({p, value}) == 1
+
+    def test_non_constant_stays_apart_from_numbers(self):
+        assert len({var("a"), 0, 1}) == 3
+
+
+class TestPrimitiveVector:
+    def test_clears_denominators_and_content(self):
+        assert primitive_vector([Fraction(1, 2), Fraction(-1, 3)]) == (3, -2)
+        assert primitive_vector([4, 6, 0]) == (2, 3, 0)
+
+    def test_first_nonzero_entry_is_positive(self):
+        assert primitive_vector([0, -4, 6]) == (0, 2, -3)
+        assert primitive_vector([Fraction(-2), Fraction(2)]) == (1, -1)
+
+    def test_zero_vector(self):
+        assert primitive_vector([0, Fraction(0)]) == (0, 0)
 
 
 class TestUniPoly:

@@ -1,0 +1,270 @@
+"""The exact integer scan kernel against the Fraction loops it replaced.
+
+The ``reference_*`` functions below are the per-weight ``Fraction``
+loops the kernel replaced, kept as the oracle: group by exact value in a
+dict, then list every pair.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from casimirspec import products, spectrum, su2f
+from casimirspec.cli import run
+from casimirspec.products import CollisionWitness, FactorSpectrum, check_beta, factor_spectrum
+from casimirspec.spectrum import (
+    CollisionReport,
+    EigenvalueForm,
+    dual_weight,
+    enumerate_collisions,
+    equal_value_groups,
+    exact_dtype,
+    eigenvalue,
+)
+from casimirspec.symmdata import cross_datum, table_rows
+
+INT64_LIMIT = 2**63
+
+
+# -- the reference loops ---------------------------------------------------
+
+
+def reference_box(shape):
+    """Index arrays with entry i in [0, shape[i]], lexicographic."""
+    current = [0] * len(shape)
+    while True:
+        yield tuple(current)
+        i = len(shape) - 1
+        while i >= 0 and current[i] == shape[i]:
+            current[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        current[i] += 1
+
+
+def reference_pairs(groups):
+    """(value, first, second) for every pair inside a group, in insertion order."""
+    for value, members in groups.items():
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                yield value, members[i], members[j]
+
+
+def reference_enumerate_collisions(datum, bound, exclude_dual_pairs=False):
+    form = EigenvalueForm.from_datum(datum)
+    groups = {}
+    for weight in reference_box((bound,) * datum.rank):
+        groups.setdefault(eigenvalue(form, weight), []).append(weight)
+    reports = []
+    for value, wa, wb in reference_pairs(groups):
+        dual = dual_weight(datum, wa) == wb
+        if exclude_dual_pairs and dual:
+            continue
+        reports.append(CollisionReport(wa, wb, Fraction(value), dual))
+    reports.sort(key=lambda rep: (rep.weight_a, rep.weight_b))
+    return reports
+
+
+def reference_check_beta(factors, beta, bound=None):
+    if bound is None:
+        bound = min(f.bound for f in factors)
+    beta = [Fraction(x) for x in beta]
+    tables = [[b * v for v in f.eigenvalues[: bound + 1]] for b, f in zip(beta, factors)]
+    groups = {}
+    for array in reference_box((bound,) * len(factors)):
+        value = sum(tables[i][array[i]] for i in range(len(factors)))
+        groups.setdefault(value, []).append(array)
+    witnesses = [
+        CollisionWitness(a, b, Fraction(value)) for value, a, b in reference_pairs(groups)
+    ]
+    witnesses.sort(key=lambda w: (w.array_a, w.array_b))
+    return witnesses
+
+
+def reference_collisions_at_metric(kmax, a, b):
+    groups = {}
+    for form in su2f.all_forms(kmax):
+        groups.setdefault(form.value(a, b), []).append((form.k, form.gap_squared))
+    return [
+        (ka, kb, value)
+        for value, ka, kb in reference_pairs(dict(sorted(groups.items())))
+    ]
+
+
+# -- the kernel --------------------------------------------------------------
+
+
+def dict_groups(values):
+    groups = {}
+    for index, value in enumerate(values):
+        groups.setdefault(value, []).append(index)
+    return sorted((v, m) for v, m in groups.items() if len(m) > 1)
+
+
+def as_lists(groups):
+    return [(value, list(members)) for value, members in groups]
+
+
+class TestEqualValueGroups:
+    def test_runs_ascend_and_keep_input_order(self):
+        values = np.array([5, -1, 5, 7, -1, 5, 0], dtype=np.int64)
+        assert as_lists(equal_value_groups(values)) == [(-1, [1, 4]), (5, [0, 2, 5])]
+
+    def test_no_runs(self):
+        assert equal_value_groups(np.array([], dtype=np.int64)) == []
+        assert equal_value_groups(np.array([3, 1, 2], dtype=np.int64)) == []
+
+    def test_values_are_python_ints(self):
+        ((value, _),) = equal_value_groups(np.array([2, 2], dtype=np.int64))
+        assert type(value) is int
+
+    def test_values_straddling_int64_are_exact(self):
+        # neighbours of +-2**63 that int64 would wrap or merge
+        values = [
+            INT64_LIMIT - 1, INT64_LIMIT, INT64_LIMIT + 1, -INT64_LIMIT,
+            INT64_LIMIT, -INT64_LIMIT - 1, INT64_LIMIT - 1, 2**64, -INT64_LIMIT - 1, 0,
+        ]
+        groups = equal_value_groups(np.array(values, dtype=object))
+        assert as_lists(groups) == dict_groups(values)
+        assert [value for value, _ in groups] == [
+            -INT64_LIMIT - 1, INT64_LIMIT - 1, INT64_LIMIT,
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-5, 5) | st.integers(-(2**70), 2**70), max_size=40))
+    def test_matches_dict_grouping(self, values):
+        dtype = exact_dtype(max(map(abs, values), default=0))
+        assert as_lists(equal_value_groups(np.array(values, dtype))) == dict_groups(values)
+
+    def test_dtype_switches_exactly_at_the_bound(self):
+        assert exact_dtype(INT64_LIMIT - 1) is np.int64
+        assert exact_dtype(INT64_LIMIT) is object
+
+
+# -- differential tests against the reference loops ---------------------------
+
+
+ROWS = table_rows()
+
+
+@pytest.mark.parametrize("datum", ROWS, ids=[d.descriptor.label for d in ROWS])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data(), exclude=st.booleans())
+def test_enumerate_collisions_matches_reference(datum, data, exclude):
+    largest = max(b for b in range(1, 2000) if (b + 1) ** datum.rank <= 2000)
+    bound = data.draw(st.integers(1, largest), label="bound")
+    assert enumerate_collisions(datum, bound, exclude) == reference_enumerate_collisions(
+        datum, bound, exclude
+    )
+
+
+FACTOR_LABELS = (
+    [f"S{d}" for d in range(2, 9)]
+    + [f"CP{n}" for n in range(1, 5)]
+    + [f"HP{n}" for n in range(1, 4)]
+    + ["OP2"]
+)
+positive_rationals = st.fractions(min_value=Fraction(1, 50), max_value=50)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    labels=st.lists(st.sampled_from(FACTOR_LABELS), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_check_beta_matches_reference(labels, data):
+    bound = data.draw(st.integers(1, {1: 40, 2: 20, 3: 6}[len(labels)]), label="bound")
+    beta = data.draw(
+        st.lists(positive_rationals, min_size=len(labels), max_size=len(labels)),
+        label="beta",
+    )
+    factors = [factor_spectrum(label, bound) for label in labels]
+    assert check_beta(factors, beta, bound) == reference_check_beta(factors, beta, bound)
+
+
+def test_check_beta_collision_rich_box():
+    factors = [factor_spectrum("S2", 6)] * 3
+    expected = reference_check_beta(factors, (1, 1, 1))
+    assert len(expected) > 100
+    assert check_beta(factors, (1, 1, 1)) == expected
+
+
+def test_check_beta_rejects_bound_beyond_spectrum():
+    with pytest.raises(ValueError):
+        check_beta([factor_spectrum("S2", 3)], (1,), 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kmax=st.integers(2, 60),
+    a=positive_rationals,
+    b=positive_rationals,
+)
+@example(kmax=60, a=Fraction(1), b=Fraction(1))
+@example(kmax=24, a=Fraction(2), b=Fraction(2))
+def test_collisions_at_metric_matches_reference(kmax, a, b):
+    assert su2f.collisions_at_metric(kmax, a, b) == reference_collisions_at_metric(kmax, a, b)
+
+
+# -- the int64 boundary -------------------------------------------------------
+
+
+def cli_output(capsys, argv):
+    code = run(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "beta",
+    [
+        "1,9223372036854775807",  # one table passes 2**63
+        f"{INT64_LIMIT // 60},{INT64_LIMIT // 60}",  # each table fits, the sums do not
+    ],
+)
+def test_product_beyond_int64_matches_reference(capsys, monkeypatch, beta):
+    argv = ["product", "--factors", "S2,S2", "--bound", "5", "--beta", beta, "--json"]
+    kernel = cli_output(capsys, argv)
+    monkeypatch.setattr(products, "check_beta", reference_check_beta)
+    assert kernel == cli_output(capsys, argv)
+
+
+def spy_dtypes(monkeypatch, module):
+    seen = []
+
+    def spy(values):
+        seen.append(values.dtype)
+        return equal_value_groups(values)
+
+    monkeypatch.setattr(module, "equal_value_groups", spy)
+    return seen
+
+
+@pytest.mark.parametrize("top,dtype", [(2**62 - 1, np.int64), (2**62, np.dtype(object))])
+def test_check_beta_magnitude_bound_is_inclusive(monkeypatch, top, dtype):
+    # the largest sum is 2**62 + top: 2**63 - 1 still takes int64, 2**63 does not
+    datum = cross_datum("S2")
+    factors = [
+        FactorSpectrum("A", datum, (0, 1, 2**62)),
+        FactorSpectrum("B", datum, (0, 2, top)),
+    ]
+    seen = spy_dtypes(monkeypatch, products)
+    witnesses = check_beta(factors, (1, 1))
+    assert witnesses and witnesses == reference_check_beta(factors, (1, 1))
+    assert seen == [dtype]
+
+
+def test_su2f_large_metric_takes_object_side(monkeypatch):
+    seen = spy_dtypes(monkeypatch, su2f)
+    a, b = Fraction(INT64_LIMIT, 3), Fraction(INT64_LIMIT, 5)
+    assert su2f.collisions_at_metric(12, a, b) == reference_collisions_at_metric(12, a, b)
+    assert seen == [np.dtype(object)]
+
+
+def test_enumerate_collisions_takes_int64_on_catalog_boxes(monkeypatch):
+    seen = spy_dtypes(monkeypatch, spectrum)
+    enumerate_collisions(ROWS[0], 3)
+    assert seen == [np.int64]
