@@ -25,15 +25,15 @@ the direct two-equation system on every pair of weights.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
 from .exactalg import MultiPoly, ParametricMatrix, rational_to_str
+from .spectrum import equal_value_groups, exact_dtype, weight_box
 
 METRIC_PARAMS = ("gamma1", "gamma2")
 
@@ -136,103 +136,92 @@ class HopfScanReport:
         }
 
 
-def _group_shard(args):
-    n, bound, p_range = args
-    groups = {}
-    for p in p_range:
-        for q in range(bound + 1):
-            key = HopfInvariantPair.from_weight(n, p, q).invariants()
-            groups.setdefault(key, []).append((p, q))
-    return groups
+def pair_disagreements(first: np.ndarray, second: np.ndarray) -> int:
+    """Ordered pairs (i, j) on which two labelings disagree about equality.
+
+    Counts the pairs with exactly one of ``first[i] == first[j]`` and
+    ``second[i] == second[j]``, over all N^2 ordered pairs including
+    i == j.  With D ranging over the classes of ``first``, R over those
+    of ``second`` and D & R over those of the joint labeling, the count
+    is sum |D|^2 + sum |R|^2 - 2 sum |D & R|^2, computed in O(N log N).
+    Each sum is at most N^2; the class sizes are squared in int64 when
+    N^2 is below 2**63 and in Python ints otherwise.  Labels are 1-D
+    arrays of exact integers (``int64`` or ``object``).
+    """
+    size = len(first)
+    dtype = exact_dtype(size * size)
+    _, first_class, first_sizes = np.unique(first, return_inverse=True, return_counts=True)
+    _, second_class, second_sizes = np.unique(second, return_inverse=True, return_counts=True)
+    joint = first_class.astype(dtype) * size + second_class.astype(dtype)
+    joint_sizes = np.unique(joint, return_counts=True)[1]
+
+    def square_sum(sizes) -> int:
+        sizes = sizes.astype(dtype)
+        return int((sizes * sizes).sum())
+
+    return square_sum(first_sizes) + square_sum(second_sizes) - 2 * square_sum(joint_sizes)
 
 
-def default_worker_count() -> int:
-    """Worker count from the CASIMIRSPEC_WORKERS environment variable."""
-    value = os.environ.get("CASIMIRSPEC_WORKERS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
+def hopf_swap_theorem_scan(n: int, bound: int) -> HopfScanReport:
+    """Scan all weight pairs in the box p, q <= bound and classify every collision.
 
+    Collisions are found by exact grouping on the invariant key
+    (x^2 + y^2, x y), packed as one integer; the report lists each
+    colliding pair and asserts that it is a coordinate swap (hence a
+    dual pair).  Separately, the invariant reduction is compared against
+    the direct two-equation system on every ordered pair of weights:
+    ``agreement_pairs_checked`` is the number of ordered pairs, N^2 for
+    the N weights of the box, and ``agreement_mismatches`` the number of
+    them on which "equal (x^2 + y^2, x y)" and "equal (alpha,
+    freudenthal)" disagree, counted exactly by ``pair_disagreements``
+    without visiting the pairs one by one.
 
-def hopf_swap_theorem_scan(
-    n: int, bound: int, workers: Optional[int] = None
-) -> HopfScanReport:
-    """Scan all weight pairs in the box and classify every collision.
-
-    Collisions are found by exact grouping on the invariant key; the
-    report asserts that each one is a coordinate swap (hence a dual
-    pair).  Separately, the invariant reduction is compared against the
-    direct two-equation system on *every* ordered pair of weights in the
-    box; both computations use exact integer arithmetic (the vectorized
-    cross-check stays far below the int64 range for any practical bound).
+    Both keys are packed in radix R = X^2 + 1, where X = 2(n+1) bound + n
+    is the largest substituted coordinate: the reduced key is
+    (x^2 + y^2) R + x y and the direct key alpha R + freudenthal, with
+    0 <= x y, freudenthal < R and |alpha| < R.  Every value and partial
+    sum is below 2 R^2 in absolute value; the box is evaluated in int64
+    when 2 R^2 is below 2**63 and in Python ints otherwise.
     """
     if n < 2:
         raise ValueError("the swap scan covers the fibrations with n > 1")
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if workers is None:
-        workers = default_worker_count()
 
-    side = bound + 1
-    p_values = list(range(side))
-    if workers > 1:
-        chunks = [
-            (n, bound, p_values[i::workers]) for i in range(workers)
-        ]
-        groups: dict = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for partial in pool.map(_group_shard, chunks):
-                for key, weights in partial.items():
-                    groups.setdefault(key, []).extend(weights)
-        for weights in groups.values():
-            weights.sort()
-    else:
-        groups = _group_shard((n, bound, p_values))
+    box = weight_box(2, bound)
+    top = 2 * (n + 1) * bound + n
+    radix = top * top + 1
+    dtype = exact_dtype(2 * radix * radix)
+    p, q = box.astype(dtype, copy=False).T
+    x = 2 * (n + 1) * p + n
+    y = 2 * (n + 1) * q + n
+    reduced = (x * x + y * y) * radix + x * y
+    alpha = -(n * n) * (q - p) * (q - p)
+    freudenthal = n * (p * p + q * q) + 2 * p * q + n * (p + q)
+    direct = alpha * radix + freudenthal
 
     collision_pairs = 0
     swap_pairs = 0
     non_swap = []
-    for weights in groups.values():
-        if len(weights) < 2:
-            continue
-        for i in range(len(weights)):
-            for j in range(i + 1, len(weights)):
-                collision_pairs += 1
-                (p, q), (pp, qq) = weights[i], weights[j]
-                if (p, q) == (qq, pp):
-                    swap_pairs += 1
-                else:
-                    non_swap.append(((p, q), (pp, qq)))
-
-    # full pairwise agreement of the reduction with the direct system
-    grid_p, grid_q = np.meshgrid(
-        np.arange(side, dtype=np.int64), np.arange(side, dtype=np.int64),
-        indexing="ij",
-    )
-    p_flat = grid_p.ravel()
-    q_flat = grid_q.ravel()
-    alpha = -(n * n) * (q_flat - p_flat) ** 2
-    freud = n * (p_flat**2 + q_flat**2) + 2 * p_flat * q_flat + n * (p_flat + q_flat)
-    x = 2 * (n + 1) * p_flat + n
-    y = 2 * (n + 1) * q_flat + n
-    sum_sq = x * x + y * y
-    prod = x * y
-    direct = (alpha[:, None] == alpha[None, :]) & (freud[:, None] == freud[None, :])
-    reduced = (sum_sq[:, None] == sum_sq[None, :]) & (prod[:, None] == prod[None, :])
-    mismatches = int(np.count_nonzero(direct != reduced))
-    checked = int(direct.size)
+    for _, members in equal_value_groups(reduced):
+        weights = [tuple(w) for w in box[members].tolist()]
+        for (p1, q1), (p2, q2) in combinations(weights, 2):
+            collision_pairs += 1
+            if (p1, q1) == (q2, p2):
+                swap_pairs += 1
+            else:
+                non_swap.append(((p1, q1), (p2, q2)))
 
     non_swap.sort()
     return HopfScanReport(
         n=n,
         bound=bound,
-        weights_scanned=side * side,
+        weights_scanned=len(box),
         collision_pairs=collision_pairs,
         swap_pairs=swap_pairs,
         non_swap_pairs=tuple(non_swap),
-        agreement_pairs_checked=checked,
-        agreement_mismatches=mismatches,
+        agreement_pairs_checked=len(box) ** 2,
+        agreement_mismatches=pair_disagreements(direct, reduced),
     )
 
 

@@ -15,7 +15,9 @@ Every subcommand has a human-readable table mode and ``--json``;
 ``table-delta`` and ``rank2-catalog`` also offer ``--csv``.  All numbers
 serialize as exact rational strings.  Exit status: 0 on success, 1 when
 a computation succeeded but the certificate failed (or the requested
-construction is out of scope for the datum), 2 on usage errors.
+construction is out of scope for the datum), 2 on usage errors, 3 on an
+internal fault (a failed internal consistency check or an arithmetic or
+memory error).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .exactalg import rational_from_str, rational_to_str
 EXIT_OK = 0
 EXIT_CERT_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _emit(payload: dict, as_json: bool, lines) -> None:
@@ -169,7 +172,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_hopf(args) -> int:
-    report = bundles.hopf_swap_theorem_scan(args.n, args.bound, workers=args.workers)
+    report = bundles.hopf_swap_theorem_scan(args.n, args.bound)
     payload = report.to_json()
     lines = [
         f"n = {report.n}, bound = {report.bound}",
@@ -315,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hopf", help="Hopf swap-theorem scan")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--workers", type=int, default=None,
-                   help="defaults to CASIMIRSPEC_WORKERS or 1")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_hopf)
 
@@ -359,6 +360,9 @@ def run(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (AssertionError, RuntimeError, ArithmeticError, MemoryError) as exc:
+        print(f"error: internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -1,16 +1,83 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from casimirspec import bundles
 from casimirspec.bundles import (
     HopfInvariantPair,
+    HopfScanReport,
     bundle_case_notes,
     collision_system_check,
     direct_system_check,
     hopf_eigenvalue,
     hopf_representation_family,
     hopf_swap_theorem_scan,
+    pair_disagreements,
 )
+
+
+def reference_scan(n, bound):
+    """The swap scan with dict grouping and O(N^2) agreement matrices."""
+    side = bound + 1
+    groups = {}
+    for p in range(side):
+        for q in range(side):
+            key = HopfInvariantPair.from_weight(n, p, q).invariants()
+            groups.setdefault(key, []).append((p, q))
+    collision_pairs = swap_pairs = 0
+    non_swap = []
+    for weights in groups.values():
+        for i in range(len(weights)):
+            for j in range(i + 1, len(weights)):
+                collision_pairs += 1
+                (p, q), (pp, qq) = weights[i], weights[j]
+                if (p, q) == (qq, pp):
+                    swap_pairs += 1
+                else:
+                    non_swap.append(((p, q), (pp, qq)))
+
+    grid_p, grid_q = np.meshgrid(
+        np.arange(side, dtype=np.int64), np.arange(side, dtype=np.int64),
+        indexing="ij",
+    )
+    p_flat = grid_p.ravel()
+    q_flat = grid_q.ravel()
+    alpha = -(n * n) * (q_flat - p_flat) ** 2
+    freud = n * (p_flat**2 + q_flat**2) + 2 * p_flat * q_flat + n * (p_flat + q_flat)
+    x = 2 * (n + 1) * p_flat + n
+    y = 2 * (n + 1) * q_flat + n
+    sum_sq = x * x + y * y
+    prod = x * y
+    direct = (alpha[:, None] == alpha[None, :]) & (freud[:, None] == freud[None, :])
+    reduced = (sum_sq[:, None] == sum_sq[None, :]) & (prod[:, None] == prod[None, :])
+    return HopfScanReport(
+        n=n,
+        bound=bound,
+        weights_scanned=side * side,
+        collision_pairs=collision_pairs,
+        swap_pairs=swap_pairs,
+        non_swap_pairs=tuple(sorted(non_swap)),
+        agreement_pairs_checked=int(direct.size),
+        agreement_mismatches=int(np.count_nonzero(direct != reduced)),
+    )
+
+
+def brute_disagreements(first, second):
+    return sum(
+        (first[i] == first[j]) != (second[i] == second[j])
+        for i in range(len(first))
+        for j in range(len(first))
+    )
+
+
+def label_array(values):
+    dtype = np.int64 if all(abs(v) < 2**63 for v in values) else object
+    return np.array(values, dtype=dtype)
+
+
+LABELS = st.sampled_from([0, 1, 2, -7, 2**63, -(2**64), 3**50])
 
 
 class TestHopfEigenvalue:
@@ -103,24 +170,61 @@ class TestSwapTheoremScan:
                     assert (pair.x + pair.y) ** 2 == sum_sq + 2 * prod
                     assert (pair.x - pair.y) ** 2 == sum_sq - 2 * prod
 
-    def test_workers_agree(self):
-        solo = hopf_swap_theorem_scan(2, 10, workers=1)
-        multi = hopf_swap_theorem_scan(2, 10, workers=2)
-        assert solo == multi
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("bound", [1, 2, 7, 15])
+    def test_matches_reference_scan(self, n, bound):
+        assert hopf_swap_theorem_scan(n, bound) == reference_scan(n, bound)
 
-    def test_worker_count_env_var(self, monkeypatch):
-        from casimirspec.bundles import default_worker_count
+    def test_int64_boundary(self, monkeypatch):
+        # the docstring's bound 2 R^2, R = X^2 + 1, X = 2(n+1) bound + n
+        bound = 2
 
-        monkeypatch.setenv("CASIMIRSPEC_WORKERS", "3")
-        assert default_worker_count() == 3
-        monkeypatch.setenv("CASIMIRSPEC_WORKERS", "junk")
-        assert default_worker_count() == 1
-        monkeypatch.delenv("CASIMIRSPEC_WORKERS")
-        assert default_worker_count() == 1
+        def stated(n):
+            top = 2 * (n + 1) * bound + n
+            return 2 * (top * top + 1) ** 2
+
+        below = next(n for n in range(9000, 10000) if stated(n + 1) >= 2**63)
+        assert bundles.exact_dtype(stated(below)) is np.int64
+        assert bundles.exact_dtype(stated(below + 1)) is object
+
+        requested = []
+        real = bundles.exact_dtype
+
+        def spy(magnitude):
+            requested.append(magnitude)
+            return real(magnitude)
+
+        monkeypatch.setattr(bundles, "exact_dtype", spy)
+        reports = []
+        for n in (below, below + 1):
+            reports.append(hopf_swap_theorem_scan(n, bound).to_json())
+            assert stated(n) in requested
+        assert reports[0].pop("n") == below and reports[1].pop("n") == below + 1
+        assert reports[0] == reports[1]
+        assert reports[0]["agreement_mismatches"] == 0
 
     def test_requires_n_above_one(self):
         with pytest.raises(ValueError):
             hopf_swap_theorem_scan(1, 5)
+
+
+class TestPairDisagreements:
+    @given(st.lists(st.tuples(LABELS, LABELS), min_size=1, max_size=24))
+    def test_matches_brute_force(self, pairs):
+        first = [a for a, _ in pairs]
+        second = [b for _, b in pairs]
+        expected = brute_disagreements(first, second)
+        assert pair_disagreements(label_array(first), label_array(second)) == expected
+
+    def test_nonzero_counts(self):
+        # classes {0, 1}, {2} against {0}, {1, 2}: pairs (0, 1) and (1, 2) each way
+        assert pair_disagreements(np.array([0, 0, 1]), np.array([5, 6, 6])) == 4
+        assert pair_disagreements(np.array([3, 3, 3]), np.array([1, 2, 3])) == 6
+        huge = np.array([2**70, 2**70, 0], dtype=object)
+        assert pair_disagreements(huge, np.array([0, 1, 1])) == 4
+
+    def test_same_partition_agrees(self):
+        assert pair_disagreements(np.array([4, 9, 4, 1]), np.array([0, 2, 0, -3])) == 0
 
 
 class TestRepresentationFamily:

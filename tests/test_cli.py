@@ -4,7 +4,8 @@ import pathlib
 import jsonschema
 import pytest
 
-from casimirspec.cli import EXIT_CERT_FAILED, EXIT_OK, EXIT_USAGE, run
+from casimirspec import bundles
+from casimirspec.cli import EXIT_CERT_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, run
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).parent.parent / "docs" / "cli-schema.json").read_text()
@@ -84,6 +85,17 @@ class TestHopf:
         _, first, _ = run_capture(capsys, ["hopf", "--n", "3", "--bound", "6", "--json"])
         _, second, _ = run_capture(capsys, ["hopf", "--n", "3", "--bound", "6", "--json"])
         assert first == second
+
+    def test_huge_n(self, capsys):
+        code, out, err = run_capture(
+            capsys, ["hopf", "--n", "10000000000", "--bound", "5", "--json"]
+        )
+        assert code == EXIT_OK, err
+        payload = json.loads(out)
+        assert payload["n"] == 10**10
+        assert payload["agreement_pairs_checked"] == 36**2
+        assert payload["agreement_mismatches"] == 0
+        assert payload["swap_theorem_holds"] is True
 
 
 class TestSu2f:
@@ -192,6 +204,24 @@ class TestUsageErrors:
         )
         assert code == EXIT_USAGE
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "fault",
+        [AssertionError("check"), RuntimeError("unreachable"),
+         ArithmeticError("irrational"), ZeroDivisionError("zero"),
+         OverflowError("wide"), MemoryError()],
+    )
+    def test_internal_fault_exit_code(self, capsys, monkeypatch, fault):
+        def broken(n, bound):
+            raise fault
+
+        monkeypatch.setattr(bundles, "hopf_swap_theorem_scan", broken)
+        code, out, err = run_capture(capsys, ["hopf", "--n", "2", "--bound", "3"])
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert type(fault).__name__ in err
+        assert "Traceback" not in err
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:
