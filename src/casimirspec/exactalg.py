@@ -50,8 +50,14 @@ def rational_to_str(value: Fraction) -> str:
 
 
 def rational_from_str(text: str) -> Fraction:
-    """Parse the ``num/den`` serialization (den optional)."""
-    return Fraction(text.strip())
+    """Parse the ``num/den`` serialization (den optional).
+
+    A zero denominator is malformed input and raises ValueError.
+    """
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def primitive_vector(vector: Sequence[RationalLike]) -> tuple:

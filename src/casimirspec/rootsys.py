@@ -24,6 +24,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 from .exactalg import rational_to_str
 
@@ -110,26 +112,32 @@ class CartanData:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def _invert(matrix) -> tuple:
-    """Exact inverse of a square integer/rational matrix (Gauss-Jordan)."""
+def _gauss_jordan(matrix) -> tuple:
+    """Exact Gauss-Jordan elimination without row exchanges.
+
+    Returns ``(pivots, inverse)``.  The j-th pivot is the ratio of the
+    j-th to the (j-1)-th leading principal minor, so no exchange is needed
+    while those minors are nonzero, as they are for finite-type Cartan
+    and Gram matrices.  Elimination stops at the first zero pivot; the
+    pivots then end with that zero and ``inverse`` is None.
+    """
     n = len(matrix)
-    a = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rows = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
+    pivots = []
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        inv[col] = [x / scale for x in inv[col]]
+        pivot = rows[col][col]
+        pivots.append(pivot)
+        if pivot == 0:
+            return pivots, None
+        rows[col] = [x / pivot for x in rows[col]]
         for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv)
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return pivots, tuple(tuple(row[n:]) for row in rows)
 
 
 def _path_cartan(rank: int) -> list:
@@ -214,7 +222,9 @@ def cartan_data(system: RootSystemType) -> CartanData:
                 raise AssertionError("off-diagonal Cartan entry out of range")
             if cartan[i][j] * norms[j] != cartan[j][i] * norms[i]:
                 raise AssertionError("norm-weighted symmetry violated")
-    inverse = _invert(cartan)
+    _, inverse = _gauss_jordan(cartan)
+    if inverse is None:
+        raise AssertionError("Cartan matrix has a vanishing leading minor")
     return CartanData(
         system=system,
         cartan=tuple(tuple(row) for row in cartan),
@@ -243,23 +253,9 @@ def gram_matrix(data: CartanData) -> tuple:
 
 
 def leading_principal_minors(matrix) -> list:
-    """Exact leading principal minors (positive definiteness certificate)."""
-    n = len(matrix)
-    minors = []
-    for k in range(1, n + 1):
-        a = [[Fraction(matrix[i][j]) for j in range(k)] for i in range(k)]
-        det = Fraction(1)
-        for col in range(k):
-            pivot = next((r for r in range(col, k) if a[r][col] != 0), None)
-            if pivot is None:
-                det = Fraction(0)
-                break
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                det = -det
-            det *= a[col][col]
-            for r in range(col + 1, k):
-                factor = a[r][col] / a[col][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-        minors.append(det)
-    return minors
+    """Exact leading principal minors (positive definiteness certificate).
+
+    The minors are the running products of the elimination pivots; the
+    list stops at the first zero minor, which it includes.
+    """
+    return list(accumulate(_gauss_jordan(matrix)[0], mul))

@@ -8,8 +8,10 @@ root of unity, so the entire computation runs on exponents mod 12 plus a
 small amount of exact cyclotomic addition.
 
 The F-invariant subspace of V_k is computed by averaging the 12 group
-elements exactly; the resulting projector has rational entries and its
-column space is extracted by exact row reduction.  An independent
+elements exactly; the resulting projector has rational entries.  Every
+element maps v_l to a root of unity times v_l or v_(k-l), so the
+projector is block-diagonal on the tau-orbits {l, k - l} and its image is
+spanned by one column per orbit.  An independent
 combinatorial oracle (the sigma eigenvalue condition 2l = k mod 6 plus
 the tau pairing l <-> k - l with phase (-i)^k) predicts the dimension and
 is cross-checked in the tests.
@@ -182,46 +184,37 @@ class FixedSpaceBasis:
 
 
 def averaging_projector(k: int) -> list:
-    """The exact matrix of (1/12) sum_g g acting on V_k."""
+    """The exact matrix of (1/12) sum_g g acting on V_k.
+
+    Column l is zero outside rows l and k - l, so it is summed from at
+    most two 12-slot phase counters, one per target row.
+    """
     dim = k + 1
-    counts = [[[0] * GROUP_ROOT_ORDER for _ in range(dim)] for _ in range(dim)]
-    for g in group_elements():
-        for ell in range(dim):
+    elements = group_elements()
+    projector = [[Fraction(0)] * dim for _ in range(dim)]
+    for ell in range(dim):
+        counts = {ell: [0] * GROUP_ROOT_ORDER, k - ell: [0] * GROUP_ROOT_ORDER}
+        for g in elements:
             action = g.action_on_monomial(k, ell)
-            counts[action.target][ell][action.phase_exponent] += 1
-    return [
-        [_root_sum_to_rational(counts[i][j]) / 12 for j in range(dim)]
-        for i in range(dim)
-    ]
+            counts[action.target][action.phase_exponent] += 1
+        for target, phases in counts.items():
+            projector[target][ell] = _root_sum_to_rational(phases) / 12
+    return projector
 
 
 @lru_cache(maxsize=None)
 def fixed_space(k: int) -> FixedSpaceBasis:
-    """F-invariant subspace of V_k by exact 12-element averaging."""
+    """F-invariant subspace of V_k by exact 12-element averaging.
+
+    Since P g = P for the projector P, P v_(k-l) is a unit times P v_l, so
+    the nonzero columns P v_l with l <= k/2, in ascending l, form a basis
+    of the image.
+    """
     if k < 0:
         raise ValueError("k must be non-negative")
     projector = averaging_projector(k)
-    dim = k + 1
-    # row-reduce the transpose: its row space is the projector's image
-    rows = [[projector[i][j] for i in range(dim)] for j in range(dim)]
-    basis = []
-    pivot_col = 0
-    row = 0
-    while row < len(rows) and pivot_col < dim:
-        pivot = next((r for r in range(row, len(rows)) if rows[r][pivot_col] != 0), None)
-        if pivot is None:
-            pivot_col += 1
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        scale = rows[row][pivot_col]
-        rows[row] = [x / scale for x in rows[row]]
-        for r in range(len(rows)):
-            if r != row and rows[r][pivot_col] != 0:
-                factor = rows[r][pivot_col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[row])]
-        basis.append(primitive_vector(rows[row]))
-        row += 1
-        pivot_col += 1
+    columns = ([row[ell] for row in projector] for ell in range(k // 2 + 1))
+    basis = [primitive_vector(column) for column in columns if any(column)]
 
     gaps = set()
     for vector in basis:

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import pathlib
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casimirspec import bundles
 from casimirspec.cli import EXIT_CERT_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, run
+from casimirspec.symmdata import LABELS
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).parent.parent / "docs" / "cli-schema.json").read_text()
@@ -227,3 +232,86 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run([])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["su2f", "--kmax", "4", "--metric", "1/0,1"],
+            ["product", "--factors", "S2,S2", "--bound", "3", "--beta", "1,1/0"],
+            ["simplicity", "--family", "hopf", "--n", "2", "--bound", "3",
+             "--metric", "1/0,1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_zero_denominator(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: zero denominator")
+
+
+def _argv(*parts):
+    """Concatenate strategies that each draw a list of arguments."""
+    return st.tuples(*parts).map(lambda drawn: [arg for part in drawn for arg in part])
+
+
+def _flag(name, values):
+    return values.map(lambda value: [name, value])
+
+
+def _optional(name, values):
+    return st.one_of(st.just([]), _flag(name, values))
+
+
+_INTS = st.integers(-3, 6).map(str)
+# a rank-8 box at bound 6 holds 7**8 weights; bound 2 keeps every label fast
+_COLLIDE_BOUNDS = st.integers(-3, 2).map(str)
+_RATIONALS = st.lists(
+    st.sampled_from(["1/0", "abc", "0", "-1", "1", "2", "1/2", "3/7", ""]),
+    max_size=3,
+).map(",".join)
+_SPACE = (
+    st.lists(st.sampled_from(LABELS + ("XX", "A1", "S2")), max_size=1),
+    _optional("--r", _INTS),
+    _optional("--ell", _INTS),
+    _optional("--rank", _INTS),
+)
+# three factors at bound 6 take seconds to certify; two stay fast
+_FACTORS = st.lists(
+    st.sampled_from(["S2", "S3", "CP2", "HP2", "OP2", "S1", "OP3", "XX", "AI", ""]),
+    max_size=2,
+).map(",".join)
+_JSON = st.sampled_from([[], ["--json"]])
+_TABLE_FORMAT = st.sampled_from([[], ["--json"], ["--csv"]])
+
+COMMAND_LINES = st.one_of(
+    _argv(st.just(["table-delta"]), *_SPACE, _TABLE_FORMAT),
+    _argv(st.just(["rank2-catalog"]), _TABLE_FORMAT),
+    _argv(st.just(["collide"]), *_SPACE, _flag("--bound", _COLLIDE_BOUNDS),
+          st.sampled_from([[], ["--include-duals"]]), _JSON),
+    _argv(st.just(["witness"]), *_SPACE, _JSON),
+    _argv(st.just(["hopf"]), _flag("--n", _INTS), _flag("--bound", _INTS), _JSON),
+    _argv(st.just(["su2f"]), _flag("--kmax", _INTS),
+          _optional("--metric", _RATIONALS), _JSON),
+    _argv(st.just(["product"]), _flag("--factors", _FACTORS),
+          _flag("--bound", _INTS), _optional("--beta", _RATIONALS), _JSON),
+    _argv(st.just(["simplicity"]),
+          _flag("--family", st.sampled_from(["su2f", "hopf", "xx"])),
+          _flag("--bound", _INTS), _optional("--n", _INTS),
+          _optional("--metric", _RATIONALS),
+          _optional("--mode", st.sampled_from(["real", "complex", "xx"])), _JSON),
+)
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(COMMAND_LINES)
+    def test_only_documented_exit_codes(self, argv):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                assert exc.code == EXIT_USAGE
+                return
+        assert code in (EXIT_OK, EXIT_CERT_FAILED, EXIT_USAGE, EXIT_INTERNAL)

@@ -27,6 +27,49 @@ def F(n, d=1):
     return Fraction(n, d)
 
 
+def reference_inverse(matrix):
+    """Gauss-Jordan inverse with row exchanges."""
+    n = len(matrix)
+    a = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        scale = a[col][col]
+        a[col] = [x / scale for x in a[col]]
+        inv[col] = [x / scale for x in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+                inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
+    return tuple(tuple(row) for row in inv)
+
+
+def reference_minors(matrix):
+    """Every leading principal minor, each by its own elimination."""
+    n = len(matrix)
+    minors = []
+    for k in range(1, n + 1):
+        a = [[Fraction(matrix[i][j]) for j in range(k)] for i in range(k)]
+        det = Fraction(1)
+        for col in range(k):
+            pivot = next((r for r in range(col, k) if a[r][col] != 0), None)
+            if pivot is None:
+                det = Fraction(0)
+                break
+            if pivot != col:
+                a[col], a[pivot] = a[pivot], a[col]
+                det = -det
+            det *= a[col][col]
+            for r in range(col + 1, k):
+                factor = a[r][col] / a[col][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+        minors.append(det)
+    return minors
+
+
 class TestCartanData:
     def test_a3(self):
         data = cartan_data(parse_type("A3"))
@@ -70,6 +113,11 @@ class TestCartanData:
                 )
                 assert acc == (1 if i == j else 0)
 
+    @pytest.mark.parametrize("system", ALL_TYPES, ids=str)
+    def test_inverse_matches_reference(self, system):
+        data = cartan_data(system)
+        assert data.inverse_cartan == reference_inverse(data.cartan)
+
     def test_unsupported(self):
         with pytest.raises(ValueError):
             RootSystemType("B", 1)
@@ -109,6 +157,20 @@ class TestGramMatrix:
             for j in range(n):
                 assert gram[i][j] == gram[j][i]
         assert all(m > 0 for m in leading_principal_minors(gram))
+
+    @pytest.mark.parametrize("system", ALL_TYPES, ids=str)
+    def test_minors_match_reference(self, system):
+        data = cartan_data(system)
+        for matrix in (data.cartan, gram_matrix(data)):
+            assert leading_principal_minors(matrix) == reference_minors(matrix)
+
+    def test_minors_stop_at_first_zero(self):
+        assert reference_minors([[0, 1], [1, 0]]) == [0, -1]
+        assert leading_principal_minors([[0, 1], [1, 0]]) == [0]
+        singular_middle = [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
+        assert reference_minors(singular_middle) == [1, 0, 0]
+        assert leading_principal_minors(singular_middle) == [1, 0]
+        assert leading_principal_minors([[2, 1], [1, 2]]) == [2, 3]
 
     @pytest.mark.parametrize("system", ALL_TYPES, ids=str)
     def test_dual_basis_defining_relation(self, system):

@@ -2,10 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from casimirspec.exactalg import primitive_vector
 from casimirspec.su2f import (
+    GROUP_ROOT_ORDER,
     SIGMA,
     TAU,
+    FixedSpaceBasis,
     MonomialMatrix,
+    _root_sum_to_rational,
     averaging_projector,
     collisions_at_metric,
     eigenvalue_forms,
@@ -16,6 +20,47 @@ from casimirspec.su2f import (
     simplicity_certificate,
     su2f_representation_family,
 )
+
+
+def reference_projector(k):
+    """The projector from a dense (k+1)^2 x 12 phase-count cube."""
+    dim = k + 1
+    counts = [[[0] * GROUP_ROOT_ORDER for _ in range(dim)] for _ in range(dim)]
+    for g in group_elements():
+        for ell in range(dim):
+            action = g.action_on_monomial(k, ell)
+            counts[action.target][ell][action.phase_exponent] += 1
+    return [
+        [_root_sum_to_rational(counts[i][j]) / 12 for j in range(dim)]
+        for i in range(dim)
+    ]
+
+
+def reference_fixed_space(k):
+    """Image of the dense projector by Gauss-Jordan on its transpose."""
+    projector = averaging_projector(k)
+    dim = k + 1
+    rows = [[projector[i][j] for i in range(dim)] for j in range(dim)]
+    basis = []
+    pivot_col = 0
+    row = 0
+    while row < len(rows) and pivot_col < dim:
+        pivot = next((r for r in range(row, len(rows)) if rows[r][pivot_col] != 0), None)
+        if pivot is None:
+            pivot_col += 1
+            continue
+        rows[row], rows[pivot] = rows[pivot], rows[row]
+        scale = rows[row][pivot_col]
+        rows[row] = [x / scale for x in rows[row]]
+        for r in range(len(rows)):
+            if r != row and rows[r][pivot_col] != 0:
+                factor = rows[r][pivot_col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[row])]
+        basis.append(primitive_vector(rows[row]))
+        row += 1
+        pivot_col += 1
+    gaps = sorted({abs(2 * ell - k) for v in basis for ell, c in enumerate(v) if c})
+    return FixedSpaceBasis(k=k, basis=tuple(basis), ell_values=tuple(gaps))
 
 
 class TestGroup:
@@ -92,9 +137,17 @@ class TestFixedSpace:
                             image[action.target] += sign * coeff
                     assert tuple(image) == tuple(map(Fraction, vector))
 
-    def test_oracle_agreement_to_sixty(self):
-        for k in range(61):
+    def test_oracle_agreement_to_240(self):
+        for k in range(241):
             assert fixed_space(k).dimension == predicted_dimension(k)
+
+    def test_projector_matches_dense_count_cube(self):
+        for k in range(41):
+            assert averaging_projector(k) == reference_projector(k)
+
+    def test_matches_dense_elimination_to_120(self):
+        for k in range(121):
+            assert fixed_space(k) == reference_fixed_space(k)
 
 
 class TestEigenvalueForms:
