@@ -27,13 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from .exactalg import MultiPoly, ParametricMatrix, rational_to_str
-from .spectrum import equal_value_groups, exact_dtype, weight_box
+from .spectrum import equal_value_pairs, exact_dtype, pair_rows, weight_box
 
 METRIC_PARAMS = ("gamma1", "gamma2")
 
@@ -165,11 +164,11 @@ def pair_disagreements(first: np.ndarray, second: np.ndarray) -> int:
 def hopf_swap_theorem_scan(n: int, bound: int) -> HopfScanReport:
     """Scan all weight pairs in the box p, q <= bound and classify every collision.
 
-    Collisions are found by exact grouping on the invariant key
-    (x^2 + y^2, x y), packed as one integer; the report lists each
-    colliding pair and asserts that it is a coordinate swap (hence a
-    dual pair).  Separately, the invariant reduction is compared against
-    the direct two-equation system on every ordered pair of weights:
+    Collisions are the pairs with equal invariant key (x^2 + y^2, x y),
+    packed as one integer; the report counts the coordinate swaps (dual
+    pairs) and lists every other colliding pair in box-row order.
+    Separately, the invariant reduction is compared against the direct
+    two-equation system on every ordered pair of weights:
     ``agreement_pairs_checked`` is the number of ordered pairs, N^2 for
     the N weights of the box, and ``agreement_mismatches`` the number of
     them on which "equal (x^2 + y^2, x y)" and "equal (alpha,
@@ -200,25 +199,15 @@ def hopf_swap_theorem_scan(n: int, bound: int) -> HopfScanReport:
     freudenthal = n * (p * p + q * q) + 2 * p * q + n * (p + q)
     direct = alpha * radix + freudenthal
 
-    collision_pairs = 0
-    swap_pairs = 0
-    non_swap = []
-    for _, members in equal_value_groups(reduced):
-        weights = [tuple(w) for w in box[members].tolist()]
-        for (p1, q1), (p2, q2) in combinations(weights, 2):
-            collision_pairs += 1
-            if (p1, q1) == (q2, p2):
-                swap_pairs += 1
-            else:
-                non_swap.append(((p1, q1), (p2, q2)))
-
-    non_swap.sort()
+    first, second = equal_value_pairs(reduced)
+    swap = (box[first][:, ::-1] == box[second]).all(1)
+    non_swap = zip(*pair_rows(box, first[~swap], second[~swap]))
     return HopfScanReport(
         n=n,
         bound=bound,
         weights_scanned=len(box),
-        collision_pairs=collision_pairs,
-        swap_pairs=swap_pairs,
+        collision_pairs=len(first),
+        swap_pairs=int(swap.sum()),
         non_swap_pairs=tuple(non_swap),
         agreement_pairs_checked=len(box) ** 2,
         agreement_mismatches=pair_disagreements(direct, reduced),

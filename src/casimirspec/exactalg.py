@@ -138,11 +138,6 @@ class MultiPoly:
         zero_key = (0,) * len(self.variables)
         return self.terms.get(zero_key, Fraction(0))
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return max(sum(exps) for exps in self.terms)
-
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other) -> "MultiPoly":
@@ -350,11 +345,6 @@ class UniPoly:
             raise ValueError("zero polynomial has no degree")
         return len(self.coeffs) - 1
 
-    def leading_coefficient(self) -> MultiPoly:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def coefficient(self, power: int) -> MultiPoly:
         if 0 <= power < len(self.coeffs):
             return self.coeffs[power]
@@ -471,11 +461,6 @@ class ParametricMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("ParametricMatrix is immutable")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[MultiPoly]]) -> "ParametricMatrix":
-        flat = [e for row in rows for e in row]
-        return cls(len(rows), flat)
 
     @classmethod
     def diagonal(cls, diag: Sequence[MultiPoly]) -> "ParametricMatrix":

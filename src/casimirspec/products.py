@@ -16,14 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from .exactalg import rational_to_str
-from .spectrum import EigenvalueForm, eigenvalue, equal_value_groups, exact_dtype, weight_box
+from .spectrum import (
+    EigenvalueForm, eigenvalue, equal_value_pairs, exact_dtype, pair_rows, pair_values, weight_box,
+)
 from .symmdata import RestrictedDatum, cross_datum
 
 
@@ -143,14 +144,9 @@ def check_beta(factors: Sequence[FactorSpectrum], beta: Sequence, bound: int = N
     values = np.zeros(1, dtype)
     for table in tables:
         values = np.add.outer(values, np.array(table, dtype)).ravel()
-    box = weight_box(len(factors), bound)
-    witnesses = []
-    for value, members in equal_value_groups(values):
-        arrays = [tuple(a) for a in box[members].tolist()]
-        value = Fraction(value, denom)
-        witnesses.extend(CollisionWitness(a, b, value) for a, b in combinations(arrays, 2))
-    witnesses.sort(key=lambda w: (w.array_a, w.array_b))
-    return witnesses
+    first, second = equal_value_pairs(values)
+    arrays_a, arrays_b = pair_rows(weight_box(len(factors), bound), first, second)
+    return list(map(CollisionWitness, arrays_a, arrays_b, pair_values(values, first, denom)))
 
 
 def prime_sequence() -> Iterator[int]:

@@ -104,13 +104,14 @@ def condition_a(family: Sequence[RepresentationEntry]) -> list:
     """
     validate_family(family)
     ordered = sorted(family, key=lambda e: e.id)
+    chars = [_char(entry) for entry in ordered]
     violations = []
     for i in range(len(ordered)):
         for j in range(i + 1, len(ordered)):
             v, w = ordered[i], ordered[j]
             if v.id == w.id or v.dual_id == w.id:
                 continue
-            if _entry_resultant(v, _char(w)).is_zero():
+            if _entry_resultant(v, chars[j]).is_zero():
                 violations.append((v.id, w.id))
     return violations
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import ceil, lcm
 from typing import Optional, Sequence
 
@@ -131,22 +130,48 @@ def exact_dtype(magnitude: int):
     return np.int64 if magnitude < 2**63 else object
 
 
-def equal_value_groups(values: np.ndarray) -> list:
-    """Runs of two or more equal entries of a 1-D array of exact integers.
+def equal_value_pairs(values: np.ndarray) -> tuple:
+    """Every pair i < j with ``values[i] == values[j]``, as two index arrays.
 
-    Returns ``(value, indices)`` per run: runs in ascending value, and
-    the indices of each run ascending, since a stable sort keeps equal
-    entries in input order.  ``values`` is ``int64`` or an ``object``
-    array of Python ints; both take the same path and neither rounds.
+    Returns ``(first, second)`` holding each pair once, sorted by
+    ``first`` and then by ``second``.  ``values`` is a 1-D ``int64`` or
+    ``object`` array of Python ints; only comparisons touch it, so both
+    take the same path and neither rounds.
     """
     order = np.argsort(values, kind="stable")
     ordered = values[order]
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], len(values)]
-    runs = ends - starts >= 2
-    return [
-        (int(ordered[s]), order[s:e]) for s, e in zip(starts[runs], ends[runs])
-    ]
+    sizes = np.diff(np.r_[starts, len(values)])
+    # sorted position s pairs with the positions after it up to its run's
+    # end; its block of ``later[s]`` pairs starts at offset[s] in the output,
+    # so output slot t belongs to s = first_pos[t] and pairs it with
+    # s + 1 + (t - offset[s])
+    later = np.repeat(starts + sizes, sizes) - np.arange(len(values)) - 1
+    first_pos = np.repeat(np.arange(len(values)), later)
+    offset = np.cumsum(later) - later
+    second_pos = first_pos + 1 + np.arange(len(first_pos)) - offset[first_pos]
+    # a stable sort keeps each run in input order, so first < second
+    first, second = order[first_pos], order[second_pos]
+    pairs = np.lexsort((second, first))
+    return first[pairs], second[pairs]
+
+
+def pair_rows(rows: np.ndarray, first: np.ndarray, second: np.ndarray) -> tuple:
+    """The rows at ``first`` and at ``second``, as object arrays of tuples.
+
+    Each row occurring in a pair becomes a tuple once.  Object arrays,
+    unlike lists, are not walked by the garbage collector.
+    """
+    used, inverse = np.unique(np.r_[first, second], return_inverse=True)
+    tuples = np.fromiter(map(tuple, rows[used].tolist()), object, len(used))
+    return tuples[inverse[: len(first)]], tuples[inverse[len(first):]]
+
+
+def pair_values(values: np.ndarray, first: np.ndarray, denom: int) -> np.ndarray:
+    """``values[i] / denom`` for each i in ``first``, one Fraction per distinct value."""
+    distinct, inverse = np.unique(values[first], return_inverse=True)
+    fractions = (Fraction(value, denom) for value in distinct.tolist())
+    return np.fromiter(fractions, object, len(distinct))[inverse]
 
 
 def enumerate_collisions(
@@ -154,9 +179,10 @@ def enumerate_collisions(
 ) -> list:
     """All eigenvalue collisions in the per-coordinate box [0, bound]^rank.
 
-    Weights sharing an exact eigenvalue are grouped; every unordered pair
-    inside a group is reported, flagged when the two weights are duals of
-    each other.  Output is sorted lexicographically by (weight_a, weight_b).
+    Every unordered pair of weights with the same exact eigenvalue is
+    reported, flagged when the two weights are duals of each other.
+    Output is sorted lexicographically by (weight_a, weight_b), which is
+    box-row order.
 
     The scan is exact integer arithmetic: with D the lcm of the
     denominators of G and of c = G^T shift, D * lambda(w) = w^T (D G) w +
@@ -181,24 +207,25 @@ def enumerate_collisions(
         + bound * sum(abs(x) for x in lin)
     )
     dtype = exact_dtype(magnitude)
-    box = weight_box(rank, bound).astype(dtype, copy=False)
+    grid = weight_box(rank, bound)
+    box = grid.astype(dtype, copy=False)
     values = ((box @ np.array(quad, dtype)) * box).sum(1) + box @ np.array(lin, dtype)
 
+    first, second = equal_value_pairs(values)
     sigma = dual_permutation(datum.descriptor)
-    reports = []
-    for value, members in equal_value_groups(values):
-        eigen = Fraction(value, denom)
-        weights = [tuple(w) for w in box[members].tolist()]
-        duals = [tuple(w[k] for k in sigma) for w in weights]
-        for (wa, dual_a), (wb, _) in combinations(zip(weights, duals), 2):
-            dual = dual_a == wb
-            if not (exclude_dual_pairs and dual):
-                reports.append(CollisionReport(wa, wb, eigen, dual))
-    reports.sort(key=lambda rep: (rep.weight_a, rep.weight_b))
-    return reports
+    dual = (grid[first][:, list(sigma)] == grid[second]).all(1)
+    if exclude_dual_pairs:
+        first, second, dual = first[~dual], second[~dual], dual[~dual]
+    weights_a, weights_b = pair_rows(grid, first, second)
+    eigen = pair_values(values, first, denom)
+    return list(map(CollisionReport, weights_a, weights_b, eigen, dual.astype(object)))
 
 
 # -- reflection witnesses (rank >= 3) -----------------------------------
+
+
+# fill increments tried before a dual-breaking witness is given up
+WITNESS_RETRIES = 16
 
 
 class WitnessError(ValueError):
@@ -262,7 +289,7 @@ def admissible_pairs(datum: RestrictedDatum) -> list:
     return pairs
 
 
-def reflection_witness(datum: RestrictedDatum, max_retries: int = 16) -> ReflectionWitness:
+def reflection_witness(datum: RestrictedDatum) -> ReflectionWitness:
     """Construct a collision pair from a half-sum-fixing reflection.
 
     Requires rank >= 3 and an index pair with equal half-sum coefficient
@@ -306,7 +333,7 @@ def reflection_witness(datum: RestrictedDatum, max_retries: int = 16) -> Reflect
     fill = {k: max(0, ceil(thresholds[k])) for k in others}
 
     form = EigenvalueForm.from_datum(datum)
-    for _ in range(max_retries):
+    for _ in range(WITNESS_RETRIES):
         seed = [0] * n
         seed[i] = 1
         for k in others:

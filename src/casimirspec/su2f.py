@@ -31,14 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import lcm
 from typing import Optional
 
 import numpy as np
 
 from .exactalg import MultiPoly, ParametricMatrix, primitive_vector, rational_to_str
-from .spectrum import equal_value_groups, exact_dtype
+from .spectrum import equal_value_pairs, exact_dtype, pair_values
 
 GROUP_ROOT_ORDER = 12
 
@@ -330,7 +329,7 @@ def collisions_at_metric(kmax: int, a: Fraction, b: Fraction) -> list:
     """Pairs of distinct invariant lines with equal eigenvalue at (a, b).
 
     Pairs come in ascending eigenvalue.  The values are scaled by the lcm
-    D of their denominators to exact integers, grouped in int64 when the
+    D of their denominators to exact integers, compared in int64 when the
     largest |D * value| is below 2**63 and in Python ints otherwise.
     """
     forms = all_forms(kmax)
@@ -338,12 +337,11 @@ def collisions_at_metric(kmax: int, a: Fraction, b: Fraction) -> list:
     denom = lcm(*(v.denominator for v in values))
     values = [int(v * denom) for v in values]
     values = np.array(values, exact_dtype(max(map(abs, values), default=0)))
-    collisions = []
-    for value, members in equal_value_groups(values):
-        keys = [(forms[m].k, forms[m].gap_squared) for m in members]
-        value = Fraction(value, denom)
-        collisions.extend((ka, kb, value) for ka, kb in combinations(keys, 2))
-    return collisions
+    first, second = equal_value_pairs(values)
+    ascending = np.argsort(values[first], kind="stable")
+    first, second = first[ascending], second[ascending]
+    keys = np.fromiter(((form.k, form.gap_squared) for form in forms), object, len(forms))
+    return list(zip(keys[first], keys[second], pair_values(values, first, denom)))
 
 
 def find_simple_metric(kmax: int) -> tuple:

@@ -64,10 +64,6 @@ class SymmetricSpaceDescriptor:
     def rank(self) -> int:
         return len(self.multiplicities)
 
-    @property
-    def has_doubled_roots(self) -> bool:
-        return any(m2 > 0 for _, m2 in self.multiplicities)
-
     def param(self, name: str) -> Optional[int]:
         for key, value in self.params:
             if key == name:

@@ -1,0 +1,45 @@
+"""Every tiny benchmark op, replayed in-process against its pinned digest.
+
+``perfbench/pins.json`` pins the exit code and the SHA-256 of the stdout
+of every benchmark op.  Each op of each workload pool runs here at the
+tiny size through ``cli.run``, so a changed byte of CLI output fails in
+the library tests and not only in the benchmark.  The benchmark's
+modules are imported read-only, as its own self-tests do.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(BENCH_DIR))
+
+import run as bench  # noqa: E402
+
+from casimirspec.cli import run  # noqa: E402
+
+PINS = bench.load_pins()
+OPS = [
+    argv
+    for workload in bench.load_workloads().values()
+    for argv in bench.pool_ops(workload, "tiny")
+]
+
+
+def test_every_workload_has_tiny_ops():
+    for workload in bench.load_workloads().values():
+        assert bench.pool_ops(workload, "tiny")
+
+
+@pytest.mark.parametrize("argv", OPS, ids=[" ".join(argv) for argv in OPS])
+def test_tiny_op_matches_its_pin(argv):
+    pin = PINS[" ".join(argv)]
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured):
+        code = run(argv)
+    assert code == pin["exit"]
+    assert hashlib.sha256(captured.getvalue().encode()).hexdigest() == pin["sha256"]

@@ -20,7 +20,7 @@ from casimirspec.spectrum import (
     EigenvalueForm,
     dual_weight,
     enumerate_collisions,
-    equal_value_groups,
+    equal_value_pairs,
     exact_dtype,
     eigenvalue,
 )
@@ -98,29 +98,31 @@ def reference_collisions_at_metric(kmax, a, b):
 # -- the kernel --------------------------------------------------------------
 
 
-def dict_groups(values):
+def dict_pairs(values):
     groups = {}
     for index, value in enumerate(values):
         groups.setdefault(value, []).append(index)
-    return sorted((v, m) for v, m in groups.items() if len(m) > 1)
+    return sorted((first, second) for _, first, second in reference_pairs(groups))
 
 
-def as_lists(groups):
-    return [(value, list(members)) for value, members in groups]
+def as_pairs(pairs):
+    first, second = pairs
+    return list(zip(first.tolist(), second.tolist()))
 
 
-class TestEqualValueGroups:
-    def test_runs_ascend_and_keep_input_order(self):
+class TestEqualValuePairs:
+    def test_pairs_sort_by_first_then_second(self):
         values = np.array([5, -1, 5, 7, -1, 5, 0], dtype=np.int64)
-        assert as_lists(equal_value_groups(values)) == [(-1, [1, 4]), (5, [0, 2, 5])]
+        assert as_pairs(equal_value_pairs(values)) == [(0, 2), (0, 5), (1, 4), (2, 5)]
 
-    def test_no_runs(self):
-        assert equal_value_groups(np.array([], dtype=np.int64)) == []
-        assert equal_value_groups(np.array([3, 1, 2], dtype=np.int64)) == []
+    def test_no_pairs(self):
+        assert as_pairs(equal_value_pairs(np.array([], dtype=np.int64))) == []
+        assert as_pairs(equal_value_pairs(np.array([3, 1, 2], dtype=np.int64))) == []
 
-    def test_values_are_python_ints(self):
-        ((value, _),) = equal_value_groups(np.array([2, 2], dtype=np.int64))
-        assert type(value) is int
+    @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+    def test_returns_index_arrays(self, dtype):
+        for index in equal_value_pairs(np.array([2, 1, 2, 2], dtype=dtype)):
+            assert index.dtype.kind == "i"
 
     def test_values_straddling_int64_are_exact(self):
         # neighbours of +-2**63 that int64 would wrap or merge
@@ -128,17 +130,15 @@ class TestEqualValueGroups:
             INT64_LIMIT - 1, INT64_LIMIT, INT64_LIMIT + 1, -INT64_LIMIT,
             INT64_LIMIT, -INT64_LIMIT - 1, INT64_LIMIT - 1, 2**64, -INT64_LIMIT - 1, 0,
         ]
-        groups = equal_value_groups(np.array(values, dtype=object))
-        assert as_lists(groups) == dict_groups(values)
-        assert [value for value, _ in groups] == [
-            -INT64_LIMIT - 1, INT64_LIMIT - 1, INT64_LIMIT,
-        ]
+        pairs = as_pairs(equal_value_pairs(np.array(values, dtype=object)))
+        assert pairs == dict_pairs(values)
+        assert pairs == [(0, 6), (1, 4), (5, 8)]
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(-5, 5) | st.integers(-(2**70), 2**70), max_size=40))
-    def test_matches_dict_grouping(self, values):
+    def test_matches_dict_pairs(self, values):
         dtype = exact_dtype(max(map(abs, values), default=0))
-        assert as_lists(equal_value_groups(np.array(values, dtype))) == dict_groups(values)
+        assert as_pairs(equal_value_pairs(np.array(values, dtype))) == dict_pairs(values)
 
     def test_dtype_switches_exactly_at_the_bound(self):
         assert exact_dtype(INT64_LIMIT - 1) is np.int64
@@ -237,9 +237,9 @@ def spy_dtypes(monkeypatch, module):
 
     def spy(values):
         seen.append(values.dtype)
-        return equal_value_groups(values)
+        return equal_value_pairs(values)
 
-    monkeypatch.setattr(module, "equal_value_groups", spy)
+    monkeypatch.setattr(module, "equal_value_pairs", spy)
     return seen
 
 
