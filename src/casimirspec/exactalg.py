@@ -382,9 +382,9 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def evaluate_params(self, values: Mapping[str, RationalLike]) -> list:
-        """Coefficient list over the rationals at a parameter point."""
-        return [c.evaluate(values) for c in self.coeffs]
+    def evaluate_params(self, values: Mapping[str, RationalLike]) -> "UniPoly":
+        """The polynomial at a parameter point: constant coefficients."""
+        return UniPoly.from_scalars(self.variables, [c.evaluate(values) for c in self.coeffs])
 
     def eval_at(self, value: MultiPoly) -> MultiPoly:
         """Substitute ``t = value`` (Horner, exact)."""
@@ -400,12 +400,6 @@ class UniPoly:
 
     def __hash__(self):
         return hash((self.variables, self.coeffs))
-
-    def to_json(self) -> dict:
-        return {
-            "variables": list(self.variables),
-            "coefficients": [c.to_json()["terms"] for c in self.coeffs],
-        }
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -438,6 +432,23 @@ def derivative(p: UniPoly, order: int = 1) -> UniPoly:
             [p.coefficient(i) * i for i in range(1, len(p.coeffs))],
         )
     return p
+
+
+def rational_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
+    """Monic gcd over the rationals of polynomials with constant coefficients.
+
+    Exact Euclid; a non-constant coefficient raises ValueError, and the
+    gcd of two zero polynomials is the zero polynomial.
+    """
+    if not all(c.is_constant() for c in p.coeffs + q.coeffs):
+        raise ValueError("gcd over the rationals needs constant coefficients")
+    while not q.is_zero():
+        while not p.is_zero() and p.degree >= q.degree:
+            ratio = p.coeffs[-1].constant_value() / q.coeffs[-1].constant_value()
+            term = UniPoly.from_scalars(q.variables, [0] * (p.degree - q.degree) + [ratio])
+            p = p - term * q
+        p, q = q, p
+    return p * (1 / p.coeffs[-1].constant_value()) if p.coeffs else p
 
 
 class ParametricMatrix:

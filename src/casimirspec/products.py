@@ -232,7 +232,7 @@ def generic_beta_certificate(
         # a box collision is exactly a hit on a truncated hyperplane, so
         # the surviving candidate must also clear every stored normal
         if any(
-            sum(n_i * b_i for n_i, b_i in zip(normal, beta)) == 0
+            sum(n_i * c_i for n_i, c_i in zip(normal, candidate)) == 0
             for normal in normals
         ):
             raise AssertionError("hyperplane list and exhaustive check disagree")

@@ -16,9 +16,11 @@ vanishing conditions are:
     quaternionic entry cannot tolerate).
 
 At a concrete positive metric point the same conditions are decided
-exactly through gcds of rational-coefficient polynomials: a common
-eigenvalue is a non-constant gcd of the two evaluated characteristic
-polynomials, eigenvalue multiplicity is read off gcd(p, p').
+exactly.  The eigenvalues of a diagonal ("split") Casimir matrix are its
+evaluated diagonal entries, so split entries are compared by value.
+Anything involving a non-diagonal matrix goes through gcds over the
+rationals: a common eigenvalue is a non-constant gcd of the evaluated
+characteristic polynomials, and multiplicities are read off gcd(p, p').
 
 Every report carries the finite family it was computed on; no claim is
 made beyond that truncation.
@@ -26,8 +28,10 @@ made beyond that truncation.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .exactalg import (
@@ -35,6 +39,7 @@ from .exactalg import (
     UniPoly,
     char_poly,
     derivative,
+    rational_gcd,
     rational_to_str,
     resultant,
     resultant_from_roots,
@@ -80,10 +85,6 @@ def validate_family(family: Sequence[RepresentationEntry]):
     return by_id
 
 
-def _char(entry: RepresentationEntry) -> UniPoly:
-    return char_poly(entry.casimir)
-
-
 def _entry_resultant(entry: RepresentationEntry, q: UniPoly):
     """Resultant of the entry's characteristic polynomial with q.
 
@@ -93,7 +94,7 @@ def _entry_resultant(entry: RepresentationEntry, q: UniPoly):
     """
     if entry.casimir.is_diagonal():
         return resultant_from_roots(entry.casimir.diagonal_entries(), q)
-    return resultant(_char(entry), q)
+    return resultant(char_poly(entry.casimir), q)
 
 
 def condition_a(family: Sequence[RepresentationEntry]) -> list:
@@ -104,7 +105,7 @@ def condition_a(family: Sequence[RepresentationEntry]) -> list:
     """
     validate_family(family)
     ordered = sorted(family, key=lambda e: e.id)
-    chars = [_char(entry) for entry in ordered]
+    chars = [char_poly(entry.casimir) for entry in ordered]
     violations = []
     for i in range(len(ordered)):
         for j in range(i + 1, len(ordered)):
@@ -116,115 +117,61 @@ def condition_a(family: Sequence[RepresentationEntry]) -> list:
     return violations
 
 
+def _derivative_condition(
+    family: Sequence[RepresentationEntry], order: int, exempt: str
+) -> list:
+    """Entries not of type `exempt` whose res(p, p^(order)) vanishes identically.
+
+    Entries of dimension at most `order` are skipped: p^(order) is then a
+    nonzero constant and cannot share a root with p.
+    """
+    validate_family(family)
+    violations = []
+    for entry in sorted(family, key=lambda e: e.id):
+        if entry.type_class == exempt or entry.casimir.dimension < order + 1:
+            continue
+        p = char_poly(entry.casimir)
+        if _entry_resultant(entry, derivative(p, order)).is_zero():
+            violations.append(entry.id)
+    return violations
+
+
 def condition_b(family: Sequence[RepresentationEntry]) -> list:
     """Real/complex entries whose res(p, p') vanishes identically.
 
     One-dimensional entries have linear characteristic polynomials and
     are exempt (nothing to separate).
     """
-    validate_family(family)
-    violations = []
-    for entry in sorted(family, key=lambda e: e.id):
-        if entry.type_class == "quaternionic":
-            continue
-        if entry.casimir.dimension < 2:
-            continue
-        p = _char(entry)
-        if _entry_resultant(entry, derivative(p, 1)).is_zero():
-            violations.append(entry.id)
-    return violations
+    return _derivative_condition(family, 1, "quaternionic")
 
 
 def condition_c(family: Sequence[RepresentationEntry]) -> list:
     """Real/quaternionic entries whose res(p, p'') vanishes identically."""
-    validate_family(family)
-    violations = []
-    for entry in sorted(family, key=lambda e: e.id):
-        if entry.type_class == "complex":
-            continue
-        if entry.casimir.dimension < 3:
-            continue  # p'' is a nonzero constant: no triple eigenvalue
-        p = _char(entry)
-        if _entry_resultant(entry, derivative(p, 2)).is_zero():
-            violations.append(entry.id)
-    return violations
+    return _derivative_condition(family, 2, "complex")
 
 
-# -- exact rational-coefficient polynomial helpers -----------------------
+def shared_root(p: UniPoly, q: UniPoly) -> bool:
+    """Do two polynomials with rational coefficients share a complex root?"""
+    return len(rational_gcd(p, q).coeffs) > 1
 
 
-def poly_normalize(coeffs: Sequence[Fraction]) -> list:
-    coeffs = [Fraction(c) for c in coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]) -> tuple:
-    num = poly_normalize(num)
-    den = poly_normalize(den)
-    if not den:
-        raise ZeroDivisionError("division by the zero polynomial")
-    quotient = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    rest = num[:]
-    while len(rest) >= len(den):
-        factor = rest[-1] / den[-1]
-        shift = len(rest) - len(den)
-        quotient[shift] = factor
-        for i, c in enumerate(den):
-            rest[shift + i] -= factor * c
-        rest = poly_normalize(rest)
-        if not rest:
-            break
-    return quotient, rest
-
-
-def poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
-    """Monic gcd over the rationals."""
-    a, b = poly_normalize(a), poly_normalize(b)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def poly_derivative(coeffs: Sequence[Fraction]) -> list:
-    return poly_normalize([i * c for i, c in enumerate(coeffs)][1:])
-
-
-def shared_root(p: Sequence[Fraction], q: Sequence[Fraction]) -> bool:
-    """Do two rational polynomials share a complex root (gcd test)?"""
-    return len(poly_gcd(p, q)) > 1
-
-
-def multiplicity_profile(coeffs: Sequence[Fraction]) -> dict:
+def multiplicity_profile(p: UniPoly) -> dict:
     """Histogram {multiplicity: count of roots} via repeated gcds.
 
     Works over the complex roots without computing any root: the gcd
     with the derivative strips one copy of every repeated root, so
     degree drops identify how many roots live at each multiplicity.
     """
-    current = poly_normalize(coeffs)
-    if len(current) <= 1:
+    if len(p.coeffs) <= 1:
         return {}
-    degrees = [len(current) - 1]
-    while True:
-        current = poly_gcd(current, poly_derivative(current))
-        degrees.append(len(current) - 1 if current else 0)
-        if degrees[-1] == 0:
-            break
-    # degrees[m] = number of distinct roots with multiplicity > m
-    profile = {}
-    for m in range(1, len(degrees)):
-        count = (degrees[m - 1] - degrees[m]) - (
-            (degrees[m] - degrees[m + 1]) if m + 1 < len(degrees) else 0
-        )
-        if count:
-            profile[m] = count
-    return profile
+    # degrees[m] = sum over the roots of max(multiplicity - m, 0), so
+    # drops[m] = number of distinct roots of multiplicity > m
+    degrees = [p.degree]
+    while degrees[-1]:
+        p = rational_gcd(p, derivative(p, 1))
+        degrees.append(p.degree)
+    drops = [a - b for a, b in zip(degrees, degrees[1:])] + [0]
+    return {m: a - b for m, (a, b) in enumerate(zip(drops, drops[1:]), 1) if a != b}
 
 
 @dataclass(frozen=True)
@@ -258,6 +205,43 @@ class MetricReport:
         }
 
 
+def _spectra_by_value(ordered: Sequence[RepresentationEntry], values) -> tuple:
+    """Shared eigenvalues and multiplicity profiles of the split entries.
+
+    One grouping of the evaluated diagonal entries by exact value: entries
+    i < j share an eigenvalue when a value holds copies of both, and entry
+    i's profile {multiplicity: count} counts its copies of each value.
+    Returns (set of index pairs (i, j), {index: profile}).
+    """
+    holders = defaultdict(list)  # value -> entry index, once per copy
+    for i, entry in enumerate(ordered):
+        if entry.casimir.is_diagonal():
+            for d in entry.casimir.diagonal_entries():
+                holders[d.evaluate(values)].append(i)
+    meets, profiles = set(), defaultdict(Counter)
+    for group in holders.values():
+        copies = Counter(group)  # ascending entry index, as inserted
+        meets.update(combinations(copies, 2))
+        for i, m in copies.items():
+            profiles[i][m] += 1
+    return meets, dict(profiles)
+
+
+def _spectra_by_gcd(ordered: Sequence[RepresentationEntry], values, general) -> tuple:
+    """The same for the pairs and profiles of the indices in `general`, by gcds.
+
+    Works for any Casimir matrix.
+    """
+    polys = [char_poly(entry.casimir).evaluate_params(values) for entry in ordered]
+    general = set(general)
+    meets = {
+        (i, j)
+        for i, j in combinations(range(len(ordered)), 2)
+        if (i in general or j in general) and shared_root(polys[i], polys[j])
+    }
+    return meets, {i: multiplicity_profile(polys[i]) for i in general}
+
+
 def evaluate_at_metric(
     family: Sequence[RepresentationEntry],
     point: Mapping[str, Fraction],
@@ -280,28 +264,26 @@ def evaluate_at_metric(
     if any(v <= 0 for v in values.values()):
         raise ValueError("metric parameters must be positive")
 
-    evaluated = {
-        entry.id: poly_normalize(_char(entry).evaluate_params(values))
-        for entry in family
-    }
     ordered = sorted(family, key=lambda e: e.id)
+    meets, profiles = _spectra_by_value(ordered, values)
+    general = [i for i, e in enumerate(ordered) if not e.casimir.is_diagonal()]
+    if general:
+        more_meets, more_profiles = _spectra_by_gcd(ordered, values, general)
+        meets |= more_meets
+        profiles.update(more_profiles)
 
-    shared = []
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            v, w = ordered[i], ordered[j]
-            if mode == "real" and v.dual_id == w.id:
-                continue
-            if shared_root(evaluated[v.id], evaluated[w.id]):
-                shared.append((v.id, w.id))
+    shared = [
+        (ordered[i].id, ordered[j].id)
+        for i, j in sorted(meets)
+        if mode == "complex" or ordered[i].dual_id != ordered[j].id
+    ]
 
     multiplicity = []
-    for entry in ordered:
-        profile = multiplicity_profile(evaluated[entry.id])
+    for i, entry in enumerate(ordered):
         if mode == "complex" or entry.type_class in ("real", "complex"):
-            bad = sorted(m for m in profile if m > 1)
+            bad = sorted(m for m in profiles[i] if m > 1)
         else:  # quaternionic: exactly two everywhere
-            bad = sorted(m for m in profile if m != 2)
+            bad = sorted(m for m in profiles[i] if m != 2)
         if bad:
             multiplicity.append((entry.id, bad[-1]))
 

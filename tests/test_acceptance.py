@@ -12,7 +12,7 @@ from fractions import Fraction
 from casimirspec import bundles, products, spectrum, su2f
 from casimirspec.exactalg import MultiPoly, char_poly, derivative, resultant
 from casimirspec.rootsys import cartan_data, gram_matrix, parse_type
-from casimirspec.simplicity import poly_derivative, shared_root
+from casimirspec.simplicity import shared_root
 from casimirspec.spectrum import EigenvalueForm, eigenvalue
 from casimirspec.symmdata import rank_one_catalog, restricted_datum
 
@@ -267,9 +267,9 @@ def test_criterion_9_oracle_equivalence():
             if p.degree >= 2:
                 res_pp = resultant(p, derivative(p, 1))
                 for point in points:
-                    coeffs = p.evaluate_params(point)
+                    at = p.evaluate_params(point)
                     assert (res_pp.evaluate(point) == 0) == shared_root(
-                        coeffs, poly_derivative(coeffs)
+                        at, derivative(at, 1)
                     )
             for j in range(i + 1, len(ordered)):
                 q = char_poly(ordered[j].casimir)

@@ -14,6 +14,7 @@ from casimirspec.exactalg import (
     exact_div,
     primitive_vector,
     rational_from_str,
+    rational_gcd,
     rational_to_str,
     resultant,
     resultant_from_roots,
@@ -148,6 +149,47 @@ class TestUniPoly:
         assert prod.degree == 2
         assert prod.coefficient(0) == var("a") * var("b")
         assert prod.coefficient(1) == -(var("a") + var("b"))
+
+
+    def test_evaluate_params(self):
+        p = UniPoly(AB, [var("a"), var("b") * 2, const(1)])
+        at = p.evaluate_params({"a": Fraction(1, 2), "b": 3})
+        assert at == UniPoly.from_scalars(AB, [Fraction(1, 2), 6, 1])
+        # a coefficient vanishing at the point is dropped from the top
+        q = UniPoly(AB, [const(1), var("a") - var("b")])
+        assert q.evaluate_params({"a": 2, "b": 2}) == UniPoly.from_scalars(AB, [1])
+
+
+class TestRationalGcd:
+    def test_monic_common_factor(self):
+        # (t - 1)(t - 2) and 3(t - 2)(t - 3) share (t - 2)
+        p = UniPoly.from_scalars(AB, [2, -3, 1])
+        q = UniPoly.from_scalars(AB, [18, -15, 3])
+        assert rational_gcd(p, q) == UniPoly.from_scalars(AB, [-2, 1])
+        assert rational_gcd(q, p) == UniPoly.from_scalars(AB, [-2, 1])
+        assert rational_gcd(p, UniPoly.from_scalars(AB, [-3, 1])) == UniPoly.from_scalars(AB, [1])
+
+    def test_zero_arguments(self):
+        p = UniPoly.from_scalars(AB, [Fraction(1, 2), 2])
+        zero = UniPoly.zero(AB)
+        assert rational_gcd(p, zero) == UniPoly.from_scalars(AB, [Fraction(1, 4), 1])
+        assert rational_gcd(zero, p) == UniPoly.from_scalars(AB, [Fraction(1, 4), 1])
+        assert rational_gcd(zero, zero).is_zero()
+
+    def test_non_constant_coefficient_rejected(self):
+        parametric = UniPoly.t_minus(var("a"))
+        scalar = UniPoly.from_scalars(AB, [-1, 1])
+        with pytest.raises(ValueError):
+            rational_gcd(parametric, scalar)
+        with pytest.raises(ValueError):
+            rational_gcd(scalar, parametric)
+
+    def test_variable_mismatch(self):
+        with pytest.raises(ValueError):
+            rational_gcd(
+                UniPoly.from_scalars(AB, [-1, 0, 1]),
+                UniPoly.from_scalars(("x",), [-1, 1]),
+            )
 
 
 class TestCharPoly:

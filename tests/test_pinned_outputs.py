@@ -1,10 +1,12 @@
-"""Every tiny benchmark op, replayed in-process against its pinned digest.
+"""Benchmark ops, replayed in-process against their pinned digests.
 
 ``perfbench/pins.json`` pins the exit code and the SHA-256 of the stdout
 of every benchmark op.  Each op of each workload pool runs here at the
 tiny size through ``cli.run``, so a changed byte of CLI output fails in
-the library tests and not only in the benchmark.  The benchmark's
-modules are imported read-only, as its own self-tests do.
+the library tests and not only in the benchmark.  The eight full-size
+``simplicity ... --metric`` ops run too (a few seconds in all), so the
+metric verdicts are also checked at the sizes the benchmark times.  The
+benchmark's modules are imported read-only, as its own self-tests do.
 """
 
 import contextlib
@@ -29,17 +31,39 @@ OPS = [
     for argv in bench.pool_ops(workload, "tiny")
 ]
 
+FULL_METRIC_OPS = [
+    argv
+    for workload in bench.load_workloads().values()
+    for argv in bench.pool_ops(workload, "full")
+    if argv[0] == "simplicity" and "--metric" in argv
+]
 
-def test_every_workload_has_tiny_ops():
-    for workload in bench.load_workloads().values():
-        assert bench.pool_ops(workload, "tiny")
 
-
-@pytest.mark.parametrize("argv", OPS, ids=[" ".join(argv) for argv in OPS])
-def test_tiny_op_matches_its_pin(argv):
+def assert_matches_pin(argv):
     pin = PINS[" ".join(argv)]
     captured = io.StringIO()
     with contextlib.redirect_stdout(captured):
         code = run(argv)
     assert code == pin["exit"]
     assert hashlib.sha256(captured.getvalue().encode()).hexdigest() == pin["sha256"]
+
+
+def test_every_workload_has_tiny_ops():
+    for workload in bench.load_workloads().values():
+        assert bench.pool_ops(workload, "tiny")
+
+
+def test_full_metric_ops_are_found():
+    assert len(FULL_METRIC_OPS) == 8
+
+
+@pytest.mark.parametrize("argv", OPS, ids=[" ".join(argv) for argv in OPS])
+def test_tiny_op_matches_its_pin(argv):
+    assert_matches_pin(argv)
+
+
+@pytest.mark.parametrize(
+    "argv", FULL_METRIC_OPS, ids=[" ".join(argv) for argv in FULL_METRIC_OPS]
+)
+def test_full_metric_op_matches_its_pin(argv):
+    assert_matches_pin(argv)

@@ -1,10 +1,21 @@
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from casimirspec import simplicity
 from casimirspec.bundles import hopf_representation_family
-from casimirspec.exactalg import MultiPoly, ParametricMatrix, char_poly
+from casimirspec.exactalg import (
+    MultiPoly,
+    ParametricMatrix,
+    UniPoly,
+    char_poly,
+    derivative,
+    rational_gcd,
+)
 from casimirspec.simplicity import (
     RepresentationEntry,
     condition_a,
@@ -12,7 +23,6 @@ from casimirspec.simplicity import (
     condition_c,
     evaluate_at_metric,
     multiplicity_profile,
-    poly_gcd,
     shared_root,
     validate_family,
 )
@@ -117,23 +127,133 @@ class TestFamilyValidation:
             RepresentationEntry("V", "real", "W", ParametricMatrix(1, [A]))
 
 
+# -- reference: rational polynomials as coefficient lists ----------------
+# The coefficient-list helpers the library used before its gcds moved onto
+# UniPoly, kept as the oracle for exactalg.rational_gcd and the helpers
+# built on it.
+
+
+def poly_normalize(coeffs: Sequence[Fraction]) -> list:
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]) -> tuple:
+    num = poly_normalize(num)
+    den = poly_normalize(den)
+    if not den:
+        raise ZeroDivisionError("division by the zero polynomial")
+    quotient = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    rest = num[:]
+    while len(rest) >= len(den):
+        factor = rest[-1] / den[-1]
+        shift = len(rest) - len(den)
+        quotient[shift] = factor
+        for i, c in enumerate(den):
+            rest[shift + i] -= factor * c
+        rest = poly_normalize(rest)
+        if not rest:
+            break
+    return quotient, rest
+
+
+def poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
+    """Monic gcd over the rationals."""
+    a, b = poly_normalize(a), poly_normalize(b)
+    while b:
+        _, r = poly_divmod(a, b)
+        a, b = b, r
+    if a:
+        lead = a[-1]
+        a = [c / lead for c in a]
+    return a
+
+
+def poly_derivative(coeffs: Sequence[Fraction]) -> list:
+    return poly_normalize([i * c for i, c in enumerate(coeffs)][1:])
+
+
+def reference_profile(coeffs: Sequence[Fraction]) -> dict:
+    current = poly_normalize(coeffs)
+    if len(current) <= 1:
+        return {}
+    degrees = [len(current) - 1]
+    while True:
+        current = poly_gcd(current, poly_derivative(current))
+        degrees.append(len(current) - 1 if current else 0)
+        if degrees[-1] == 0:
+            break
+    profile = {}
+    for m in range(1, len(degrees)):
+        count = (degrees[m - 1] - degrees[m]) - (
+            (degrees[m] - degrees[m + 1]) if m + 1 < len(degrees) else 0
+        )
+        if count:
+            profile[m] = count
+    return profile
+
+
+def scalars(coeffs):
+    return UniPoly.from_scalars(AB, coeffs)
+
+
+def list_coeffs(p: UniPoly) -> list:
+    return [c.constant_value() for c in p.coeffs]
+
+
+def _product(polys):
+    result = scalars([1])
+    for p in polys:
+        result = result * p
+    return result
+
+
+RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+# products of linear factors over a few roots, so common and repeated roots
+# are frequent, times a nonzero rational scale
+SPLIT_COEFFS = st.builds(
+    lambda roots, scale: list_coeffs(
+        scalars([scale]) * _product(UniPoly.from_scalars(AB, [-r, 1]) for r in roots)
+    ),
+    st.lists(st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(2)]), max_size=5),
+    RATIONALS.filter(bool),
+)
+COEFFS = SPLIT_COEFFS | st.lists(RATIONALS, max_size=5)
+
+
 class TestPolyHelpers:
     def test_gcd(self):
         # (t - 1)(t - 2) and (t - 2)(t - 3) share (t - 2)
-        p = [Fraction(2), Fraction(-3), Fraction(1)]
-        q = [Fraction(6), Fraction(-5), Fraction(1)]
-        assert poly_gcd(p, q) == [Fraction(-2), Fraction(1)]
+        p = scalars([2, -3, 1])
+        q = scalars([6, -5, 1])
+        assert rational_gcd(p, q) == scalars([-2, 1])
         assert shared_root(p, q)
-        assert not shared_root(p, [Fraction(-3), Fraction(1)])
+        assert not shared_root(p, scalars([-3, 1]))
 
     def test_multiplicity_profile(self):
         # (t - 1)^2 (t - 2)
-        p = [Fraction(-2), Fraction(5), Fraction(-4), Fraction(1)]
+        p = scalars([-2, 5, -4, 1])
         assert multiplicity_profile(p) == {1: 1, 2: 1}
         # (t - 1)^2 (t - 2)^2
-        q = [Fraction(4), Fraction(-12), Fraction(13), Fraction(-6), Fraction(1)]
+        q = scalars([4, -12, 13, -6, 1])
         assert multiplicity_profile(q) == {2: 2}
-        assert multiplicity_profile([Fraction(1)]) == {}
+        assert multiplicity_profile(scalars([1])) == {}
+        assert multiplicity_profile(scalars([])) == {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(COEFFS, COEFFS)
+    def test_gcd_matches_coefficient_list_reference(self, a, b):
+        assert list_coeffs(rational_gcd(scalars(a), scalars(b))) == poly_gcd(a, b)
+        assert shared_root(scalars(a), scalars(b)) == (len(poly_gcd(a, b)) > 1)
+        at = scalars(a)
+        assert list_coeffs(derivative(at, 1)) == poly_derivative(a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(COEFFS)
+    def test_profile_matches_coefficient_list_reference(self, a):
+        assert multiplicity_profile(scalars(a)) == reference_profile(a)
 
 
 class TestEvaluateAtMetric:
@@ -192,6 +312,153 @@ class TestEvaluateAtMetric:
         assert not bad.ok  # multiplicity four, not two
 
 
+# [[a, a - b], [a - b, a]] has eigenvalues 2a - b and b
+NON_SPLIT = RepresentationEntry(
+    "N", "real", "N", ParametricMatrix(2, [A, A - B, A - B, A])
+)
+
+
+class TestNonSplitEntries:
+    def test_shares_a_value_with_a_split_entry(self):
+        family = [NON_SPLIT, entry("S", [A + B]), entry("T", [A * 3])]
+        # (2, 1): N has 3 and 1, S has 3, T has 6
+        report = evaluate_at_metric(family, {"a": Fraction(2), "b": Fraction(1)})
+        assert report.shared_eigenvalues == (("N", "S"),)
+        assert report.multiplicity_violations == ()
+        # (1, 3): N has -1 and 3, S has 4, T has 3
+        report = evaluate_at_metric(family, {"a": Fraction(1), "b": Fraction(3)})
+        assert report.shared_eigenvalues == (("N", "T"),)
+        # (1, 2): N has 0 and 2, S has 3, T has 3
+        report = evaluate_at_metric(family, {"a": Fraction(1), "b": Fraction(2)})
+        assert report.shared_eigenvalues == (("S", "T"),)
+        assert report.multiplicity_violations == ()
+
+    def test_own_eigenvalue_repeats(self):
+        family = [NON_SPLIT, entry("S", [A + B, B * 3])]
+        # a = b: N has the double eigenvalue b
+        for mode in ("real", "complex"):
+            report = evaluate_at_metric(
+                family, {"a": Fraction(5, 2), "b": Fraction(5, 2)}, mode=mode
+            )
+            assert report.multiplicity_violations == (("N", 2),)
+            assert report.shared_eigenvalues == ()
+        quaternionic = RepresentationEntry("N", "quaternionic", "N", NON_SPLIT.casimir)
+        good = evaluate_at_metric([quaternionic], {"a": Fraction(1), "b": Fraction(1)})
+        assert good.ok
+        bad = evaluate_at_metric([quaternionic], {"a": Fraction(2), "b": Fraction(1)})
+        assert bad.multiplicity_violations == (("N", 1),)
+
+    def test_dual_exemption_covers_non_split_pairs(self):
+        v = RepresentationEntry("V", "complex", "W", NON_SPLIT.casimir)
+        w = RepresentationEntry("W", "complex", "V", ParametricMatrix.diagonal([B, A * 2 - B]))
+        point = {"a": Fraction(3), "b": Fraction(1)}
+        assert evaluate_at_metric([v, w], point, mode="real").shared_eigenvalues == ()
+        complex_report = evaluate_at_metric([v, w], point, mode="complex")
+        assert complex_report.shared_eigenvalues == (("V", "W"),)
+        assert complex_report.type_violations == ("V", "W")
+
+
+def reference_report(family, point, mode):
+    """evaluate_at_metric with every pair and entry decided through gcds."""
+    ordered = sorted(family, key=lambda e: e.id)
+    names = family[0].casimir.variables
+    at = {e.id: char_poly(e.casimir).evaluate_params(point) for e in ordered}
+    shared = tuple(
+        (v.id, w.id)
+        for i, v in enumerate(ordered)
+        for w in ordered[i + 1:]
+        if (mode == "complex" or v.dual_id != w.id) and shared_root(at[v.id], at[w.id])
+    )
+    multiplicity = []
+    for e in ordered:
+        profile = multiplicity_profile(at[e.id])
+        if mode == "complex" or e.type_class != "quaternionic":
+            bad = [m for m in profile if m > 1]
+        else:
+            bad = [m for m in profile if m != 2]
+        if bad:
+            multiplicity.append((e.id, max(bad)))
+    return simplicity.MetricReport(
+        mode=mode,
+        point=tuple(sorted((n, Fraction(point[n])) for n in names)),
+        shared_eigenvalues=shared,
+        multiplicity_violations=tuple(multiplicity),
+        type_violations=tuple(
+            e.id for e in ordered if mode == "complex" and e.type_class != "real"
+        ),
+    )
+
+
+# diagonal entries from a small pool, so that equal values across entries
+# and repeats within one entry are frequent at small integer points
+FORMS = [A, B, A + B, A * 2, B * 2, A * 2 - B, A + B * 2]
+
+
+@st.composite
+def split_families(draw):
+    family = []
+    for n in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["real", "quaternionic", "complex"]))
+        diag = draw(st.lists(st.sampled_from(FORMS), min_size=1, max_size=4))
+        if kind == "quaternionic":
+            diag = diag + diag if draw(st.booleans()) else diag
+        if kind != "complex":
+            family.append(entry(f"E{n}", diag, kind))
+            continue
+        dual_diag = diag if draw(st.booleans()) else draw(
+            st.lists(st.sampled_from(FORMS), min_size=1, max_size=4)
+        )
+        family.append(entry(f"E{n}", diag, "complex", f"E{n}*"))
+        family.append(entry(f"E{n}*", dual_diag, "complex", f"E{n}"))
+    return family
+
+
+SHIPPED = {
+    "su2f": (su2f_representation_family(18), ("a", "b")),
+    "hopf2": (hopf_representation_family(2, 4), ("gamma1", "gamma2")),
+    "hopf3": (hopf_representation_family(3, 4), ("gamma1", "gamma2")),
+}
+
+
+class TestSplitPathAgainstGcdPath:
+    """The by-value split path against the gcd path on split families."""
+
+    def _check(self, family, point):
+        ordered = sorted(family, key=lambda e: e.id)
+        values = {n: Fraction(v) for n, v in point.items()}
+        by_value = simplicity._spectra_by_value(ordered, values)
+        by_gcd = simplicity._spectra_by_gcd(ordered, values, range(len(ordered)))
+        assert by_value == by_gcd
+        for mode in ("real", "complex"):
+            assert evaluate_at_metric(family, point, mode) == reference_report(
+                family, point, mode
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(split_families(), st.integers(1, 4), st.integers(1, 4))
+    def test_synthetic_families(self, family, a, b):
+        self._check(family, {"a": a, "b": b})
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.sampled_from(sorted(SHIPPED)),
+        st.fractions(min_value=Fraction(1, 3), max_value=6, max_denominator=3),
+        st.fractions(min_value=Fraction(1, 3), max_value=6, max_denominator=3),
+    )
+    def test_shipped_families(self, name, x, y):
+        family, names = SHIPPED[name]
+        self._check(family, dict(zip(names, (x, y))))
+
+    def test_mixed_family_uses_both_paths(self):
+        family = [NON_SPLIT, entry("S", [A + B, A * 2 - B]), entry("T", [B, B])]
+        for a, b in [(2, 1), (1, 1), (3, 5), (1, 3)]:
+            point = {"a": Fraction(a), "b": Fraction(b)}
+            for mode in ("real", "complex"):
+                assert evaluate_at_metric(family, point, mode) == reference_report(
+                    family, point, mode
+                )
+
+
 class TestResultantOracleAgreement:
     """Identical-vanishing verdicts versus pointwise brute force.
 
@@ -236,7 +503,7 @@ class TestResultantOracleAgreement:
                     assert vanished == brute
 
     def test_derivative_resultant(self):
-        from casimirspec.exactalg import derivative, resultant
+        from casimirspec.exactalg import resultant
 
         family = su2f_representation_family(12)
         entry_12 = next(e for e in family if e.id == "V12")
@@ -244,8 +511,6 @@ class TestResultantOracleAgreement:
         res = resultant(p, derivative(p, 1))
         assert not res.is_zero()
         for point in self._points(("a", "b")):
-            coeffs = p.evaluate_params(point)
-            from casimirspec.simplicity import poly_derivative
-
-            brute = shared_root(coeffs, poly_derivative(coeffs))
+            at = p.evaluate_params(point)
+            brute = shared_root(at, derivative(at, 1))
             assert (res.evaluate(point) == 0) == brute
