@@ -38,6 +38,7 @@ EXIT_INTERNAL = 3
 
 
 def _emit(payload: dict, as_json: bool, lines) -> None:
+    """Print the payload as JSON, or else the table lines (read only then)."""
     if as_json:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
@@ -141,11 +142,11 @@ def _cmd_collide(args) -> int:
         "include_duals": bool(args.include_duals),
         "collisions": [rep.to_json() for rep in reports],
     }
-    lines = [
+    lines = (
         f"{rep.weight_a} ~ {rep.weight_b}  eigenvalue {rational_to_str(rep.eigenvalue)}"
         + ("  [dual pair]" if rep.dual_related else "")
         for rep in reports
-    ] or ["no collisions in the box"]
+    ) if reports else ["no collisions in the box"]
     _emit(payload, args.json, lines)
     return EXIT_OK
 
@@ -221,10 +222,10 @@ def _cmd_product(args) -> int:
             "beta": [rational_to_str(b) for b in beta],
             "collisions": [w.to_json() for w in witnesses],
         }
-        lines = [
+        lines = (
             f"{w.array_a} ~ {w.array_b} at {rational_to_str(w.value)}"
             for w in witnesses
-        ] or ["no collisions: beta is certified on this box"]
+        ) if witnesses else ["no collisions: beta is certified on this box"]
         _emit(payload, args.json, lines)
         return EXIT_OK if not witnesses else EXIT_CERT_FAILED
     certificate = products.generic_beta_certificate(factors, args.bound)

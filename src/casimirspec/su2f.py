@@ -4,17 +4,15 @@ F is generated by sigma = diag(w^2, w^-2) and tau = antidiag(i, i) where
 w = exp(i pi / 6) is a primitive 12th root of unity.  Both generators act
 monomially on the degree-k symmetric power V_k with basis
 v_l = z1^l z2^(k-l), sending basis monomials to basis monomials times a
-root of unity, so the entire computation runs on exponents mod 12 plus a
-small amount of exact cyclotomic addition.
+root of unity.
 
-The F-invariant subspace of V_k is computed by averaging the 12 group
-elements exactly; the resulting projector has rational entries.  Every
-element maps v_l to a root of unity times v_l or v_(k-l), so the
-projector is block-diagonal on the tau-orbits {l, k - l} and its image is
-spanned by one column per orbit.  An independent
-combinatorial oracle (the sigma eigenvalue condition 2l = k mod 6 plus
-the tau pairing l <-> k - l with phase (-i)^k) predicts the dimension and
-is cross-checked in the tests.
+The F-invariant subspace of V_k is the image of the averaging projector
+(1/12) sum_g g.  Summing the roots of unity over the cyclic group
+<sigma> and its coset <sigma> tau gives that projector in closed form,
+with rational entries (see ``averaging_projector``): it is
+block-diagonal on the tau-orbits {l, k - l}, so its image is spanned by
+one column per orbit.  The 12-element group average itself is kept in
+the tests as the reference.
 
 On the two-parameter metric family (a on the fiber direction, b on the
 complement) the Casimir acts on the invariant vector with weight gap
@@ -39,121 +37,7 @@ import numpy as np
 from .exactalg import MultiPoly, ParametricMatrix, primitive_vector, rational_to_str
 from .spectrum import equal_value_pairs, exact_dtype, pair_values
 
-GROUP_ROOT_ORDER = 12
-
 METRIC_PARAMS = ("a", "b")
-
-# coordinates of w^e in the basis (1, w, w^2, w^3) of the 12th cyclotomic
-# field, using w^4 = w^2 - 1
-_ROOT_COORDS = (
-    (1, 0, 0, 0),
-    (0, 1, 0, 0),
-    (0, 0, 1, 0),
-    (0, 0, 0, 1),
-    (-1, 0, 1, 0),
-    (0, -1, 0, 1),
-    (-1, 0, 0, 0),
-    (0, -1, 0, 0),
-    (0, 0, -1, 0),
-    (0, 0, 0, -1),
-    (1, 0, -1, 0),
-    (0, 1, 0, -1),
-)
-
-
-def _root_sum_to_rational(exponent_counts) -> Fraction:
-    """Sum of roots of unity given as exponent counts; must be rational."""
-    coords = [0, 0, 0, 0]
-    for exponent, count in enumerate(exponent_counts):
-        if count:
-            base = _ROOT_COORDS[exponent % GROUP_ROOT_ORDER]
-            for i in range(4):
-                coords[i] += count * base[i]
-    if any(coords[i] for i in range(1, 4)):
-        raise ArithmeticError("averaging produced an irrational entry")
-    return Fraction(coords[0])
-
-
-@dataclass(frozen=True)
-class MonomialAction:
-    """Action of one group element on a basis monomial: target index and
-    the phase as an exponent of the primitive 12th root of unity."""
-
-    target: int
-    phase_exponent: int
-
-
-@dataclass(frozen=True)
-class MonomialMatrix:
-    """A 2x2 monomial unitary with root-of-unity entries.
-
-    ``diag(w^e1, w^e2)`` when not antidiagonal, ``[[0, w^e1], [w^e2, 0]]``
-    otherwise; exponents live mod 12.
-    """
-
-    antidiag: bool
-    e1: int
-    e2: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "e1", self.e1 % GROUP_ROOT_ORDER)
-        object.__setattr__(self, "e2", self.e2 % GROUP_ROOT_ORDER)
-
-    def __mul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        if not self.antidiag and not other.antidiag:
-            return MonomialMatrix(False, self.e1 + other.e1, self.e2 + other.e2)
-        if not self.antidiag and other.antidiag:
-            return MonomialMatrix(True, self.e1 + other.e1, self.e2 + other.e2)
-        if self.antidiag and not other.antidiag:
-            return MonomialMatrix(True, self.e1 + other.e2, self.e2 + other.e1)
-        return MonomialMatrix(False, self.e1 + other.e2, self.e2 + other.e1)
-
-    def action_on_monomial(self, k: int, ell: int) -> MonomialAction:
-        """Image of v_l under (g . f)(z) = f(g^{-1} z)."""
-        if self.antidiag:
-            return MonomialAction(
-                k - ell, (-self.e2 * ell - self.e1 * (k - ell)) % GROUP_ROOT_ORDER
-            )
-        return MonomialAction(
-            ell, (-self.e1 * ell - self.e2 * (k - ell)) % GROUP_ROOT_ORDER
-        )
-
-
-SIGMA = MonomialMatrix(False, 2, -2)
-TAU = MonomialMatrix(True, 3, 3)
-
-_IDENTITY = MonomialMatrix(False, 0, 0)
-
-
-def group_elements() -> tuple:
-    """Close {sigma, tau} under multiplication; the result has order 12.
-
-    The defining relations sigma^6 = 1 and tau^2 = sigma^3 (= -1) are
-    asserted, not assumed.
-    """
-    elements = {_IDENTITY}
-    frontier = [_IDENTITY]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for gen in (SIGMA, TAU):
-                h = g * gen
-                if h not in elements:
-                    elements.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    elements = tuple(sorted(elements, key=lambda g: (g.antidiag, g.e1, g.e2)))
-    if len(elements) != 12:
-        raise AssertionError(f"group closure has order {len(elements)}, not 12")
-    sigma6 = _IDENTITY
-    for _ in range(6):
-        sigma6 = sigma6 * SIGMA
-    if sigma6 != _IDENTITY:
-        raise AssertionError("sigma does not have order 6")
-    sigma3 = SIGMA * SIGMA * SIGMA
-    if TAU * TAU != sigma3 or sigma3 != MonomialMatrix(False, 6, 6):
-        raise AssertionError("tau^2 = sigma^3 = -1 fails")
-    return elements
 
 
 @dataclass(frozen=True)
@@ -183,37 +67,51 @@ class FixedSpaceBasis:
 
 
 def averaging_projector(k: int) -> list:
-    """The exact matrix of (1/12) sum_g g acting on V_k.
+    """The exact matrix of P = (1/12) sum_g g acting on V_k, in closed form.
 
-    Column l is zero outside rows l and k - l, so it is summed from at
-    most two 12-slot phase counters, one per target row.
+    F is the cyclic group <sigma> together with its coset <sigma> tau, and
+    an element g acts by (g . f)(z) = f(g^-1 z):
+
+    * sigma^j sends v_l to w^(2j(k - 2l)) v_l;
+    * sigma^j tau sends v_l to w^(-3k) w^(2j(2l - k)) v_(k-l);
+    * sum_{j=0..5} w^(2jm) is 6 when m = 0 (mod 6) and 0 otherwise;
+    * w^(-3k) = (-1)^(k/2) for even k, and k = 2l (mod 6) forces k even.
+
+    Together: P v_l = (v_l + (-1)^(k/2) v_(k-l)) / 2 when k = 2l (mod 6),
+    and 0 otherwise.  When l = k - l the two halves land on one entry,
+    which is 1 if k = 0 (mod 4) and 0 otherwise.
     """
     dim = k + 1
-    elements = group_elements()
+    sign = -1 if k % 4 == 2 else 1
     projector = [[Fraction(0)] * dim for _ in range(dim)]
     for ell in range(dim):
-        counts = {ell: [0] * GROUP_ROOT_ORDER, k - ell: [0] * GROUP_ROOT_ORDER}
-        for g in elements:
-            action = g.action_on_monomial(k, ell)
-            counts[action.target][action.phase_exponent] += 1
-        for target, phases in counts.items():
-            projector[target][ell] = _root_sum_to_rational(phases) / 12
+        if (k - 2 * ell) % 6 == 0:
+            projector[ell][ell] += Fraction(1, 2)
+            projector[k - ell][ell] += Fraction(sign, 2)
     return projector
 
 
 @lru_cache(maxsize=None)
 def fixed_space(k: int) -> FixedSpaceBasis:
-    """F-invariant subspace of V_k by exact 12-element averaging.
+    """F-invariant subspace of V_k, the image of the averaging projector.
 
     Since P g = P for the projector P, P v_(k-l) is a unit times P v_l, so
     the nonzero columns P v_l with l <= k/2, in ascending l, form a basis
-    of the image.
+    of the image.  Column l is zero outside rows l and k - l, so only
+    those entries are reduced to a primitive vector.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     projector = averaging_projector(k)
-    columns = ([row[ell] for row in projector] for ell in range(k // 2 + 1))
-    basis = [primitive_vector(column) for column in columns if any(column)]
+    basis = []
+    for ell in range(k // 2 + 1):
+        rows = (ell, k - ell) if 2 * ell < k else (ell,)
+        entries = [projector[row][ell] for row in rows]
+        if any(entries):
+            vector = [0] * (k + 1)
+            for row, entry in zip(rows, primitive_vector(entries)):
+                vector[row] = entry
+            basis.append(tuple(vector))
 
     gaps = set()
     for vector in basis:
@@ -225,9 +123,10 @@ def fixed_space(k: int) -> FixedSpaceBasis:
 
 
 def predicted_dimension(k: int) -> int:
-    """Combinatorial oracle: sigma condition 2l = k mod 6, tau pairing.
+    """Dimension of the F-invariant subspace of V_k, counted by rule.
 
-    Pairs l < k - l with 2l = k (mod 6) each contribute one invariant
+    This is the rule of ``averaging_projector`` restated as a count:
+    pairs l < k - l with 2l = k (mod 6) each contribute one invariant
     line; the middle monomial l = k/2 survives exactly when the tau phase
     (-i)^k is +1, i.e. k = 0 (mod 4).  Odd k has no invariants because
     -1 in F acts by (-1)^k.

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -141,6 +142,65 @@ class TestProduct:
         assert code == EXIT_CERT_FAILED
         collisions = json.loads(out)["collisions"]
         assert {"array_a": [1, 2], "array_b": [2, 1], "value": "16"} in collisions
+
+
+class TestTextOutput:
+    """Table-mode stdout of ``collide`` and ``product --beta``, byte for byte."""
+
+    LITERAL = [
+        (
+            ["collide", "AI", "--r", "2", "--bound", "2", "--include-duals"],
+            EXIT_OK,
+            "(0, 1) ~ (1, 0)  eigenvalue 20/3  [dual pair]\n"
+            "(0, 2) ~ (2, 0)  eigenvalue 56/3  [dual pair]\n"
+            "(1, 2) ~ (2, 1)  eigenvalue 92/3  [dual pair]\n",
+        ),
+        (
+            ["collide", "AI", "--r", "1", "--bound", "5"],
+            EXIT_OK,
+            "no collisions in the box\n",
+        ),
+        (
+            ["product", "--factors", "S2,S2", "--bound", "2", "--beta", "1,1"],
+            EXIT_CERT_FAILED,
+            "(0, 1) ~ (1, 0) at 4\n(0, 2) ~ (2, 0) at 12\n(1, 2) ~ (2, 1) at 16\n",
+        ),
+        (
+            ["product", "--factors", "S2,S2", "--bound", "3", "--beta", "1,61"],
+            EXIT_OK,
+            "no collisions: beta is certified on this box\n",
+        ),
+    ]
+
+    # longer outputs, pinned by line count and SHA-256
+    DIGESTS = [
+        (
+            # 24 dual pairs and 8 other collisions
+            ["collide", "AI", "--r", "3", "--bound", "3", "--include-duals"],
+            EXIT_OK,
+            32,
+            "0ef2f410662182c0c67814659896db69f7345c481359df5ee743c9a5463a06be",
+        ),
+        (
+            ["product", "--factors", "S2,S2,S2", "--bound", "2", "--beta", "1,1,2"],
+            EXIT_CERT_FAILED,
+            22,
+            "d8da2dd8594891fe9112c7c25430b5299a3457ad78552f044982bffb6c14d05d",
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv, exit_code, expected", LITERAL)
+    def test_literal(self, capsys, argv, exit_code, expected):
+        code, out, _ = run_capture(capsys, argv)
+        assert code == exit_code
+        assert out == expected
+
+    @pytest.mark.parametrize("argv, exit_code, line_count, digest", DIGESTS)
+    def test_digest(self, capsys, argv, exit_code, line_count, digest):
+        code, out, _ = run_capture(capsys, argv)
+        assert code == exit_code
+        assert len(out.splitlines()) == line_count
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSimplicity:

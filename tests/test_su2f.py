@@ -1,25 +1,156 @@
+"""SU(2)/F: closed-form projector, fixed spaces, forms and certificates.
+
+The 12-element group F, its monomial action on V_k and the cyclotomic
+sum of its phases live here as the reference for the closed-form
+``averaging_projector``.
+"""
+
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from casimirspec.exactalg import primitive_vector
 from casimirspec.su2f import (
-    GROUP_ROOT_ORDER,
-    SIGMA,
-    TAU,
     FixedSpaceBasis,
-    MonomialMatrix,
-    _root_sum_to_rational,
     averaging_projector,
     collisions_at_metric,
     eigenvalue_forms,
     find_simple_metric,
     fixed_space,
-    group_elements,
     predicted_dimension,
     simplicity_certificate,
     su2f_representation_family,
 )
+
+GROUP_ROOT_ORDER = 12
+
+# coordinates of w^e in the basis (1, w, w^2, w^3) of the 12th cyclotomic
+# field, using w^4 = w^2 - 1
+_ROOT_COORDS = (
+    (1, 0, 0, 0),
+    (0, 1, 0, 0),
+    (0, 0, 1, 0),
+    (0, 0, 0, 1),
+    (-1, 0, 1, 0),
+    (0, -1, 0, 1),
+    (-1, 0, 0, 0),
+    (0, -1, 0, 0),
+    (0, 0, -1, 0),
+    (0, 0, 0, -1),
+    (1, 0, -1, 0),
+    (0, 1, 0, -1),
+)
+
+
+def _root_sum_to_rational(exponent_counts) -> Fraction:
+    """Sum of roots of unity given as exponent counts; must be rational."""
+    coords = [0, 0, 0, 0]
+    for exponent, count in enumerate(exponent_counts):
+        if count:
+            base = _ROOT_COORDS[exponent % GROUP_ROOT_ORDER]
+            for i in range(4):
+                coords[i] += count * base[i]
+    if any(coords[i] for i in range(1, 4)):
+        raise ArithmeticError("averaging produced an irrational entry")
+    return Fraction(coords[0])
+
+
+@dataclass(frozen=True)
+class MonomialAction:
+    """Action of one group element on a basis monomial: target index and
+    the phase as an exponent of the primitive 12th root of unity."""
+
+    target: int
+    phase_exponent: int
+
+
+@dataclass(frozen=True)
+class MonomialMatrix:
+    """A 2x2 monomial unitary with root-of-unity entries.
+
+    ``diag(w^e1, w^e2)`` when not antidiagonal, ``[[0, w^e1], [w^e2, 0]]``
+    otherwise; exponents live mod 12.
+    """
+
+    antidiag: bool
+    e1: int
+    e2: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "e1", self.e1 % GROUP_ROOT_ORDER)
+        object.__setattr__(self, "e2", self.e2 % GROUP_ROOT_ORDER)
+
+    def __mul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
+        if not self.antidiag and not other.antidiag:
+            return MonomialMatrix(False, self.e1 + other.e1, self.e2 + other.e2)
+        if not self.antidiag and other.antidiag:
+            return MonomialMatrix(True, self.e1 + other.e1, self.e2 + other.e2)
+        if self.antidiag and not other.antidiag:
+            return MonomialMatrix(True, self.e1 + other.e2, self.e2 + other.e1)
+        return MonomialMatrix(False, self.e1 + other.e2, self.e2 + other.e1)
+
+    def action_on_monomial(self, k: int, ell: int) -> MonomialAction:
+        """Image of v_l under (g . f)(z) = f(g^{-1} z)."""
+        if self.antidiag:
+            return MonomialAction(
+                k - ell, (-self.e2 * ell - self.e1 * (k - ell)) % GROUP_ROOT_ORDER
+            )
+        return MonomialAction(
+            ell, (-self.e1 * ell - self.e2 * (k - ell)) % GROUP_ROOT_ORDER
+        )
+
+
+SIGMA = MonomialMatrix(False, 2, -2)
+TAU = MonomialMatrix(True, 3, 3)
+
+_IDENTITY = MonomialMatrix(False, 0, 0)
+
+
+def group_elements() -> tuple:
+    """Close {sigma, tau} under multiplication; the result has order 12.
+
+    The defining relations sigma^6 = 1 and tau^2 = sigma^3 (= -1) are
+    asserted, not assumed.
+    """
+    elements = {_IDENTITY}
+    frontier = [_IDENTITY]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for gen in (SIGMA, TAU):
+                h = g * gen
+                if h not in elements:
+                    elements.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    elements = tuple(sorted(elements, key=lambda g: (g.antidiag, g.e1, g.e2)))
+    if len(elements) != 12:
+        raise AssertionError(f"group closure has order {len(elements)}, not 12")
+    sigma6 = _IDENTITY
+    for _ in range(6):
+        sigma6 = sigma6 * SIGMA
+    if sigma6 != _IDENTITY:
+        raise AssertionError("sigma does not have order 6")
+    sigma3 = SIGMA * SIGMA * SIGMA
+    if TAU * TAU != sigma3 or sigma3 != MonomialMatrix(False, 6, 6):
+        raise AssertionError("tau^2 = sigma^3 = -1 fails")
+    return elements
+
+
+def group_average_projector(k):
+    """(1/12) sum_g g on V_k, each column summed from two phase counters."""
+    dim = k + 1
+    elements = group_elements()
+    projector = [[Fraction(0)] * dim for _ in range(dim)]
+    for ell in range(dim):
+        counts = {ell: [0] * GROUP_ROOT_ORDER, k - ell: [0] * GROUP_ROOT_ORDER}
+        for g in elements:
+            action = g.action_on_monomial(k, ell)
+            counts[action.target][action.phase_exponent] += 1
+        for target, phases in counts.items():
+            projector[target][ell] = _root_sum_to_rational(phases) / 12
+    return projector
 
 
 def reference_projector(k):
@@ -140,6 +271,20 @@ class TestFixedSpace:
     def test_oracle_agreement_to_240(self):
         for k in range(241):
             assert fixed_space(k).dimension == predicted_dimension(k)
+
+    def test_projector_matches_group_average_to_240(self):
+        # k <= 240 covers every residue of k mod 12 and of l mod 6
+        for k in range(241):
+            assert averaging_projector(k) == group_average_projector(k), k
+
+    @pytest.mark.parametrize("k", [0, 4, 8, 12, 60, 2, 6, 10, 14, 62])
+    def test_middle_entry(self, k):
+        # l = k - l: both halves land on one entry, 1 iff k = 0 (mod 4)
+        middle = k // 2
+        expected = [Fraction(0)] * (k + 1)
+        expected[middle] = Fraction(1 if k % 4 == 0 else 0)
+        for projector in (averaging_projector(k), group_average_projector(k)):
+            assert [row[middle] for row in projector] == expected
 
     def test_projector_matches_dense_count_cube(self):
         for k in range(41):
