@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 
@@ -44,6 +43,13 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
     else:
         for line in lines:
             print(line)
+
+
+def _print_csv(header: list, rows) -> None:
+    """Print the header and the rows as CSV."""
+    writer = csv.writer(sys.stdout)
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def _parse_metric(text: str, count: int) -> list:
@@ -76,16 +82,15 @@ def _cmd_table_delta(args) -> int:
         data = symmdata.table_rows()
     rows = [d.to_json() for d in data]
     if args.csv:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["label", "params", "restricted_type", "two_delta_bar"])
-        for row in rows:
-            params = ";".join(f"{k}={v}" for k, v in sorted(row["params"].items()))
-            writer.writerow(
-                [row["label"], params, row["restricted_type"],
-                 " ".join(row["two_delta_bar"])]
-            )
-        print(out.getvalue(), end="")
+        _print_csv(
+            ["label", "params", "restricted_type", "two_delta_bar"],
+            [
+                [row["label"],
+                 ";".join(f"{k}={v}" for k, v in sorted(row["params"].items())),
+                 row["restricted_type"], " ".join(row["two_delta_bar"])]
+                for row in rows
+            ],
+        )
         return EXIT_OK
     if args.label and len(rows) == 1:
         payload = {"label": rows[0]["label"], "two_delta_bar": rows[0]["two_delta_bar"]}
@@ -109,16 +114,14 @@ def _cmd_rank2_catalog(args) -> int:
     )
     rows = [case.to_json() for case in cases]
     if args.csv:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["label", "restricted_type", "two_delta_bar", "polynomial", "pairs"])
-        for row in rows:
-            writer.writerow(
-                [row["label"], row["restricted_type"],
-                 " ".join(row["two_delta_bar"]), row["polynomial"],
-                 " | ".join(row["pairs"])]
-            )
-        print(out.getvalue(), end="")
+        _print_csv(
+            ["label", "restricted_type", "two_delta_bar", "polynomial", "pairs"],
+            [
+                [row["label"], row["restricted_type"], " ".join(row["two_delta_bar"]),
+                 row["polynomial"], " | ".join(row["pairs"])]
+                for row in rows
+            ],
+        )
         return EXIT_OK if verified else EXIT_CERT_FAILED
     payload = {"cases": rows, "all_pairs_verified": verified}
     lines = []

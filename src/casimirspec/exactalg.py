@@ -219,18 +219,6 @@ class MultiPoly:
             result = result + term
         return result
 
-    def lift(self, variables: Sequence[str]) -> "MultiPoly":
-        """Re-embed into a superset variable tuple."""
-        variables = tuple(variables)
-        positions = [variables.index(v) for v in self.variables]
-        terms = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * len(variables)
-            for pos, e in zip(positions, exps):
-                new[pos] = e
-            terms[tuple(new)] = coeff
-        return MultiPoly(variables, terms)
-
     # -- ordering / serialization --------------------------------------
 
     def sorted_terms(self) -> list:

@@ -6,16 +6,18 @@ indexed by the array a = (m_1, ..., m_n) is the weighted sum
 sum_i beta_i * lambda_i(m_i) of the factor eigenvalues.  Rank-one
 factors have strictly increasing spectra, so the only obstruction to
 simplicity is a weight vector landing on one of the countably many
-collision hyperplanes (lambda_a - lambda_a')^perp; this module
-enumerates the hyperplanes meeting the positive orthant inside a finite
-index box and produces a deterministic beta certified collision-free on
-that box.
+collision hyperplanes (lambda_a - lambda_a')^perp.  Inside a finite
+index box the normals lambda_a - lambda_a' are exactly the vectors with
+entry i in factor i's difference set {lambda_i(m) - lambda_i(m')}, so
+this module builds them factor by factor, never pairing box arrays.  It
+then produces a deterministic beta certified collision-free on that box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 from typing import Iterator, Sequence, Union
 
@@ -76,30 +78,31 @@ def collision_hyperplanes(factors: Sequence[FactorSpectrum], bound: int = None) 
 
     Normals are the differences lambda_a - lambda_a' over index arrays in
     the box, reduced to primitive integer vectors and deduplicated up to
-    positive rational scaling.  Differences whose nonzero entries all
-    share one sign are dropped: their zero set misses the open positive
-    orthant, so no positive weight vector can hit them (in particular a
-    single injective factor contributes no hyperplane at all).
+    positive rational scaling.  Entry i of such a difference lies in the
+    factor's difference set D_i = {lambda_i(m) - lambda_i(m') : m, m' <=
+    bound}, and the entries vary independently, so the differences are
+    exactly the product D_1 x ... x D_n; it is walked without touching
+    the box.  Each D_i is closed under negation, so -n comes with n.
+    Differences whose nonzero entries all share one sign are dropped:
+    their zero set misses the open positive orthant, so no positive
+    weight vector can hit them (in particular a single injective factor
+    contributes no hyperplane at all).
     """
     if not factors:
         raise ValueError("need at least one factor")
     if bound is None:
         bound = min(f.bound for f in factors)
+    if any(f.bound < bound for f in factors):
+        raise ValueError("bound exceeds a factor's spectrum")
     # one common scale keeps every difference on its ray
-    denom = lcm(*(v.denominator for f in factors for v in f.eigenvalues))
-    values = [
-        tuple(int(f.eigenvalues[m] * denom) for m, f in zip(array, factors))
-        for array in weight_box(len(factors), bound).tolist()
-    ]
+    tables = [f.eigenvalues[: bound + 1] for f in factors]
+    denom = lcm(*(v.denominator for table in tables for v in table))
+    differences = [{int((x - y) * denom) for x in table for y in table} for table in tables]
     normals = set()
-    for i, vi in enumerate(values):
-        for vj in values[i + 1:]:
-            diff = tuple(x - y for x, y in zip(vi, vj))
-            if any(x > 0 for x in diff) and any(x < 0 for x in diff):
-                content = gcd(*diff)
-                primitive = tuple(x // content for x in diff)
-                normals.add(primitive)
-                normals.add(tuple(-x for x in primitive))
+    for diff in product(*differences):
+        if max(diff) > 0 > min(diff):
+            content = gcd(*diff)
+            normals.add(tuple(x // content for x in diff))
     return sorted(normals)
 
 
@@ -169,8 +172,6 @@ def candidate_tuples(length: int) -> Iterator[tuple]:
     the tuples whose largest sequence index is exactly T, in lexicographic
     order within the level.
     """
-    from itertools import product
-
     seq = []
     gen = prime_sequence()
     level = 0
@@ -216,9 +217,10 @@ def generic_beta_certificate(
 
     Candidates with entries from the 1-then-primes sequence are tried in
     the deterministic order of :func:`candidate_tuples`; the first one
-    orthogonal to no truncated hyperplane normal wins and is then
-    re-verified by an exhaustive pairwise distinctness check.  A single
-    factor is certified immediately by injectivity.
+    for which :func:`check_beta` finds no collision on the box wins.  It
+    is then cross-checked against the hyperplane list: it must be
+    orthogonal to no truncated normal.  A single factor has no normals
+    and is certified by the first candidate.
     """
     if bound is None:
         bound = min(f.bound for f in factors)

@@ -75,19 +75,17 @@ def eigenvalue_polynomial(gram, shift_polys, variables, coord_names) -> MultiPol
     """The eigenvalue form as an explicit polynomial.
 
     ``shift_polys`` entries are MultiPoly over ``variables`` (so a range
-    parameter may appear symbolically); the coordinates are adjoined as
-    extra variables.
+    parameter may appear symbolically), and ``coord_names`` name the
+    weight coordinates among ``variables``.
     """
     n = len(shift_polys)
     coords = [MultiPoly.variable(variables, name) for name in coord_names]
-    shift = [p.lift(variables) if p.variables != tuple(variables) else p
-             for p in shift_polys]
     total = MultiPoly.zero(variables)
     for i in range(n):
         for j in range(n):
             gij = MultiPoly.constant(variables, gram[i][j])
             total = total + gij * coords[i] * coords[j]
-            total = total + gij * shift[i] * coords[j]
+            total = total + gij * shift_polys[i] * coords[j]
     return total
 
 

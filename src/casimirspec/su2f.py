@@ -205,14 +205,10 @@ def su2f_representation_family(kmax: int) -> list:
 
     entries = []
     for k in range(0, kmax + 1, 2):
-        space = fixed_space(k)
-        if space.dimension == 0:
+        if fixed_space(k).dimension == 0:
             continue
-        by_gap = {f.gap_squared: f.parametric() for f in eigenvalue_forms(k)}
-        diagonal = []
-        for vector in space.basis:
-            gap = next(abs(2 * e - k) for e, c in enumerate(vector) if c)
-            diagonal.append(by_gap[gap * gap])
+        # the basis runs in ascending l, so in descending gap |2l - k|
+        diagonal = [f.parametric() for f in reversed(eigenvalue_forms(k))]
         entries.append(
             RepresentationEntry(
                 id=f"V{k}",

@@ -5,10 +5,11 @@ of every benchmark op.  Each op of each workload pool runs here at the
 tiny size through ``cli.run``, so a changed byte of CLI output fails in
 the library tests and not only in the benchmark.  The eight full-size
 ``simplicity ... --metric`` ops run too (a few seconds in all), so the
-metric verdicts are also checked at the sizes the benchmark times, and
-so does the full-size ``su2f`` op, which runs every line of the SU(2)/F
-fixed-space path.  The benchmark's modules are imported read-only, as
-its own self-tests do.
+metric verdicts are also checked at the sizes the benchmark times.  So
+do the full-size ``su2f`` op, which runs every line of the SU(2)/F
+fixed-space path, and the full-size ``product`` op, which pins the
+beta = (1, 61) certificate and its hyperplane count.  The benchmark's
+modules are imported read-only, as its own self-tests do.
 """
 
 import contextlib
@@ -46,6 +47,12 @@ FULL_SU2F_OPS = [
     if argv[0] == "su2f"
 ]
 
+FULL_PRODUCT_OPS = [
+    argv
+    for argv in bench.pool_ops(bench.load_workloads()["certify"], "full")
+    if argv[0] == "product"
+]
+
 
 def assert_matches_pin(argv):
     pin = PINS[" ".join(argv)]
@@ -80,3 +87,8 @@ def test_full_metric_op_matches_its_pin(argv):
 def test_full_su2f_op_matches_its_pin():
     assert FULL_SU2F_OPS == [["su2f", "--kmax", "120", "--json"]]
     assert_matches_pin(FULL_SU2F_OPS[0])
+
+
+def test_full_product_op_matches_its_pin():
+    assert FULL_PRODUCT_OPS == [["product", "--factors", "S2,S2", "--bound", "30", "--json"]]
+    assert_matches_pin(FULL_PRODUCT_OPS[0])

@@ -1,9 +1,13 @@
 from fractions import Fraction
 from itertools import islice
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casimirspec.products import (
+    FactorSpectrum,
     candidate_tuples,
     check_beta,
     collision_hyperplanes,
@@ -11,7 +15,30 @@ from casimirspec.products import (
     generic_beta_certificate,
     prime_sequence,
 )
+from casimirspec.spectrum import weight_box
 from casimirspec.symmdata import restricted_datum
+
+
+def reference_collision_hyperplanes(factors, bound):
+    """The pair loop over box arrays that collision_hyperplanes replaced."""
+    denom = lcm(*(v.denominator for f in factors for v in f.eigenvalues))
+    values = [
+        tuple(int(f.eigenvalues[m] * denom) for m, f in zip(array, factors))
+        for array in weight_box(len(factors), bound).tolist()
+    ]
+    normals = set()
+    for i, vi in enumerate(values):
+        for vj in values[i + 1:]:
+            diff = tuple(x - y for x, y in zip(vi, vj))
+            if any(x > 0 for x in diff) and any(x < 0 for x in diff):
+                content = gcd(*diff)
+                primitive = tuple(x // content for x in diff)
+                normals.add(primitive)
+                normals.add(tuple(-x for x in primitive))
+    return sorted(normals)
+
+
+HYPERPLANE_LABELS = ["S2", "S3", "S4", "S5", "CP2", "CP3", "HP2", "OP2"]
 
 
 class TestFactorSpectrum:
@@ -53,6 +80,37 @@ class TestHyperplanes:
         factors = [factor_spectrum("S2", 6), factor_spectrum("CP2", 6)]
         for normal in collision_hyperplanes(factors, 6):
             assert any(x > 0 for x in normal) and any(x < 0 for x in normal)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        labels=st.lists(st.sampled_from(HYPERPLANE_LABELS), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    def test_matches_reference_pair_loop(self, labels, data):
+        bound = data.draw(st.integers(1, {1: 40, 2: 16, 3: 5}[len(labels)]), label="bound")
+        factors = [factor_spectrum(label, bound) for label in labels]
+        assert collision_hyperplanes(factors, bound) == reference_collision_hyperplanes(
+            factors, bound
+        )
+
+    def test_matches_reference_pair_loop_two_spheres_bound30(self):
+        factors = [factor_spectrum("S2", 30)] * 2
+        normals = collision_hyperplanes(factors, 30)
+        assert len(normals) == 67234
+        assert normals == reference_collision_hyperplanes(factors, 30)
+
+    def test_matches_reference_pair_loop_on_rational_spectra(self):
+        # every shipped spectrum is integral; these scaled copies are not,
+        # and the first table runs past the bound
+        s2, cp2 = factor_spectrum("S2", 12), factor_spectrum("CP2", 6)
+        factors = [
+            FactorSpectrum("S2/3", s2.datum, tuple(v / 3 for v in s2.eigenvalues)),
+            FactorSpectrum("2CP2/7", cp2.datum, tuple(v * 2 / 7 for v in cp2.eigenvalues)),
+        ]
+        normals = collision_hyperplanes(factors, 6)
+        assert normals == reference_collision_hyperplanes(factors, 6)
+        # lambda(1, 0) - lambda(0, 1) = (4/3, -24/7) = (4/21) * (7, -18)
+        assert (7, -18) in normals and (-7, 18) in normals
 
 
 class TestCheckBeta:

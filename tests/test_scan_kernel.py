@@ -198,6 +198,11 @@ def test_check_beta_rejects_bound_beyond_spectrum():
         check_beta([factor_spectrum("S2", 3)], (1,), 4)
 
 
+def test_collision_hyperplanes_rejects_bound_beyond_spectrum():
+    with pytest.raises(ValueError, match="bound exceeds a factor's spectrum"):
+        products.collision_hyperplanes([factor_spectrum("S2", 3)] * 2, 4)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     kmax=st.integers(2, 60),

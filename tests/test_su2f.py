@@ -371,3 +371,14 @@ class TestRepresentationFamily:
         for entry in family:
             k = int(entry.id[1:])
             assert entry.casimir.dimension == fixed_space(k).dimension
+
+    def test_diagonal_follows_basis_gaps(self):
+        # entry i is the form of the weight gap of basis vector i
+        for entry in su2f_representation_family(120):
+            k = int(entry.id[1:])
+            by_gap = {f.gap_squared: f.parametric() for f in eigenvalue_forms(k)}
+            expected = [
+                by_gap[next(abs(2 * e - k) for e, c in enumerate(vector) if c) ** 2]
+                for vector in fixed_space(k).basis
+            ]
+            assert [entry.casimir.entry(i, i) for i in range(len(expected))] == expected
