@@ -31,7 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactalg import MultiPoly, ParametricMatrix, rational_to_str
+from .exactalg import MultiPoly, ParametricMatrix
+from .simplicity import RepresentationEntry
 from .spectrum import equal_value_pairs, exact_dtype, pair_rows, weight_box
 
 METRIC_PARAMS = ("gamma1", "gamma2")
@@ -50,13 +51,6 @@ class BundleEigenvalue:
         g1 = MultiPoly.variable(METRIC_PARAMS, "gamma1")
         g2 = MultiPoly.variable(METRIC_PARAMS, "gamma2")
         return g1 * self.alpha + g2 * (self.freudenthal - self.alpha)
-
-    def to_json(self) -> dict:
-        return {
-            "weight": list(self.weight),
-            "alpha": rational_to_str(self.alpha),
-            "freudenthal": rational_to_str(self.freudenthal),
-        }
 
 
 @dataclass(frozen=True)
@@ -221,8 +215,6 @@ def hopf_representation_family(n: int, max_degree: int) -> list:
     the weight (p, q) is dual to (q, p) and of complex type when p != q.
     Used by the resultant condition engines.
     """
-    from .simplicity import RepresentationEntry
-
     entries = []
     for p in range(max_degree + 1):
         for q in range(max_degree + 1 - p):
@@ -247,15 +239,6 @@ class BundleCase:
     base: str
     base_simple_when: str
     note: str
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "total_space": self.total_space,
-            "base": self.base,
-            "base_simple_when": self.base_simple_when,
-            "note": self.note,
-        }
 
 
 def bundle_case_notes() -> list:

@@ -63,16 +63,8 @@ def _parse_metric(text: str, count: int) -> list:
 
 
 def _datum_from_args(args) -> symmdata.RestrictedDatum:
-    label = args.label
     ell = args.rank if args.rank is not None else args.ell
-    r = args.r
-    if label == "AI" and r is None and ell is not None:
-        r = ell  # AI is parameterized by r = restricted rank
-        ell = None
-    _, needs_ell = symmdata.label_parameters(label)
-    if not needs_ell:
-        ell = None
-    return symmdata.restricted_datum(label, r=r, ell=ell)
+    return symmdata.restricted_datum(args.label, r=args.r, ell=ell)
 
 
 def _cmd_table_delta(args) -> int:

@@ -10,9 +10,12 @@ The F-invariant subspace of V_k is the image of the averaging projector
 (1/12) sum_g g.  Summing the roots of unity over the cyclic group
 <sigma> and its coset <sigma> tau gives that projector in closed form,
 with rational entries (see ``averaging_projector``): it is
-block-diagonal on the tau-orbits {l, k - l}, so its image is spanned by
-one column per orbit.  The 12-element group average itself is kept in
-the tests as the reference.
+block-diagonal on the tau-orbits {l, k - l}, with at most two nonzero
+entries per column, and only those entries are stored.  Its image is
+spanned by one column per orbit, and each basis vector is stored as its
+orbit: the nonzero (l, coefficient) pairs.  No (k+1)-long vector or
+(k+1) x (k+1) matrix is built.  The 12-element group average itself is
+kept in the tests as the reference.
 
 On the two-parameter metric family (a on the fiber direction, b on the
 complement) the Casimir acts on the invariant vector with weight gap
@@ -21,7 +24,10 @@ d = 2l - k by the linear form
     a * (-d^2 / 8) + b * (k (k + 2) + d^2) / 8.
 
 The k(k+2)/8 normalization of the round Casimir is used consistently; a
-uniform positive factor on all forms moves no collision.
+uniform positive factor on all forms moves no collision.  The
+certificate compares the forms by their integer keys
+(-d^2, k (k + 2) + d^2), eight times the coefficients, and evaluates
+them at a metric in integers; only reported values become Fractions.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ from typing import Optional
 import numpy as np
 
 from .exactalg import MultiPoly, ParametricMatrix, primitive_vector, rational_to_str
+from .products import candidate_tuples
+from .simplicity import RepresentationEntry
 from .spectrum import equal_value_pairs, exact_dtype, pair_values
 
 METRIC_PARAMS = ("a", "b")
@@ -44,9 +52,12 @@ METRIC_PARAMS = ("a", "b")
 class FixedSpaceBasis:
     """Exact basis of the F-invariant subspace of V_k.
 
-    Basis vectors are primitive integer vectors in the monomial basis,
-    each supported on a single tau-orbit {l, k - l}; ``ell_values`` lists
-    the occurring weight gaps |2l - k| in increasing order.
+    Each basis vector is a primitive integer vector in the monomial basis,
+    supported on a single tau-orbit {l, k - l}, and is stored as that
+    orbit: its nonzero (l, coefficient) pairs in ascending l, one pair
+    when l = k/2 and two otherwise.  Vectors come in ascending l, so in
+    descending weight gap; ``ell_values`` lists the occurring weight gaps
+    |2l - k| in increasing order.
     """
 
     k: int
@@ -57,17 +68,9 @@ class FixedSpaceBasis:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "dimension": self.dimension,
-            "ell_values": list(self.ell_values),
-            "basis": [list(v) for v in self.basis],
-        }
 
-
-def averaging_projector(k: int) -> list:
-    """The exact matrix of P = (1/12) sum_g g acting on V_k, in closed form.
+def averaging_projector(k: int) -> dict:
+    """The nonzero entries of P = (1/12) sum_g g on V_k, in closed form.
 
     F is the cyclic group <sigma> together with its coset <sigma> tau, and
     an element g acts by (g . f)(z) = f(g^-1 z):
@@ -80,14 +83,21 @@ def averaging_projector(k: int) -> list:
     Together: P v_l = (v_l + (-1)^(k/2) v_(k-l)) / 2 when k = 2l (mod 6),
     and 0 otherwise.  When l = k - l the two halves land on one entry,
     which is 1 if k = 0 (mod 4) and 0 otherwise.
+
+    The entries are returned as ``{(row, column): Fraction}``, with at
+    most two per column: column l holds rows l and k - l.
     """
-    dim = k + 1
-    sign = -1 if k % 4 == 2 else 1
-    projector = [[Fraction(0)] * dim for _ in range(dim)]
-    for ell in range(dim):
-        if (k - 2 * ell) % 6 == 0:
-            projector[ell][ell] += Fraction(1, 2)
-            projector[k - ell][ell] += Fraction(sign, 2)
+    if k % 2:
+        return {}
+    half = Fraction(1, 2)
+    off_diagonal = -half if k % 4 == 2 else half
+    projector = {}
+    for ell in range(k // 2 % 3, k + 1, 3):  # the l with k = 2l (mod 6)
+        if 2 * ell != k:
+            projector[ell, ell] = half
+            projector[k - ell, ell] = off_diagonal
+        elif k % 4 == 0:
+            projector[ell, ell] = Fraction(1)
     return projector
 
 
@@ -97,29 +107,25 @@ def fixed_space(k: int) -> FixedSpaceBasis:
 
     Since P g = P for the projector P, P v_(k-l) is a unit times P v_l, so
     the nonzero columns P v_l with l <= k/2, in ascending l, form a basis
-    of the image.  Column l is zero outside rows l and k - l, so only
-    those entries are reduced to a primitive vector.
+    of the image.  Only the columns with entries are walked; each is
+    reduced to a primitive vector and stored as its (l, coefficient)
+    pairs in ascending l.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    projector = averaging_projector(k)
+    columns = {}
+    for (row, column), entry in averaging_projector(k).items():
+        if 2 * column <= k:
+            columns.setdefault(column, []).append((row, entry))
     basis = []
-    for ell in range(k // 2 + 1):
-        rows = (ell, k - ell) if 2 * ell < k else (ell,)
-        entries = [projector[row][ell] for row in rows]
-        if any(entries):
-            vector = [0] * (k + 1)
-            for row, entry in zip(rows, primitive_vector(entries)):
-                vector[row] = entry
-            basis.append(tuple(vector))
-
-    gaps = set()
-    for vector in basis:
-        support_gaps = {abs(2 * ell - k) for ell, c in enumerate(vector) if c}
-        if len(support_gaps) != 1:
+    for column in sorted(columns):
+        rows, entries = zip(*sorted(columns[column]))
+        orbit = tuple(zip(rows, primitive_vector(entries)))
+        if len({abs(2 * row - k) for row in rows}) != 1:
             raise AssertionError("basis vector mixes tau-orbits")
-        gaps.add(support_gaps.pop())
-    return FixedSpaceBasis(k=k, basis=tuple(basis), ell_values=tuple(sorted(gaps)))
+        basis.append(orbit)
+    gaps = sorted(k - 2 * orbit[0][0] for orbit in basis)
+    return FixedSpaceBasis(k=k, basis=tuple(basis), ell_values=tuple(gaps))
 
 
 def predicted_dimension(k: int) -> int:
@@ -160,35 +166,30 @@ class TwoParamEigenvalue:
             + MultiPoly.variable(METRIC_PARAMS, "b") * self.b_coeff
         )
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "gap_squared": self.gap_squared,
-            "a_coeff": rational_to_str(self.a_coeff),
-            "b_coeff": rational_to_str(self.b_coeff),
-        }
+
+def _form_keys(k: int) -> list:
+    """The key (-d^2, k(k+2) + d^2) of each weight gap d of V_k, ascending in d.
+
+    A key is eight times the (a, b) coefficients of the line's linear
+    form, so keys are equal exactly when the forms are.  Within one k the
+    keys are asserted distinct.
+    """
+    keys = [(-gap * gap, k * (k + 2) + gap * gap) for gap in fixed_space(k).ell_values]
+    if len(set(keys)) != len(keys):
+        raise AssertionError("eigenvalue forms within one k must be distinct")
+    return keys
 
 
 def eigenvalue_forms(k: int) -> list:
     """One linear form per weight gap occurring in the invariant basis."""
-    space = fixed_space(k)
-    if space.dimension == 0:
+    if fixed_space(k).dimension == 0:
         raise ValueError(f"V_{k} has no invariant vectors")
-    forms = []
-    for gap in space.ell_values:
-        dsq = gap * gap
-        forms.append(
-            TwoParamEigenvalue(
-                k=k,
-                gap_squared=dsq,
-                a_coeff=Fraction(-dsq, 8),
-                b_coeff=Fraction(k * (k + 2) + dsq, 8),
-            )
+    return [
+        TwoParamEigenvalue(
+            k=k, gap_squared=-a8, a_coeff=Fraction(a8, 8), b_coeff=Fraction(b8, 8)
         )
-    seen = {f.form() for f in forms}
-    if len(seen) != len(forms):
-        raise AssertionError("eigenvalue forms within one k must be distinct")
-    return forms
+        for a8, b8 in _form_keys(k)
+    ]
 
 
 def all_forms(kmax: int) -> list:
@@ -201,8 +202,6 @@ def all_forms(kmax: int) -> list:
 
 def su2f_representation_family(kmax: int) -> list:
     """Representation entries (diagonal Casimir matrices) for k <= kmax."""
-    from .simplicity import RepresentationEntry
-
     entries = []
     for k in range(0, kmax + 1, 2):
         if fixed_space(k).dimension == 0:
@@ -223,20 +222,22 @@ def su2f_representation_family(kmax: int) -> list:
 def collisions_at_metric(kmax: int, a: Fraction, b: Fraction) -> list:
     """Pairs of distinct invariant lines with equal eigenvalue at (a, b).
 
-    Pairs come in ascending eigenvalue.  The values are scaled by the lcm
-    D of their denominators to exact integers, compared in int64 when the
-    largest |D * value| is below 2**63 and in Python ints otherwise.
+    Pairs come in ascending eigenvalue.  With D the lcm of the
+    denominators of a and b, A = D a and B = D b, each line's value times
+    8 D is the integer -d^2 A + (k(k+2) + d^2) B of its form key.  These
+    are compared in int64 when the largest magnitude is below 2**63 and in
+    Python ints otherwise; only the colliding values become Fractions.
     """
-    forms = all_forms(kmax)
-    values = [form.value(a, b) for form in forms]
-    denom = lcm(*(v.denominator for v in values))
-    values = [int(v * denom) for v in values]
+    lines = [(k, *key) for k in range(0, kmax + 1, 2) for key in _form_keys(k)]
+    denom = lcm(a.denominator, b.denominator)
+    scaled_a, scaled_b = int(a * denom), int(b * denom)
+    values = [a8 * scaled_a + b8 * scaled_b for _, a8, b8 in lines]
     values = np.array(values, exact_dtype(max(map(abs, values), default=0)))
     first, second = equal_value_pairs(values)
     ascending = np.argsort(values[first], kind="stable")
     first, second = first[ascending], second[ascending]
-    keys = np.fromiter(((form.k, form.gap_squared) for form in forms), object, len(forms))
-    return list(zip(keys[first], keys[second], pair_values(values, first, denom)))
+    keys = np.fromiter(((k, -a8) for k, a8, _ in lines), object, len(lines))
+    return list(zip(keys[first], keys[second], pair_values(values, first, 8 * denom)))
 
 
 def find_simple_metric(kmax: int) -> tuple:
@@ -245,8 +246,6 @@ def find_simple_metric(kmax: int) -> tuple:
     Candidates are drawn from the deterministic sequence 1, 2, 3, 5, 7,
     11, ... (one and the primes), enumerated in lexicographic order.
     """
-    from .products import candidate_tuples
-
     for a, b in candidate_tuples(2):
         if a == b:
             continue
@@ -312,16 +311,8 @@ def simplicity_certificate(
             raise AssertionError("odd k must have no invariants")
         dimensions.append((k, dim))
 
-    within = True
-    forms = all_forms(kmax)  # constructor asserts within-k distinctness
-
-    by_form = {}
-    injective = True
-    for form in forms:
-        key = form.form()
-        if key in by_form and by_form[key] != (form.k, form.gap_squared):
-            injective = False
-        by_form[key] = (form.k, form.gap_squared)
+    keys = [key for k in range(0, kmax + 1, 2) for key in _form_keys(k)]
+    injective = len(set(keys)) == len(keys)
 
     metric = None
     metric_collisions = ()
@@ -335,7 +326,7 @@ def simplicity_certificate(
     return SimplicityReport(
         kmax=kmax,
         dimensions=tuple(dimensions),
-        within_k_distinct=within,
+        within_k_distinct=True,  # _form_keys asserts it
         cross_k_injective=injective,
         metric=metric,
         metric_collisions=metric_collisions,

@@ -165,10 +165,7 @@ def _tail(m: int, rank: int, last) -> tuple:
 class _Row:
     """Catalog row: parameter validation plus restricted data assembly."""
 
-    def __init__(self, label, needs_r, needs_ell, build, node_perm=None):
-        self.label = label
-        self.needs_r = needs_r
-        self.needs_ell = needs_ell
+    def __init__(self, build, node_perm=None):
         self.build = build
         self.node_perm = node_perm
 
@@ -191,6 +188,8 @@ def _type_bc(ell: int) -> RootSystemType:
 
 
 def _row_ai(r, ell):
+    if r is None:
+        r = ell  # r is the restricted rank
     _require(r is not None and r >= 1, "AI needs r >= 1")
     _require(ell is None or ell == r, "AI has ell = r")
     return RootSystemType("A", r), _uniform(1, r), {"r": r}
@@ -286,50 +285,36 @@ def _fixed_row(system_text, multiplicities):
 
 
 _ROWS = {
-    "AI": _Row("AI", True, False, _row_ai),
-    "AII": _Row("AII", True, False, _row_aii),
-    "AIII1": _Row("AIII1", True, True, _row_aiii1),
-    "AIII2": _Row("AIII2", False, True, _row_aiii2),
-    "BI": _Row("BI", True, True, _row_bi),
-    "CI": _Row("CI", False, True, _row_ci),
-    "CII1": _Row("CII1", True, True, _row_cii1),
-    "CII2": _Row("CII2", False, True, _row_cii2),
-    "DI1": _Row("DI1", False, True, _row_di1),
-    "DI2": _Row("DI2", True, True, _row_di2),
-    "DI3": _Row("DI3", False, True, _row_di3),
-    "DIII1": _Row("DIII1", False, True, _row_diii1),
-    "DIII2": _Row("DIII2", False, True, _row_diii2),
-    "EI": _Row("EI", False, False, _fixed_row("E6", _uniform(1, 6))),
+    "AI": _Row(_row_ai),
+    "AII": _Row(_row_aii),
+    "AIII1": _Row(_row_aiii1),
+    "AIII2": _Row(_row_aiii2),
+    "BI": _Row(_row_bi),
+    "CI": _Row(_row_ci),
+    "CII1": _Row(_row_cii1),
+    "CII2": _Row(_row_cii2),
+    "DI1": _Row(_row_di1),
+    "DI2": _Row(_row_di2),
+    "DI3": _Row(_row_di3),
+    "DIII1": _Row(_row_diii1),
+    "DIII2": _Row(_row_diii2),
+    "EI": _Row(_fixed_row("E6", _uniform(1, 6))),
     # EII nodes are listed in the ambient E6 index order of the folded
     # classes (alpha_1/alpha_6, alpha_2, alpha_3/alpha_5, alpha_4), hence
     # the node relabeling of the standard F4 chain below.
     "EII": _Row(
-        "EII", False, False,
-        _fixed_row("F4", ((2, 0), (1, 0), (2, 0), (1, 0))),
-        node_perm=(3, 0, 2, 1),
+        _fixed_row("F4", ((2, 0), (1, 0), (2, 0), (1, 0))), node_perm=(3, 0, 2, 1)
     ),
-    "EIII": _Row(
-        "EIII", False, False,
-        _fixed_row("B2", ((8, 1), (6, 0))),
-    ),
-    "EIV": _Row("EIV", False, False, _fixed_row("A2", _uniform(8, 2))),
-    "EV": _Row("EV", False, False, _fixed_row("E7", _uniform(1, 7))),
-    "EVI": _Row(
-        "EVI", False, False,
-        _fixed_row("F4", ((1, 0), (1, 0), (4, 0), (4, 0))),
-    ),
-    "EVII": _Row(
-        "EVII", False, False,
-        _fixed_row("C3", ((8, 0), (8, 0), (1, 0))),
-    ),
-    "EVIII": _Row("EVIII", False, False, _fixed_row("E8", _uniform(1, 8))),
-    "EIX": _Row(
-        "EIX", False, False,
-        _fixed_row("F4", ((1, 0), (1, 0), (8, 0), (8, 0))),
-    ),
-    "FI": _Row("FI", False, False, _fixed_row("F4", _uniform(1, 4))),
-    "FII": _Row("FII", False, False, _fixed_row("BC1", ((8, 7),))),
-    "G": _Row("G", False, False, _fixed_row("G2", _uniform(1, 2))),
+    "EIII": _Row(_fixed_row("B2", ((8, 1), (6, 0)))),
+    "EIV": _Row(_fixed_row("A2", _uniform(8, 2))),
+    "EV": _Row(_fixed_row("E7", _uniform(1, 7))),
+    "EVI": _Row(_fixed_row("F4", ((1, 0), (1, 0), (4, 0), (4, 0)))),
+    "EVII": _Row(_fixed_row("C3", ((8, 0), (8, 0), (1, 0)))),
+    "EVIII": _Row(_fixed_row("E8", _uniform(1, 8))),
+    "EIX": _Row(_fixed_row("F4", ((1, 0), (1, 0), (8, 0), (8, 0)))),
+    "FI": _Row(_fixed_row("F4", _uniform(1, 4))),
+    "FII": _Row(_fixed_row("BC1", ((8, 7),))),
+    "G": _Row(_fixed_row("G2", _uniform(1, 2))),
 }
 
 # one representative parameter choice per label, inside the valid range
@@ -374,14 +359,6 @@ def _assemble(label, system, multiplicities, params, node_perm=None) -> Restrict
         gram=gram,
         two_delta_bar=two_delta,
     )
-
-
-def label_parameters(label: str) -> tuple:
-    """(accepts r, accepts ell) for a catalog label."""
-    row = _ROWS.get(label)
-    if row is None:
-        raise ValueError(f"unknown symmetric-space label {label!r}")
-    return (row.needs_r, row.needs_ell)
 
 
 def restricted_datum(label: str, r: Optional[int] = None, ell: Optional[int] = None) -> RestrictedDatum:

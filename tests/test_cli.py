@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from casimirspec import bundles
 from casimirspec.cli import EXIT_CERT_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, run
-from casimirspec.symmdata import LABELS
+from casimirspec.symmdata import LABELS, restricted_datum
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).parent.parent / "docs" / "cli-schema.json").read_text()
@@ -58,6 +58,19 @@ class TestTableDelta:
         )
         assert code == EXIT_OK
         assert json.loads(out)["two_delta_bar"] == ["1", "5"]
+
+    @pytest.mark.parametrize("flag", ["--r", "--ell", "--rank"])
+    def test_parameter_on_fixed_label_is_usage_error(self, capsys, flag):
+        code, _, err = run_capture(capsys, ["table-delta", "--label", "EIII", flag, "3"])
+        assert code == EXIT_USAGE
+        assert "takes no parameters" in err
+
+    def test_ai_ell_must_equal_r(self, capsys):
+        argv = ["table-delta", "--label", "AI", "--r", "3", "--ell", "2"]
+        assert run_capture(capsys, argv)[0] == EXIT_USAGE
+
+    def test_ai_reads_ell_as_r(self):
+        assert restricted_datum("AI", ell=3) == restricted_datum("AI", r=3)
 
 
 class TestWitness:

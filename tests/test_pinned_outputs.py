@@ -10,11 +10,17 @@ do the full-size ``su2f`` op, which runs every line of the SU(2)/F
 fixed-space path, and the full-size ``product`` op, which pins the
 beta = (1, 61) certificate and its hyperplane count.  The benchmark's
 modules are imported read-only, as its own self-tests do.
+
+Two ``su2f --kmax 480`` ops are not in the benchmark; their exit code,
+SHA-256 and collision count are pinned here as literals, recorded from
+the dense-projector implementation, so the sparse SU(2)/F path is
+checked at a size where the two differ in cost.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -54,13 +60,34 @@ FULL_PRODUCT_OPS = [
 ]
 
 
-def assert_matches_pin(argv):
-    pin = PINS[" ".join(argv)]
+SU2F_480_PINS = [
+    (
+        ["su2f", "--kmax", "480", "--json"],
+        0,
+        "876b59e82f70adf16912f4762963bc9c13de976e4269c0af33b82164460ff6f6",
+        0,
+    ),
+    (
+        ["su2f", "--kmax", "480", "--metric", "1,2", "--json"],
+        1,
+        "4c08a6114f16e4d0167f8d1526e7f010905f9c9afc9616e8c53d5a6e672ca87a",
+        1403,
+    ),
+]
+
+
+def run_op(argv):
     captured = io.StringIO()
     with contextlib.redirect_stdout(captured):
         code = run(argv)
+    return code, captured.getvalue()
+
+
+def assert_matches_pin(argv):
+    pin = PINS[" ".join(argv)]
+    code, out = run_op(argv)
     assert code == pin["exit"]
-    assert hashlib.sha256(captured.getvalue().encode()).hexdigest() == pin["sha256"]
+    assert hashlib.sha256(out.encode()).hexdigest() == pin["sha256"]
 
 
 def test_every_workload_has_tiny_ops():
@@ -92,3 +119,15 @@ def test_full_su2f_op_matches_its_pin():
 def test_full_product_op_matches_its_pin():
     assert FULL_PRODUCT_OPS == [["product", "--factors", "S2,S2", "--bound", "30", "--json"]]
     assert_matches_pin(FULL_PRODUCT_OPS[0])
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code,sha256,collisions",
+    SU2F_480_PINS,
+    ids=[" ".join(pin[0]) for pin in SU2F_480_PINS],
+)
+def test_su2f_kmax_480_matches_literal_pin(argv, exit_code, sha256, collisions):
+    code, out = run_op(argv)
+    assert code == exit_code
+    assert len(json.loads(out)["metric_collisions"]) == collisions
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256

@@ -2,7 +2,9 @@
 
 The 12-element group F, its monomial action on V_k and the cyclotomic
 sum of its phases live here as the reference for the closed-form
-``averaging_projector``.
+``averaging_projector``.  The library stores the projector and the
+fixed-space basis sparsely; the references here are dense, and the
+sparse objects are made dense on this side to be compared with them.
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,6 @@ import pytest
 
 from casimirspec.exactalg import primitive_vector
 from casimirspec.su2f import (
-    FixedSpaceBasis,
     averaging_projector,
     collisions_at_metric,
     eigenvalue_forms,
@@ -167,9 +168,35 @@ def reference_projector(k):
     ]
 
 
+def dense_projector(k):
+    """``averaging_projector(k)`` as a dense (k+1) x (k+1) matrix."""
+    dense = [[Fraction(0)] * (k + 1) for _ in range(k + 1)]
+    for (row, column), entry in averaging_projector(k).items():
+        dense[row][column] = entry
+    return dense
+
+
+def nonzero_entries(matrix):
+    return {
+        (i, j): entry
+        for i, row in enumerate(matrix)
+        for j, entry in enumerate(row)
+        if entry
+    }
+
+
+def dense_vector(k, orbit):
+    """A basis vector stored as (l, coefficient) pairs, as a (k+1)-tuple."""
+    vector = [0] * (k + 1)
+    for ell, coeff in orbit:
+        vector[ell] = coeff
+    return tuple(vector)
+
+
 def reference_fixed_space(k):
-    """Image of the dense projector by Gauss-Jordan on its transpose."""
-    projector = averaging_projector(k)
+    """(basis, gaps) of the dense projector's image, by Gauss-Jordan on its
+    transpose."""
+    projector = dense_projector(k)
     dim = k + 1
     rows = [[projector[i][j] for i in range(dim)] for j in range(dim)]
     basis = []
@@ -191,7 +218,7 @@ def reference_fixed_space(k):
         row += 1
         pivot_col += 1
     gaps = sorted({abs(2 * ell - k) for v in basis for ell, c in enumerate(v) if c})
-    return FixedSpaceBasis(k=k, basis=tuple(basis), ell_values=tuple(gaps))
+    return tuple(basis), tuple(gaps)
 
 
 class TestGroup:
@@ -229,22 +256,19 @@ class TestFixedSpace:
     def test_k4(self):
         space = fixed_space(4)
         assert space.dimension == 1
-        assert space.basis == ((0, 0, 1, 0, 0),)
+        assert space.basis == (((2, 1),),)
         assert space.ell_values == (0,)
 
     def test_k12(self):
         space = fixed_space(12)
         assert space.dimension == 3
         assert space.ell_values == (0, 6, 12)
-        vectors = set(space.basis)
-        v6 = tuple(1 if i == 6 else 0 for i in range(13))
-        v39 = tuple(1 if i in (3, 9) else 0 for i in range(13))
-        v012 = tuple(1 if i in (0, 12) else 0 for i in range(13))
-        assert vectors == {v6, v39, v012}
+        # one tau-orbit per vector, in ascending l
+        assert space.basis == (((0, 1), (12, 1)), ((3, 1), (9, 1)), ((6, 1),))
 
     def test_projector_is_idempotent(self):
         for k in (4, 10, 12):
-            p = averaging_projector(k)
+            p = dense_projector(k)
             n = len(p)
             square = [
                 [sum(p[i][m] * p[m][j] for m in range(n)) for j in range(n)]
@@ -258,15 +282,14 @@ class TestFixedSpace:
             for g in group_elements():
                 for vector in space.basis:
                     image = [Fraction(0)] * (k + 1)
-                    for ell, coeff in enumerate(vector):
-                        if coeff:
-                            action = g.action_on_monomial(k, ell)
-                            # rational basis vectors stay rational: the
-                            # phase must be +-1 on the support
-                            assert action.phase_exponent in (0, 6)
-                            sign = 1 if action.phase_exponent == 0 else -1
-                            image[action.target] += sign * coeff
-                    assert tuple(image) == tuple(map(Fraction, vector))
+                    for ell, coeff in vector:
+                        action = g.action_on_monomial(k, ell)
+                        # rational basis vectors stay rational: the
+                        # phase must be +-1 on the support
+                        assert action.phase_exponent in (0, 6)
+                        sign = 1 if action.phase_exponent == 0 else -1
+                        image[action.target] += sign * coeff
+                    assert tuple(image) == dense_vector(k, vector)
 
     def test_oracle_agreement_to_240(self):
         for k in range(241):
@@ -275,7 +298,7 @@ class TestFixedSpace:
     def test_projector_matches_group_average_to_240(self):
         # k <= 240 covers every residue of k mod 12 and of l mod 6
         for k in range(241):
-            assert averaging_projector(k) == group_average_projector(k), k
+            assert averaging_projector(k) == nonzero_entries(group_average_projector(k)), k
 
     @pytest.mark.parametrize("k", [0, 4, 8, 12, 60, 2, 6, 10, 14, 62])
     def test_middle_entry(self, k):
@@ -283,16 +306,20 @@ class TestFixedSpace:
         middle = k // 2
         expected = [Fraction(0)] * (k + 1)
         expected[middle] = Fraction(1 if k % 4 == 0 else 0)
-        for projector in (averaging_projector(k), group_average_projector(k)):
+        for projector in (dense_projector(k), group_average_projector(k)):
             assert [row[middle] for row in projector] == expected
 
     def test_projector_matches_dense_count_cube(self):
         for k in range(41):
-            assert averaging_projector(k) == reference_projector(k)
+            assert dense_projector(k) == reference_projector(k)
 
     def test_matches_dense_elimination_to_120(self):
         for k in range(121):
-            assert fixed_space(k) == reference_fixed_space(k)
+            space = fixed_space(k)
+            dense = tuple(dense_vector(k, orbit) for orbit in space.basis)
+            assert (dense, space.ell_values) == reference_fixed_space(k), k
+            for orbit in space.basis:
+                assert list(orbit) == sorted(orbit) and all(c for _, c in orbit)
 
 
 class TestEigenvalueForms:
@@ -378,7 +405,7 @@ class TestRepresentationFamily:
             k = int(entry.id[1:])
             by_gap = {f.gap_squared: f.parametric() for f in eigenvalue_forms(k)}
             expected = [
-                by_gap[next(abs(2 * e - k) for e, c in enumerate(vector) if c) ** 2]
-                for vector in fixed_space(k).basis
+                by_gap[next(abs(2 * e - k) for e, c in enumerate(dense_vector(k, v)) if c) ** 2]
+                for v in fixed_space(k).basis
             ]
             assert [entry.casimir.entry(i, i) for i in range(len(expected))] == expected
