@@ -10,6 +10,7 @@ two-parameter and product metric families.
 from .exactalg import MultiPoly, ParametricMatrix, Rational, UniPoly
 from .rootsys import CartanData, RootSystemType, cartan_data, gram_matrix
 from .spectrum import (
+    CollisionPairs,
     CollisionReport,
     EigenvalueForm,
     ReflectionWitness,
@@ -23,6 +24,7 @@ from .symmdata import RestrictedDatum, cross_datum, restricted_datum
 
 __all__ = [
     "CartanData",
+    "CollisionPairs",
     "CollisionReport",
     "EigenvalueForm",
     "MultiPoly",

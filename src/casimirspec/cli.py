@@ -27,6 +27,8 @@ import csv
 import json
 import sys
 
+import numpy as np
+
 from . import bundles, products, simplicity, spectrum, su2f, symmdata
 from .exactalg import rational_from_str, rational_to_str
 
@@ -43,6 +45,65 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
     else:
         for line in lines:
             print(line)
+
+
+# pair records formatted per stdout write
+PAIR_CHUNK = 1 << 15
+# stands in for the pair list while the rest of a payload is serialized
+_PAIRS_MARK = "\0pairs"
+
+
+def _row_text(row: list) -> str:
+    return str(tuple(row))
+
+
+def _json_rational(value) -> str:
+    # a rational string needs no JSON escaping
+    return f'"{rational_to_str(value)}"'
+
+
+def _emit_pairs(payload: dict, as_json: bool, pairs, keys: dict, line: tuple, empty: str) -> None:
+    """Print ``payload`` with the records of ``pairs`` as its "collisions", or table lines.
+
+    ``pairs`` is a :class:`spectrum.CollisionPairs`, and no record is
+    built: each used box row and each distinct value is rendered once,
+    and each pair fills one fixed template.  In JSON mode the bytes are
+    those of ``_emit`` on the payload with every record's dict in place;
+    ``keys`` maps each record key to its field, "a", "b", "value" or
+    "dual".  In table mode ``line`` holds the line template and the
+    fields it takes, and ``empty`` is the one line for no pairs.  Records
+    reach stdout ``PAIR_CHUNK`` at a time.
+    """
+    if not pairs:
+        _emit({**payload, "collisions": []}, as_json, [empty])
+        return
+    if as_json:
+        names = sorted(keys)
+        template = "    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in names) + "\n    }"
+        fields = [keys[k] for k in names]
+        text = json.dumps({**payload, "collisions": _PAIRS_MARK}, sort_keys=True, indent=2)
+        head, tail = text.split(json.dumps(_PAIRS_MARK))
+        head, separator, tail = head + "[\n", ",\n", "\n  ]" + tail + "\n"
+        # a box row as json.dumps(..., indent=2) writes it inside a record
+        row_template = "[\n" + ",\n".join(["        %d"] * pairs.rows.shape[1]) + "\n      ]"
+        render_row = lambda row: row_template % tuple(row)  # noqa: E731
+        render_value, flags = _json_rational, ("false", "true")
+    else:
+        (template, fields), head, separator, tail = line, "", "\n", "\n"
+        render_row, render_value, flags = _row_text, rational_to_str, ("", "  [dual pair]")
+    columns = {"value": spectrum.pair_values(pairs.values, pairs.first, pairs.denom, render_value)}
+    columns["a"], columns["b"] = spectrum.pair_rows(pairs.rows, pairs.first, pairs.second, render_row)
+    if pairs.dual is not None:
+        columns["dual"] = np.array(flags, object)[pairs.dual.astype(np.intp)]
+    columns = [columns[field] for field in fields]
+    write = sys.stdout.write
+    write(head)
+    for start in range(0, len(pairs), PAIR_CHUNK):
+        if start:
+            write(separator)
+        chunk = [column[start:start + PAIR_CHUNK].tolist() for column in columns]
+        write(separator.join([template % record for record in zip(*chunk)]))
+    write(tail)
 
 
 def _print_csv(header: list, rows) -> None:
@@ -128,21 +189,20 @@ def _cmd_rank2_catalog(args) -> int:
 
 def _cmd_collide(args) -> int:
     datum = _datum_from_args(args)
-    reports = spectrum.enumerate_collisions(
+    pairs = spectrum.enumerate_collisions(
         datum, args.bound, exclude_dual_pairs=not args.include_duals
     )
     payload = {
         "label": datum.descriptor.label,
         "bound": args.bound,
         "include_duals": bool(args.include_duals),
-        "collisions": [rep.to_json() for rep in reports],
     }
-    lines = (
-        f"{rep.weight_a} ~ {rep.weight_b}  eigenvalue {rational_to_str(rep.eigenvalue)}"
-        + ("  [dual pair]" if rep.dual_related else "")
-        for rep in reports
-    ) if reports else ["no collisions in the box"]
-    _emit(payload, args.json, lines)
+    _emit_pairs(
+        payload, args.json, pairs,
+        {"dual_related": "dual", "eigenvalue": "value", "weight_a": "a", "weight_b": "b"},
+        ("%s ~ %s  eigenvalue %s%s", ("a", "b", "value", "dual")),
+        "no collisions in the box",
+    )
     return EXIT_OK
 
 
@@ -210,19 +270,19 @@ def _cmd_product(args) -> int:
     factors = [products.factor_spectrum(label, args.bound) for label in labels]
     if args.beta:
         beta = _parse_metric(args.beta, len(factors))
-        witnesses = products.check_beta(factors, beta, args.bound)
+        pairs = products.check_beta(factors, beta, args.bound)
         payload = {
             "factors": labels,
             "bound": args.bound,
             "beta": [rational_to_str(b) for b in beta],
-            "collisions": [w.to_json() for w in witnesses],
         }
-        lines = (
-            f"{w.array_a} ~ {w.array_b} at {rational_to_str(w.value)}"
-            for w in witnesses
-        ) if witnesses else ["no collisions: beta is certified on this box"]
-        _emit(payload, args.json, lines)
-        return EXIT_OK if not witnesses else EXIT_CERT_FAILED
+        _emit_pairs(
+            payload, args.json, pairs,
+            {"array_a": "a", "array_b": "b", "value": "value"},
+            ("%s ~ %s at %s", ("a", "b", "value")),
+            "no collisions: beta is certified on this box",
+        )
+        return EXIT_OK if not pairs else EXIT_CERT_FAILED
     certificate = products.generic_beta_certificate(factors, args.bound)
     payload = certificate.to_json()
     lines = [

@@ -67,7 +67,7 @@ def primitive_vector(vector: Sequence[RationalLike]) -> tuple:
     nonzero entry is made positive.  The zero vector maps to itself.
     """
     scale = lcm(*[x.denominator for x in vector])
-    vector = [int(x * scale) for x in vector]
+    vector = [x.numerator * (scale // x.denominator) for x in vector]
     content = gcd(*vector)
     if content:
         vector = [x // content for x in vector]

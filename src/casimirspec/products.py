@@ -25,7 +25,7 @@ import numpy as np
 
 from .exactalg import rational_to_str
 from .spectrum import (
-    EigenvalueForm, eigenvalue, equal_value_pairs, exact_dtype, pair_rows, pair_values, weight_box,
+    CollisionPairs, EigenvalueForm, eigenvalue, equal_value_pairs, exact_dtype, weight_box,
 )
 from .symmdata import RestrictedDatum, cross_datum
 
@@ -114,16 +114,16 @@ class CollisionWitness:
     array_b: tuple
     value: Fraction
 
-    def to_json(self) -> dict:
-        return {
-            "array_a": list(self.array_a),
-            "array_b": list(self.array_b),
-            "value": rational_to_str(self.value),
-        }
 
-
-def check_beta(factors: Sequence[FactorSpectrum], beta: Sequence, bound: int = None) -> list:
+def check_beta(
+    factors: Sequence[FactorSpectrum], beta: Sequence, bound: int = None
+) -> CollisionPairs:
     """All collision witnesses for a candidate weight vector, sorted.
+
+    The result is a :class:`~casimirspec.spectrum.CollisionPairs`
+    sequence in (array_a, array_b) order; its ``CollisionWitness``
+    records are built only when indexed or iterated, so a truth test
+    builds none.
 
     The box values are the outer sum of the per-factor tables
     beta_i * lambda_i(m), scaled by the lcm D of their denominators to
@@ -148,8 +148,8 @@ def check_beta(factors: Sequence[FactorSpectrum], beta: Sequence, bound: int = N
     for table in tables:
         values = np.add.outer(values, np.array(table, dtype)).ravel()
     first, second = equal_value_pairs(values)
-    arrays_a, arrays_b = pair_rows(weight_box(len(factors), bound), first, second)
-    return list(map(CollisionWitness, arrays_a, arrays_b, pair_values(values, first, denom)))
+    box = weight_box(len(factors), bound)
+    return CollisionPairs(CollisionWitness, box, first, second, values, denom)
 
 
 def prime_sequence() -> Iterator[int]:

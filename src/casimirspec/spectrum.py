@@ -16,10 +16,12 @@ the catalog of rank-two cases with their closed-form collision pairs.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -105,14 +107,6 @@ class CollisionReport:
     eigenvalue: Fraction
     dual_related: bool
 
-    def to_json(self) -> dict:
-        return {
-            "weight_a": list(self.weight_a),
-            "weight_b": list(self.weight_b),
-            "eigenvalue": rational_to_str(self.eigenvalue),
-            "dual_related": self.dual_related,
-        }
-
 
 def weight_box(rank: int, bound: int) -> np.ndarray:
     """Every weight with coordinates in [0, bound], one per row, lexicographic."""
@@ -154,33 +148,96 @@ def equal_value_pairs(values: np.ndarray) -> tuple:
     return first[pairs], second[pairs]
 
 
-def pair_rows(rows: np.ndarray, first: np.ndarray, second: np.ndarray) -> tuple:
-    """The rows at ``first`` and at ``second``, as object arrays of tuples.
+def pair_rows(rows: np.ndarray, first: np.ndarray, second: np.ndarray, render=tuple) -> tuple:
+    """``render`` of the rows at ``first`` and at ``second``, as object arrays.
 
-    Each row occurring in a pair becomes a tuple once.  Object arrays,
-    unlike lists, are not walked by the garbage collector.
+    Each row occurring in a pair is rendered once, from its list of
+    Python ints.  Object arrays, unlike lists, are not walked by the
+    garbage collector.
     """
     used, inverse = np.unique(np.r_[first, second], return_inverse=True)
-    tuples = np.fromiter(map(tuple, rows[used].tolist()), object, len(used))
-    return tuples[inverse[: len(first)]], tuples[inverse[len(first):]]
+    rendered = np.fromiter(map(render, rows[used].tolist()), object, len(used))
+    return rendered[inverse[: len(first)]], rendered[inverse[len(first):]]
 
 
-def pair_values(values: np.ndarray, first: np.ndarray, denom: int) -> np.ndarray:
-    """``values[i] / denom`` for each i in ``first``, one Fraction per distinct value."""
+def pair_values(values: np.ndarray, first: np.ndarray, denom: int, render=None) -> np.ndarray:
+    """``values[i] / denom`` for each i in ``first``, rendered once per distinct value.
+
+    Each value is a Fraction, passed through ``render`` when one is given.
+    """
     distinct, inverse = np.unique(values[first], return_inverse=True)
     fractions = (Fraction(value, denom) for value in distinct.tolist())
-    return np.fromiter(fractions, object, len(distinct))[inverse]
+    rendered = fractions if render is None else map(render, fractions)
+    return np.fromiter(rendered, object, len(distinct))[inverse]
+
+
+class CollisionPairs(Sequence):
+    """The equal-value pairs of one box scan, held as arrays.
+
+    Pair t joins box rows ``first[t] < second[t]`` at the value
+    ``values[first[t]] / denom``; ``dual`` flags dual pairs, or is None
+    when the record has no such field.  Length and truthiness read the
+    arrays only.  Indexing or iterating builds ``record(row_a, row_b,
+    value[, dual])`` per pair, in (first, second) order, and the sequence
+    equals a list of the same records.
+    """
+
+    def __init__(self, record, rows, first, second, values, denom, dual=None):
+        self.record = record
+        self.rows = rows
+        self.first = first
+        self.second = second
+        self.values = values
+        self.denom = denom
+        self.dual = dual
+
+    def __len__(self) -> int:
+        return len(self.first)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            dual = None if self.dual is None else self.dual[index]
+            return CollisionPairs(
+                self.record, self.rows, self.first[index], self.second[index],
+                self.values, self.denom, dual,
+            )
+        i, j = self.first[index], self.second[index]
+        fields = [
+            tuple(self.rows[i].tolist()),
+            tuple(self.rows[j].tolist()),
+            Fraction(int(self.values[i]), self.denom),
+        ]
+        if self.dual is not None:
+            fields.append(bool(self.dual[index]))
+        return self.record(*fields)
+
+    def __iter__(self):
+        rows_a, rows_b = pair_rows(self.rows, self.first, self.second)
+        values = pair_values(self.values, self.first, self.denom)
+        flags = () if self.dual is None else (self.dual.astype(object),)
+        return map(self.record, rows_a, rows_b, values, *flags)
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, CollisionPairs)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} {self.record.__name__} pairs>"
 
 
 def enumerate_collisions(
     datum: RestrictedDatum, bound: int, exclude_dual_pairs: bool = False
-) -> list:
+) -> CollisionPairs:
     """All eigenvalue collisions in the per-coordinate box [0, bound]^rank.
 
     Every unordered pair of weights with the same exact eigenvalue is
     reported, flagged when the two weights are duals of each other.
     Output is sorted lexicographically by (weight_a, weight_b), which is
-    box-row order.
+    box-row order.  The result is a :class:`CollisionPairs` sequence; its
+    ``CollisionReport`` records are built only when indexed or iterated.
 
     The scan is exact integer arithmetic: with D the lcm of the
     denominators of G and of c = G^T shift, D * lambda(w) = w^T (D G) w +
@@ -210,13 +267,13 @@ def enumerate_collisions(
     values = ((box @ np.array(quad, dtype)) * box).sum(1) + box @ np.array(lin, dtype)
 
     first, second = equal_value_pairs(values)
-    sigma = dual_permutation(datum.descriptor)
-    dual = (grid[first][:, list(sigma)] == grid[second]).all(1)
+    # the box row of each row's dual weight
+    sigma = list(dual_permutation(datum.descriptor))
+    dual_row = np.ravel_multi_index(grid[:, sigma].T, (bound + 1,) * rank)
+    dual = dual_row[first] == second
     if exclude_dual_pairs:
         first, second, dual = first[~dual], second[~dual], dual[~dual]
-    weights_a, weights_b = pair_rows(grid, first, second)
-    eigen = pair_values(values, first, denom)
-    return list(map(CollisionReport, weights_a, weights_b, eigen, dual.astype(object)))
+    return CollisionPairs(CollisionReport, grid, first, second, values, denom, dual)
 
 
 # -- reflection witnesses (rank >= 3) -----------------------------------

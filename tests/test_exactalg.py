@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casimirspec.exactalg import (
@@ -124,6 +125,29 @@ class TestPrimitiveVector:
 
     def test_zero_vector(self):
         assert primitive_vector([0, Fraction(0)]) == (0, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.integers(-50, 50) | st.fractions(max_denominator=60).map(lambda x: x * 7)
+            | st.just(0) | st.just(Fraction(0)),
+            max_size=6,
+        )
+    )
+    @example([0, Fraction(0), 0])
+    @example([Fraction(-3, 4), 2, Fraction(-5, 6), -4])
+    def test_matches_fraction_scaling(self, vector):
+        # the formula before denominators were cleared in ints
+        scale = lcm(*[x.denominator for x in vector])
+        scaled = [int(x * scale) for x in vector]
+        content = gcd(*scaled)
+        if content:
+            scaled = [x // content for x in scaled]
+        if next((x for x in scaled if x), 0) < 0:
+            scaled = [-x for x in scaled]
+        result = primitive_vector(vector)
+        assert result == tuple(scaled)
+        assert all(type(x) is int for x in result)
 
 
 class TestUniPoly:

@@ -1,0 +1,263 @@
+"""Collision output written from the pair arrays, against ``json.dumps``.
+
+``collide`` and ``product --beta`` print their pairs straight from a
+``CollisionPairs`` sequence.  The oracle here is the output the CLI used
+to build: ``json.dumps(payload, sort_keys=True, indent=2)`` over one dict
+per materialised record, and one f-string line per record in table mode.
+"""
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from casimirspec import cli, products, spectrum
+from casimirspec.exactalg import rational_to_str
+from casimirspec.products import check_beta, factor_spectrum, generic_beta_certificate
+from casimirspec.spectrum import CollisionPairs, CollisionReport, enumerate_collisions
+from casimirspec.symmdata import restricted_datum, table_rows
+
+INT64_LIMIT = 2**63
+
+
+def run_op(argv, chunk=cli.PAIR_CHUNK):
+    captured = io.StringIO()
+    with mock.patch.object(cli, "PAIR_CHUNK", chunk), contextlib.redirect_stdout(captured):
+        code = cli.run(argv)
+    return code, captured.getvalue()
+
+
+def dumps(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def report_json(rep):
+    return {
+        "weight_a": list(rep.weight_a),
+        "weight_b": list(rep.weight_b),
+        "eigenvalue": rational_to_str(rep.eigenvalue),
+        "dual_related": rep.dual_related,
+    }
+
+
+def report_line(rep):
+    return (
+        f"{rep.weight_a} ~ {rep.weight_b}  eigenvalue {rational_to_str(rep.eigenvalue)}"
+        + ("  [dual pair]" if rep.dual_related else "")
+    )
+
+
+def witness_json(w):
+    return {
+        "array_a": list(w.array_a),
+        "array_b": list(w.array_b),
+        "value": rational_to_str(w.value),
+    }
+
+
+def witness_line(w):
+    return f"{w.array_a} ~ {w.array_b} at {rational_to_str(w.value)}"
+
+
+def lines(text_lines):
+    return "".join(line + "\n" for line in text_lines)
+
+
+# -- collide ------------------------------------------------------------------
+
+
+# every catalog row at its table parameters, plus rank one, whose box has no pairs
+SPACES = [(d.descriptor.label, dict(d.descriptor.params)) for d in table_rows()]
+SPACES.append(("AI", {"r": 1}))
+
+
+def largest_bound(rank, box=1500):
+    return max(b for b in range(1, box) if (b + 1) ** rank <= box)
+
+
+def collide_argv(label, params, bound, include_duals):
+    argv = ["collide", label, "--bound", str(bound)]
+    for name, value in sorted(params.items()):
+        argv += [f"--{name}", str(value)]
+    return argv + (["--include-duals"] if include_duals else [])
+
+
+def collide_case(label, params, bound, include_duals, chunk):
+    datum = restricted_datum(label, **params)
+    reports = list(enumerate_collisions(datum, bound, exclude_dual_pairs=not include_duals))
+    argv = collide_argv(label, params, bound, include_duals)
+    payload = {
+        "label": label,
+        "bound": bound,
+        "include_duals": include_duals,
+        "collisions": [report_json(rep) for rep in reports],
+    }
+    assert run_op(argv + ["--json"], chunk) == (cli.EXIT_OK, dumps(payload))
+    table = [report_line(rep) for rep in reports] or ["no collisions in the box"]
+    assert run_op(argv, chunk) == (cli.EXIT_OK, lines(table))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    space=st.sampled_from(SPACES),
+    data=st.data(),
+    include_duals=st.booleans(),
+    chunk=st.sampled_from([1, 2, 7, cli.PAIR_CHUNK]),
+)
+def test_collide_matches_dumps_and_lines(space, data, include_duals, chunk):
+    label, params = space
+    largest = largest_bound(restricted_datum(label, **params).rank)
+    bound = data.draw(st.integers(1, largest), label="bound")
+    collide_case(label, params, bound, include_duals, chunk)
+
+
+@pytest.mark.parametrize("include_duals", [False, True])
+def test_collide_empty_box(include_duals):
+    # rank one never collides; EIV's bound-2 box has only dual pairs
+    assert not enumerate_collisions(restricted_datum("AI", r=1), largest_bound(1))
+    pairs = enumerate_collisions(restricted_datum("EIV"), 2)
+    assert pairs and all(pairs.dual)
+    collide_case("AI", {"r": 1}, largest_bound(1), include_duals, 1)
+    collide_case("EIV", {}, 2, include_duals, 1)
+
+
+# -- product --beta -----------------------------------------------------------
+
+
+FACTOR_LABELS = ["S2", "S3", "S5", "CP2", "CP3", "HP2", "OP2"]
+BOUNDS = {1: 40, 2: 12, 3: 5}
+positive_rationals = st.fractions(min_value=Fraction(1, 20), max_value=20)
+
+
+def product_case(labels, bound, beta, chunk):
+    argv = [
+        "product", "--factors", ",".join(labels), "--bound", str(bound),
+        "--beta", ",".join(rational_to_str(b) for b in beta),
+    ]
+    factors = [factor_spectrum(label, bound) for label in labels]
+    witnesses = list(check_beta(factors, beta, bound))
+    payload = {
+        "factors": labels,
+        "bound": bound,
+        "beta": [rational_to_str(b) for b in beta],
+        "collisions": [witness_json(w) for w in witnesses],
+    }
+    code = cli.EXIT_CERT_FAILED if witnesses else cli.EXIT_OK
+    assert run_op(argv + ["--json"], chunk) == (code, dumps(payload))
+    table = [witness_line(w) for w in witnesses] or [
+        "no collisions: beta is certified on this box"
+    ]
+    assert run_op(argv, chunk) == (code, lines(table))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    labels=st.lists(st.sampled_from(FACTOR_LABELS), min_size=1, max_size=3),
+    data=st.data(),
+    chunk=st.sampled_from([1, 3, cli.PAIR_CHUNK]),
+)
+def test_product_beta_matches_dumps_and_lines(labels, data, chunk):
+    bound = data.draw(st.integers(1, BOUNDS[len(labels)]), label="bound")
+    beta = data.draw(
+        st.lists(positive_rationals, min_size=len(labels), max_size=len(labels))
+        | st.just([Fraction(1)] * len(labels)),
+        label="beta",
+    )
+    product_case(labels, bound, beta, chunk)
+
+
+@pytest.mark.parametrize(
+    "labels,bound,beta,collide",
+    [
+        (["S2", "S2"], 30, [1, 61], False),  # the certified beta: no pairs
+        (["S2"], 40, [3], False),  # one factor never collides
+        (["S2", "S2", "S2"], 6, [1, 1, 1], True),
+        # each table fits int64, their sums do not: the object-dtype path
+        (["S2", "S2"], 5, [INT64_LIMIT // 60] * 2, True),
+        # a table passes 2**63 and the values are not integers
+        (["S2", "CP2"], 5, [INT64_LIMIT, Fraction(INT64_LIMIT, 7)], True),
+    ],
+)
+def test_product_beta_edge_boxes(labels, bound, beta, collide):
+    pairs = check_beta([factor_spectrum(label, bound) for label in labels], beta, bound)
+    assert bool(pairs) is collide
+    if max(beta) >= INT64_LIMIT // 60:
+        assert pairs.values.dtype == object
+    product_case(labels, bound, [Fraction(b) for b in beta], 2)
+
+
+# -- the lazy sequence -----------------------------------------------------------
+
+
+def refuse(*args):
+    raise AssertionError("a record was built")
+
+
+def test_length_and_truth_build_no_record(monkeypatch):
+    factors = [factor_spectrum("S2", 12)] * 3
+    pairs = check_beta(factors, (1, 1, 1))
+    monkeypatch.setattr(pairs, "record", refuse)
+    assert len(pairs) > 100 and pairs
+    monkeypatch.setattr(products, "CollisionWitness", refuse)
+    assert check_beta(factors, (1, 1, 1))
+
+
+def test_certificate_search_builds_no_witness(monkeypatch):
+    monkeypatch.setattr(products, "CollisionWitness", refuse)
+    factors = [factor_spectrum("S2", 30)] * 2
+    assert generic_beta_certificate(factors, 30).beta == (1, 61)
+
+
+def test_cli_output_builds_no_record(monkeypatch):
+    expected = run_op(["collide", "AI", "--r", "3", "--bound", "6", "--json"])
+    monkeypatch.setattr(spectrum, "CollisionReport", refuse)
+    assert run_op(["collide", "AI", "--r", "3", "--bound", "6", "--json"]) == expected
+
+
+def test_indexing_matches_iteration():
+    pairs = enumerate_collisions(restricted_datum("AI", r=3), 5, exclude_dual_pairs=False)
+    records = list(pairs)
+    assert len(records) == len(pairs) > 10
+    assert [pairs[i] for i in range(len(pairs))] == records
+    assert pairs[-1] == records[-1] and pairs[-len(pairs)] == records[0]
+    with pytest.raises(IndexError):
+        pairs[len(pairs)]
+    assert pairs[3:9:2] == records[3:9:2]
+    assert isinstance(pairs[3:9:2], CollisionPairs)
+    assert pairs[5:5] == [] and not pairs[5:5]
+    assert records[4] in pairs and pairs.index(records[4]) == 4
+
+
+def test_equality_is_with_lists_of_records():
+    datum = restricted_datum("AIII2", ell=2)
+    pairs = enumerate_collisions(datum, 5)
+    records = list(pairs)
+    assert pairs == records and records == pairs
+    assert pairs == enumerate_collisions(datum, 5)
+    assert pairs != records[:-1] and pairs[:-1] != records and pairs != records[::-1]
+    assert pairs != tuple(records)
+    assert enumerate_collisions(datum, 1) == []
+    assert repr(pairs) == f"<{len(pairs)} CollisionReport pairs>"
+
+
+def test_records_hold_python_values():
+    rep = enumerate_collisions(restricted_datum("AIII2", ell=2), 5)[0]
+    assert isinstance(rep, CollisionReport)
+    assert all(type(x) is int for x in rep.weight_a + rep.weight_b)
+    assert type(rep.eigenvalue) is Fraction and type(rep.dual_related) is bool
+    witness = check_beta([factor_spectrum("S2", 4)] * 2, (1, 1))[0]
+    assert all(type(x) is int for x in witness.array_a + witness.array_b)
+    assert type(witness.value) is Fraction
+
+
+def test_dual_flags_match_dual_weights():
+    for datum in table_rows():
+        pairs = enumerate_collisions(datum, largest_bound(datum.rank, 400))
+        expected = [spectrum.dual_weight(datum, rep.weight_a) == rep.weight_b for rep in pairs]
+        assert np.array_equal(pairs.dual, np.array(expected, bool))

@@ -8,8 +8,11 @@ the library tests and not only in the benchmark.  The eight full-size
 metric verdicts are also checked at the sizes the benchmark times.  So
 do the full-size ``su2f`` op, which runs every line of the SU(2)/F
 fixed-space path, and the full-size ``product`` op, which pins the
-beta = (1, 61) certificate and its hyperplane count.  The benchmark's
-modules are imported read-only, as its own self-tests do.
+beta = (1, 61) certificate and its hyperplane count.  Every full-size
+``search-dense`` op runs as well (under a second in all), so the
+collision output written from the pair arrays is checked byte for byte
+at the sizes the benchmark times.  The benchmark's modules are imported
+read-only, as its own self-tests do.
 
 Two ``su2f --kmax 480`` ops are not in the benchmark; their exit code,
 SHA-256 and collision count are pinned here as literals, recorded from
@@ -46,6 +49,8 @@ FULL_METRIC_OPS = [
     for argv in bench.pool_ops(workload, "full")
     if argv[0] == "simplicity" and "--metric" in argv
 ]
+
+FULL_DENSE_OPS = bench.pool_ops(bench.load_workloads()["search-dense"], "full")
 
 FULL_SU2F_OPS = [
     argv
@@ -99,6 +104,11 @@ def test_full_metric_ops_are_found():
     assert len(FULL_METRIC_OPS) == 8
 
 
+def test_full_dense_ops_are_found():
+    assert len(FULL_DENSE_OPS) == 6
+    assert {argv[0] for argv in FULL_DENSE_OPS} == {"collide", "product"}
+
+
 @pytest.mark.parametrize("argv", OPS, ids=[" ".join(argv) for argv in OPS])
 def test_tiny_op_matches_its_pin(argv):
     assert_matches_pin(argv)
@@ -108,6 +118,13 @@ def test_tiny_op_matches_its_pin(argv):
     "argv", FULL_METRIC_OPS, ids=[" ".join(argv) for argv in FULL_METRIC_OPS]
 )
 def test_full_metric_op_matches_its_pin(argv):
+    assert_matches_pin(argv)
+
+
+@pytest.mark.parametrize(
+    "argv", FULL_DENSE_OPS, ids=[" ".join(argv) for argv in FULL_DENSE_OPS]
+)
+def test_full_dense_op_matches_its_pin(argv):
     assert_matches_pin(argv)
 
 

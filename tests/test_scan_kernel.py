@@ -5,6 +5,7 @@ loops the kernel replaced, kept as the oracle: group by exact value in a
 dict, then list every pair.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from casimirspec import products, spectrum, su2f
 from casimirspec.cli import run
+from casimirspec.exactalg import rational_to_str
 from casimirspec.products import CollisionWitness, FactorSpectrum, check_beta, factor_spectrum
 from casimirspec.spectrum import (
     CollisionReport,
@@ -230,11 +232,21 @@ def cli_output(capsys, argv):
         f"{INT64_LIMIT // 60},{INT64_LIMIT // 60}",  # each table fits, the sums do not
     ],
 )
-def test_product_beyond_int64_matches_reference(capsys, monkeypatch, beta):
+def test_product_beyond_int64_matches_reference(capsys, beta):
     argv = ["product", "--factors", "S2,S2", "--bound", "5", "--beta", beta, "--json"]
-    kernel = cli_output(capsys, argv)
-    monkeypatch.setattr(products, "check_beta", reference_check_beta)
-    assert kernel == cli_output(capsys, argv)
+    witnesses = reference_check_beta([factor_spectrum("S2", 5)] * 2, beta.split(","))
+    payload = {
+        "factors": ["S2", "S2"],
+        "bound": 5,
+        "beta": beta.split(","),
+        "collisions": [
+            {"array_a": list(w.array_a), "array_b": list(w.array_b),
+             "value": rational_to_str(w.value)}
+            for w in witnesses
+        ],
+    }
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert cli_output(capsys, argv) == (1 if witnesses else 0, expected)
 
 
 def spy_dtypes(monkeypatch, module):
