@@ -539,8 +539,9 @@ def _leading(poly: MultiPoly):
     return exps, poly.terms[exps]
 
 
-def exact_div(num: MultiPoly, den: MultiPoly) -> MultiPoly:
-    """Exact multivariate division; raises if den does not divide num."""
+def exact_div(num: MultiPoly, den) -> MultiPoly:
+    """Exact division by a polynomial or a rational; raises if it is not exact."""
+    den = num._coerce(den)
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if den.is_constant():
@@ -560,37 +561,57 @@ def exact_div(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     return quotient
 
 
-def determinant(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Determinant over the polynomial ring via fraction-free elimination.
+def fraction_free_elimination(rows: Sequence[Sequence], divide) -> tuple:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination over an integral domain.
 
-    Bareiss pivoting: every division is by a previous pivot and is exact.
+    Step k clears column k above and below its pivot by
+    ``row = (pivot * row - row[k] * pivot_row) / divisor``, the divisor
+    being the pivot of the row's last update (1 before any).  The division
+    is exact, and ``divide`` is the ring's exact division:
+    ``operator.floordiv`` for int, ``exact_div`` for MultiPoly.  A row with
+    a zero in column k is not scaled by pivot / previous pivot; it catches
+    up at its next update, when it becomes the pivot row, or at the end.
+    A zero pivot is exchanged with the first row below it that is nonzero
+    in its column.
+
+    Returns ``(pivots, swaps, rows)``.  With no exchange the pivots are the
+    leading principal minors.  The last pivot is ``(-1)**swaps`` times the
+    determinant of the leading square block, and that block ends as the
+    pivot times the identity; columns to its right end multiplied by the
+    pivot times the block's inverse.  A singular block stops the
+    elimination at a zero pivot, the last one returned.
     """
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
-    variables = rows[0][0].variables
-    zero = MultiPoly.zero(variables)
-    one = MultiPoly.constant(variables, 1)
     a = [list(row) for row in rows]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return zero
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = exact_div(num, prev)
-            a[i][k] = zero
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return -result if sign < 0 else result
+    n = len(a)
+    divisors = [1] * n
+    pivots, swaps, previous = [], 0, 1
+    for k in range(n):
+        found = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if found is None:
+            pivots.append(a[k][k])
+            break
+        if found != k:
+            a[k], a[found] = a[found], a[k]
+            divisors[k], divisors[found] = divisors[found], divisors[k]
+            swaps += 1
+        top = a[k] = [divide(x * previous, divisors[k]) for x in a[k]]
+        pivot = divisors[k] = top[k]
+        for i, row in enumerate(a):
+            factor = row[k]
+            if i != k and factor != 0:
+                divisor, divisors[i] = divisors[i], pivot
+                a[i] = [divide(pivot * x - factor * y, divisor) for x, y in zip(row, top)]
+        pivots.append(pivot)
+        previous = pivot
+    return pivots, swaps, [[divide(x * previous, d) for x in row] for row, d in zip(a, divisors)]
+
+
+def determinant(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
+    """Determinant over the polynomial ring: sign times the last Bareiss pivot."""
+    if not rows:
+        raise ValueError("empty matrix")
+    pivots, swaps, _ = fraction_free_elimination(rows, exact_div)
+    return -pivots[-1] if swaps % 2 else pivots[-1]
 
 
 def sylvester_matrix(p: UniPoly, q: UniPoly) -> list:

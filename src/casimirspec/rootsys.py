@@ -1,8 +1,9 @@
 """Cartan data for the (restricted) root system types A, B, C, D, BC, E, F, G.
 
 Each type carries an integer Cartan matrix, exact square norms of the
-simple roots, the inverse Cartan matrix, and per-node flags marking
-doubled restricted roots (type BC).  The Cartan convention is
+simple roots, the inverse Cartan matrix (the integer adjugate over det C,
+from one fraction-free elimination), and per-node flags marking doubled
+restricted roots (type BC).  The Cartan convention is
 
     cartan[i][j] = 2 (beta_i, beta_j) / (beta_j, beta_j),
 
@@ -24,10 +25,9 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
+from operator import floordiv
 
-from .exactalg import rational_to_str
+from .exactalg import fraction_free_elimination, rational_to_str
 
 FAMILIES = ("A", "B", "C", "D", "BC", "E6", "E7", "E8", "F4", "G2")
 
@@ -112,44 +112,6 @@ class CartanData:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def _gauss_jordan(matrix) -> tuple:
-    """Exact Gauss-Jordan elimination without row exchanges.
-
-    Returns ``(pivots, inverse)``.  The j-th pivot is the ratio of the
-    j-th to the (j-1)-th leading principal minor, so no exchange is needed
-    while those minors are nonzero, as they are for finite-type Cartan
-    and Gram matrices.  Elimination stops at the first zero pivot; the
-    pivots then end with that zero and ``inverse`` is None.
-    """
-    n = len(matrix)
-    rows = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    pivots = []
-    for col in range(n):
-        pivot = rows[col][col]
-        pivots.append(pivot)
-        if pivot == 0:
-            return pivots, None
-        rows[col] = [x / pivot for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return pivots, tuple(tuple(row[n:]) for row in rows)
-
-
-def _path_cartan(rank: int) -> list:
-    c = [[0] * rank for _ in range(rank)]
-    for i in range(rank):
-        c[i][i] = 2
-        if i + 1 < rank:
-            c[i][i + 1] = -1
-            c[i + 1][i] = -1
-    return c
-
-
 def _chain_cartan(rank: int, edges) -> list:
     """Cartan matrix from an explicit edge list (i, j, cij, cji)."""
     c = [[0] * rank for _ in range(rank)]
@@ -159,6 +121,10 @@ def _chain_cartan(rank: int, edges) -> list:
         c[i][j] = cij
         c[j][i] = cji
     return c
+
+
+def _path_cartan(rank: int) -> list:
+    return _chain_cartan(rank, [(i, i + 1, -1, -1) for i in range(rank - 1)])
 
 
 def _build(system: RootSystemType):
@@ -186,16 +152,10 @@ def _build(system: RootSystemType):
         c[rank - 1][rank - 2] = -2
         return c, (two,) * (rank - 1) + (Fraction(4),), doubled
     if family == "D":
-        c = [[0] * rank for _ in range(rank)]
-        for i in range(rank):
-            c[i][i] = 2
-        for i in range(rank - 3):
-            c[i][i + 1] = c[i + 1][i] = -1
+        edges = [(i, i + 1, -1, -1) for i in range(rank - 3)]
         if rank >= 3:
-            fork = rank - 3
-            for leaf in (rank - 2, rank - 1):
-                c[fork][leaf] = c[leaf][fork] = -1
-        return c, (two,) * rank, (False,) * rank
+            edges += [(rank - 3, leaf, -1, -1) for leaf in (rank - 2, rank - 1)]
+        return _chain_cartan(rank, edges), (two,) * rank, (False,) * rank
     if family in ("E6", "E7", "E8"):
         # Bourbaki numbering: chain 1-3-4-5-...-rank with node 2 on node 4
         edges = [(0, 2, -1, -1), (1, 3, -1, -1)]
@@ -211,9 +171,28 @@ def _build(system: RootSystemType):
 
 
 def cartan_data(system: RootSystemType) -> CartanData:
-    """Cartan data for a root system type, validated against the invariants."""
+    """Cartan data for a root system type, validated against the invariants.
+
+    One fraction-free elimination of [C | I] over the integers gives both
+    the inverse and the definiteness certificate.  It needs no row
+    exchange exactly when every leading principal minor of C is nonzero,
+    and its pivots are then those minors; C^{-1} is the right-hand block
+    divided by the last pivot, det C.  Every pivot must be positive.
+
+    That also certifies the Gram matrix G = 2 C^{-1} N of ``gram_matrix``,
+    N = diag(norms), so no elimination runs on G.  G^{-1} = N^{-1} C / 2,
+    so N G^{-1} N = C N / 2 is congruent to G^{-1}.  Norm-weighted
+    symmetry makes C N symmetric.  The k-th leading minor of C N is that
+    of C times the positive product of the first k norms.  So, by
+    Sylvester's criterion, C N, hence G^{-1} and G, is positive definite
+    exactly when every leading minor of C is positive.  Relabelling the
+    nodes (``symmdata._permuted``) conjugates C, N and G by one
+    permutation matrix, which keeps G positive definite.
+    """
     cartan, norms, doubled = _build(system)
     rank = system.rank
+    if any(x <= 0 for x in norms):
+        raise AssertionError("simple-root norms must be positive")
     for i in range(rank):
         if cartan[i][i] != 2:
             raise AssertionError("diagonal Cartan entry must be 2")
@@ -222,14 +201,15 @@ def cartan_data(system: RootSystemType) -> CartanData:
                 raise AssertionError("off-diagonal Cartan entry out of range")
             if cartan[i][j] * norms[j] != cartan[j][i] * norms[i]:
                 raise AssertionError("norm-weighted symmetry violated")
-    _, inverse = _gauss_jordan(cartan)
-    if inverse is None:
-        raise AssertionError("Cartan matrix has a vanishing leading minor")
+    augmented = [list(row) + [int(i == j) for j in range(rank)] for i, row in enumerate(cartan)]
+    pivots, swaps, rows = fraction_free_elimination(augmented, floordiv)
+    if swaps or any(p <= 0 for p in pivots):
+        raise AssertionError("Cartan matrix needs positive leading principal minors")
     return CartanData(
         system=system,
         cartan=tuple(tuple(row) for row in cartan),
         norms=tuple(norms),
-        inverse_cartan=inverse,
+        inverse_cartan=tuple(tuple(Fraction(x, pivots[-1]) for x in row[rank:]) for row in rows),
         doubled=tuple(doubled),
     )
 
@@ -250,12 +230,3 @@ def gram_matrix(data: CartanData) -> tuple:
             if gram[i][j] != gram[j][i]:
                 raise AssertionError("Gram matrix is not symmetric")
     return gram
-
-
-def leading_principal_minors(matrix) -> list:
-    """Exact leading principal minors (positive definiteness certificate).
-
-    The minors are the running products of the elimination pivots; the
-    list stops at the first zero minor, which it includes.
-    """
-    return list(accumulate(_gauss_jordan(matrix)[0], mul))

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import pathlib
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from casimirspec import bundles
 from casimirspec.cli import EXIT_CERT_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, run
-from casimirspec.symmdata import LABELS, restricted_datum
+from casimirspec.symmdata import LABELS, MAX_RANK, restricted_datum
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).parent.parent / "docs" / "cli-schema.json").read_text()
@@ -343,12 +344,33 @@ _RATIONALS = st.lists(
     st.sampled_from(["1/0", "abc", "0", "-1", "1", "2", "1/2", "3/7", ""]),
     max_size=3,
 ).map(",".join)
+# ranks past symmdata.MAX_RANK, up to values no tuple or index could hold
+_HUGE_RANKS = st.one_of(st.integers(MAX_RANK + 1, 10**6), st.integers(10**6, 10**40))
+# AII has rank (r - 1) / 2, so a parameter just past MAX_RANK builds a slow
+# rank-250 datum; the fuzz draws parameters far beyond the cap instead
+_PARAMS = st.one_of(_INTS, st.integers(10**6, 10**40).map(str))
 _SPACE = (
     st.lists(st.sampled_from(LABELS + ("XX", "A1", "S2")), max_size=1),
-    _optional("--r", _INTS),
-    _optional("--ell", _INTS),
-    _optional("--rank", _INTS),
+    _optional("--r", _PARAMS),
+    _optional("--ell", _PARAMS),
+    _optional("--rank", _PARAMS),
 )
+# catalog parameters giving restricted rank n, for each parametric label
+RANK_PARAMS = {
+    "AI": lambda n: {"r": n},
+    "AII": lambda n: {"r": 2 * n + 1},
+    "AIII1": lambda n: {"r": 2 * n, "ell": n},
+    "AIII2": lambda n: {"ell": n},
+    "BI": lambda n: {"r": n, "ell": n},
+    "CI": lambda n: {"ell": n},
+    "CII1": lambda n: {"r": 2 * n + 1, "ell": n},
+    "CII2": lambda n: {"ell": n},
+    "DI1": lambda n: {"ell": n},
+    "DI2": lambda n: {"r": n + 2, "ell": n},
+    "DI3": lambda n: {"ell": n},
+    "DIII1": lambda n: {"ell": n},
+    "DIII2": lambda n: {"ell": n},
+}
 # three factors at bound 6 take seconds to certify; two stay fast
 _FACTORS = st.lists(
     st.sampled_from(["S2", "S3", "CP2", "HP2", "OP2", "S1", "OP3", "XX", "AI", ""]),
@@ -388,3 +410,34 @@ class TestExitCodeFuzz:
                 assert exc.code == EXIT_USAGE
                 return
         assert code in (EXIT_OK, EXIT_CERT_FAILED, EXIT_USAGE, EXIT_INTERNAL)
+
+    @pytest.mark.parametrize("label", sorted(RANK_PARAMS))
+    def test_rank_params_give_that_rank(self, label):
+        for rank in (3, 4, 5, 6):
+            assert restricted_datum(label, **RANK_PARAMS[label](rank)).rank == rank
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["witness", "table-delta", "collide"]),
+        st.sampled_from(sorted(RANK_PARAMS)),
+        _HUGE_RANKS,
+    )
+    def test_huge_rank_is_refused_without_allocating(self, command, label, rank):
+        argv = [command, "--label", label]
+        for name, value in RANK_PARAMS[label](rank).items():
+            argv += [f"--{name}", str(value)]
+        if command == "collide":
+            argv += ["--bound", "2"]
+        err = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE
+        assert err.getvalue() == (
+            f"error: restricted rank {rank} exceeds the maximum of {MAX_RANK}\n"
+        )
+        assert peak < 1 << 20

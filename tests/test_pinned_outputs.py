@@ -18,6 +18,10 @@ Two ``su2f --kmax 480`` ops are not in the benchmark; their exit code,
 SHA-256 and collision count are pinned here as literals, recorded from
 the dense-projector implementation, so the sparse SU(2)/F path is
 checked at a size where the two differ in cost.
+
+``witness --json`` is pinned the same way, recorded from the ``Fraction``
+Gauss-Jordan root data: ``AI`` at r = 60, and every label of rank >= 3
+at its representative parameters.
 """
 
 import contextlib
@@ -78,6 +82,45 @@ SU2F_480_PINS = [
         "4c08a6114f16e4d0167f8d1526e7f010905f9c9afc9616e8c53d5a6e672ca87a",
         1403,
     ),
+]
+
+WITNESS_PINS = [
+    (["witness", "--label", "AI", "--r", "60", "--json"], 0,
+     "3026a20d77acfd520bfeb4f9a5079fc814aa664b6980f93ca22677a122a78cfd"),
+    (["witness", "--label", "AI", "--r", "5", "--json"], 0,
+     "1e634cb777749e90101bd0e37702cfb0eccb341b2e88fd402307d01f1a3dee91"),
+    (["witness", "--label", "AII", "--r", "7", "--json"], 0,
+     "bce39bf8fa138afea898bb92544adf72917e5a2ceb5471934ba964e7e361ac7b"),
+    (["witness", "--label", "AIII2", "--ell", "3", "--json"], 0,
+     "3ce1e0f7b595eaefc46515fd9495ae74857b5d6ef7d9de2eb5248ac62b1750c0"),
+    (["witness", "--label", "CI", "--ell", "3", "--json"], 0,
+     "8c8ed998778ae6a629a87c6905498c47a1f4a26cf3c1017c93abb8ed493d3476"),
+    (["witness", "--label", "DI1", "--ell", "3", "--json"], 0,
+     "e5001121fda962677b084c85b8c8d55c076d0640902c7480aea684251abdeffd"),
+    (["witness", "--label", "DI2", "--r", "5", "--ell", "3", "--json"], 0,
+     "432eeb4377df04a5d2d9016105ab61208581c048834d5ea7420c3be2c9e3bda6"),
+    (["witness", "--label", "DI3", "--ell", "4", "--json"], 0,
+     "e54a428241f63580834208399b083e3b344c1c9b08feb2f2b1b41a2ac60c905d"),
+    (["witness", "--label", "DIII1", "--ell", "3", "--json"], 0,
+     "4a828711ba90603a1b0f1373765389a2d2e483a244c2f41acf49071972cc314e"),
+    (["witness", "--label", "DIII2", "--ell", "3", "--json"], 0,
+     "de66ad025be43f97bb0d65d0e5fb68988e6cb5da5324ee7eaf1f9302208a0d29"),
+    (["witness", "--label", "EI", "--json"], 0,
+     "f73cfa98219e709f5c9d12850676999c29064ac476f0999220f15f0620631d60"),
+    (["witness", "--label", "EII", "--json"], 0,
+     "98e7dc85bbf0185f8a1cbb18331bd3a79c156f16b28272137d895c7fd0231ef6"),
+    (["witness", "--label", "EV", "--json"], 0,
+     "0994320299a0cb734cede0d6f2e04e242b7d40cd76388aa872b927af975773a5"),
+    (["witness", "--label", "EVI", "--json"], 0,
+     "28a551d393b120df08ea69f8222999d309d3f05cdcfa689f1d7ca0a2265fe133"),
+    (["witness", "--label", "EVII", "--json"], 0,
+     "bfbbe457ba387dbe31b7d3ddeba3a61caec9f899a940347f0ed3e18d35dc7a93"),
+    (["witness", "--label", "EVIII", "--json"], 0,
+     "3b25a28775e05c911a25178ba0dfb544342caf73cf24564becc2b756a794cb3a"),
+    (["witness", "--label", "EIX", "--json"], 0,
+     "fc37b555841b05d09e3f427d426ad8a963e735407f8808189f98f894a734a263"),
+    (["witness", "--label", "FI", "--json"], 0,
+     "49573cd4b26ce327930a3072ae84b6ae50fbe4c7ba7df46a850fcc99ca89833c"),
 ]
 
 
@@ -147,4 +190,15 @@ def test_su2f_kmax_480_matches_literal_pin(argv, exit_code, sha256, collisions):
     code, out = run_op(argv)
     assert code == exit_code
     assert len(json.loads(out)["metric_collisions"]) == collisions
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code,sha256",
+    WITNESS_PINS,
+    ids=[" ".join(pin[0]) for pin in WITNESS_PINS],
+)
+def test_witness_matches_literal_pin(argv, exit_code, sha256):
+    code, out = run_op(argv)
+    assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == sha256

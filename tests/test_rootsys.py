@@ -1,14 +1,19 @@
 from fractions import Fraction
+from operator import floordiv
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from casimirspec import rootsys
+from casimirspec.exactalg import fraction_free_elimination
 from casimirspec.rootsys import (
     RootSystemType,
     cartan_data,
     gram_matrix,
-    leading_principal_minors,
     parse_type,
 )
+from casimirspec.symmdata import LABELS, _permuted, _ROWS
 
 ALL_TYPES = [
     parse_type(t)
@@ -42,7 +47,7 @@ def reference_inverse(matrix):
         for r in range(n):
             if r != col and a[r][col] != 0:
                 factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+                a[r][col:] = [x - factor * y for x, y in zip(a[r][col:], a[col][col:])]
                 inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
     return tuple(tuple(row) for row in inv)
 
@@ -64,8 +69,9 @@ def reference_minors(matrix):
                 det = -det
             det *= a[col][col]
             for r in range(col + 1, k):
-                factor = a[r][col] / a[col][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+                if a[r][col] != 0:
+                    factor = a[r][col] / a[col][col]
+                    a[r][col:] = [x - factor * y for x, y in zip(a[r][col:], a[col][col:])]
         minors.append(det)
     return minors
 
@@ -156,21 +162,7 @@ class TestGramMatrix:
         for i in range(n):
             for j in range(n):
                 assert gram[i][j] == gram[j][i]
-        assert all(m > 0 for m in leading_principal_minors(gram))
-
-    @pytest.mark.parametrize("system", ALL_TYPES, ids=str)
-    def test_minors_match_reference(self, system):
-        data = cartan_data(system)
-        for matrix in (data.cartan, gram_matrix(data)):
-            assert leading_principal_minors(matrix) == reference_minors(matrix)
-
-    def test_minors_stop_at_first_zero(self):
-        assert reference_minors([[0, 1], [1, 0]]) == [0, -1]
-        assert leading_principal_minors([[0, 1], [1, 0]]) == [0]
-        singular_middle = [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
-        assert reference_minors(singular_middle) == [1, 0, 0]
-        assert leading_principal_minors(singular_middle) == [1, 0]
-        assert leading_principal_minors([[2, 1], [1, 2]]) == [2, 3]
+        assert all(m > 0 for m in reference_minors(gram))
 
     @pytest.mark.parametrize("system", ALL_TYPES, ids=str)
     def test_dual_basis_defining_relation(self, system):
@@ -206,3 +198,122 @@ class TestGramMatrix:
         parsed = json.loads(data.dumps())
         assert parsed["type"] == "BC2"
         assert parsed["doubled"] == [False, True]
+
+
+SWEEP_MAX_RANK = 40
+# reference_minors runs one elimination per minor, O(n^4) Fraction work:
+# on the Gram matrices of the whole sweep it would add about 40 s to the
+# suite, so the Gram side of the sweep stops at this rank
+GRAM_ORACLE_MAX_RANK = 24
+
+
+def _sweep_root_data():
+    """Every distinct (restricted type, node relabelling) of the catalog.
+
+    Each label is validated at every parameter pair with rank up to
+    ``SWEEP_MAX_RANK`` (r up to 2 * SWEEP_MAX_RANK + 1, the largest any
+    row needs at that rank).  The root data depend on the restricted type
+    and the relabelling alone, so each distinct pair is checked once.
+    """
+    values = [None] + list(range(1, 2 * SWEEP_MAX_RANK + 2))
+    found = set()
+    for label in LABELS:
+        row = _ROWS[label]
+        for r in values:
+            for ell in values[: SWEEP_MAX_RANK + 1]:
+                try:
+                    system, _, _ = row.build(r, ell)
+                except ValueError:
+                    continue
+                if system.rank <= SWEEP_MAX_RANK:
+                    found.add((system, row.node_perm))
+    return sorted(found, key=lambda key: (str(key[0]), key[1] or ()))
+
+
+SWEEP = _sweep_root_data()
+
+
+def _augmented(cartan):
+    n = len(cartan)
+    return [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(cartan)]
+
+
+class TestEliminationSweep:
+    """The integer elimination against the Fraction Gauss-Jordan oracles."""
+
+    def test_sweep_reaches_rank_40_in_every_family(self):
+        top = {}
+        for system, _ in SWEEP:
+            top[system.family] = max(top.get(system.family, 0), system.rank)
+        assert top == {
+            "A": 40, "B": 40, "C": 40, "BC": 40, "D": 40,
+            "E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2,
+        }
+        assert any(perm is not None for _, perm in SWEEP)
+
+    @pytest.mark.parametrize(
+        "system,node_perm",
+        SWEEP,
+        ids=[f"{system}{'-relabelled' if perm else ''}" for system, perm in SWEEP],
+    )
+    def test_matches_gauss_jordan_oracle(self, system, node_perm):
+        data = cartan_data(system)
+        if node_perm is not None:
+            data = _permuted(data, node_perm)
+        assert data.inverse_cartan == reference_inverse(data.cartan)
+        pivots, swaps, _ = fraction_free_elimination(_augmented(data.cartan), floordiv)
+        assert swaps == 0
+        assert pivots == reference_minors(data.cartan)
+        if system.rank <= GRAM_ORACLE_MAX_RANK:
+            gram_definite = all(m > 0 for m in reference_minors(gram_matrix(data)))
+            assert all(p > 0 for p in pivots) == gram_definite
+
+    def test_reference_minors_continue_past_a_zero(self):
+        assert reference_minors([[0, 1], [1, 0]]) == [0, -1]
+        assert reference_minors([[1, 1, 0], [1, 1, 0], [0, 0, 1]]) == [1, 0, 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        )
+    )
+    @example([[0, 1], [1, 0]])
+    @example([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+    @example([[2, 1], [1, 2]])
+    def test_integer_matrices_match_the_oracles(self, matrix):
+        n = len(matrix)
+        pivots, swaps, rows = fraction_free_elimination(_augmented(matrix), floordiv)
+        minors = reference_minors(matrix)
+        assert (-1) ** swaps * pivots[-1] == minors[-1]
+        if swaps == 0:
+            assert pivots == minors[: len(pivots)]
+        if minors[-1] != 0:
+            last = pivots[-1]
+            assert [row[:n] for row in rows] == [
+                [last * (i == j) for j in range(n)] for i in range(n)
+            ]
+            inverse = tuple(tuple(Fraction(x, last) for x in row[n:]) for row in rows)
+            assert inverse == reference_inverse(matrix)
+
+    @pytest.mark.parametrize(
+        "cartan,norms",
+        [
+            ([[2, -2], [-2, 2]], (2, 2)),  # affine A1: second minor 0
+            ([[2, -3], [-3, 2]], (2, 2)),  # indefinite: second minor -5
+            ([[2, -2, 0], [-2, 2, -1], [0, -1, 2]], (2, 2, 2)),  # minor 0, then a row exchange
+            ([[2, -1], [-1, 2]], (-2, -2)),  # negative norms
+        ],
+        ids=["affine-A1", "indefinite", "exchange", "negative-norm"],
+    )
+    def test_cartan_data_refuses_a_non_positive_datum(self, monkeypatch, cartan, norms):
+        rank = len(cartan)
+        monkeypatch.setattr(
+            rootsys,
+            "_build",
+            lambda system: (cartan, tuple(Fraction(x) for x in norms), (False,) * rank),
+        )
+        with pytest.raises(AssertionError):
+            cartan_data(RootSystemType("A", rank))
