@@ -37,6 +37,10 @@ from .spectrum import equal_value_pairs, exact_dtype, pair_rows, weight_box
 
 METRIC_PARAMS = ("gamma1", "gamma2")
 
+# Largest degree p + q the representation family accepts: `simplicity --family
+# hopf --n 2 --bound 800 --metric 2,5` takes 51 s on a 2-vCPU Intel Xeon VM.
+MAX_FAMILY_DEGREE = 800
+
 
 @dataclass(frozen=True)
 class BundleEigenvalue:
@@ -215,6 +219,8 @@ def hopf_representation_family(n: int, max_degree: int) -> list:
     the weight (p, q) is dual to (q, p) and of complex type when p != q.
     Used by the resultant condition engines.
     """
+    if max_degree > MAX_FAMILY_DEGREE:
+        raise ValueError(f"degree {max_degree} exceeds the maximum of {MAX_FAMILY_DEGREE}")
     entries = []
     for p in range(max_degree + 1):
         for q in range(max_degree + 1 - p):

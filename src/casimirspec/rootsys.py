@@ -89,14 +89,6 @@ class CartanData:
     def rank(self) -> int:
         return self.system.rank
 
-    def beta_gram(self) -> tuple:
-        """Gram matrix of the simple roots: (beta_i, beta_j)."""
-        n = self.rank
-        return tuple(
-            tuple(Fraction(self.cartan[i][j]) * self.norms[j] / 2 for j in range(n))
-            for i in range(n)
-        )
-
     def to_json(self) -> dict:
         return {
             "type": str(self.system),

@@ -15,12 +15,13 @@ vanishing conditions are:
     multiplicity at least three is forced everywhere, which a
     quaternionic entry cannot tolerate).
 
-At a concrete positive metric point the same conditions are decided
-exactly.  The eigenvalues of a diagonal ("split") Casimir matrix are its
-evaluated diagonal entries, so split entries are compared by value.
-Anything involving a non-diagonal matrix goes through gcds over the
-rationals: a common eigenvalue is a non-constant gcd of the evaluated
-characteristic polynomials, and multiplicities are read off gcd(p, p').
+Split (diagonal) Casimir matrices have characteristic polynomial
+prod (t - d_i) over the integral domain Q[params], so a resultant with one
+vanishes identically exactly when a factor q(d_i) does: their conditions
+read off the diagonal entries, grouped as polynomials for (a), one root at
+a time for (b) and (c), and grouped by value at a metric point.  Anything
+non-diagonal takes a Sylvester resultant, or at a point gcds over the
+rationals, reading multiplicities off gcd(p, p').
 
 Every report carries the finite family it was computed on; no claim is
 made beyond that truncation.
@@ -85,16 +86,18 @@ def validate_family(family: Sequence[RepresentationEntry]):
     return by_id
 
 
-def _entry_resultant(entry: RepresentationEntry, q: UniPoly):
-    """Resultant of the entry's characteristic polynomial with q.
+def _resultant_vanishes(entry: RepresentationEntry, q: UniPoly) -> bool:
+    """Does res(p, q) vanish identically, p the entry's characteristic polynomial?
 
-    Diagonal Casimir matrices split into linear factors, so the
-    root-product form of the same determinant is used there; the dense
-    Sylvester determinant covers the general case.
+    For a diagonal entry res(p, q) = prod_d q(d) in an integral domain, so
+    its factors are tested one root at a time and never multiplied out.
     """
     if entry.casimir.is_diagonal():
-        return resultant_from_roots(entry.casimir.diagonal_entries(), q)
-    return resultant(char_poly(entry.casimir), q)
+        return any(
+            resultant_from_roots([d], q).is_zero()
+            for d in entry.casimir.diagonal_entries()
+        )
+    return resultant(char_poly(entry.casimir), q).is_zero()
 
 
 def condition_a(family: Sequence[RepresentationEntry]) -> list:
@@ -105,16 +108,20 @@ def condition_a(family: Sequence[RepresentationEntry]) -> list:
     """
     validate_family(family)
     ordered = sorted(family, key=lambda e: e.id)
-    chars = [char_poly(entry.casimir) for entry in ordered]
-    violations = []
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            v, w = ordered[i], ordered[j]
-            if v.id == w.id or v.dual_id == w.id:
-                continue
-            if _entry_resultant(v, chars[j]).is_zero():
-                violations.append((v.id, w.id))
-    return violations
+    meets, _ = _spectra_by_value(ordered)
+    general = {i for i, e in enumerate(ordered) if not e.casimir.is_diagonal()}
+    for g in general:
+        q = char_poly(ordered[g].casimir)
+        meets.update(
+            (min(g, k), max(g, k))
+            for k, entry in enumerate(ordered)
+            if (k > g or k not in general) and _resultant_vanishes(entry, q)
+        )
+    return [
+        (ordered[i].id, ordered[j].id)
+        for i, j in sorted(meets)
+        if ordered[i].dual_id != ordered[j].id
+    ]
 
 
 def _derivative_condition(
@@ -130,8 +137,7 @@ def _derivative_condition(
     for entry in sorted(family, key=lambda e: e.id):
         if entry.type_class == exempt or entry.casimir.dimension < order + 1:
             continue
-        p = char_poly(entry.casimir)
-        if _entry_resultant(entry, derivative(p, order)).is_zero():
+        if _resultant_vanishes(entry, derivative(char_poly(entry.casimir), order)):
             violations.append(entry.id)
     return violations
 
@@ -205,19 +211,19 @@ class MetricReport:
         }
 
 
-def _spectra_by_value(ordered: Sequence[RepresentationEntry], values) -> tuple:
+def _spectra_by_value(ordered: Sequence[RepresentationEntry], values=None) -> tuple:
     """Shared eigenvalues and multiplicity profiles of the split entries.
 
-    One grouping of the evaluated diagonal entries by exact value: entries
-    i < j share an eigenvalue when a value holds copies of both, and entry
-    i's profile {multiplicity: count} counts its copies of each value.
+    One grouping of the diagonal entries, as polynomials or by exact value
+    at `values`: entries i < j share an eigenvalue when a group holds both,
+    and entry i's profile {multiplicity: count} counts its copies per group.
     Returns (set of index pairs (i, j), {index: profile}).
     """
     holders = defaultdict(list)  # value -> entry index, once per copy
     for i, entry in enumerate(ordered):
         if entry.casimir.is_diagonal():
             for d in entry.casimir.diagonal_entries():
-                holders[d.evaluate(values)].append(i)
+                holders[d if values is None else d.evaluate(values)].append(i)
     meets, profiles = set(), defaultdict(Counter)
     for group in holders.values():
         copies = Counter(group)  # ascending entry index, as inserted

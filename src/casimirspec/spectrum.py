@@ -364,43 +364,28 @@ def reflection_witness(datum: RestrictedDatum) -> ReflectionWitness:
         )
     i, j = pairs[0]
 
-    beta_gram = datum.cartan.beta_gram()
-    norms = datum.cartan.norms
-    alpha_alpha = norms[i] + norms[j] - 2 * beta_gram[i][j]
-    # alpha = beta_i - beta_j in the dual basis, rescaled to integers
-    alpha = [
-        (beta_gram[i][k] - beta_gram[j][k]) / norms[k] for k in range(n)
-    ]
-    scale = lcm(*(Fraction(a).denominator for a in alpha))
-    alpha = tuple(a * scale for a in alpha)
-
-    # fixing the half-sum is exact: equal coefficients and equal norms
-    delta_image = reflect(datum, alpha, datum.two_delta_bar)
-    if tuple(delta_image) != tuple(Fraction(x) for x in datum.two_delta_bar):
-        raise WitnessError("reflection does not fix the half-sum")
+    # beta_l = 1/2 sum_k C_lk M_k, and with equal norms the reflection
+    # through beta_i - beta_j sends v to v - (v_i - v_j)(C_i - C_j)/(2 - C_ij),
+    # fixing the half-sum as its coefficients at i and j agree
+    row_i, row_j = datum.cartan.cartan[i], datum.cartan.cartan[j]
+    diff = [a - b for a, b in zip(row_i, row_j)]
+    scale = 1 if all(d % 2 == 0 for d in diff) else 2
+    alpha = tuple(scale * d // 2 for d in diff)
+    length = 2 - row_i[j]
 
     # minimal fill producing a dominant image of M_i + sum fill_k M_k
+    seed = [max(0, ceil(Fraction(d, length))) for d in diff]
+    seed[i], seed[j] = 1, 0
     others = [k for k in range(n) if k not in (i, j)]
-    thresholds = {
-        k: 2 * norms[i] * (beta_gram[i][k] - beta_gram[j][k]) / (alpha_alpha * norms[k])
-        for k in others
-    }
-    fill = {k: max(0, ceil(thresholds[k])) for k in others}
 
     form = EigenvalueForm.from_datum(datum)
     for _ in range(WITNESS_RETRIES):
-        seed = [0] * n
-        seed[i] = 1
-        for k in others:
-            seed[k] = fill[k]
-        image = reflect(datum, alpha, seed)
+        image = [Fraction(c * length - d, length) for c, d in zip(seed, diff)]
         if any(c < 0 for c in image):
             raise WitnessError("reflected weight left the dominant cone")
-        multiplier = lcm(*(Fraction(c).denominator for c in image))
+        multiplier = lcm(*(c.denominator for c in image))
         v = tuple(multiplier * c for c in seed)
         w = tuple(int(multiplier * c) for c in image)
-        if any(Fraction(multiplier * c).denominator != 1 for c in image):
-            raise WitnessError("multiplier failed to clear denominators")
         if w != v and dual_weight(datum, v) != w:
             value_v = eigenvalue(form, v)
             value_w = eigenvalue(form, w)
@@ -410,13 +395,13 @@ def reflection_witness(datum: RestrictedDatum) -> ReflectionWitness:
                 index_pair=(i, j),
                 alpha=alpha,
                 multiplier=multiplier,
-                fill=tuple(fill[k] for k in others),
+                fill=tuple(seed[k] for k in others),
                 weight_v=v,
                 weight_w=w,
                 eigenvalue=value_v,
             )
         # duality broke the pair: bump the smallest admissible coefficient
-        fill[others[0]] += 1
+        seed[others[0]] += 1
     raise WitnessError("could not break duality within the retry budget")
 
 

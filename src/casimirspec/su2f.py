@@ -47,6 +47,12 @@ from .spectrum import equal_value_pairs, exact_dtype, pair_values
 
 METRIC_PARAMS = ("a", "b")
 
+# Largest kmax each builder accepts.  On a 2-vCPU Intel Xeon VM `su2f --kmax
+# 7200 --metric 1,2 --json` takes 40 s and 1.7 GB, and `simplicity --family
+# su2f --bound 200 --metric 2,5` 51 s (bound 210: 63 s).
+MAX_KMAX = 7200
+MAX_FAMILY_KMAX = 200
+
 
 @dataclass(frozen=True)
 class FixedSpaceBasis:
@@ -202,6 +208,8 @@ def all_forms(kmax: int) -> list:
 
 def su2f_representation_family(kmax: int) -> list:
     """Representation entries (diagonal Casimir matrices) for k <= kmax."""
+    if kmax > MAX_FAMILY_KMAX:
+        raise ValueError(f"kmax {kmax} exceeds the maximum of {MAX_FAMILY_KMAX}")
     entries = []
     for k in range(0, kmax + 1, 2):
         if fixed_space(k).dimension == 0:
@@ -304,6 +312,8 @@ def simplicity_certificate(
     """
     if kmax < 2:
         raise ValueError("kmax must be >= 2")
+    if kmax > MAX_KMAX:
+        raise ValueError(f"kmax {kmax} exceeds the maximum of {MAX_KMAX}")
     dimensions = []
     for k in range(kmax + 1):
         dim = fixed_space(k).dimension

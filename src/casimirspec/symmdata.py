@@ -50,8 +50,8 @@ LABELS = (
 
 # Largest restricted rank a catalog row accepts.  The root data cost one
 # integer elimination of [C | I], O(rank^3) operations on small ints:
-# `witness --label AI --r 500` takes 22-31 s (median 28 s) on a 2-vCPU
-# Intel Xeon VM, two thirds of it in that elimination.
+# `witness --label AI --r 500` takes about 24 s on a 2-vCPU Intel Xeon VM,
+# all but about 2.5 s of it building the root data.
 MAX_RANK = 500
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimirspec import bundles
+from casimirspec import bundles, su2f
 from casimirspec.cli import EXIT_CERT_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, run
 from casimirspec.symmdata import LABELS, MAX_RANK, restricted_datum
 
@@ -377,6 +377,8 @@ _FACTORS = st.lists(
     max_size=2,
 ).map(",".join)
 _JSON = st.sampled_from([[], ["--json"]])
+# family bounds far past the builders' caps
+_BOUNDS = st.one_of(_INTS, st.integers(10**6, 10**40).map(str))
 _TABLE_FORMAT = st.sampled_from([[], ["--json"], ["--csv"]])
 
 COMMAND_LINES = st.one_of(
@@ -386,13 +388,13 @@ COMMAND_LINES = st.one_of(
           st.sampled_from([[], ["--include-duals"]]), _JSON),
     _argv(st.just(["witness"]), *_SPACE, _JSON),
     _argv(st.just(["hopf"]), _flag("--n", _INTS), _flag("--bound", _INTS), _JSON),
-    _argv(st.just(["su2f"]), _flag("--kmax", _INTS),
+    _argv(st.just(["su2f"]), _flag("--kmax", _BOUNDS),
           _optional("--metric", _RATIONALS), _JSON),
     _argv(st.just(["product"]), _flag("--factors", _FACTORS),
           _flag("--bound", _INTS), _optional("--beta", _RATIONALS), _JSON),
     _argv(st.just(["simplicity"]),
           _flag("--family", st.sampled_from(["su2f", "hopf", "xx"])),
-          _flag("--bound", _INTS), _optional("--n", _INTS),
+          _flag("--bound", _BOUNDS), _optional("--n", _INTS),
           _optional("--metric", _RATIONALS),
           _optional("--mode", st.sampled_from(["real", "complex", "xx"])), _JSON),
 )
@@ -410,6 +412,34 @@ class TestExitCodeFuzz:
                 assert exc.code == EXIT_USAGE
                 return
         assert code in (EXIT_OK, EXIT_CERT_FAILED, EXIT_USAGE, EXIT_INTERNAL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([
+            (["simplicity", "--family", "hopf", "--bound"], "degree",
+             bundles.MAX_FAMILY_DEGREE),
+            (["simplicity", "--family", "su2f", "--bound"], "kmax", su2f.MAX_FAMILY_KMAX),
+            (["su2f", "--kmax"], "kmax", su2f.MAX_KMAX),
+        ]),
+        st.one_of(st.integers(1, 10**6), st.integers(10**6, 10**40)),
+        st.sampled_from([[], ["--metric", "1,2"]]),
+    )
+    def test_huge_bound_is_refused_without_allocating(self, case, excess, metric):
+        prefix, name, limit = case
+        argv = prefix + [str(limit + excess)] + metric
+        err = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE
+        assert err.getvalue() == (
+            f"error: {name} {limit + excess} exceeds the maximum of {limit}\n"
+        )
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("label", sorted(RANK_PARAMS))
     def test_rank_params_give_that_rank(self, label):

@@ -19,6 +19,10 @@ SHA-256 and collision count are pinned here as literals, recorded from
 the dense-projector implementation, so the sparse SU(2)/F path is
 checked at a size where the two differ in cost.
 
+Four ``simplicity`` ops are pinned the same way, recorded from the
+condition engines that multiplied out every resultant, at sizes where the
+factor-by-factor engines are far cheaper.
+
 ``witness --json`` is pinned the same way, recorded from the ``Fraction``
 Gauss-Jordan root data: ``AI`` at r = 60, and every label of rank >= 3
 at its representative parameters.
@@ -82,6 +86,18 @@ SU2F_480_PINS = [
         "4c08a6114f16e4d0167f8d1526e7f010905f9c9afc9616e8c53d5a6e672ca87a",
         1403,
     ),
+]
+
+# recorded from the condition engines that multiplied out every resultant
+SIMPLICITY_PINS = [
+    (["simplicity", "--family", "hopf", "--n", "2", "--bound", "40", "--metric", "2,5",
+      "--json"], 1, "7db1bf5502580121158eb5c9fa0b97d30bd27d4a7b292288ef4a4cceece89706"),
+    (["simplicity", "--family", "su2f", "--bound", "60", "--metric", "2,5", "--json"], 0,
+     "8eb4b4f22aabb4f133b22dca54855142331267271a48b5c32583531d6d71f5f9"),
+    (["simplicity", "--family", "su2f", "--bound", "80", "--metric", "1,2", "--json"], 1,
+     "dc72c0c939c2c75dc4864ad81408cd62aac121fddfe4b30f0eca13aad65b75d2"),
+    (["simplicity", "--family", "hopf", "--n", "3", "--bound", "30", "--json"], 0,
+     "869cb677629cd052f2a3058d2232123f3712e4ceab1c55c18395150f0d3ff027"),
 ]
 
 WITNESS_PINS = [
@@ -190,6 +206,17 @@ def test_su2f_kmax_480_matches_literal_pin(argv, exit_code, sha256, collisions):
     code, out = run_op(argv)
     assert code == exit_code
     assert len(json.loads(out)["metric_collisions"]) == collisions
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code,sha256",
+    SIMPLICITY_PINS,
+    ids=[" ".join(pin[0]) for pin in SIMPLICITY_PINS],
+)
+def test_simplicity_matches_literal_pin(argv, exit_code, sha256):
+    code, out = run_op(argv)
+    assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 

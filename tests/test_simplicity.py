@@ -15,6 +15,8 @@ from casimirspec.exactalg import (
     char_poly,
     derivative,
     rational_gcd,
+    resultant,
+    resultant_from_roots,
 )
 from casimirspec.simplicity import (
     RepresentationEntry,
@@ -390,23 +392,24 @@ def reference_report(family, point, mode):
 
 
 # diagonal entries from a small pool, so that equal values across entries
-# and repeats within one entry are frequent at small integer points
-FORMS = [A, B, A + B, A * 2, B * 2, A * 2 - B, A + B * 2]
+# and repeats within one entry are frequent at small integer points; A - B
+# lets diag(A, A + B, A - B) force p''(A) = 0 with no repeated entry
+FORMS = [A, B, A + B, A * 2, B * 2, A * 2 - B, A + B * 2, A - B]
 
 
 @st.composite
-def split_families(draw):
+def split_families(draw, max_entries=6, max_size=4):
     family = []
-    for n in range(draw(st.integers(1, 6))):
+    for n in range(draw(st.integers(1, max_entries))):
         kind = draw(st.sampled_from(["real", "quaternionic", "complex"]))
-        diag = draw(st.lists(st.sampled_from(FORMS), min_size=1, max_size=4))
+        diag = draw(st.lists(st.sampled_from(FORMS), min_size=1, max_size=max_size))
         if kind == "quaternionic":
             diag = diag + diag if draw(st.booleans()) else diag
         if kind != "complex":
             family.append(entry(f"E{n}", diag, kind))
             continue
         dual_diag = diag if draw(st.booleans()) else draw(
-            st.lists(st.sampled_from(FORMS), min_size=1, max_size=4)
+            st.lists(st.sampled_from(FORMS), min_size=1, max_size=max_size)
         )
         family.append(entry(f"E{n}", diag, "complex", f"E{n}*"))
         family.append(entry(f"E{n}*", dual_diag, "complex", f"E{n}"))
@@ -484,8 +487,6 @@ class TestResultantOracleAgreement:
         ids=["su2f", "hopf"],
     )
     def test_pairwise(self, family_builder):
-        from casimirspec.exactalg import resultant
-
         family = family_builder()
         names = family[0].casimir.variables
         points = self._points(names)
@@ -503,8 +504,6 @@ class TestResultantOracleAgreement:
                     assert vanished == brute
 
     def test_derivative_resultant(self):
-        from casimirspec.exactalg import resultant
-
         family = su2f_representation_family(12)
         entry_12 = next(e for e in family if e.id == "V12")
         p = char_poly(entry_12.casimir)
@@ -514,3 +513,151 @@ class TestResultantOracleAgreement:
             at = p.evaluate_params(point)
             brute = shared_root(at, derivative(at, 1))
             assert (res.evaluate(point) == 0) == brute
+
+
+# -- conditions (a)-(c) against the multiplied-out Sylvester resultant ----
+
+# the Sylvester determinant of two degree-8 polynomials takes seconds, so
+# the oracle draws fewer and smaller entries: (max_entries, max_size), and
+# fewer still beside the non-split entries
+ORACLE_SIZES = (4, 3)
+Z = MultiPoly.zero(AB)
+# [[a, b], [b, a]] + [a] has eigenvalues a + b, a - b and a, so p''(a) = 0
+NON_SPLIT_3 = RepresentationEntry(
+    "M", "real", "M", ParametricMatrix(3, [A, B, Z, B, A, Z, Z, Z, A])
+)
+# a dual pair with a non-diagonal member; both have eigenvalues b and 2a - b
+NON_SPLIT_DUALS = [
+    RepresentationEntry("C", "complex", "C*", NON_SPLIT.casimir),
+    RepresentationEntry("C*", "complex", "C", ParametricMatrix.diagonal([B, A * 2 - B])),
+]
+
+
+@st.composite
+def mixed_families(draw):
+    extra = draw(
+        st.lists(st.sampled_from(["N", "M", "C"]), min_size=1, max_size=3, unique=True)
+    )
+    family = draw(split_families(3, 2))
+    if "N" in extra:
+        family.append(NON_SPLIT)
+    if "M" in extra:
+        family.append(NON_SPLIT_3)
+    if "C" in extra:
+        family.extend(NON_SPLIT_DUALS)
+    return family
+
+
+_SYLVESTER = {}  # (p, q) -> res(p, q) is zero; drawn families repeat pairs
+
+
+def sylvester_vanishes(p, q):
+    if (p, q) not in _SYLVESTER:
+        _SYLVESTER[p, q] = resultant(p, q).is_zero()
+    return _SYLVESTER[p, q]
+
+
+def sylvester_condition_a(family):
+    ordered = sorted(family, key=lambda e: e.id)
+    return [
+        (v.id, w.id)
+        for i, v in enumerate(ordered)
+        for w in ordered[i + 1:]
+        if v.dual_id != w.id
+        and sylvester_vanishes(char_poly(v.casimir), char_poly(w.casimir))
+    ]
+
+
+def sylvester_derivative_condition(family, order, exempt):
+    violations = []
+    for e in sorted(family, key=lambda e: e.id):
+        if e.type_class == exempt or e.casimir.dimension < order + 1:
+            continue
+        p = char_poly(e.casimir)
+        if sylvester_vanishes(p, derivative(p, order)):
+            violations.append(e.id)
+    return violations
+
+
+class TestConditionsAgainstSylvester:
+    """Each condition against its resultant multiplied out in full."""
+
+    def _check(self, family):
+        assert condition_a(family) == sylvester_condition_a(family)
+        assert condition_b(family) == sylvester_derivative_condition(
+            family, 1, "quaternionic"
+        )
+        assert condition_c(family) == sylvester_derivative_condition(
+            family, 2, "complex"
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(split_families(*ORACLE_SIZES))
+    def test_split_families(self, family):
+        self._check(family)
+
+    @settings(max_examples=25, deadline=None)
+    @given(mixed_families())
+    def test_mixed_families(self, family):
+        self._check(family)
+
+    @pytest.mark.parametrize(
+        "diag", [[A, A + B, A - B], [A * 2, A + B, B * 2]], ids=["a+-b", "2a,a+b,2b"]
+    )
+    def test_c_without_a_repeated_entry(self, diag):
+        family = [entry("V", diag), entry("Q", diag, "quaternionic")]
+        self._check(family)
+        assert condition_b(family) == []
+        assert condition_c(family) == ["Q", "V"]
+
+    def test_non_split_c_without_a_repeated_entry(self):
+        family = [NON_SPLIT_3, entry("S", [A - B])]
+        self._check(family)
+        assert condition_a(family) == [("M", "S")]
+        assert (condition_b(family), condition_c(family)) == ([], ["M"])
+
+    def test_shipped_families(self):
+        for family, _ in SHIPPED.values():
+            self._check(family)
+
+
+class TestFactorByFactor:
+    """No condition multiplies two resultant factors of a diagonal entry."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"resultant": 0, "roots": []}
+
+        def counting_resultant(p, q):
+            calls["resultant"] += 1
+            return resultant(p, q)
+
+        def counting_from_roots(roots, q):
+            calls["roots"].append(len(roots))
+            return resultant_from_roots(roots, q)
+
+        monkeypatch.setattr(simplicity, "resultant", counting_resultant)
+        monkeypatch.setattr(simplicity, "resultant_from_roots", counting_from_roots)
+        return calls
+
+    def test_split_family_condition_a_takes_no_resultant(self, calls):
+        family = su2f_representation_family(24) + [
+            entry("P", [A, A + B, A - B]), entry("Q", [A + B, B])
+        ]
+        assert condition_a(family) == [("P", "Q")]
+        assert calls == {"resultant": 0, "roots": []}
+
+    def test_derivative_conditions_pass_one_root(self, calls):
+        family = su2f_representation_family(24) + [entry("P", [A, A + B, A - B])]
+        assert condition_b(family) == []
+        assert condition_c(family) == ["P"]
+        assert calls["resultant"] == 0
+        assert calls["roots"] and set(calls["roots"]) == {1}
+
+    def test_mixed_family_passes_one_root(self, calls):
+        family = [NON_SPLIT, NON_SPLIT_3, entry("S", [A + B, A * 2 - B, B])]
+        condition_a(family)
+        condition_b(family)
+        condition_c(family)
+        assert calls["resultant"] > 0
+        assert calls["roots"] and set(calls["roots"]) == {1}

@@ -18,7 +18,7 @@ from casimirspec.spectrum import (
     reflection_witness,
     verify_rank2_pair,
 )
-from casimirspec.symmdata import rank_one_catalog, restricted_datum
+from casimirspec.symmdata import LABELS, _ROWS, rank_one_catalog, restricted_datum
 
 
 def form_of(label, **params):
@@ -141,6 +141,43 @@ WITNESS_DATA = [
 ]
 
 
+SWEEP_MAX_RANK = 40
+
+
+def _witness_sweep():
+    """Parameters of one datum per (restricted type, multiplicities, relabelling).
+
+    Every label at r <= 40 and ell <= 20, plus the first parameter pair at
+    the label's largest rank up to 40; {label: [(r, ell), ...]}.
+    """
+    values = [None] + list(range(1, 2 * SWEEP_MAX_RANK + 2))
+    found, sweep = set(), {label: [] for label in LABELS}
+    for label in LABELS:
+        row = _ROWS[label]
+        top = (0, None, None)
+        for r in values:
+            for ell in values[: SWEEP_MAX_RANK + 1]:
+                try:
+                    system, multiplicities, _ = row.build(r, ell)
+                except ValueError:
+                    continue
+                if system.rank > SWEEP_MAX_RANK:
+                    continue
+                key = (system, tuple(map(tuple, multiplicities)), row.node_perm)
+                if system.rank > top[0]:
+                    top = (system.rank, key, (r, ell))
+                if (r or 0) <= SWEEP_MAX_RANK and (ell or 0) <= 20 and key not in found:
+                    found.add(key)
+                    sweep[label].append((r, ell))
+        if top[1] not in found:
+            found.add(top[1])
+            sweep[label].append(top[2])
+    return sweep
+
+
+WITNESS_SWEEP = _witness_sweep()
+
+
 class TestReflectionWitness:
     def test_ai_rank3_pinned(self):
         datum = restricted_datum("AI", r=3)
@@ -158,17 +195,16 @@ class TestReflectionWitness:
         assert image[0] == 0 and image[1] == 1
 
     def test_fill_lower_bound_ai3(self):
-        # threshold 4 (c_1k - c_2k) / (c_kk (alpha, alpha)) = 1/3 for the
-        # third node, so the minimal integer fill is 1
+        # threshold (c_13 - c_23) / (2 - c_12) = 1/3 for the third node, so
+        # the minimal integer fill is 1; the Gram-side reflection of M_1
+        # has coordinate -1/3 there
         datum = restricted_datum("AI", r=3)
         witness = reflection_witness(datum)
         assert witness.fill == (1,)
-        beta_gram = datum.cartan.beta_gram()
-        alpha_sq = beta_gram[0][0] + beta_gram[1][1] - 2 * beta_gram[0][1]
-        threshold = (
-            4 * (beta_gram[0][2] - beta_gram[1][2]) / (beta_gram[2][2] * alpha_sq)
-        )
+        c = datum.cartan.cartan
+        threshold = Fraction(c[0][2] - c[1][2], 2 - c[0][1])
         assert threshold == Fraction(1, 3)
+        assert reflect(datum, witness.alpha, (1, 0, 0))[2] == -threshold
 
     @pytest.mark.parametrize("label,params", WITNESS_DATA, ids=lambda x: str(x))
     def test_witness_validity(self, label, params):
@@ -208,6 +244,32 @@ class TestReflectionWitness:
                 assert eigenvalue(form, v) == eigenvalue(form, image)
                 checked += 1
         assert checked > 0
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_witness_sweep(self, label):
+        """The closed-form witness against the Gram-side reflection."""
+        for r, ell in WITNESS_SWEEP[label]:
+            datum = restricted_datum(label, r=r, ell=ell)
+            try:
+                witness = reflection_witness(datum)
+            except WitnessError:
+                assert datum.rank < 3 or not admissible_pairs(datum), (r, ell)
+                continue
+            i, j = witness.index_pair
+            cartan = datum.cartan.cartan
+            half = [Fraction(a - b, 2) for a, b in zip(cartan[i], cartan[j])]
+            scale = 1 if all(x.denominator == 1 for x in half) else 2
+            assert witness.alpha == tuple(scale * x for x in half), (r, ell)
+            shift = tuple(Fraction(x) for x in datum.two_delta_bar)
+            assert reflect(datum, witness.alpha, shift) == shift, (r, ell)
+            v, w, m = witness.weight_v, witness.weight_w, witness.multiplier
+            seed = tuple(Fraction(c, m) for c in v)
+            assert reflect(datum, witness.alpha, seed) == tuple(
+                Fraction(c, m) for c in w
+            ), (r, ell)
+            assert v != w and dual_weight(datum, v) != w and min(w) >= 0, (r, ell)
+            form = EigenvalueForm.from_datum(datum)
+            assert eigenvalue(form, v) == eigenvalue(form, w) == witness.eigenvalue
 
     def test_rank_two_rejected(self):
         with pytest.raises(WitnessError):
