@@ -38,8 +38,9 @@ from .spectrum import equal_value_pairs, exact_dtype, pair_rows, weight_box
 METRIC_PARAMS = ("gamma1", "gamma2")
 
 # Largest degree p + q the representation family accepts: `simplicity --family
-# hopf --n 2 --bound 800 --metric 2,5` takes 51 s on a 2-vCPU Intel Xeon VM.
-MAX_FAMILY_DEGREE = 800
+# hopf --n 2 --bound 1100 --metric 2,5` takes 54-58 s and 891 MB on a 2-vCPU
+# Intel Xeon VM.
+MAX_FAMILY_DEGREE = 1100
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,7 @@ class BundleEigenvalue:
 
     def parametric(self) -> MultiPoly:
         """The affine form gamma1 * alpha + gamma2 * (freudenthal - alpha)."""
-        g1 = MultiPoly.variable(METRIC_PARAMS, "gamma1")
-        g2 = MultiPoly.variable(METRIC_PARAMS, "gamma2")
-        return g1 * self.alpha + g2 * (self.freudenthal - self.alpha)
+        return MultiPoly(METRIC_PARAMS, {(1, 0): self.alpha, (0, 1): self.freudenthal - self.alpha})
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
@@ -80,9 +81,10 @@ class MultiPoly:
     """Sparse multivariate polynomial over a fixed ordered variable tuple.
 
     Terms are stored as a dict from exponent tuples to nonzero Fraction
-    coefficients, so two equal polynomials have identical representations.
-    All operations return new objects; instances are never mutated after
-    construction.
+    coefficients, so two equal polynomials have equal dicts.  Exponents
+    must be non-negative integers (``operator.index``), so distinct keys of
+    the input mapping stay distinct.  All operations return new objects;
+    instances are never mutated after construction.
     """
 
     __slots__ = ("variables", "terms")
@@ -91,16 +93,17 @@ class MultiPoly:
         variables = tuple(variables)
         clean = {}
         for exps, coeff in terms.items():
-            exps = tuple(int(e) for e in exps)
+            try:
+                exps = tuple(map(index, exps))
+            except TypeError:
+                raise ValueError(f"non-integer exponent in {exps!r}") from None
             if len(exps) != len(variables):
                 raise ValueError("exponent tuple length does not match variable count")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
             coeff = as_rational(coeff)
             if coeff != 0:
-                clean[exps] = clean.get(exps, Fraction(0)) + coeff
-                if clean[exps] == 0:
-                    del clean[exps]
+                clean[exps] = coeff
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
 
@@ -219,46 +222,24 @@ class MultiPoly:
             result = result + term
         return result
 
-    # -- ordering / serialization --------------------------------------
+    # -- comparison / printing -----------------------------------------
 
     def sorted_terms(self) -> list:
         """Canonical term list: exponent tuples in descending lex order."""
         return sorted(self.terms.items(), key=lambda item: item[0], reverse=True)
-
-    def _key(self):
-        return (self.variables, tuple(self.sorted_terms()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             if isinstance(other, (int, Fraction)):
                 return self == MultiPoly.constant(self.variables, other)
             return NotImplemented
-        return self._key() == other._key()
+        return self.variables == other.variables and self.terms == other.terms
 
     def __hash__(self):
         # a constant compares equal to its value, so it hashes like it
         if self.is_constant():
             return hash(self.constant_value())
-        return hash(self._key())
-
-    def to_json(self) -> dict:
-        return {
-            "variables": list(self.variables),
-            "terms": [
-                {"exponents": list(exps), "coefficient": rational_to_str(coeff)}
-                for exps, coeff in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "MultiPoly":
-        return cls(
-            tuple(data["variables"]),
-            {
-                tuple(item["exponents"]): rational_from_str(item["coefficient"])
-                for item in data["terms"]
-            },
-        )
+        return hash((self.variables, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
         if not self.terms:

@@ -18,8 +18,9 @@ vanishing conditions are:
 Split (diagonal) Casimir matrices have characteristic polynomial
 prod (t - d_i) over the integral domain Q[params], so a resultant with one
 vanishes identically exactly when a factor q(d_i) does: their conditions
-read off the diagonal entries, grouped as polynomials for (a), one root at
-a time for (b) and (c), and grouped by value at a metric point.  Anything
+read off the diagonal entries, grouped as polynomials for (a), as a repeat
+among them for (b) (p'(d_j) = prod_{k != j} (d_j - d_k)), one root at a
+time for (c), and grouped by value at a metric point.  Anything
 non-diagonal takes a Sylvester resultant, or at a point gcds over the
 rationals, reading multiplicities off gcd(p, p').
 
@@ -124,36 +125,52 @@ def condition_a(family: Sequence[RepresentationEntry]) -> list:
     ]
 
 
-def _derivative_condition(
-    family: Sequence[RepresentationEntry], order: int, exempt: str
-) -> list:
-    """Entries not of type `exempt` whose res(p, p^(order)) vanishes identically.
-
-    Entries of dimension at most `order` are skipped: p^(order) is then a
-    nonzero constant and cannot share a root with p.
-    """
+def _violations(family: Sequence[RepresentationEntry], exempt: str, vanishes) -> list:
+    """Sorted ids of the entries not of type `exempt` for which `vanishes` holds."""
     validate_family(family)
-    violations = []
-    for entry in sorted(family, key=lambda e: e.id):
-        if entry.type_class == exempt or entry.casimir.dimension < order + 1:
-            continue
-        if _resultant_vanishes(entry, derivative(char_poly(entry.casimir), order)):
-            violations.append(entry.id)
-    return violations
+    ordered = sorted(family, key=lambda e: e.id)
+    return [e.id for e in ordered if e.type_class != exempt and vanishes(e)]
+
+
+def _derivative_vanishes(entry: RepresentationEntry, order: int) -> bool:
+    """Does res(p, p^(order)) vanish identically?
+
+    Never for dimension at most `order`: p^(order) is then a nonzero
+    constant and cannot share a root with p.
+    """
+    return entry.casimir.dimension > order and _resultant_vanishes(
+        entry, derivative(char_poly(entry.casimir), order)
+    )
+
+
+def _repeated_root(entry: RepresentationEntry) -> bool:
+    """Does res(p, p') vanish identically, so p has a repeated root at every metric?
+
+    For a diagonal entry p'(d_j) = prod_{k != j} (d_j - d_k) in the integral
+    domain Q[params], so this is a repeat among its diagonal entries.
+    """
+    if entry.casimir.is_diagonal():
+        diagonal = entry.casimir.diagonal_entries()
+        return len(set(diagonal)) < len(diagonal)
+    return _derivative_vanishes(entry, 1)
 
 
 def condition_b(family: Sequence[RepresentationEntry]) -> list:
     """Real/complex entries whose res(p, p') vanishes identically.
 
     One-dimensional entries have linear characteristic polynomials and
-    are exempt (nothing to separate).
+    never violate it (nothing to separate).
     """
-    return _derivative_condition(family, 1, "quaternionic")
+    return _violations(family, "quaternionic", _repeated_root)
 
 
 def condition_c(family: Sequence[RepresentationEntry]) -> list:
-    """Real/quaternionic entries whose res(p, p'') vanishes identically."""
-    return _derivative_condition(family, 2, "complex")
+    """Real/quaternionic entries whose res(p, p'') vanishes identically.
+
+    Not a repeat test even for diagonal entries: diag(A, A + B, A - B) has
+    p''(A) = 0 with no repeat, so each root is tested in one factor.
+    """
+    return _violations(family, "complex", lambda entry: _derivative_vanishes(entry, 2))
 
 
 def shared_root(p: UniPoly, q: UniPoly) -> bool:

@@ -49,9 +49,9 @@ METRIC_PARAMS = ("a", "b")
 
 # Largest kmax each builder accepts.  On a 2-vCPU Intel Xeon VM `su2f --kmax
 # 7200 --metric 1,2 --json` takes 40 s and 1.7 GB, and `simplicity --family
-# su2f --bound 200 --metric 2,5` 51 s (bound 210: 63 s).
+# su2f --bound 270 --metric 2,5` 54-57 s (bound 280: 71 s).
 MAX_KMAX = 7200
-MAX_FAMILY_KMAX = 200
+MAX_FAMILY_KMAX = 270
 
 
 @dataclass(frozen=True)
@@ -167,10 +167,7 @@ class TwoParamEigenvalue:
         return (self.a_coeff, self.b_coeff)
 
     def parametric(self) -> MultiPoly:
-        return (
-            MultiPoly.variable(METRIC_PARAMS, "a") * self.a_coeff
-            + MultiPoly.variable(METRIC_PARAMS, "b") * self.b_coeff
-        )
+        return MultiPoly(METRIC_PARAMS, {(1, 0): self.a_coeff, (0, 1): self.b_coeff})
 
 
 def _form_keys(k: int) -> list:

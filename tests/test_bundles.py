@@ -16,6 +16,7 @@ from casimirspec.bundles import (
     hopf_swap_theorem_scan,
     pair_disagreements,
 )
+from casimirspec.exactalg import MultiPoly
 
 
 def reference_scan(n, bound):
@@ -107,6 +108,17 @@ class TestHopfEigenvalue:
             hopf_eigenvalue(3, 4, 1).parametric()
             == hopf_eigenvalue(3, 1, 4).parametric()
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_parametric_against_arithmetic(self, n):
+        g1 = MultiPoly.variable(bundles.METRIC_PARAMS, "gamma1")
+        g2 = MultiPoly.variable(bundles.METRIC_PARAMS, "gamma2")
+        for p in range(31):
+            for q in range(31 - p):
+                ev = hopf_eigenvalue(n, p, q)
+                oracle = g1 * ev.alpha + g2 * (ev.freudenthal - ev.alpha)
+                form = ev.parametric()
+                assert form == oracle and hash(form) == hash(oracle)
 
 
 class TestInvariants:

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -77,15 +78,18 @@ class TestMultiPoly:
     @settings(max_examples=60)
     @given(small_poly, small_poly)
     def test_commutative(self, p, q):
-        assert p + q == q + p
-        assert p * q == q * p
+        for left, right in [(p + q, q + p), (p * q, q * p)]:
+            assert left == right and hash(left) == hash(right)
 
     @settings(max_examples=40)
     @given(small_poly, small_poly, small_poly)
     def test_associative_distributive(self, p, q, r):
-        assert (p + q) + r == p + (q + r)
-        assert (p * q) * r == p * (q * r)
-        assert p * (q + r) == p * q + p * r
+        for left, right in [
+            ((p + q) + r, p + (q + r)),
+            ((p * q) * r, p * (q * r)),
+            (p * (q + r), p * q + p * r),
+        ]:
+            assert left == right and hash(left) == hash(right)
 
     def test_evaluate_and_substitute(self):
         p = var("a") ** 2 + var("b") * 3
@@ -96,9 +100,16 @@ class TestMultiPoly:
         )
         assert image == MultiPoly(s, {(2,): 1, (0,): 6})
 
-    def test_json_roundtrip(self):
-        p = var("a") * var("b") - const(Fraction(1, 2))
-        assert MultiPoly.from_json(p.to_json()) == p
+    @pytest.mark.parametrize(
+        "terms", [{(0.5,): 3}, {(1.5,): 3, (1,): -3}, {("2",): 1}, {(-1,): 1}]
+    )
+    def test_non_integer_or_negative_exponent_raises(self, terms):
+        with pytest.raises(ValueError):
+            MultiPoly(("x",), terms)
+
+    def test_integer_like_exponents_accepted(self):
+        assert MultiPoly(("x",), {(np.int64(2),): 1}) == MultiPoly.variable(("x",), "x") ** 2
+        assert MultiPoly(("x",), {(True,): 1}) == MultiPoly.variable(("x",), "x")
 
     def test_variable_mismatch(self):
         with pytest.raises(ValueError):

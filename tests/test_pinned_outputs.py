@@ -98,6 +98,15 @@ SIMPLICITY_PINS = [
      "dc72c0c939c2c75dc4864ad81408cd62aac121fddfe4b30f0eca13aad65b75d2"),
     (["simplicity", "--family", "hopf", "--n", "3", "--bound", "30", "--json"], 0,
      "869cb677629cd052f2a3058d2232123f3712e4ceab1c55c18395150f0d3ff027"),
+    (["simplicity", "--family", "hopf", "--n", "2", "--bound", "200", "--metric", "2,5",
+      "--json"], 1, "715715c4c7f991b1cdea39acdc002721c5f5287f961f828070a4323bd71d31b5"),
+    (["simplicity", "--family", "su2f", "--bound", "120", "--metric", "2,5", "--json"], 1,
+     "78ab48228c0c0e956e9e5c5ebda7788ed37ef4ceba75f0a44231b0cb5978589a"),
+    (["simplicity", "--family", "hopf", "--n", "4", "--bound", "60", "--metric", "3,5",
+      "--mode", "complex", "--json"], 1,
+     "13f7ec7115edb8b7d4704d753fa84c8d7a9d08189b36b55afa817300dab5df59"),
+    (["simplicity", "--family", "su2f", "--bound", "100", "--json"], 0,
+     "d4ce1d32ce3c7a8e73defc4a1f4e14de2d9b5aa9a1240f0cb447065878b01827"),
 ]
 
 WITNESS_PINS = [

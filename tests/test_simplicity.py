@@ -626,7 +626,15 @@ class TestFactorByFactor:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"resultant": 0, "roots": []}
+        calls = {"char_poly": 0, "derivative": 0, "resultant": 0, "roots": []}
+
+        def counting_char_poly(matrix):
+            calls["char_poly"] += 1
+            return char_poly(matrix)
+
+        def counting_derivative(p, order):
+            calls["derivative"] += 1
+            return derivative(p, order)
 
         def counting_resultant(p, q):
             calls["resultant"] += 1
@@ -636,28 +644,38 @@ class TestFactorByFactor:
             calls["roots"].append(len(roots))
             return resultant_from_roots(roots, q)
 
+        monkeypatch.setattr(simplicity, "char_poly", counting_char_poly)
+        monkeypatch.setattr(simplicity, "derivative", counting_derivative)
         monkeypatch.setattr(simplicity, "resultant", counting_resultant)
         monkeypatch.setattr(simplicity, "resultant_from_roots", counting_from_roots)
         return calls
+
+    NO_CALLS = {"char_poly": 0, "derivative": 0, "resultant": 0, "roots": []}
 
     def test_split_family_condition_a_takes_no_resultant(self, calls):
         family = su2f_representation_family(24) + [
             entry("P", [A, A + B, A - B]), entry("Q", [A + B, B])
         ]
         assert condition_a(family) == [("P", "Q")]
-        assert calls == {"resultant": 0, "roots": []}
+        assert calls == self.NO_CALLS
 
-    def test_derivative_conditions_pass_one_root(self, calls):
+    def test_split_family_condition_b_is_a_repeat_test(self, calls):
+        family = su2f_representation_family(24) + [
+            entry("P", [A, A + B, A - B]), entry("R", [A + B, B, A + B])
+        ]
+        assert condition_b(family) == ["R"]
+        assert calls == self.NO_CALLS
+
+    def test_condition_c_passes_one_root(self, calls):
         family = su2f_representation_family(24) + [entry("P", [A, A + B, A - B])]
-        assert condition_b(family) == []
         assert condition_c(family) == ["P"]
-        assert calls["resultant"] == 0
+        assert calls["char_poly"] > 0 and calls["resultant"] == 0
         assert calls["roots"] and set(calls["roots"]) == {1}
 
-    def test_mixed_family_passes_one_root(self, calls):
+    def test_mixed_family_sends_non_split_entries_to_resultant(self, calls):
         family = [NON_SPLIT, NON_SPLIT_3, entry("S", [A + B, A * 2 - B, B])]
+        assert condition_b(family) == []
+        assert calls["resultant"] == 2 and calls["roots"] == []
         condition_a(family)
-        condition_b(family)
         condition_c(family)
-        assert calls["resultant"] > 0
         assert calls["roots"] and set(calls["roots"]) == {1}

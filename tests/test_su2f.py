@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from casimirspec.exactalg import primitive_vector
+from casimirspec.exactalg import MultiPoly, primitive_vector
 from casimirspec.su2f import (
+    METRIC_PARAMS,
     averaging_projector,
     collisions_at_metric,
     eigenvalue_forms,
@@ -345,6 +346,14 @@ class TestEigenvalueForms:
                 forms = eigenvalue_forms(k)
                 assert len({f.form() for f in forms}) == len(forms)
                 assert len(forms) == fixed_space(k).dimension
+
+    def test_parametric_against_arithmetic(self):
+        a = MultiPoly.variable(METRIC_PARAMS, "a")
+        b = MultiPoly.variable(METRIC_PARAMS, "b")
+        for k in range(0, 201, 2):
+            for f in eigenvalue_forms(k) if fixed_space(k).dimension else []:
+                oracle = a * f.a_coeff + b * f.b_coeff
+                assert f.parametric() == oracle and hash(f.parametric()) == hash(oracle)
 
 
 class TestMetrics:
