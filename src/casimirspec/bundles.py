@@ -26,7 +26,6 @@ the direct two-equation system on every pair of weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -45,15 +44,11 @@ MAX_FAMILY_DEGREE = 1100
 
 @dataclass(frozen=True)
 class BundleEigenvalue:
-    """Fiber-squared eigenvalue and round-metric Casimir value of a weight."""
+    """Fiber-squared eigenvalue and round-metric Casimir value of a weight, as ints."""
 
-    alpha: Fraction
-    freudenthal: Fraction
+    alpha: int
+    freudenthal: int
     weight: tuple
-
-    def parametric(self) -> MultiPoly:
-        """The affine form gamma1 * alpha + gamma2 * (freudenthal - alpha)."""
-        return MultiPoly(METRIC_PARAMS, {(1, 0): self.alpha, (0, 1): self.freudenthal - self.alpha})
 
 
 @dataclass(frozen=True)
@@ -77,8 +72,8 @@ def hopf_eigenvalue(n: int, p: int, q: int) -> BundleEigenvalue:
         raise ValueError("n must be >= 1")
     if p < 0 or q < 0:
         raise ValueError("p, q must be non-negative")
-    alpha = Fraction(-(n * n) * (q - p) * (q - p))
-    freudenthal = Fraction(n * (p * p + q * q) + 2 * p * q + n * (p + q))
+    alpha = -(n * n) * (q - p) * (q - p)
+    freudenthal = n * (p * p + q * q) + 2 * p * q + n * (p + q)
     return BundleEigenvalue(alpha=alpha, freudenthal=freudenthal, weight=(p, q))
 
 
@@ -214,9 +209,11 @@ def hopf_swap_theorem_scan(n: int, bound: int) -> HopfScanReport:
 def hopf_representation_family(n: int, max_degree: int) -> list:
     """Representation entries for the truncation p + q <= max_degree.
 
-    Entries are 1x1 parametric Casimir matrices over (gamma1, gamma2);
-    the weight (p, q) is dual to (q, p) and of complex type when p != q.
-    Used by the resultant condition engines.
+    Entries are 1x1 parametric Casimir matrices over (gamma1, gamma2),
+    each the affine form gamma1 * alpha + gamma2 * (freudenthal - alpha)
+    written once from the integers of ``hopf_eigenvalue``; the weight
+    (p, q) is dual to (q, p) and of complex type when p != q.  Used by the
+    resultant condition engines.
     """
     if max_degree > MAX_FAMILY_DEGREE:
         raise ValueError(f"degree {max_degree} exceeds the maximum of {MAX_FAMILY_DEGREE}")
@@ -224,12 +221,13 @@ def hopf_representation_family(n: int, max_degree: int) -> list:
     for p in range(max_degree + 1):
         for q in range(max_degree + 1 - p):
             ev = hopf_eigenvalue(n, p, q)
+            form = MultiPoly(METRIC_PARAMS, {(1, 0): ev.alpha, (0, 1): ev.freudenthal - ev.alpha})
             entries.append(
                 RepresentationEntry(
                     id=f"H({p},{q})",
                     type_class="real" if p == q else "complex",
                     dual_id=f"H({q},{p})",
-                    casimir=ParametricMatrix(1, [ev.parametric()]),
+                    casimir=ParametricMatrix(1, [form]),
                 )
             )
     return entries

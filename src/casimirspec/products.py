@@ -25,7 +25,8 @@ import numpy as np
 
 from .exactalg import rational_to_str
 from .spectrum import (
-    CollisionPairs, EigenvalueForm, eigenvalue, equal_value_pairs, exact_dtype, weight_box,
+    CollisionPairs, EigenvalueForm, eigenvalue, equal_value_pairs, exact_dtype, require_box,
+    weight_box,
 )
 from .symmdata import RestrictedDatum, cross_datum
 
@@ -140,6 +141,7 @@ def check_beta(
         raise ValueError("beta entries must be positive")
     if any(f.bound < bound for f in factors):
         raise ValueError("bound exceeds a factor's spectrum")
+    require_box(len(factors), bound)
     tables = [[b * v for v in f.eigenvalues[: bound + 1]] for b, f in zip(beta, factors)]
     denom = lcm(*(x.denominator for table in tables for x in table))
     tables = [[int(x * denom) for x in table] for table in tables]

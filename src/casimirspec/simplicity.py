@@ -87,18 +87,19 @@ def validate_family(family: Sequence[RepresentationEntry]):
     return by_id
 
 
-def _resultant_vanishes(entry: RepresentationEntry, q: UniPoly) -> bool:
+def _resultant_vanishes(entry: RepresentationEntry, p: UniPoly, q: UniPoly) -> bool:
     """Does res(p, q) vanish identically, p the entry's characteristic polynomial?
 
     For a diagonal entry res(p, q) = prod_d q(d) in an integral domain, so
-    its factors are tested one root at a time and never multiplied out.
+    its factors are tested one root at a time and never multiplied out;
+    `p` is then not read and may be None.
     """
     if entry.casimir.is_diagonal():
         return any(
             resultant_from_roots([d], q).is_zero()
             for d in entry.casimir.diagonal_entries()
         )
-    return resultant(char_poly(entry.casimir), q).is_zero()
+    return resultant(p, q).is_zero()
 
 
 def condition_a(family: Sequence[RepresentationEntry]) -> list:
@@ -110,13 +111,15 @@ def condition_a(family: Sequence[RepresentationEntry]) -> list:
     validate_family(family)
     ordered = sorted(family, key=lambda e: e.id)
     meets, _ = _spectra_by_value(ordered)
-    general = {i for i, e in enumerate(ordered) if not e.casimir.is_diagonal()}
-    for g in general:
-        q = char_poly(ordered[g].casimir)
+    # each non-diagonal entry's characteristic polynomial, computed once
+    polys = {
+        i: char_poly(e.casimir) for i, e in enumerate(ordered) if not e.casimir.is_diagonal()
+    }
+    for g, q in polys.items():
         meets.update(
             (min(g, k), max(g, k))
             for k, entry in enumerate(ordered)
-            if (k > g or k not in general) and _resultant_vanishes(entry, q)
+            if (k > g or k not in polys) and _resultant_vanishes(entry, polys.get(k), q)
         )
     return [
         (ordered[i].id, ordered[j].id)
@@ -138,9 +141,10 @@ def _derivative_vanishes(entry: RepresentationEntry, order: int) -> bool:
     Never for dimension at most `order`: p^(order) is then a nonzero
     constant and cannot share a root with p.
     """
-    return entry.casimir.dimension > order and _resultant_vanishes(
-        entry, derivative(char_poly(entry.casimir), order)
-    )
+    if entry.casimir.dimension <= order:
+        return False
+    p = char_poly(entry.casimir)
+    return _resultant_vanishes(entry, p, derivative(p, order))
 
 
 def _repeated_root(entry: RepresentationEntry) -> bool:

@@ -108,8 +108,25 @@ class CollisionReport:
     dual_related: bool
 
 
+# Largest box (bound + 1)^rank a scan accepts, in rows.  On a 2-vCPU Intel
+# Xeon VM, near 2^23 rows `hopf --n 2 --bound 2895 --json` takes 5.9 s and
+# 1.2 GB peak RSS, `product --factors S2,S2 --bound 2895 --beta 1,1000003
+# --json` 1.6 s and 496 MB, and `collide AI --r 1 --bound 8388607 --json`
+# 1.0 s and 543 MB; at 2^24 (bound 4095) the Hopf scan takes 13-15 s and 2.3 GB.
+MAX_BOX_ROWS = 2**23
+
+
+def require_box(rank: int, bound: int) -> None:
+    """Refuse a box of more than ``MAX_BOX_ROWS`` rows before anything is allocated."""
+    if (bound + 1) ** rank > MAX_BOX_ROWS:
+        raise ValueError(
+            f"box of {bound + 1}^{rank} weights exceeds the maximum of {MAX_BOX_ROWS}"
+        )
+
+
 def weight_box(rank: int, bound: int) -> np.ndarray:
     """Every weight with coordinates in [0, bound], one per row, lexicographic."""
+    require_box(rank, bound)
     return np.indices((bound + 1,) * rank, dtype=np.int64).reshape(rank, -1).T
 
 

@@ -24,10 +24,10 @@ d = 2l - k by the linear form
     a * (-d^2 / 8) + b * (k (k + 2) + d^2) / 8.
 
 The k(k+2)/8 normalization of the round Casimir is used consistently; a
-uniform positive factor on all forms moves no collision.  The
-certificate compares the forms by their integer keys
-(-d^2, k (k + 2) + d^2), eight times the coefficients, and evaluates
-them at a metric in integers; only reported values become Fractions.
+uniform positive factor on all forms moves no collision.  Each form is
+its integer key (-d^2, k (k + 2) + d^2) from ``form_keys``, eight times
+the coefficients: the certificate compares the keys and evaluates them
+in integers, and the representation family writes each as a MultiPoly.
 """
 
 from __future__ import annotations
@@ -151,26 +151,7 @@ def predicted_dimension(k: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class TwoParamEigenvalue:
-    """Casimir eigenvalue on one invariant line as a linear form in (a, b)."""
-
-    k: int
-    gap_squared: int
-    a_coeff: Fraction
-    b_coeff: Fraction
-
-    def value(self, a: Fraction, b: Fraction) -> Fraction:
-        return self.a_coeff * a + self.b_coeff * b
-
-    def form(self) -> tuple:
-        return (self.a_coeff, self.b_coeff)
-
-    def parametric(self) -> MultiPoly:
-        return MultiPoly(METRIC_PARAMS, {(1, 0): self.a_coeff, (0, 1): self.b_coeff})
-
-
-def _form_keys(k: int) -> list:
+def form_keys(k: int) -> list:
     """The key (-d^2, k(k+2) + d^2) of each weight gap d of V_k, ascending in d.
 
     A key is eight times the (a, b) coefficients of the line's linear
@@ -183,26 +164,6 @@ def _form_keys(k: int) -> list:
     return keys
 
 
-def eigenvalue_forms(k: int) -> list:
-    """One linear form per weight gap occurring in the invariant basis."""
-    if fixed_space(k).dimension == 0:
-        raise ValueError(f"V_{k} has no invariant vectors")
-    return [
-        TwoParamEigenvalue(
-            k=k, gap_squared=-a8, a_coeff=Fraction(a8, 8), b_coeff=Fraction(b8, 8)
-        )
-        for a8, b8 in _form_keys(k)
-    ]
-
-
-def all_forms(kmax: int) -> list:
-    forms = []
-    for k in range(0, kmax + 1, 2):
-        if fixed_space(k).dimension:
-            forms.extend(eigenvalue_forms(k))
-    return forms
-
-
 def su2f_representation_family(kmax: int) -> list:
     """Representation entries (diagonal Casimir matrices) for k <= kmax."""
     if kmax > MAX_FAMILY_KMAX:
@@ -212,7 +173,10 @@ def su2f_representation_family(kmax: int) -> list:
         if fixed_space(k).dimension == 0:
             continue
         # the basis runs in ascending l, so in descending gap |2l - k|
-        diagonal = [f.parametric() for f in reversed(eigenvalue_forms(k))]
+        diagonal = [
+            MultiPoly(METRIC_PARAMS, {(1, 0): Fraction(a8, 8), (0, 1): Fraction(b8, 8)})
+            for a8, b8 in reversed(form_keys(k))
+        ]
         entries.append(
             RepresentationEntry(
                 id=f"V{k}",
@@ -233,7 +197,7 @@ def collisions_at_metric(kmax: int, a: Fraction, b: Fraction) -> list:
     are compared in int64 when the largest magnitude is below 2**63 and in
     Python ints otherwise; only the colliding values become Fractions.
     """
-    lines = [(k, *key) for k in range(0, kmax + 1, 2) for key in _form_keys(k)]
+    lines = [(k, *key) for k in range(0, kmax + 1, 2) for key in form_keys(k)]
     denom = lcm(a.denominator, b.denominator)
     scaled_a, scaled_b = int(a * denom), int(b * denom)
     values = [a8 * scaled_a + b8 * scaled_b for _, a8, b8 in lines]
@@ -318,7 +282,7 @@ def simplicity_certificate(
             raise AssertionError("odd k must have no invariants")
         dimensions.append((k, dim))
 
-    keys = [key for k in range(0, kmax + 1, 2) for key in _form_keys(k)]
+    keys = [key for k in range(0, kmax + 1, 2) for key in form_keys(k)]
     injective = len(set(keys)) == len(keys)
 
     metric = None
@@ -333,7 +297,7 @@ def simplicity_certificate(
     return SimplicityReport(
         kmax=kmax,
         dimensions=tuple(dimensions),
-        within_k_distinct=True,  # _form_keys asserts it
+        within_k_distinct=True,  # form_keys asserts it
         cross_k_injective=injective,
         metric=metric,
         metric_collisions=metric_collisions,

@@ -84,8 +84,8 @@ LABELS = st.sampled_from([0, 1, 2, -7, 2**63, -(2**64), 3**50])
 class TestHopfEigenvalue:
     def test_n2_values(self):
         ev = hopf_eigenvalue(2, 1, 2)
-        assert ev.alpha == -4
-        assert ev.freudenthal == 20
+        assert (ev.alpha, ev.freudenthal) == (-4, 20)
+        assert type(ev.alpha) is int and type(ev.freudenthal) is int
 
     def test_swap_symmetry(self):
         a = hopf_eigenvalue(2, 2, 1)
@@ -104,21 +104,21 @@ class TestHopfEigenvalue:
             hopf_eigenvalue(2, -1, 0)
 
     def test_parametric_form_of_swap_pair_identical(self):
-        assert (
-            hopf_eigenvalue(3, 4, 1).parametric()
-            == hopf_eigenvalue(3, 1, 4).parametric()
-        )
+        forms = {e.id: e.casimir.entry(0, 0) for e in hopf_representation_family(3, 5)}
+        assert forms["H(4,1)"] == forms["H(1,4)"]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_parametric_against_arithmetic(self, n):
         g1 = MultiPoly.variable(bundles.METRIC_PARAMS, "gamma1")
         g2 = MultiPoly.variable(bundles.METRIC_PARAMS, "gamma2")
-        for p in range(31):
-            for q in range(31 - p):
-                ev = hopf_eigenvalue(n, p, q)
-                oracle = g1 * ev.alpha + g2 * (ev.freudenthal - ev.alpha)
-                form = ev.parametric()
-                assert form == oracle and hash(form) == hash(oracle)
+        family = hopf_representation_family(n, 30)
+        weights = [(p, q) for p in range(31) for q in range(31 - p)]
+        assert [e.id for e in family] == [f"H({p},{q})" for p, q in weights]
+        for entry, (p, q) in zip(family, weights):
+            ev = hopf_eigenvalue(n, p, q)
+            oracle = g1 * Fraction(ev.alpha) + g2 * (Fraction(ev.freudenthal) - ev.alpha)
+            (form,) = entry.casimir.diagonal_entries()
+            assert form == oracle and hash(form) == hash(oracle)
 
 
 class TestInvariants:

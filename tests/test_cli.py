@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from casimirspec import bundles, su2f
 from casimirspec.cli import EXIT_CERT_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, run
+from casimirspec.spectrum import MAX_BOX_ROWS
 from casimirspec.symmdata import LABELS, MAX_RANK, restricted_datum
 
 SCHEMA = json.loads(
@@ -400,6 +401,19 @@ COMMAND_LINES = st.one_of(
 )
 
 
+def run_traced(argv):
+    """Exit code, stderr and traced peak allocation of one in-process run."""
+    err = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, err.getvalue(), peak
+
+
 class TestExitCodeFuzz:
     @settings(max_examples=300, deadline=None)
     @given(COMMAND_LINES)
@@ -427,17 +441,28 @@ class TestExitCodeFuzz:
     def test_huge_bound_is_refused_without_allocating(self, case, excess, metric):
         prefix, name, limit = case
         argv = prefix + [str(limit + excess)] + metric
-        err = io.StringIO()
-        tracemalloc.start()
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = run(argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, err, peak = run_traced(argv)
         assert code == EXIT_USAGE
-        assert err.getvalue() == (
+        assert err == (
             f"error: {name} {limit + excess} exceeds the maximum of {limit}\n"
+        )
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "argv, box",
+        [
+            (["collide", "AI", "--r", "12", "--bound", "5"], "6^12"),
+            (["collide", "AI", "--r", "40", "--bound", "3"], "4^40"),
+            (["hopf", "--n", "2", "--bound", "100000"], "100001^2"),
+            (["product", "--factors", ",".join(["S2"] * 8), "--bound", "30",
+              "--beta", "1,2,3,5,7,11,13,17"], "31^8"),
+        ],
+    )
+    def test_huge_box_is_refused_without_allocating(self, argv, box):
+        code, err, peak = run_traced(argv)
+        assert code == EXIT_USAGE
+        assert err == (
+            f"error: box of {box} weights exceeds the maximum of {MAX_BOX_ROWS}\n"
         )
         assert peak < 1 << 20
 
@@ -458,16 +483,9 @@ class TestExitCodeFuzz:
             argv += [f"--{name}", str(value)]
         if command == "collide":
             argv += ["--bound", "2"]
-        err = io.StringIO()
-        tracemalloc.start()
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = run(argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, err, peak = run_traced(argv)
         assert code == EXIT_USAGE
-        assert err.getvalue() == (
+        assert err == (
             f"error: restricted rank {rank} exceeds the maximum of {MAX_RANK}\n"
         )
         assert peak < 1 << 20

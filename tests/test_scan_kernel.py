@@ -89,8 +89,10 @@ def reference_check_beta(factors, beta, bound=None):
 
 def reference_collisions_at_metric(kmax, a, b):
     groups = {}
-    for form in su2f.all_forms(kmax):
-        groups.setdefault(form.value(a, b), []).append((form.k, form.gap_squared))
+    for k in range(0, kmax + 1, 2):
+        for a8, b8 in su2f.form_keys(k):
+            value = a * Fraction(a8, 8) + b * Fraction(b8, 8)
+            groups.setdefault(value, []).append((k, -a8))
     return [
         (ka, kb, value)
         for value, ka, kb in reference_pairs(dict(sorted(groups.items())))

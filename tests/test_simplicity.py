@@ -679,3 +679,13 @@ class TestFactorByFactor:
         condition_a(family)
         condition_c(family)
         assert calls["roots"] and set(calls["roots"]) == {1}
+
+    def test_each_characteristic_polynomial_once(self, calls):
+        # condition (b) takes p' and res(p, p') from one char_poly per entry
+        assert condition_b([NON_SPLIT, NON_SPLIT_3]) == []
+        assert calls["char_poly"] == 2 and calls["resultant"] == 2
+        # condition (a) computes each of its G = 3 general entries' once
+        calls["char_poly"] = 0
+        family = [NON_SPLIT, NON_SPLIT_3, *NON_SPLIT_DUALS, entry("S", [A + B, B])]
+        condition_a(family)
+        assert calls["char_poly"] == 3

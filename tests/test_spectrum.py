@@ -5,6 +5,7 @@ import pytest
 
 from casimirspec.exactalg import MultiPoly
 from casimirspec.spectrum import (
+    MAX_BOX_ROWS,
     EigenvalueForm,
     WitnessError,
     admissible_pairs,
@@ -16,6 +17,7 @@ from casimirspec.spectrum import (
     rank2_catalog,
     reflect,
     reflection_witness,
+    require_box,
     verify_rank2_pair,
 )
 from casimirspec.symmdata import LABELS, _ROWS, rank_one_catalog, restricted_datum
@@ -176,6 +178,17 @@ def _witness_sweep():
 
 
 WITNESS_SWEEP = _witness_sweep()
+
+
+class TestBoxCap:
+    def test_cap_admits_exactly_max_box_rows(self):
+        require_box(1, MAX_BOX_ROWS - 1)
+        with pytest.raises(ValueError, match="exceeds the maximum"):
+            require_box(1, MAX_BOX_ROWS)
+        # the largest square box under the cap, and the next one
+        require_box(2, 2895)
+        with pytest.raises(ValueError, match="box of 2897\\^2 weights"):
+            require_box(2, 2896)
 
 
 class TestReflectionWitness:

@@ -17,9 +17,9 @@ from casimirspec.su2f import (
     METRIC_PARAMS,
     averaging_projector,
     collisions_at_metric,
-    eigenvalue_forms,
     find_simple_metric,
     fixed_space,
+    form_keys,
     predicted_dimension,
     simplicity_certificate,
     su2f_representation_family,
@@ -323,37 +323,47 @@ class TestFixedSpace:
                 assert list(orbit) == sorted(orbit) and all(c for _, c in orbit)
 
 
-class TestEigenvalueForms:
+def arithmetic_form(a8, b8):
+    """The line's form a * a8/8 + b * b8/8, built by MultiPoly arithmetic."""
+    a = MultiPoly.variable(METRIC_PARAMS, "a")
+    b = MultiPoly.variable(METRIC_PARAMS, "b")
+    return a * Fraction(a8, 8) + b * Fraction(b8, 8)
+
+
+class TestFormKeys:
     def test_k4(self):
-        (form,) = eigenvalue_forms(4)
-        assert (form.a_coeff, form.b_coeff) == (0, 3)
+        assert form_keys(4) == [(0, 24)]
 
     def test_k12(self):
-        forms = eigenvalue_forms(12)
-        assert [(f.a_coeff, f.b_coeff) for f in forms] == [
-            (Fraction(0), Fraction(21)),
-            (Fraction(-9, 2), Fraction(51, 2)),
-            (Fraction(-18), Fraction(39)),
-        ]
+        assert form_keys(12) == [(0, 168), (-36, 204), (-144, 312)]
 
-    def test_zero_space_rejected(self):
-        with pytest.raises(ValueError):
-            eigenvalue_forms(2)
+    def test_zero_space_has_no_keys(self):
+        assert form_keys(2) == []
 
     def test_within_k_distinct_to_sixty(self):
-        for k in range(0, 61, 2):
-            if fixed_space(k).dimension:
-                forms = eigenvalue_forms(k)
-                assert len({f.form() for f in forms}) == len(forms)
-                assert len(forms) == fixed_space(k).dimension
+        for k in range(61):
+            keys = form_keys(k)
+            assert len(set(keys)) == len(keys) == fixed_space(k).dimension
 
-    def test_parametric_against_arithmetic(self):
-        a = MultiPoly.variable(METRIC_PARAMS, "a")
-        b = MultiPoly.variable(METRIC_PARAMS, "b")
-        for k in range(0, 201, 2):
-            for f in eigenvalue_forms(k) if fixed_space(k).dimension else []:
-                oracle = a * f.a_coeff + b * f.b_coeff
-                assert f.parametric() == oracle and hash(f.parametric()) == hash(oracle)
+    def test_gaps_follow_the_residue_rule_to_1200(self):
+        # odd k has no invariants; even k has the gaps 0 (when 4 | k) and
+        # every positive multiple of 6 up to k
+        for k in range(1201):
+            space = fixed_space(k)
+            if k % 2:
+                assert space.ell_values == (), k
+                continue
+            gaps = ((0,) if k % 4 == 0 else ()) + tuple(range(6, k + 1, 6))
+            assert space.ell_values == gaps, k
+            assert space.dimension == k // 6 + (k % 4 == 0), k
+
+    def test_family_diagonals_against_arithmetic(self):
+        for entry in su2f_representation_family(200):
+            k = int(entry.id[1:])
+            diagonal = entry.casimir.diagonal_entries()
+            oracles = [arithmetic_form(a8, b8) for a8, b8 in reversed(form_keys(k))]
+            assert diagonal == oracles
+            assert [hash(d) for d in diagonal] == [hash(o) for o in oracles]
 
 
 class TestMetrics:
@@ -412,7 +422,7 @@ class TestRepresentationFamily:
         # entry i is the form of the weight gap of basis vector i
         for entry in su2f_representation_family(120):
             k = int(entry.id[1:])
-            by_gap = {f.gap_squared: f.parametric() for f in eigenvalue_forms(k)}
+            by_gap = {-a8: arithmetic_form(a8, b8) for a8, b8 in form_keys(k)}
             expected = [
                 by_gap[next(abs(2 * e - k) for e, c in enumerate(dense_vector(k, v)) if c) ** 2]
                 for v in fixed_space(k).basis
