@@ -114,7 +114,9 @@ def _print_csv(header: list, rows) -> None:
 
 
 def _parse_metric(text: str, count: int) -> list:
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
+    if not all(p.strip() for p in parts):
+        raise ValueError(f"empty field in {text!r}")
     if len(parts) != count:
         raise ValueError(f"expected {count} comma-separated rationals")
     values = [rational_from_str(p) for p in parts]
@@ -124,6 +126,10 @@ def _parse_metric(text: str, count: int) -> list:
 
 
 def _datum_from_args(args) -> symmdata.RestrictedDatum:
+    if args.label_pos not in (None, args.label):
+        raise ValueError(f"LABEL {args.label_pos} conflicts with --label {args.label}")
+    if None not in (args.ell, args.rank) and args.ell != args.rank:
+        raise ValueError(f"--ell {args.ell} conflicts with --rank {args.rank}")
     ell = args.rank if args.rank is not None else args.ell
     return symmdata.restricted_datum(args.label, r=args.r, ell=ell)
 
@@ -244,7 +250,7 @@ def _cmd_hopf(args) -> int:
 
 def _cmd_su2f(args) -> int:
     metric = None
-    if args.metric:
+    if args.metric is not None:
         metric = tuple(_parse_metric(args.metric, 2))
     report = su2f.simplicity_certificate(args.kmax, sample_metric=metric)
     payload = report.to_json()
@@ -267,8 +273,9 @@ def _cmd_product(args) -> int:
     labels = [p.strip() for p in args.factors.split(",") if p.strip()]
     if not labels:
         raise ValueError("need at least one factor")
+    spectrum.require_box(len(labels), args.bound)
     factors = [products.factor_spectrum(label, args.bound) for label in labels]
-    if args.beta:
+    if args.beta is not None:
         beta = _parse_metric(args.beta, len(factors))
         pairs = products.check_beta(factors, beta, args.bound)
         payload = {
@@ -319,7 +326,7 @@ def _cmd_simplicity(args) -> int:
         f"identically-vanishing res(p, p'): {violations['condition_b']}",
         f"identically-vanishing res(p, p''): {violations['condition_c']}",
     ]
-    if args.metric:
+    if args.metric is not None:
         values = _parse_metric(args.metric, len(param_names))
         point = dict(zip(param_names, values))
         report = simplicity.evaluate_at_metric(family, point, mode=args.mode)

@@ -22,7 +22,6 @@ resultant(q, p)``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from operator import index
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -59,22 +58,6 @@ def rational_from_str(text: str) -> Fraction:
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
-
-
-def primitive_vector(vector: Sequence[RationalLike]) -> tuple:
-    """Primitive integer vector on the ray of a rational vector.
-
-    Denominators are cleared and the content divided out; the first
-    nonzero entry is made positive.  The zero vector maps to itself.
-    """
-    scale = lcm(*[x.denominator for x in vector])
-    vector = [x.numerator * (scale // x.denominator) for x in vector]
-    content = gcd(*vector)
-    if content:
-        vector = [x // content for x in vector]
-    if next((x for x in vector if x), 0) < 0:
-        vector = [-x for x in vector]
-    return tuple(vector)
 
 
 class MultiPoly:

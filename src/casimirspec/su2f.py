@@ -11,11 +11,12 @@ The F-invariant subspace of V_k is the image of the averaging projector
 <sigma> and its coset <sigma> tau gives that projector in closed form,
 with rational entries (see ``averaging_projector``): it is
 block-diagonal on the tau-orbits {l, k - l}, with at most two nonzero
-entries per column, and only those entries are stored.  Its image is
-spanned by one column per orbit, and each basis vector is stored as its
-orbit: the nonzero (l, coefficient) pairs.  No (k+1)-long vector or
-(k+1) x (k+1) matrix is built.  The 12-element group average itself is
-kept in the tests as the reference.
+entries per column, and only those entries are stored.  Its image has
+one line per orbit whose column is nonzero, and the certificate needs
+only each line's weight gap, which ``fixed_space`` reads off the
+projector's diagonal.  No (k+1)-long vector or (k+1) x (k+1) matrix is
+built.  The 12-element group average and the invariant basis vectors
+are kept in the tests as the reference.
 
 On the two-parameter metric family (a on the fiber direction, b on the
 complement) the Casimir acts on the invariant vector with weight gap
@@ -40,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exactalg import MultiPoly, ParametricMatrix, primitive_vector, rational_to_str
+from .exactalg import MultiPoly, ParametricMatrix, rational_to_str
 from .products import candidate_tuples
 from .simplicity import RepresentationEntry
 from .spectrum import equal_value_pairs, exact_dtype, pair_values
@@ -48,31 +49,11 @@ from .spectrum import equal_value_pairs, exact_dtype, pair_values
 METRIC_PARAMS = ("a", "b")
 
 # Largest kmax each builder accepts.  On a 2-vCPU Intel Xeon VM `su2f --kmax
-# 7200 --metric 1,2 --json` takes 40 s and 1.7 GB, and `simplicity --family
-# su2f --bound 270 --metric 2,5` 54-57 s (bound 280: 71 s).
+# 7200 --json` takes 4.0-4.4 s and 490 MB, `su2f --kmax 7200 --metric 1,2
+# --json` 21 s and 1.1 GB, and `simplicity --family su2f --bound 270 --metric
+# 2,5` 62 s (54-57 s, and 71 s at bound 280, when the cap was set).
 MAX_KMAX = 7200
 MAX_FAMILY_KMAX = 270
-
-
-@dataclass(frozen=True)
-class FixedSpaceBasis:
-    """Exact basis of the F-invariant subspace of V_k.
-
-    Each basis vector is a primitive integer vector in the monomial basis,
-    supported on a single tau-orbit {l, k - l}, and is stored as that
-    orbit: its nonzero (l, coefficient) pairs in ascending l, one pair
-    when l = k/2 and two otherwise.  Vectors come in ascending l, so in
-    descending weight gap; ``ell_values`` lists the occurring weight gaps
-    |2l - k| in increasing order.
-    """
-
-    k: int
-    basis: tuple
-    ell_values: tuple
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
 
 
 def averaging_projector(k: int) -> dict:
@@ -108,30 +89,19 @@ def averaging_projector(k: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def fixed_space(k: int) -> FixedSpaceBasis:
-    """F-invariant subspace of V_k, the image of the averaging projector.
+def fixed_space(k: int) -> tuple:
+    """Weight gaps of the F-invariant lines of V_k, ascending, one per line.
 
     Since P g = P for the projector P, P v_(k-l) is a unit times P v_l, so
-    the nonzero columns P v_l with l <= k/2, in ascending l, form a basis
-    of the image.  Only the columns with entries are walked; each is
-    reduced to a primitive vector and stored as its (l, coefficient)
-    pairs in ascending l.
+    the nonzero columns P v_l with l <= k/2 span the image, one line per
+    tau-orbit {l, k - l}.  Column l is nonzero exactly when its diagonal
+    entry (l, l) is, and its line has weight gap k - 2l.  The number of
+    gaps is the dimension.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    columns = {}
-    for (row, column), entry in averaging_projector(k).items():
-        if 2 * column <= k:
-            columns.setdefault(column, []).append((row, entry))
-    basis = []
-    for column in sorted(columns):
-        rows, entries = zip(*sorted(columns[column]))
-        orbit = tuple(zip(rows, primitive_vector(entries)))
-        if len({abs(2 * row - k) for row in rows}) != 1:
-            raise AssertionError("basis vector mixes tau-orbits")
-        basis.append(orbit)
-    gaps = sorted(k - 2 * orbit[0][0] for orbit in basis)
-    return FixedSpaceBasis(k=k, basis=tuple(basis), ell_values=tuple(gaps))
+    diagonal = [row for row, column in averaging_projector(k) if row == column]
+    return tuple(sorted(k - 2 * row for row in diagonal if 2 * row <= k))
 
 
 def predicted_dimension(k: int) -> int:
@@ -158,7 +128,7 @@ def form_keys(k: int) -> list:
     form, so keys are equal exactly when the forms are.  Within one k the
     keys are asserted distinct.
     """
-    keys = [(-gap * gap, k * (k + 2) + gap * gap) for gap in fixed_space(k).ell_values]
+    keys = [(-gap * gap, k * (k + 2) + gap * gap) for gap in fixed_space(k)]
     if len(set(keys)) != len(keys):
         raise AssertionError("eigenvalue forms within one k must be distinct")
     return keys
@@ -170,9 +140,9 @@ def su2f_representation_family(kmax: int) -> list:
         raise ValueError(f"kmax {kmax} exceeds the maximum of {MAX_FAMILY_KMAX}")
     entries = []
     for k in range(0, kmax + 1, 2):
-        if fixed_space(k).dimension == 0:
+        if not fixed_space(k):
             continue
-        # the basis runs in ascending l, so in descending gap |2l - k|
+        # the projector's columns run in ascending l, so in descending gap
         diagonal = [
             MultiPoly(METRIC_PARAMS, {(1, 0): Fraction(a8, 8), (0, 1): Fraction(b8, 8)})
             for a8, b8 in reversed(form_keys(k))
@@ -277,7 +247,7 @@ def simplicity_certificate(
         raise ValueError(f"kmax {kmax} exceeds the maximum of {MAX_KMAX}")
     dimensions = []
     for k in range(kmax + 1):
-        dim = fixed_space(k).dimension
+        dim = len(fixed_space(k))
         if k % 2 == 1 and dim != 0:
             raise AssertionError("odd k must have no invariants")
         dimensions.append((k, dim))

@@ -303,6 +303,43 @@ class TestUsageErrors:
         assert type(fault).__name__ in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["table-delta", "EIII", "--label", "AI", "--r", "3"],
+             "LABEL EIII conflicts with --label AI"),
+            (["collide", "EIII", "--label", "AI", "--bound", "2"],
+             "LABEL EIII conflicts with --label AI"),
+            (["witness", "--label", "AI", "--ell", "2", "--rank", "3"],
+             "--ell 2 conflicts with --rank 3"),
+            (["table-delta", "--label", "CI", "--ell", "3", "--rank", "4"],
+             "--ell 3 conflicts with --rank 4"),
+            (["su2f", "--kmax", "12", "--metric", "1,,2"], "empty field in '1,,2'"),
+            (["su2f", "--kmax", "12", "--metric", ""], "empty field in ''"),
+            (["product", "--factors", "S2,S2", "--bound", "3", "--beta", "1,2,"],
+             "empty field in '1,2,'"),
+            (["simplicity", "--family", "hopf", "--bound", "3", "--metric", " ,2,5"],
+             "empty field in ' ,2,5'"),
+        ],
+    )
+    def test_conflicting_duplicate_inputs(self, capsys, argv, message):
+        code, out, err = run_capture(capsys, argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, same_as",
+        [
+            (["table-delta", "EIII", "--label", "EIII", "--json"],
+             ["table-delta", "EIII", "--json"]),
+            (["witness", "--label", "CI", "--ell", "3", "--rank", "3", "--json"],
+             ["witness", "--label", "CI", "--ell", "3", "--json"]),
+        ],
+    )
+    def test_equal_duplicate_inputs_are_accepted(self, capsys, argv, same_as):
+        assert run_capture(capsys, argv) == run_capture(capsys, same_as)
+
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             run([])
@@ -456,6 +493,10 @@ class TestExitCodeFuzz:
             (["hopf", "--n", "2", "--bound", "100000"], "100001^2"),
             (["product", "--factors", ",".join(["S2"] * 8), "--bound", "30",
               "--beta", "1,2,3,5,7,11,13,17"], "31^8"),
+            # refused before any factor's bound + 1 eigenvalues are built
+            (["product", "--factors", "S2,S2", "--bound", "10000000", "--beta", "1,3"],
+             "10000001^2"),
+            (["product", "--factors", "S2,S2", "--bound", "10000000"], "10000001^2"),
         ],
     )
     def test_huge_box_is_refused_without_allocating(self, argv, box):

@@ -1,9 +1,8 @@
 from fractions import Fraction
-from math import gcd, lcm
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimirspec.exactalg import (
@@ -14,7 +13,6 @@ from casimirspec.exactalg import (
     derivative,
     determinant,
     exact_div,
-    primitive_vector,
     rational_from_str,
     rational_gcd,
     rational_to_str,
@@ -123,42 +121,6 @@ class TestMultiPoly:
 
     def test_non_constant_stays_apart_from_numbers(self):
         assert len({var("a"), 0, 1}) == 3
-
-
-class TestPrimitiveVector:
-    def test_clears_denominators_and_content(self):
-        assert primitive_vector([Fraction(1, 2), Fraction(-1, 3)]) == (3, -2)
-        assert primitive_vector([4, 6, 0]) == (2, 3, 0)
-
-    def test_first_nonzero_entry_is_positive(self):
-        assert primitive_vector([0, -4, 6]) == (0, 2, -3)
-        assert primitive_vector([Fraction(-2), Fraction(2)]) == (1, -1)
-
-    def test_zero_vector(self):
-        assert primitive_vector([0, Fraction(0)]) == (0, 0)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(
-            st.integers(-50, 50) | st.fractions(max_denominator=60).map(lambda x: x * 7)
-            | st.just(0) | st.just(Fraction(0)),
-            max_size=6,
-        )
-    )
-    @example([0, Fraction(0), 0])
-    @example([Fraction(-3, 4), 2, Fraction(-5, 6), -4])
-    def test_matches_fraction_scaling(self, vector):
-        # the formula before denominators were cleared in ints
-        scale = lcm(*[x.denominator for x in vector])
-        scaled = [int(x * scale) for x in vector]
-        content = gcd(*scaled)
-        if content:
-            scaled = [x // content for x in scaled]
-        if next((x for x in scaled if x), 0) < 0:
-            scaled = [-x for x in scaled]
-        result = primitive_vector(vector)
-        assert result == tuple(scaled)
-        assert all(type(x) is int for x in result)
 
 
 class TestUniPoly:

@@ -17,7 +17,11 @@ read-only, as its own self-tests do.
 Two ``su2f --kmax 480`` ops are not in the benchmark; their exit code,
 SHA-256 and collision count are pinned here as literals, recorded from
 the dense-projector implementation, so the sparse SU(2)/F path is
-checked at a size where the two differ in cost.
+checked at a size where the two differ in cost.  Two ``su2f --kmax 2400``
+ops are pinned the same way, recorded from the implementation that
+reduced one primitive basis vector per invariant line, so the gaps read
+off the projector's diagonal are checked where that reduction was
+real work.
 
 Four ``simplicity`` ops are pinned the same way, recorded from the
 condition engines that multiplied out every resultant, at sizes where the
@@ -73,7 +77,7 @@ FULL_PRODUCT_OPS = [
 ]
 
 
-SU2F_480_PINS = [
+SU2F_PINS = [
     (
         ["su2f", "--kmax", "480", "--json"],
         0,
@@ -85,6 +89,19 @@ SU2F_480_PINS = [
         1,
         "4c08a6114f16e4d0167f8d1526e7f010905f9c9afc9616e8c53d5a6e672ca87a",
         1403,
+    ),
+    # recorded from the primitive tau-orbit basis vectors
+    (
+        ["su2f", "--kmax", "2400", "--json"],
+        0,
+        "3c55aad56ecec70a5f7131d5a7181b5ccfb3e7493cc26b0f69f7ac739480f6e6",
+        0,
+    ),
+    (
+        ["su2f", "--kmax", "2400", "--metric", "1,2", "--json"],
+        1,
+        "74c8ee62e0031ccbedbc200a83920c90165ed9d4021c93574ad20134df8468b1",
+        55538,
     ),
 ]
 
@@ -208,10 +225,10 @@ def test_full_product_op_matches_its_pin():
 
 @pytest.mark.parametrize(
     "argv,exit_code,sha256,collisions",
-    SU2F_480_PINS,
-    ids=[" ".join(pin[0]) for pin in SU2F_480_PINS],
+    SU2F_PINS,
+    ids=[" ".join(pin[0]) for pin in SU2F_PINS],
 )
-def test_su2f_kmax_480_matches_literal_pin(argv, exit_code, sha256, collisions):
+def test_su2f_matches_literal_pin(argv, exit_code, sha256, collisions):
     code, out = run_op(argv)
     assert code == exit_code
     assert len(json.loads(out)["metric_collisions"]) == collisions

@@ -2,17 +2,22 @@
 
 The 12-element group F, its monomial action on V_k and the cyclotomic
 sum of its phases live here as the reference for the closed-form
-``averaging_projector``.  The library stores the projector and the
-fixed-space basis sparsely; the references here are dense, and the
-sparse objects are made dense on this side to be compared with them.
+``averaging_projector``.  The library stores the projector sparsely and
+keeps only the weight gaps of its image; the references here are dense,
+and the invariant basis vectors themselves, built by a dense
+elimination, are checked here against the group and the gaps.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from casimirspec.exactalg import MultiPoly, primitive_vector
+from casimirspec.exactalg import MultiPoly
 from casimirspec.su2f import (
     METRIC_PARAMS,
     averaging_projector,
@@ -186,17 +191,34 @@ def nonzero_entries(matrix):
     }
 
 
-def dense_vector(k, orbit):
-    """A basis vector stored as (l, coefficient) pairs, as a (k+1)-tuple."""
-    vector = [0] * (k + 1)
-    for ell, coeff in orbit:
-        vector[ell] = coeff
+def primitive_vector(vector) -> tuple:
+    """Primitive integer vector on the ray of a rational vector.
+
+    Denominators are cleared and the content divided out; the first
+    nonzero entry is made positive.  The zero vector maps to itself.
+    """
+    scale = lcm(*[x.denominator for x in vector])
+    vector = [x.numerator * (scale // x.denominator) for x in vector]
+    content = gcd(*vector)
+    if content:
+        vector = [x // content for x in vector]
+    if next((x for x in vector if x), 0) < 0:
+        vector = [-x for x in vector]
     return tuple(vector)
 
 
+def weight_gap(k, vector):
+    """The weight gap |2l - k| of a basis vector supported on one tau-orbit."""
+    gaps = {abs(2 * ell - k) for ell, coeff in enumerate(vector) if coeff}
+    if len(gaps) != 1:
+        raise AssertionError("basis vector mixes tau-orbits")
+    return gaps.pop()
+
+
+@lru_cache(maxsize=None)
 def reference_fixed_space(k):
     """(basis, gaps) of the dense projector's image, by Gauss-Jordan on its
-    transpose."""
+    transpose: primitive basis vectors and their weight gaps, ascending."""
     projector = dense_projector(k)
     dim = k + 1
     rows = [[projector[i][j] for i in range(dim)] for j in range(dim)]
@@ -218,8 +240,43 @@ def reference_fixed_space(k):
         basis.append(primitive_vector(rows[row]))
         row += 1
         pivot_col += 1
-    gaps = sorted({abs(2 * ell - k) for v in basis for ell, c in enumerate(v) if c})
-    return tuple(basis), tuple(gaps)
+    return tuple(basis), tuple(sorted(weight_gap(k, v) for v in basis))
+
+
+class TestPrimitiveVector:
+    def test_clears_denominators_and_content(self):
+        assert primitive_vector([Fraction(1, 2), Fraction(-1, 3)]) == (3, -2)
+        assert primitive_vector([4, 6, 0]) == (2, 3, 0)
+
+    def test_first_nonzero_entry_is_positive(self):
+        assert primitive_vector([0, -4, 6]) == (0, 2, -3)
+        assert primitive_vector([Fraction(-2), Fraction(2)]) == (1, -1)
+
+    def test_zero_vector(self):
+        assert primitive_vector([0, Fraction(0)]) == (0, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.integers(-50, 50) | st.fractions(max_denominator=60).map(lambda x: x * 7)
+            | st.just(0) | st.just(Fraction(0)),
+            max_size=6,
+        )
+    )
+    @example([0, Fraction(0), 0])
+    @example([Fraction(-3, 4), 2, Fraction(-5, 6), -4])
+    def test_matches_fraction_scaling(self, vector):
+        # the formula before denominators were cleared in ints
+        scale = lcm(*[x.denominator for x in vector])
+        scaled = [int(x * scale) for x in vector]
+        content = gcd(*scaled)
+        if content:
+            scaled = [x // content for x in scaled]
+        if next((x for x in scaled if x), 0) < 0:
+            scaled = [-x for x in scaled]
+        result = primitive_vector(vector)
+        assert result == tuple(scaled)
+        assert all(type(x) is int for x in result)
 
 
 class TestGroup:
@@ -251,21 +308,23 @@ class TestGroup:
 
 class TestFixedSpace:
     def test_odd_k_zero(self):
-        assert fixed_space(1).dimension == 0
-        assert fixed_space(7).dimension == 0
+        assert fixed_space(1) == ()
+        assert fixed_space(7) == ()
 
     def test_k4(self):
-        space = fixed_space(4)
-        assert space.dimension == 1
-        assert space.basis == (((2, 1),),)
-        assert space.ell_values == (0,)
+        assert fixed_space(4) == (0,)
+        assert reference_fixed_space(4) == (((0, 0, 1, 0, 0),), (0,))
 
     def test_k12(self):
-        space = fixed_space(12)
-        assert space.dimension == 3
-        assert space.ell_values == (0, 6, 12)
+        assert fixed_space(12) == (0, 6, 12)
         # one tau-orbit per vector, in ascending l
-        assert space.basis == (((0, 1), (12, 1)), ((3, 1), (9, 1)), ((6, 1),))
+        basis, gaps = reference_fixed_space(12)
+        assert basis == (
+            (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+            (0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0),
+        )
+        assert gaps == (0, 6, 12)
 
     def test_projector_is_idempotent(self):
         for k in (4, 10, 12):
@@ -279,22 +338,25 @@ class TestFixedSpace:
 
     def test_basis_vectors_are_fixed(self):
         for k in (4, 8, 12, 16):
-            space = fixed_space(k)
+            basis, gaps = reference_fixed_space(k)
+            assert basis and gaps == fixed_space(k)
             for g in group_elements():
-                for vector in space.basis:
+                for vector in basis:
                     image = [Fraction(0)] * (k + 1)
-                    for ell, coeff in vector:
+                    for ell, coeff in enumerate(vector):
+                        if not coeff:
+                            continue
                         action = g.action_on_monomial(k, ell)
                         # rational basis vectors stay rational: the
                         # phase must be +-1 on the support
                         assert action.phase_exponent in (0, 6)
                         sign = 1 if action.phase_exponent == 0 else -1
                         image[action.target] += sign * coeff
-                    assert tuple(image) == dense_vector(k, vector)
+                    assert tuple(image) == vector
 
     def test_oracle_agreement_to_240(self):
         for k in range(241):
-            assert fixed_space(k).dimension == predicted_dimension(k)
+            assert len(fixed_space(k)) == predicted_dimension(k)
 
     def test_projector_matches_group_average_to_240(self):
         # k <= 240 covers every residue of k mod 12 and of l mod 6
@@ -315,12 +377,9 @@ class TestFixedSpace:
             assert dense_projector(k) == reference_projector(k)
 
     def test_matches_dense_elimination_to_120(self):
+        # one gap per reference basis vector, each on a single tau-orbit
         for k in range(121):
-            space = fixed_space(k)
-            dense = tuple(dense_vector(k, orbit) for orbit in space.basis)
-            assert (dense, space.ell_values) == reference_fixed_space(k), k
-            for orbit in space.basis:
-                assert list(orbit) == sorted(orbit) and all(c for _, c in orbit)
+            assert fixed_space(k) == reference_fixed_space(k)[1], k
 
 
 def arithmetic_form(a8, b8):
@@ -343,7 +402,7 @@ class TestFormKeys:
     def test_within_k_distinct_to_sixty(self):
         for k in range(61):
             keys = form_keys(k)
-            assert len(set(keys)) == len(keys) == fixed_space(k).dimension
+            assert len(set(keys)) == len(keys) == len(fixed_space(k))
 
     def test_gaps_follow_the_residue_rule_to_1200(self):
         # odd k has no invariants; even k has the gaps 0 (when 4 | k) and
@@ -351,11 +410,11 @@ class TestFormKeys:
         for k in range(1201):
             space = fixed_space(k)
             if k % 2:
-                assert space.ell_values == (), k
+                assert space == (), k
                 continue
             gaps = ((0,) if k % 4 == 0 else ()) + tuple(range(6, k + 1, 6))
-            assert space.ell_values == gaps, k
-            assert space.dimension == k // 6 + (k % 4 == 0), k
+            assert space == gaps, k
+            assert len(space) == k // 6 + (k % 4 == 0), k
 
     def test_family_diagonals_against_arithmetic(self):
         for entry in su2f_representation_family(200):
@@ -416,15 +475,12 @@ class TestRepresentationFamily:
         family = su2f_representation_family(20)
         for entry in family:
             k = int(entry.id[1:])
-            assert entry.casimir.dimension == fixed_space(k).dimension
+            assert entry.casimir.dimension == len(fixed_space(k))
 
     def test_diagonal_follows_basis_gaps(self):
-        # entry i is the form of the weight gap of basis vector i
+        # entry i is the form of the weight gap of reference basis vector i
         for entry in su2f_representation_family(120):
             k = int(entry.id[1:])
             by_gap = {-a8: arithmetic_form(a8, b8) for a8, b8 in form_keys(k)}
-            expected = [
-                by_gap[next(abs(2 * e - k) for e, c in enumerate(dense_vector(k, v)) if c) ** 2]
-                for v in fixed_space(k).basis
-            ]
+            expected = [by_gap[weight_gap(k, v) ** 2] for v in reference_fixed_space(k)[0]]
             assert [entry.casimir.entry(i, i) for i in range(len(expected))] == expected
