@@ -17,7 +17,7 @@ serialize as exact rational strings.  Exit status: 0 on success, 1 when
 a computation succeeded but the certificate failed (or the requested
 construction is out of scope for the datum), 2 on usage errors, 3 on an
 internal fault (a failed internal consistency check or an arithmetic or
-memory error).
+memory error) or when the output cannot be written (stdout closed early).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -113,10 +114,16 @@ def _print_csv(header: list, rows) -> None:
     writer.writerows(rows)
 
 
-def _parse_metric(text: str, count: int) -> list:
+def _fields(text: str) -> list:
+    """The comma-separated fields of ``text``; an empty one is a usage error."""
     parts = text.split(",")
     if not all(p.strip() for p in parts):
         raise ValueError(f"empty field in {text!r}")
+    return parts
+
+
+def _parse_metric(text: str, count: int) -> list:
+    parts = _fields(text)
     if len(parts) != count:
         raise ValueError(f"expected {count} comma-separated rationals")
     values = [rational_from_str(p) for p in parts]
@@ -270,9 +277,7 @@ def _cmd_su2f(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    labels = [p.strip() for p in args.factors.split(",") if p.strip()]
-    if not labels:
-        raise ValueError("need at least one factor")
+    labels = [p.strip() for p in _fields(args.factors)]
     spectrum.require_box(len(labels), args.bound)
     factors = [products.factor_spectrum(label, args.bound) for label in labels]
     if args.beta is not None:
@@ -419,12 +424,22 @@ def run(argv=None) -> int:
         if args.label is None and args.func is not _cmd_table_delta:
             parser.error("a space label is required")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (AssertionError, RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"error: internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except BrokenPipeError:
+        # the reader closed stdout; what is still buffered goes to devnull so
+        # that the flush at interpreter exit does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
         return EXIT_INTERNAL
 
 

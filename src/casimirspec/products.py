@@ -11,14 +11,23 @@ index box the normals lambda_a - lambda_a' are exactly the vectors with
 entry i in factor i's difference set {lambda_i(m) - lambda_i(m')}, so
 this module builds them factor by factor, never pairing box arrays.  It
 then produces a deterministic beta certified collision-free on that box.
+
+Both steps run on one integer table per factor, lambda_i(0..bound) times
+the lcm of the denominators.  The hyperplanes are packed into one
+``int64`` key per normal and deduplicated by sorting; the beta candidates
+are tested in batches, each one sorted ``(batch, box)`` array of box
+values.  Python ints take over wherever a bound stated below would reach
+2**63, and ``check_beta`` stays the exact witness lister that confirms
+the winner.  Grids past ``MAX_DIFFERENCE_GRID`` and searches past
+``MAX_SEARCH_ENTRIES`` are refused with ``ValueError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import gcd, lcm
+from itertools import islice, product
+from math import gcd, lcm, prod
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -29,6 +38,17 @@ from .spectrum import (
     weight_box,
 )
 from .symmdata import RestrictedDatum, cross_datum
+
+# one more than the largest int64; the array paths stay below it
+INT64_LIMIT = 2**63
+# difference-grid rows per step of the hyperplane walk
+HYPERPLANE_CHUNK = 2**16
+# candidate box values per batch of the beta search
+BATCH_ENTRIES = 2**18
+# largest difference grid prod_i |D_i| the hyperplane walk takes on
+MAX_DIFFERENCE_GRID = 2**24
+# most box values (candidates times box rows) the beta search sorts
+MAX_SEARCH_ENTRIES = 2**31
 
 
 @dataclass(frozen=True)
@@ -74,7 +94,38 @@ def lambda_array(factors: Sequence[FactorSpectrum], indices: Sequence[int]) -> t
     return tuple(f.eigenvalues[indices[i]] for i, f in enumerate(factors))
 
 
-def collision_hyperplanes(factors: Sequence[FactorSpectrum], bound: int = None) -> list:
+def integer_tables(factors: Sequence[FactorSpectrum], bound: int) -> list:
+    """lambda_i(0..bound) of every factor times the lcm D of all denominators.
+
+    One common scale keeps every difference on its ray and every weighted
+    sum exact: sum_i c_i lambda_i(m_i) agree exactly when the integer
+    sums sum_i c_i t_i[m_i] do.
+    """
+    tables = [f.eigenvalues[: bound + 1] for f in factors]
+    denom = lcm(*(v.denominator for table in tables for v in table))
+    return [[int(v * denom) for v in table] for table in tables]
+
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a scratch array, ascending; sorts it in place.
+
+    ``np.unique`` by one sort, without its ``numpy.ma`` import or copy.
+    """
+    values = values.ravel()
+    values.sort()
+    return values[np.r_[True, values[1:] != values[:-1]]]
+
+
+def require_difference_grid(rows: int) -> None:
+    """Refuse a hyperplane walk over more than ``MAX_DIFFERENCE_GRID`` rows."""
+    if rows > MAX_DIFFERENCE_GRID:
+        raise ValueError(
+            f"difference grid of at least {rows} vectors exceeds the maximum of "
+            f"{MAX_DIFFERENCE_GRID}"
+        )
+
+
+def collision_hyperplanes(factors: Sequence[FactorSpectrum], bound: int = None) -> np.ndarray:
     """Primitive normals of the collision hyperplanes meeting the orthant.
 
     Normals are the differences lambda_a - lambda_a' over index arrays in
@@ -88,6 +139,18 @@ def collision_hyperplanes(factors: Sequence[FactorSpectrum], bound: int = None) 
     their zero set misses the open positive orthant, so no positive
     weight vector can hit them (in particular a single injective factor
     contributes no hyperplane at all).
+
+    Returns an ``(h, n)`` array, one normal per row in lexicographic
+    order.  Let M be the largest |entry| of any D_i on the integer
+    tables of :func:`integer_tables`.  When (2M + 1)^n < 2**63, the rows
+    with d_1 > 0 (and d_1 = 0 when n >= 3) are walked in chunks of
+    ``HYPERPLANE_CHUNK`` as ``int64``: each mixed-sign row is divided by
+    its gcd and packed, with its negation, into the key sum_i (x_i + M)
+    (2M + 1)^(n - 1 - i), whose order is the rows' lexicographic order.
+    Otherwise the product is walked over Python ints.  A grid of more
+    than ``MAX_DIFFERENCE_GRID`` rows is refused with ``ValueError``
+    before the difference sets are built, since a rank-one spectrum has
+    |D_i| >= 2 bound + 1, and again once their sizes are known.
     """
     if not factors:
         raise ValueError("need at least one factor")
@@ -95,16 +158,47 @@ def collision_hyperplanes(factors: Sequence[FactorSpectrum], bound: int = None) 
         bound = min(f.bound for f in factors)
     if any(f.bound < bound for f in factors):
         raise ValueError("bound exceeds a factor's spectrum")
-    # one common scale keeps every difference on its ray
-    tables = [f.eigenvalues[: bound + 1] for f in factors]
-    denom = lcm(*(v.denominator for table in tables for v in table))
-    differences = [{int((x - y) * denom) for x in table for y in table} for table in tables]
-    normals = set()
-    for diff in product(*differences):
-        if max(diff) > 0 > min(diff):
-            content = gcd(*diff)
-            normals.add(tuple(x // content for x in diff))
-    return sorted(normals)
+    n = len(factors)
+    if n == 1:
+        return np.zeros((0, 1), np.int64)
+    require_difference_grid((2 * bound + 1) ** n)
+    tables = integer_tables(factors, bound)
+    span = max(max(table) - min(table) for table in tables)
+    base = 2 * span + 1
+    if max(abs(x) for table in tables for x in table) >= INT64_LIMIT or base**n >= INT64_LIMIT:
+        differences = [{x - y for x in table for y in table} for table in tables]
+        require_difference_grid(prod(len(d) for d in differences))
+        normals = set()
+        for diff in product(*differences):
+            if max(diff) > 0 > min(diff):
+                content = gcd(*diff)
+                normals.add(tuple(x // content for x in diff))
+        return np.array(sorted(normals), exact_dtype(span)).reshape(-1, n)
+    differences = [distinct(np.subtract.outer(t, t)) for t in map(np.array, tables)]
+    require_difference_grid(prod(len(d) for d in differences))
+    # a row with d_1 < 0 is the negation of one with d_1 > 0; one with d_1 = 0
+    # can mix signs only in its other n - 1 >= 2 entries
+    differences[0] = differences[0][differences[0] >= (0 if n >= 3 else 1)]
+    weights = [base ** (n - 1 - i) for i in range(n)]
+    top = base**n - 1  # the key of -x is top minus the key of x
+    shape = tuple(len(d) for d in differences)
+    parts = []
+    for start in range(0, prod(shape), HYPERPLANE_CHUNK):
+        stop = min(start + HYPERPLANE_CHUNK, prod(shape))
+        index = np.unravel_index(np.arange(start, stop), shape)
+        rows = np.column_stack([d[i] for d, i in zip(differences, index)])
+        rows = rows[(rows.max(axis=1) > 0) & (rows.min(axis=1) < 0)]
+        rows //= np.gcd.reduce(rows, axis=1, keepdims=True)
+        keys = sum((rows[:, i] + span) * w for i, w in enumerate(weights))
+        parts.append(distinct(np.concatenate([keys, top - keys])))
+    keys = np.concatenate(parts or [np.zeros(0, np.int64)])
+    del parts
+    keys = distinct(keys)
+    normals = np.empty((len(keys), n), np.int64)
+    for i in reversed(range(n)):
+        keys, normals[:, i] = np.divmod(keys, base)
+    normals -= span
+    return normals
 
 
 @dataclass(frozen=True)
@@ -166,6 +260,23 @@ def prime_sequence() -> Iterator[int]:
         candidate += 1
 
 
+def level_tuples(length: int, values: list) -> Iterator[tuple]:
+    """Tuples over the increasing ``values`` that contain the last one, lexicographic.
+
+    A tuple either starts below the last value and contains it later, or
+    starts with it and continues freely, so none is generated and dropped.
+    """
+    top = values[-1]
+    if length == 1:
+        yield (top,)
+        return
+    for value in values[:-1]:
+        for rest in level_tuples(length - 1, values):
+            yield (value,) + rest
+    for rest in product(values, repeat=length - 1):
+        yield (top,) + rest
+
+
 def candidate_tuples(length: int) -> Iterator[tuple]:
     """Tuples over the 1-then-primes sequence, enumerated deterministically.
 
@@ -174,16 +285,10 @@ def candidate_tuples(length: int) -> Iterator[tuple]:
     the tuples whose largest sequence index is exactly T, in lexicographic
     order within the level.
     """
-    seq = []
-    gen = prime_sequence()
-    level = 0
-    while True:
-        while len(seq) <= level:
-            seq.append(next(gen))
-        for indices in product(range(level + 1), repeat=length):
-            if max(indices) == level:
-                yield tuple(seq[i] for i in indices)
-        level += 1
+    values = []
+    for value in prime_sequence():
+        values.append(value)
+        yield from level_tuples(length, values)
 
 
 @dataclass(frozen=True)
@@ -212,6 +317,24 @@ class BetaCertificate:
         }
 
 
+def first_free_candidate(tables: list, candidates: list) -> int:
+    """Index of the first collision-free candidate of a batch, or -1.
+
+    ``tables`` are the integer tables of :func:`integer_tables` as
+    ``int64`` arrays.  The batch's box values sum_i c_i t_i[m_i] form one
+    ``(batch, box)`` outer sum, exact in ``int64`` because the caller
+    checks max(c) * sum_i max |t_i| < 2**63; each row is sorted and a
+    candidate is free when no two neighbours are equal.
+    """
+    weights = np.array(candidates, np.int64)
+    values = np.zeros((len(candidates), 1), np.int64)
+    for i, table in enumerate(tables):
+        values = (values[:, :, None] + weights[:, i, None, None] * table).reshape(len(weights), -1)
+    values.sort(axis=1)
+    free = np.flatnonzero((values[:, 1:] != values[:, :-1]).all(axis=1))
+    return int(free[0]) if len(free) else -1
+
+
 def generic_beta_certificate(
     factors: Sequence[FactorSpectrum], bound: int = None
 ) -> BetaCertificate:
@@ -219,34 +342,63 @@ def generic_beta_certificate(
 
     Candidates with entries from the 1-then-primes sequence are tried in
     the deterministic order of :func:`candidate_tuples`; the first one
-    for which :func:`check_beta` finds no collision on the box wins.  It
-    is then cross-checked against the hyperplane list: it must be
-    orthogonal to no truncated normal.  A single factor has no normals
-    and is certified by the first candidate.
+    with no collision on the box wins.  They are tested in batches by
+    :func:`first_free_candidate`, on the tables t_i of
+    :func:`integer_tables`.  Batch sizes double from one candidate up to
+    ``BATCH_ENTRIES // box`` (at least one), so an early winner costs no
+    wide batch.  A batch whose largest entry times sum_i max |t_i| reaches
+    2**63 is tested by :func:`check_beta` instead, one candidate at a
+    time.  A search that would sort more than ``MAX_SEARCH_ENTRIES`` box
+    values (candidates times box rows) is refused with ``ValueError``.
+
+    The boundary is confirmed on the exact path: :func:`check_beta`
+    finds no collision for the winner and some for the candidate tried
+    just before it.  The winner is then cross-checked against the
+    hyperplane list: it must be orthogonal to no truncated normal.  A
+    single factor has no normals and is certified by the first candidate.
     """
     if bound is None:
         bound = min(f.bound for f in factors)
     normals = collision_hyperplanes(factors, bound)
-    tried = 0
-    for candidate in candidate_tuples(len(factors)):
-        tried += 1
-        beta = tuple(Fraction(c) for c in candidate)
-        if check_beta(factors, beta, bound):
-            continue
-        # a box collision is exactly a hit on a truncated hyperplane, so
-        # the surviving candidate must also clear every stored normal
-        if any(
-            sum(n_i * c_i for n_i, c_i in zip(normal, candidate)) == 0
-            for normal in normals
-        ):
-            raise AssertionError("hyperplane list and exhaustive check disagree")
-        box = (bound + 1) ** len(factors)
-        return BetaCertificate(
-            factors=tuple(f.label for f in factors),
-            bound=bound,
-            beta=beta,
-            candidates_tried=tried,
-            hyperplanes=len(normals),
-            distinct_values=box,
-        )
-    raise RuntimeError("unreachable: the candidate sequence is infinite")
+    tables = integer_tables(factors, bound)
+    widest = sum(max(abs(x) for x in table) for table in tables)
+    arrays = [np.array(table, exact_dtype(widest)) for table in tables]
+    box = (bound + 1) ** len(factors)
+    widest_batch, allowed = max(1, BATCH_ENTRIES // box), MAX_SEARCH_ENTRIES // box
+    candidates = candidate_tuples(len(factors))
+    tried, previous, batch = 0, None, 1
+    while True:
+        chunk = list(islice(candidates, min(batch, allowed - tried)))
+        batch = min(2 * batch, widest_batch)
+        if not chunk:
+            raise ValueError(
+                f"no collision-free beta among the first {tried} candidates; more on a box "
+                f"of {box} rows exceed the maximum of {MAX_SEARCH_ENTRIES} sorted values"
+            )
+        if max(map(max, chunk)) * widest < INT64_LIMIT:
+            found = first_free_candidate(arrays, chunk)
+        else:
+            found = next((j for j, c in enumerate(chunk) if not check_beta(factors, c, bound)), -1)
+        if found >= 0:
+            break
+        tried, previous = tried + len(chunk), chunk[-1]
+    tried, winner = tried + found + 1, chunk[found]
+    if found:
+        previous = chunk[found - 1]
+    if check_beta(factors, winner, bound):
+        raise AssertionError("batched search and exhaustive check disagree on the winner")
+    if previous is not None and not check_beta(factors, previous, bound):
+        raise AssertionError("the candidate before the winner is collision-free")
+    # a box collision is exactly a hit on a truncated hyperplane, so the
+    # winner must also clear every stored normal
+    dtype = exact_dtype(int(abs(normals).max(initial=0)) * sum(winner))
+    if (normals.astype(dtype) @ np.array(winner, dtype) == 0).any():
+        raise AssertionError("hyperplane list and exhaustive check disagree")
+    return BetaCertificate(
+        factors=tuple(f.label for f in factors),
+        bound=bound,
+        beta=tuple(Fraction(c) for c in winner),
+        candidates_tried=tried,
+        hyperplanes=len(normals),
+        distinct_values=box,
+    )

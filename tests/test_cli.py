@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import jsonschema
@@ -10,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimirspec import bundles, su2f
+import casimirspec
+from casimirspec import bundles, products, su2f
 from casimirspec.cli import EXIT_CERT_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, run
 from casimirspec.spectrum import MAX_BOX_ROWS
 from casimirspec.symmdata import LABELS, MAX_RANK, restricted_datum
@@ -318,6 +322,9 @@ class TestUsageErrors:
             (["su2f", "--kmax", "12", "--metric", ""], "empty field in ''"),
             (["product", "--factors", "S2,S2", "--bound", "3", "--beta", "1,2,"],
              "empty field in '1,2,'"),
+            (["product", "--factors", "S2,,S2", "--bound", "3"], "empty field in 'S2,,S2'"),
+            (["product", "--factors", "S2, ", "--bound", "3", "--beta", "1,2"],
+             "empty field in 'S2, '"),
             (["simplicity", "--family", "hopf", "--bound", "3", "--metric", " ,2,5"],
              "empty field in ' ,2,5'"),
         ],
@@ -507,6 +514,26 @@ class TestExitCodeFuzz:
         )
         assert peak < 1 << 20
 
+    def test_large_difference_grid_is_refused(self):
+        # 269^3 collision-hyperplane differences; the box has only 21^3 rows
+        code, err, peak = run_traced(["product", "--factors", "S2,S2,S2", "--bound", "20"])
+        assert code == EXIT_USAGE
+        assert err == (
+            "error: difference grid of at least 19465109 vectors exceeds the maximum of "
+            f"{products.MAX_DIFFERENCE_GRID}\n"
+        )
+        assert peak < 1 << 20
+
+    def test_long_candidate_search_is_refused(self, monkeypatch):
+        # beta (1, 11) is candidate 26 on the 25-row box of S2 x S2 at bound 4
+        monkeypatch.setattr(products, "MAX_SEARCH_ENTRIES", 25 * 25)
+        code, err, _ = run_traced(["product", "--factors", "S2,S2", "--bound", "4"])
+        assert code == EXIT_USAGE
+        assert err == (
+            "error: no collision-free beta among the first 25 candidates; more on a box "
+            "of 25 rows exceed the maximum of 625 sorted values\n"
+        )
+
     @pytest.mark.parametrize("label", sorted(RANK_PARAMS))
     def test_rank_params_give_that_rank(self, label):
         for rank in (3, 4, 5, 6):
@@ -530,3 +557,19 @@ class TestExitCodeFuzz:
             f"error: restricted rank {rank} exceeds the maximum of {MAX_RANK}\n"
         )
         assert peak < 1 << 20
+
+
+def test_closed_stdout_is_exit_3():
+    # 137 kB of JSON: the writer meets the closed pipe after the reader left
+    src = pathlib.Path(casimirspec.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["product", "--factors", "S2,S2", "--bound", "30", "--beta", "1,1", "--json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "casimirspec.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == EXIT_INTERNAL
+    assert err == "error: stdout was closed before the output was written\n"

@@ -30,6 +30,11 @@ factor-by-factor engines are far cheaper.
 ``witness --json`` is pinned the same way, recorded from the ``Fraction``
 Gauss-Jordan root data: ``AI`` at r = 60, and every label of rank >= 3
 at its representative parameters.
+
+Two three-factor ``product`` certificates are pinned the same way,
+recorded from the search that ran ``check_beta`` once per candidate and
+the hyperplane walk over Python tuples, at sizes where the batched
+search and the packed keys do the work.
 """
 
 import contextlib
@@ -166,6 +171,17 @@ WITNESS_PINS = [
 ]
 
 
+# recorded from the per-candidate search: beta, candidates tried, hyperplanes
+PRODUCT_PINS = [
+    (["product", "--factors", "S2,S2,S2", "--bound", "6", "--json"],
+     "8f089c006b0c5ef2b7b8405f9fd6b5cc147409cc6b962aeceb9c6aae22cdb6f8",
+     ["31", "79", "97"], 16209, 19920),
+    (["product", "--factors", "S2,S2,S2", "--bound", "8", "--json"],
+     "e8c2ec1abc39d7fbe39cb7ed202a8da6e33c897b6beca191caf80435183596d5",
+     ["179", "191", "229"], 129185, 93888),
+]
+
+
 def run_op(argv):
     captured = io.StringIO()
     with contextlib.redirect_stdout(captured):
@@ -254,4 +270,19 @@ def test_simplicity_matches_literal_pin(argv, exit_code, sha256):
 def test_witness_matches_literal_pin(argv, exit_code, sha256):
     code, out = run_op(argv)
     assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "argv,sha256,beta,tried,hyperplanes",
+    PRODUCT_PINS,
+    ids=[" ".join(pin[0]) for pin in PRODUCT_PINS],
+)
+def test_product_matches_literal_pin(argv, sha256, beta, tried, hyperplanes):
+    code, out = run_op(argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["beta"], payload["candidates_tried"], payload["hyperplanes"]) == (
+        beta, tried, hyperplanes
+    )
     assert hashlib.sha256(out.encode()).hexdigest() == sha256

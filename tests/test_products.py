@@ -1,17 +1,20 @@
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from casimirspec import products
 from casimirspec.products import (
     FactorSpectrum,
     candidate_tuples,
     check_beta,
     collision_hyperplanes,
     factor_spectrum,
+    first_free_candidate,
     generic_beta_certificate,
     prime_sequence,
 )
@@ -35,10 +38,40 @@ def reference_collision_hyperplanes(factors, bound):
                 primitive = tuple(x // content for x in diff)
                 normals.add(primitive)
                 normals.add(tuple(-x for x in primitive))
-    return sorted(normals)
+    return [list(normal) for normal in sorted(normals)]
+
+
+def reference_candidate_tuples(length):
+    """The level enumeration that filtered every tuple of a level's cube."""
+    seq = []
+    gen = prime_sequence()
+    level = 0
+    while True:
+        while len(seq) <= level:
+            seq.append(next(gen))
+        for indices in product(range(level + 1), repeat=length):
+            if max(indices) == level:
+                yield tuple(seq[i] for i in indices)
+        level += 1
+
+
+def reference_generic_beta(factors, bound):
+    """The per-candidate loop the batched search replaced: (beta, tried)."""
+    for tried, candidate in enumerate(reference_candidate_tuples(len(factors)), 1):
+        if not check_beta(factors, candidate, bound):
+            return candidate, tried
 
 
 HYPERPLANE_LABELS = ["S2", "S3", "S4", "S5", "CP2", "CP3", "HP2", "OP2"]
+
+
+def rational_factors(bound):
+    """Scaled copies of shipped spectra, with non-integral eigenvalues."""
+    s2, cp2 = factor_spectrum("S2", bound), factor_spectrum("CP2", bound)
+    return [
+        FactorSpectrum("S2/3", s2.datum, tuple(v / 3 for v in s2.eigenvalues)),
+        FactorSpectrum("2CP2/7", cp2.datum, tuple(v * 2 / 7 for v in cp2.eigenvalues)),
+    ]
 
 
 class TestFactorSpectrum:
@@ -68,17 +101,17 @@ class TestFactorSpectrum:
 class TestHyperplanes:
     def test_two_spheres_contains_diagonal(self):
         factors = [factor_spectrum("S2", 8)] * 2
-        normals = collision_hyperplanes(factors, 8)
+        normals = collision_hyperplanes(factors, 8).tolist()
         # lambda(1,2) - lambda(2,1) = (-8, 8), primitive (-1, 1)
-        assert (-1, 1) in normals and (1, -1) in normals
+        assert [-1, 1] in normals and [1, -1] in normals
 
     def test_single_factor_empty(self):
         factors = [factor_spectrum("S2", 10)]
-        assert collision_hyperplanes(factors, 10) == []
+        assert len(collision_hyperplanes(factors, 10)) == 0
 
     def test_only_mixed_sign_directions(self):
         factors = [factor_spectrum("S2", 6), factor_spectrum("CP2", 6)]
-        for normal in collision_hyperplanes(factors, 6):
+        for normal in collision_hyperplanes(factors, 6).tolist():
             assert any(x > 0 for x in normal) and any(x < 0 for x in normal)
 
     @settings(max_examples=40, deadline=None)
@@ -89,7 +122,7 @@ class TestHyperplanes:
     def test_matches_reference_pair_loop(self, labels, data):
         bound = data.draw(st.integers(1, {1: 40, 2: 16, 3: 5}[len(labels)]), label="bound")
         factors = [factor_spectrum(label, bound) for label in labels]
-        assert collision_hyperplanes(factors, bound) == reference_collision_hyperplanes(
+        assert collision_hyperplanes(factors, bound).tolist() == reference_collision_hyperplanes(
             factors, bound
         )
 
@@ -97,7 +130,7 @@ class TestHyperplanes:
         factors = [factor_spectrum("S2", 30)] * 2
         normals = collision_hyperplanes(factors, 30)
         assert len(normals) == 67234
-        assert normals == reference_collision_hyperplanes(factors, 30)
+        assert normals.tolist() == reference_collision_hyperplanes(factors, 30)
 
     def test_matches_reference_pair_loop_on_rational_spectra(self):
         # every shipped spectrum is integral; these scaled copies are not,
@@ -107,10 +140,10 @@ class TestHyperplanes:
             FactorSpectrum("S2/3", s2.datum, tuple(v / 3 for v in s2.eigenvalues)),
             FactorSpectrum("2CP2/7", cp2.datum, tuple(v * 2 / 7 for v in cp2.eigenvalues)),
         ]
-        normals = collision_hyperplanes(factors, 6)
+        normals = collision_hyperplanes(factors, 6).tolist()
         assert normals == reference_collision_hyperplanes(factors, 6)
         # lambda(1, 0) - lambda(0, 1) = (4/3, -24/7) = (4/21) * (7, -18)
-        assert (7, -18) in normals and (-7, 18) in normals
+        assert [7, -18] in normals and [-7, 18] in normals
 
 
 class TestCheckBeta:
@@ -146,6 +179,12 @@ class TestCandidateSequence:
 
     def test_single_entry(self):
         assert list(islice(candidate_tuples(1), 4)) == [(1,), (2,), (3,), (5,)]
+
+    @pytest.mark.parametrize("length,count", [(1, 60), (2, 3000), (3, 20000), (4, 20000)])
+    def test_matches_level_filter(self, length, count):
+        assert list(islice(candidate_tuples(length), count)) == list(
+            islice(reference_candidate_tuples(length), count)
+        )
 
 
 class TestCertificate:
@@ -184,3 +223,128 @@ class TestCertificate:
             datum = cross_datum(alias)
             assert enumerate_collisions(datum, 500) == []
             factor_spectrum(alias, 500)  # asserts strict monotonicity
+
+
+class TestBatchedSearch:
+    """The batched search against the per-candidate check_beta loop."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        labels=st.lists(st.sampled_from(HYPERPLANE_LABELS), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    def test_matches_per_candidate_oracle(self, labels, data):
+        bound = data.draw(st.integers(1, {1: 12, 2: 8, 3: 3}[len(labels)]), label="bound")
+        factors = [factor_spectrum(label, bound) for label in labels]
+        cert = generic_beta_certificate(factors, bound)
+        assert (cert.beta, cert.candidates_tried) == reference_generic_beta(factors, bound)
+
+    @pytest.mark.parametrize("bound", [1, 3, 6])
+    def test_matches_oracle_on_rational_spectra(self, bound):
+        factors = rational_factors(bound)
+        cert = generic_beta_certificate(factors, bound)
+        assert (cert.beta, cert.candidates_tried) == reference_generic_beta(factors, bound)
+        assert cert.hyperplanes == len(reference_collision_hyperplanes(factors, bound))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    @pytest.mark.parametrize(
+        "labels,bound", [("S2,S2", 4), ("S2,S2", 5), ("S4,S4", 2), ("S2,S2,S2", 2), ("S2", 3)]
+    )
+    def test_batch_sizes(self, monkeypatch, rows, labels, bound):
+        # batches of at most `rows` candidates put winners first, last and
+        # in the middle of a batch, and after several full batches
+        factors = [factor_spectrum(label, bound) for label in labels.split(",")]
+        monkeypatch.setattr(products, "BATCH_ENTRIES", rows * (bound + 1) ** len(factors))
+        cert = generic_beta_certificate(factors, bound)
+        assert (cert.beta, cert.candidates_tried) == reference_generic_beta(factors, bound)
+
+    def test_first_free_candidate_positions(self):
+        factors = [factor_spectrum("S2", 4)] * 2
+        tables = [np.array(t) for t in products.integer_tables(factors, 4)]
+        # (1, 1) and (1, 2) collide at bound 4, (1, 11) does not
+        assert first_free_candidate(tables, [(1, 11), (1, 1)]) == 0
+        assert first_free_candidate(tables, [(1, 1), (1, 2), (1, 11)]) == 2
+        assert first_free_candidate(tables, [(1, 1), (1, 2)]) == -1
+
+    @pytest.mark.parametrize("limit", [1, 10**4])
+    def test_python_int_fallback(self, monkeypatch, limit):
+        # limit 1 sends every batch to check_beta; 10**4 only the later ones
+        factors = [factor_spectrum("S2", 4)] * 2
+        expected = reference_generic_beta(factors, 4)
+        monkeypatch.setattr(products, "INT64_LIMIT", limit)
+        batched = []
+
+        def spy(tables, candidates):
+            batched.append(candidates)
+            return first_free_candidate(tables, candidates)
+
+        monkeypatch.setattr(products, "first_free_candidate", spy)
+        cert = generic_beta_certificate(factors, 4)
+        assert (cert.beta, cert.candidates_tried) == expected
+        assert (batched == []) == (limit == 1)
+        assert cert.hyperplanes == 106
+
+    @pytest.mark.parametrize(
+        "labels,bound", [("S2,S2", 12), ("S2,CP2,OP2", 3), ("S3,S3,S3,S3", 1)]
+    )
+    def test_hyperplanes_python_int_fallback(self, monkeypatch, labels, bound):
+        factors = [factor_spectrum(label, bound) for label in labels.split(",")]
+        expected = collision_hyperplanes(factors, bound)
+        monkeypatch.setattr(products, "INT64_LIMIT", 1)
+        monkeypatch.setattr(products, "distinct", None)  # the array path is not taken
+        normals = collision_hyperplanes(factors, bound)
+        assert normals.tolist() == expected.tolist()
+        assert normals.tolist() == reference_collision_hyperplanes(factors, bound)
+
+    def test_hyperplanes_at_the_packing_bound(self, monkeypatch):
+        # (2M + 1)^n = 49**2 for S2, S2 at bound 3: one below the limit
+        # packs into int64 keys, the limit itself takes Python ints
+        factors = [factor_spectrum("S2", 3)] * 2
+        expected = reference_collision_hyperplanes(factors, 3)
+        monkeypatch.setattr(products, "INT64_LIMIT", 49**2 + 1)
+        assert collision_hyperplanes(factors, 3).tolist() == expected
+        monkeypatch.setattr(products, "INT64_LIMIT", 49**2)
+        monkeypatch.setattr(products, "distinct", None)
+        assert collision_hyperplanes(factors, 3).tolist() == expected
+
+    @pytest.mark.parametrize("top", [2**62 + 5, 2**64])
+    def test_huge_spectra_take_python_ints(self, top):
+        # (2M + 1)^2 passes 2**63, and with 2**64 the normals themselves do
+        datum = factor_spectrum("S2", 2).datum
+        factors = [FactorSpectrum("A", datum, (0, 1, 2**62)), FactorSpectrum("B", datum, (0, 2, top))]
+        normals = collision_hyperplanes(factors)
+        assert normals.tolist() == reference_collision_hyperplanes(factors, 2)
+        cert = generic_beta_certificate(factors)
+        assert (cert.beta, cert.candidates_tried) == reference_generic_beta(factors, 2)
+        assert cert.hyperplanes == len(normals)
+
+    def test_boundary_check_failure_raises(self, monkeypatch):
+        # a search that stopped one candidate early is caught by check_beta
+        factors = [factor_spectrum("S2", 4)] * 2
+        monkeypatch.setattr(products, "first_free_candidate", lambda tables, batch: 0)
+        with pytest.raises(AssertionError):
+            generic_beta_certificate(factors, 4)
+
+    def test_search_cap_refuses(self, monkeypatch):
+        factors = [factor_spectrum("S2", 4)] * 2
+        monkeypatch.setattr(products, "MAX_SEARCH_ENTRIES", 25 * 25)
+        with pytest.raises(ValueError, match="first 25 candidates"):
+            generic_beta_certificate(factors, 4)
+        # the winner is candidate 26: a cap of 26 candidates still finds it
+        monkeypatch.setattr(products, "MAX_SEARCH_ENTRIES", 26 * 25)
+        assert generic_beta_certificate(factors, 4).candidates_tried == 26
+
+    def test_difference_grid_cap_refuses(self, monkeypatch):
+        factors = [factor_spectrum("S2", 4)] * 2
+        monkeypatch.setattr(products, "MAX_DIFFERENCE_GRID", 80)
+        # |D_i| >= 2 * 4 + 1 = 9, so 9 * 9 is refused before any table is built
+        with monkeypatch.context() as m:
+            m.setattr(products, "integer_tables", None)
+            with pytest.raises(ValueError, match="at least 81 vectors exceeds the maximum of 80"):
+                collision_hyperplanes(factors, 4)
+        # |D_i| = 19 for S2 at bound 4
+        monkeypatch.setattr(products, "MAX_DIFFERENCE_GRID", 19 * 19 - 1)
+        with pytest.raises(ValueError, match="at least 361 vectors"):
+            collision_hyperplanes(factors, 4)
+        monkeypatch.setattr(products, "MAX_DIFFERENCE_GRID", 19 * 19)
+        assert len(collision_hyperplanes(factors, 4)) == 106
