@@ -307,11 +307,15 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_simplicity(args) -> int:
+    if args.family == "su2f" and args.n is not None:
+        raise ValueError("--n applies only to --family hopf")
+    if args.mode is not None and args.metric is None:
+        raise ValueError("--mode applies only with --metric")
     if args.family == "su2f":
         family = su2f.su2f_representation_family(args.bound)
         param_names = su2f.METRIC_PARAMS
     else:
-        family = bundles.hopf_representation_family(args.n, args.bound)
+        family = bundles.hopf_representation_family(2 if args.n is None else args.n, args.bound)
         param_names = bundles.METRIC_PARAMS
     violations = {
         "condition_a": [list(p) for p in simplicity.condition_a(family)],
@@ -334,11 +338,12 @@ def _cmd_simplicity(args) -> int:
     if args.metric is not None:
         values = _parse_metric(args.metric, len(param_names))
         point = dict(zip(param_names, values))
-        report = simplicity.evaluate_at_metric(family, point, mode=args.mode)
+        mode = args.mode or "real"
+        report = simplicity.evaluate_at_metric(family, point, mode=mode)
         payload["metric_report"] = report.to_json()
         ok = ok and report.ok
         lines.append(
-            f"at metric {args.metric} [{args.mode}]: "
+            f"at metric {args.metric} [{mode}]: "
             + ("all conditions hold" if report.ok else "violations found")
         )
     _emit(payload, args.json, lines)
@@ -406,9 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("su2f", "hopf"), required=True)
     p.add_argument("--bound", type=int, required=True,
                    help="kmax for su2f, max p+q for hopf")
-    p.add_argument("--n", type=int, default=2, help="hopf fibration parameter")
+    p.add_argument("--n", type=int, default=None, help="hopf fibration parameter (default 2)")
     p.add_argument("--metric", default=None)
-    p.add_argument("--mode", choices=("real", "complex"), default="real")
+    p.add_argument("--mode", choices=("real", "complex"), default=None,
+                   help="with --metric: real (default) or complex")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_simplicity)
 

@@ -4,8 +4,8 @@ Everything downstream (root-system Gram matrices, eigenvalue forms,
 resultant criteria) runs on the types in this module: arbitrary-precision
 rationals, sparse multivariate polynomials over named metric parameters,
 univariate polynomials in a formal variable ``t`` whose coefficients are
-such multivariate polynomials, and exact resultants / characteristic
-polynomials.  There is no floating point anywhere.
+such multivariate polynomials, characteristic polynomials of diagonal
+matrices, and exact resultants.  There is no floating point anywhere.
 
 Rationals are ``fractions.Fraction`` (always reduced, positive
 denominator).  They serialize as ``"num/den"`` with the denominator
@@ -302,21 +302,6 @@ class UniPoly:
             return self.coeffs[power]
         return MultiPoly.zero(self.variables)
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        if self.variables != other.variables:
-            raise ValueError("variable mismatch")
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            self.variables,
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)],
-        )
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(self.variables, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, (MultiPoly, int, Fraction)):
             if not isinstance(other, MultiPoly):
@@ -333,10 +318,6 @@ class UniPoly:
         return UniPoly(self.variables, out)
 
     __rmul__ = __mul__
-
-    def evaluate_params(self, values: Mapping[str, RationalLike]) -> "UniPoly":
-        """The polynomial at a parameter point: constant coefficients."""
-        return UniPoly.from_scalars(self.variables, [c.evaluate(values) for c in self.coeffs])
 
     def eval_at(self, value: MultiPoly) -> MultiPoly:
         """Substitute ``t = value`` (Horner, exact)."""
@@ -386,23 +367,6 @@ def derivative(p: UniPoly, order: int = 1) -> UniPoly:
     return p
 
 
-def rational_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic gcd over the rationals of polynomials with constant coefficients.
-
-    Exact Euclid; a non-constant coefficient raises ValueError, and the
-    gcd of two zero polynomials is the zero polynomial.
-    """
-    if not all(c.is_constant() for c in p.coeffs + q.coeffs):
-        raise ValueError("gcd over the rationals needs constant coefficients")
-    while not q.is_zero():
-        while not p.is_zero() and p.degree >= q.degree:
-            ratio = p.coeffs[-1].constant_value() / q.coeffs[-1].constant_value()
-            term = UniPoly.from_scalars(q.variables, [0] * (p.degree - q.degree) + [ratio])
-            p = p - term * q
-        p, q = q, p
-    return p * (1 / p.coeffs[-1].constant_value()) if p.coeffs else p
-
-
 class ParametricMatrix:
     """Square matrix of MultiPoly entries, stored row-major."""
 
@@ -436,9 +400,6 @@ class ParametricMatrix:
     def entry(self, i: int, j: int) -> MultiPoly:
         return self.entries[i * self.dimension + j]
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.dimension : (i + 1) * self.dimension]
-
     def is_diagonal(self) -> bool:
         n = self.dimension
         return all(
@@ -450,48 +411,16 @@ class ParametricMatrix:
 
 
 def char_poly(matrix: ParametricMatrix) -> UniPoly:
-    """Characteristic polynomial ``det(t*I - matrix)``, exact and monic.
+    """Characteristic polynomial ``prod (t - d_i)`` of a diagonal matrix, exact and monic.
 
-    Diagonal matrices multiply out ``prod (t - d_i)`` directly; the general
-    case uses the Faddeev-LeVerrier recursion, which only needs ring
-    operations and division by integers.
+    A non-diagonal matrix raises ValueError.
     """
-    n = matrix.dimension
-    variables = matrix.variables
-    if matrix.is_diagonal():
-        result = UniPoly.from_scalars(variables, [1])
-        for d in matrix.diagonal_entries():
-            result = result * UniPoly.t_minus(d)
-        return result
-
-    zero = MultiPoly.zero(variables)
-    one = MultiPoly.constant(variables, 1)
-
-    def mat_mul(a, b):
-        return [
-            [
-                sum((a[i][k] * b[k][j] for k in range(n)), zero)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-
-    def trace(a):
-        return sum((a[i][i] for i in range(n)), zero)
-
-    a = [list(matrix.row(i)) for i in range(n)]
-    m = [row[:] for row in a]
-    coeffs = {n: one}
-    c = -trace(m)
-    coeffs[n - 1] = c
-    for k in range(2, n + 1):
-        shifted = [
-            [m[i][j] + (c if i == j else zero) for j in range(n)] for i in range(n)
-        ]
-        m = mat_mul(a, shifted)
-        c = trace(m) * Fraction(-1, k)
-        coeffs[n - k] = c
-    return UniPoly(variables, [coeffs[i] for i in range(n + 1)])
+    if not matrix.is_diagonal():
+        raise ValueError("characteristic polynomial of a non-diagonal matrix")
+    result = UniPoly.from_scalars(matrix.variables, [1])
+    for d in matrix.diagonal_entries():
+        result = result * UniPoly.t_minus(d)
+    return result
 
 
 # -- exact determinants and resultants ---------------------------------

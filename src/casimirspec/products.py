@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice, product, takewhile
 from math import gcd, lcm, prod
 from typing import Iterator, Sequence, Union
 
@@ -254,7 +254,8 @@ def prime_sequence() -> Iterator[int]:
     primes = []
     candidate = 2
     while True:
-        if all(candidate % p for p in primes):
+        # a composite candidate has a prime factor p with p * p <= candidate
+        if all(candidate % p for p in takewhile(lambda p: p * p <= candidate, primes)):
             primes.append(candidate)
             yield candidate
         candidate += 1

@@ -15,14 +15,14 @@ vanishing conditions are:
     multiplicity at least three is forced everywhere, which a
     quaternionic entry cannot tolerate).
 
-Split (diagonal) Casimir matrices have characteristic polynomial
-prod (t - d_i) over the integral domain Q[params], so a resultant with one
-vanishes identically exactly when a factor q(d_i) does: their conditions
-read off the diagonal entries, grouped as polynomials for (a), as a repeat
-among them for (b) (p'(d_j) = prod_{k != j} (d_j - d_k)), one root at a
-time for (c), and grouped by value at a metric point.  Anything
-non-diagonal takes a Sylvester resultant, or at a point gcds over the
-rationals, reading multiplicities off gcd(p, p').
+Every entry's Casimir matrix is diagonal ("split"), as in both shipped
+families, SU(2)/F and the Hopf circle bundles; an entry refuses any other.
+Its characteristic polynomial is prod (t - d_i) over the integral domain
+Q[params], so a resultant with it vanishes identically exactly when a
+factor q(d_i) does: the conditions read off the diagonal entries, grouped
+as polynomials for (a), as a repeat among them for (b)
+(p'(d_j) = prod_{k != j} (d_j - d_k)), one root at a time for (c), and
+grouped by value at a metric point.
 
 Every report carries the finite family it was computed on; no claim is
 made beyond that truncation.
@@ -38,12 +38,9 @@ from typing import Mapping, Sequence
 
 from .exactalg import (
     ParametricMatrix,
-    UniPoly,
     char_poly,
     derivative,
-    rational_gcd,
     rational_to_str,
-    resultant,
     resultant_from_roots,
 )
 
@@ -52,7 +49,7 @@ TYPE_CLASSES = ("real", "complex", "quaternionic")
 
 @dataclass(frozen=True)
 class RepresentationEntry:
-    """One spherical representation with its parametric Casimir matrix."""
+    """One spherical representation with its diagonal parametric Casimir matrix."""
 
     id: str
     type_class: str
@@ -66,6 +63,8 @@ class RepresentationEntry:
             raise ValueError(
                 "complex type must coincide with being non-self-dual"
             )
+        if not self.casimir.is_diagonal():
+            raise ValueError(f"the Casimir matrix of {self.id!r} is not diagonal")
 
 
 def validate_family(family: Sequence[RepresentationEntry]):
@@ -87,19 +86,16 @@ def validate_family(family: Sequence[RepresentationEntry]):
     return by_id
 
 
-def _resultant_vanishes(entry: RepresentationEntry, p: UniPoly, q: UniPoly) -> bool:
+def _resultant_vanishes(entry: RepresentationEntry, q) -> bool:
     """Does res(p, q) vanish identically, p the entry's characteristic polynomial?
 
-    For a diagonal entry res(p, q) = prod_d q(d) in an integral domain, so
-    its factors are tested one root at a time and never multiplied out;
-    `p` is then not read and may be None.
+    res(p, q) = prod_d q(d) over the diagonal entries d, in an integral
+    domain, so its factors are tested one root at a time and never
+    multiplied out.
     """
-    if entry.casimir.is_diagonal():
-        return any(
-            resultant_from_roots([d], q).is_zero()
-            for d in entry.casimir.diagonal_entries()
-        )
-    return resultant(p, q).is_zero()
+    return any(
+        resultant_from_roots([d], q).is_zero() for d in entry.casimir.diagonal_entries()
+    )
 
 
 def condition_a(family: Sequence[RepresentationEntry]) -> list:
@@ -111,16 +107,6 @@ def condition_a(family: Sequence[RepresentationEntry]) -> list:
     validate_family(family)
     ordered = sorted(family, key=lambda e: e.id)
     meets, _ = _spectra_by_value(ordered)
-    # each non-diagonal entry's characteristic polynomial, computed once
-    polys = {
-        i: char_poly(e.casimir) for i, e in enumerate(ordered) if not e.casimir.is_diagonal()
-    }
-    for g, q in polys.items():
-        meets.update(
-            (min(g, k), max(g, k))
-            for k, entry in enumerate(ordered)
-            if (k > g or k not in polys) and _resultant_vanishes(entry, polys.get(k), q)
-        )
     return [
         (ordered[i].id, ordered[j].id)
         for i, j in sorted(meets)
@@ -135,28 +121,25 @@ def _violations(family: Sequence[RepresentationEntry], exempt: str, vanishes) ->
     return [e.id for e in ordered if e.type_class != exempt and vanishes(e)]
 
 
-def _derivative_vanishes(entry: RepresentationEntry, order: int) -> bool:
-    """Does res(p, p^(order)) vanish identically?
+def _second_derivative_vanishes(entry: RepresentationEntry) -> bool:
+    """Does res(p, p'') vanish identically?
 
-    Never for dimension at most `order`: p^(order) is then a nonzero
-    constant and cannot share a root with p.
+    Never for dimension at most 2: p'' is then a nonzero constant and
+    cannot share a root with p.
     """
-    if entry.casimir.dimension <= order:
+    if entry.casimir.dimension <= 2:
         return False
-    p = char_poly(entry.casimir)
-    return _resultant_vanishes(entry, p, derivative(p, order))
+    return _resultant_vanishes(entry, derivative(char_poly(entry.casimir), 2))
 
 
 def _repeated_root(entry: RepresentationEntry) -> bool:
     """Does res(p, p') vanish identically, so p has a repeated root at every metric?
 
-    For a diagonal entry p'(d_j) = prod_{k != j} (d_j - d_k) in the integral
-    domain Q[params], so this is a repeat among its diagonal entries.
+    p'(d_j) = prod_{k != j} (d_j - d_k) in the integral domain Q[params], so
+    this is a repeat among the entry's diagonal entries.
     """
-    if entry.casimir.is_diagonal():
-        diagonal = entry.casimir.diagonal_entries()
-        return len(set(diagonal)) < len(diagonal)
-    return _derivative_vanishes(entry, 1)
+    diagonal = entry.casimir.diagonal_entries()
+    return len(set(diagonal)) < len(diagonal)
 
 
 def condition_b(family: Sequence[RepresentationEntry]) -> list:
@@ -171,34 +154,10 @@ def condition_b(family: Sequence[RepresentationEntry]) -> list:
 def condition_c(family: Sequence[RepresentationEntry]) -> list:
     """Real/quaternionic entries whose res(p, p'') vanishes identically.
 
-    Not a repeat test even for diagonal entries: diag(A, A + B, A - B) has
-    p''(A) = 0 with no repeat, so each root is tested in one factor.
+    Not a repeat test: diag(A, A + B, A - B) has p''(A) = 0 with no
+    repeat, so each root is tested in one factor.
     """
-    return _violations(family, "complex", lambda entry: _derivative_vanishes(entry, 2))
-
-
-def shared_root(p: UniPoly, q: UniPoly) -> bool:
-    """Do two polynomials with rational coefficients share a complex root?"""
-    return len(rational_gcd(p, q).coeffs) > 1
-
-
-def multiplicity_profile(p: UniPoly) -> dict:
-    """Histogram {multiplicity: count of roots} via repeated gcds.
-
-    Works over the complex roots without computing any root: the gcd
-    with the derivative strips one copy of every repeated root, so
-    degree drops identify how many roots live at each multiplicity.
-    """
-    if len(p.coeffs) <= 1:
-        return {}
-    # degrees[m] = sum over the roots of max(multiplicity - m, 0), so
-    # drops[m] = number of distinct roots of multiplicity > m
-    degrees = [p.degree]
-    while degrees[-1]:
-        p = rational_gcd(p, derivative(p, 1))
-        degrees.append(p.degree)
-    drops = [a - b for a, b in zip(degrees, degrees[1:])] + [0]
-    return {m: a - b for m, (a, b) in enumerate(zip(drops, drops[1:]), 1) if a != b}
+    return _violations(family, "complex", _second_derivative_vanishes)
 
 
 @dataclass(frozen=True)
@@ -233,7 +192,7 @@ class MetricReport:
 
 
 def _spectra_by_value(ordered: Sequence[RepresentationEntry], values=None) -> tuple:
-    """Shared eigenvalues and multiplicity profiles of the split entries.
+    """Shared eigenvalues and multiplicity profiles of the entries.
 
     One grouping of the diagonal entries, as polynomials or by exact value
     at `values`: entries i < j share an eigenvalue when a group holds both,
@@ -242,9 +201,8 @@ def _spectra_by_value(ordered: Sequence[RepresentationEntry], values=None) -> tu
     """
     holders = defaultdict(list)  # value -> entry index, once per copy
     for i, entry in enumerate(ordered):
-        if entry.casimir.is_diagonal():
-            for d in entry.casimir.diagonal_entries():
-                holders[d if values is None else d.evaluate(values)].append(i)
+        for d in entry.casimir.diagonal_entries():
+            holders[d if values is None else d.evaluate(values)].append(i)
     meets, profiles = set(), defaultdict(Counter)
     for group in holders.values():
         copies = Counter(group)  # ascending entry index, as inserted
@@ -252,21 +210,6 @@ def _spectra_by_value(ordered: Sequence[RepresentationEntry], values=None) -> tu
         for i, m in copies.items():
             profiles[i][m] += 1
     return meets, dict(profiles)
-
-
-def _spectra_by_gcd(ordered: Sequence[RepresentationEntry], values, general) -> tuple:
-    """The same for the pairs and profiles of the indices in `general`, by gcds.
-
-    Works for any Casimir matrix.
-    """
-    polys = [char_poly(entry.casimir).evaluate_params(values) for entry in ordered]
-    general = set(general)
-    meets = {
-        (i, j)
-        for i, j in combinations(range(len(ordered)), 2)
-        if (i in general or j in general) and shared_root(polys[i], polys[j])
-    }
-    return meets, {i: multiplicity_profile(polys[i]) for i in general}
 
 
 def evaluate_at_metric(
@@ -293,11 +236,6 @@ def evaluate_at_metric(
 
     ordered = sorted(family, key=lambda e: e.id)
     meets, profiles = _spectra_by_value(ordered, values)
-    general = [i for i, e in enumerate(ordered) if not e.casimir.is_diagonal()]
-    if general:
-        more_meets, more_profiles = _spectra_by_gcd(ordered, values, general)
-        meets |= more_meets
-        profiles.update(more_profiles)
 
     shared = [
         (ordered[i].id, ordered[j].id)

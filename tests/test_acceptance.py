@@ -9,10 +9,11 @@ import random
 import time
 from fractions import Fraction
 
+from polyref import coefficients_at, poly_derivative, shares_root
+
 from casimirspec import bundles, products, spectrum, su2f
 from casimirspec.exactalg import MultiPoly, char_poly, derivative, resultant
 from casimirspec.rootsys import cartan_data, gram_matrix, parse_type
-from casimirspec.simplicity import shared_root
 from casimirspec.spectrum import EigenvalueForm, eigenvalue
 from casimirspec.symmdata import rank_one_catalog, restricted_datum
 
@@ -267,15 +268,15 @@ def test_criterion_9_oracle_equivalence():
             if p.degree >= 2:
                 res_pp = resultant(p, derivative(p, 1))
                 for point in points:
-                    at = p.evaluate_params(point)
-                    assert (res_pp.evaluate(point) == 0) == shared_root(
-                        at, derivative(at, 1)
+                    at = coefficients_at(p, point)
+                    assert (res_pp.evaluate(point) == 0) == shares_root(
+                        at, poly_derivative(at)
                     )
             for j in range(i + 1, len(ordered)):
                 q = char_poly(ordered[j].casimir)
                 res = resultant(p, q)
                 for point in points:
-                    assert (res.evaluate(point) == 0) == shared_root(
-                        p.evaluate_params(point), q.evaluate_params(point)
+                    assert (res.evaluate(point) == 0) == shares_root(
+                        coefficients_at(p, point), coefficients_at(q, point)
                     )
     _report(9, "oracle equivalence", started, 10)

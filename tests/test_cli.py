@@ -243,6 +243,21 @@ class TestSimplicity:
         assert code == EXIT_CERT_FAILED
         assert json.loads(out)["metric_report"]["type_violations"]
 
+    @pytest.mark.parametrize(
+        "argv, same_as",
+        [
+            (["simplicity", "--family", "hopf", "--n", "2", "--bound", "4", "--json"],
+             ["simplicity", "--family", "hopf", "--bound", "4", "--json"]),
+            (["simplicity", "--family", "hopf", "--bound", "4", "--metric", "2,5",
+              "--mode", "real"],
+             ["simplicity", "--family", "hopf", "--bound", "4", "--metric", "2,5"]),
+        ],
+        ids=["n", "mode"],
+    )
+    def test_defaults(self, capsys, argv, same_as):
+        # the Hopf fibration parameter defaults to 2, the mode at a metric to real
+        assert run_capture(capsys, argv) == run_capture(capsys, same_as)
+
 
 class TestJsonSchemas:
     CASES = [
@@ -327,6 +342,14 @@ class TestUsageErrors:
              "empty field in 'S2, '"),
             (["simplicity", "--family", "hopf", "--bound", "3", "--metric", " ,2,5"],
              "empty field in ' ,2,5'"),
+            (["simplicity", "--family", "su2f", "--n", "7", "--bound", "12"],
+             "--n applies only to --family hopf"),
+            (["simplicity", "--family", "su2f", "--n", "2", "--bound", "12", "--metric", "1,2"],
+             "--n applies only to --family hopf"),
+            (["simplicity", "--family", "su2f", "--bound", "12", "--mode", "complex"],
+             "--mode applies only with --metric"),
+            (["simplicity", "--family", "hopf", "--bound", "3", "--mode", "real"],
+             "--mode applies only with --metric"),
         ],
     )
     def test_conflicting_duplicate_inputs(self, capsys, argv, message):

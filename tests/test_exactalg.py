@@ -14,7 +14,6 @@ from casimirspec.exactalg import (
     determinant,
     exact_div,
     rational_from_str,
-    rational_gcd,
     rational_to_str,
     resultant,
     resultant_from_roots,
@@ -148,47 +147,6 @@ class TestUniPoly:
         assert prod.coefficient(1) == -(var("a") + var("b"))
 
 
-    def test_evaluate_params(self):
-        p = UniPoly(AB, [var("a"), var("b") * 2, const(1)])
-        at = p.evaluate_params({"a": Fraction(1, 2), "b": 3})
-        assert at == UniPoly.from_scalars(AB, [Fraction(1, 2), 6, 1])
-        # a coefficient vanishing at the point is dropped from the top
-        q = UniPoly(AB, [const(1), var("a") - var("b")])
-        assert q.evaluate_params({"a": 2, "b": 2}) == UniPoly.from_scalars(AB, [1])
-
-
-class TestRationalGcd:
-    def test_monic_common_factor(self):
-        # (t - 1)(t - 2) and 3(t - 2)(t - 3) share (t - 2)
-        p = UniPoly.from_scalars(AB, [2, -3, 1])
-        q = UniPoly.from_scalars(AB, [18, -15, 3])
-        assert rational_gcd(p, q) == UniPoly.from_scalars(AB, [-2, 1])
-        assert rational_gcd(q, p) == UniPoly.from_scalars(AB, [-2, 1])
-        assert rational_gcd(p, UniPoly.from_scalars(AB, [-3, 1])) == UniPoly.from_scalars(AB, [1])
-
-    def test_zero_arguments(self):
-        p = UniPoly.from_scalars(AB, [Fraction(1, 2), 2])
-        zero = UniPoly.zero(AB)
-        assert rational_gcd(p, zero) == UniPoly.from_scalars(AB, [Fraction(1, 4), 1])
-        assert rational_gcd(zero, p) == UniPoly.from_scalars(AB, [Fraction(1, 4), 1])
-        assert rational_gcd(zero, zero).is_zero()
-
-    def test_non_constant_coefficient_rejected(self):
-        parametric = UniPoly.t_minus(var("a"))
-        scalar = UniPoly.from_scalars(AB, [-1, 1])
-        with pytest.raises(ValueError):
-            rational_gcd(parametric, scalar)
-        with pytest.raises(ValueError):
-            rational_gcd(scalar, parametric)
-
-    def test_variable_mismatch(self):
-        with pytest.raises(ValueError):
-            rational_gcd(
-                UniPoly.from_scalars(AB, [-1, 0, 1]),
-                UniPoly.from_scalars(("x",), [-1, 1]),
-            )
-
-
 class TestCharPoly:
     def test_diagonal(self):
         m = ParametricMatrix.diagonal([var("a"), var("b")])
@@ -201,18 +159,20 @@ class TestCharPoly:
         p = char_poly(ParametricMatrix(1, [const(5)]))
         assert p == UniPoly.from_scalars(AB, [-5, 1])
 
-    def test_off_diagonal(self):
-        zero, one = const(0), const(1)
-        p = char_poly(ParametricMatrix(2, [zero, one, one, zero]))
-        assert p == UniPoly.from_scalars(AB, [-1, 0, 1])
+    def test_explicit_zero_off_diagonal(self):
+        # a full matrix whose off-diagonal entries are zero counts as diagonal
+        zero = const(0)
+        m = ParametricMatrix(2, [var("a"), zero, zero, var("b") * 2])
+        assert char_poly(m) == char_poly(ParametricMatrix.diagonal([var("a"), var("b") * 2]))
 
-    def test_faddeev_leverrier_matches_diagonal_route(self):
-        # symmetric non-diagonal matrix with a known characteristic polynomial
-        a, b = var("a"), var("b")
-        m = ParametricMatrix(2, [a, b, b, a])
-        p = char_poly(m)
-        assert p.coefficient(1) == -(a * 2)
-        assert p.coefficient(0) == a * a - b * b
+    @pytest.mark.parametrize(
+        "entries",
+        [["0", "1", "1", "0"], ["a", "b", "b", "a"], ["a", "0", "1", "b"]],
+    )
+    def test_non_diagonal_refused(self, entries):
+        matrix = ParametricMatrix(2, [var(e) if e in AB else const(int(e)) for e in entries])
+        with pytest.raises(ValueError, match="non-diagonal"):
+            char_poly(matrix)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):

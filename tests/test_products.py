@@ -169,6 +169,18 @@ class TestCandidateSequence:
     def test_prime_sequence_head(self):
         assert list(islice(prime_sequence(), 8)) == [1, 2, 3, 5, 7, 11, 13, 17]
 
+    def test_prime_sequence_matches_a_sieve(self):
+        # the 9,999th prime is 104,723
+        limit = 104_724
+        sieve = bytearray([1]) * limit
+        sieve[:2] = b"\0\0"
+        for p in range(2, int(limit**0.5) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytearray(len(range(p * p, limit, p)))
+        primes = [n for n in range(limit) if sieve[n]]
+        assert len(primes) == 9_999
+        assert list(islice(prime_sequence(), 10_000)) == [1] + primes
+
     def test_level_order(self):
         head = list(islice(candidate_tuples(2), 9))
         assert head == [

@@ -1,20 +1,26 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from polyref import (
+    coefficients_at,
+    poly_derivative,
+    poly_gcd,
+    reference_profile,
+    shares_root,
+)
 
 from casimirspec import simplicity
 from casimirspec.bundles import hopf_representation_family
 from casimirspec.exactalg import (
     MultiPoly,
     ParametricMatrix,
-    UniPoly,
     char_poly,
     derivative,
-    rational_gcd,
     resultant,
     resultant_from_roots,
 )
@@ -24,8 +30,6 @@ from casimirspec.simplicity import (
     condition_b,
     condition_c,
     evaluate_at_metric,
-    multiplicity_profile,
-    shared_root,
     validate_family,
 )
 from casimirspec.su2f import su2f_representation_family
@@ -128,134 +132,66 @@ class TestFamilyValidation:
         with pytest.raises(ValueError):
             RepresentationEntry("V", "real", "W", ParametricMatrix(1, [A]))
 
+    def test_non_diagonal_casimir_refused(self):
+        # [[a, a - b], [a - b, a]] has eigenvalues 2a - b and b
+        matrix = ParametricMatrix(2, [A, A - B, A - B, A])
+        with pytest.raises(ValueError, match="not diagonal"):
+            RepresentationEntry("N", "real", "N", matrix)
 
-# -- reference: rational polynomials as coefficient lists ----------------
-# The coefficient-list helpers the library used before its gcds moved onto
-# UniPoly, kept as the oracle for exactalg.rational_gcd and the helpers
-# built on it.
-
-
-def poly_normalize(coeffs: Sequence[Fraction]) -> list:
-    coeffs = [Fraction(c) for c in coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+    def test_explicit_zero_off_diagonal_accepted(self):
+        zero = MultiPoly.zero(AB)
+        full = RepresentationEntry("N", "real", "N", ParametricMatrix(2, [A, zero, zero, B]))
+        assert condition_a([full, entry("S", [A, B])]) == [("N", "S")]
 
 
-def poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]) -> tuple:
-    num = poly_normalize(num)
-    den = poly_normalize(den)
-    if not den:
-        raise ZeroDivisionError("division by the zero polynomial")
-    quotient = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    rest = num[:]
-    while len(rest) >= len(den):
-        factor = rest[-1] / den[-1]
-        shift = len(rest) - len(den)
-        quotient[shift] = factor
-        for i, c in enumerate(den):
-            rest[shift + i] -= factor * c
-        rest = poly_normalize(rest)
-        if not rest:
-            break
-    return quotient, rest
-
-
-def poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
-    """Monic gcd over the rationals."""
-    a, b = poly_normalize(a), poly_normalize(b)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def poly_derivative(coeffs: Sequence[Fraction]) -> list:
-    return poly_normalize([i * c for i, c in enumerate(coeffs)][1:])
-
-
-def reference_profile(coeffs: Sequence[Fraction]) -> dict:
-    current = poly_normalize(coeffs)
-    if len(current) <= 1:
-        return {}
-    degrees = [len(current) - 1]
-    while True:
-        current = poly_gcd(current, poly_derivative(current))
-        degrees.append(len(current) - 1 if current else 0)
-        if degrees[-1] == 0:
-            break
-    profile = {}
-    for m in range(1, len(degrees)):
-        count = (degrees[m - 1] - degrees[m]) - (
-            (degrees[m] - degrees[m + 1]) if m + 1 < len(degrees) else 0
-        )
-        if count:
-            profile[m] = count
-    return profile
-
-
-def scalars(coeffs):
-    return UniPoly.from_scalars(AB, coeffs)
-
-
-def list_coeffs(p: UniPoly) -> list:
-    return [c.constant_value() for c in p.coeffs]
-
-
-def _product(polys):
-    result = scalars([1])
-    for p in polys:
-        result = result * p
-    return result
-
-
-RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
-# products of linear factors over a few roots, so common and repeated roots
-# are frequent, times a nonzero rational scale
-SPLIT_COEFFS = st.builds(
-    lambda roots, scale: list_coeffs(
-        scalars([scale]) * _product(UniPoly.from_scalars(AB, [-r, 1]) for r in roots)
-    ),
-    st.lists(st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(2)]), max_size=5),
-    RATIONALS.filter(bool),
+# roots from a small pool, so that shared and repeated roots are frequent
+ROOT_LISTS = st.lists(
+    st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(2), Fraction(7, 3)]),
+    max_size=5,
 )
-COEFFS = SPLIT_COEFFS | st.lists(RATIONALS, max_size=5)
+SCALES = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool)
 
 
-class TestPolyHelpers:
+def scaled_coefficients(roots, scale):
+    """scale * prod (t - r) as a coefficient list, multiplied out by char_poly."""
+    if not roots:
+        return [Fraction(scale)]
+    matrix = ParametricMatrix.diagonal([MultiPoly.constant(AB, r) for r in roots])
+    return [scale * c for c in coefficients_at(char_poly(matrix), {"a": 1, "b": 1})]
+
+
+class TestReferenceOracle:
+    """The coefficient-list oracle of tests/polyref.py on hand-made cases."""
+
     def test_gcd(self):
-        # (t - 1)(t - 2) and (t - 2)(t - 3) share (t - 2)
-        p = scalars([2, -3, 1])
-        q = scalars([6, -5, 1])
-        assert rational_gcd(p, q) == scalars([-2, 1])
-        assert shared_root(p, q)
-        assert not shared_root(p, scalars([-3, 1]))
+        # (t - 1)(t - 2) and 3(t - 2)(t - 3) share (t - 2)
+        assert poly_gcd([2, -3, 1], [18, -15, 3]) == [-2, 1]
+        assert shares_root([2, -3, 1], [6, -5, 1])
+        assert not shares_root([2, -3, 1], [-3, 1])
 
-    def test_multiplicity_profile(self):
-        # (t - 1)^2 (t - 2)
-        p = scalars([-2, 5, -4, 1])
-        assert multiplicity_profile(p) == {1: 1, 2: 1}
-        # (t - 1)^2 (t - 2)^2
-        q = scalars([4, -12, 13, -6, 1])
-        assert multiplicity_profile(q) == {2: 2}
-        assert multiplicity_profile(scalars([1])) == {}
-        assert multiplicity_profile(scalars([])) == {}
+    def test_profile(self):
+        # (t - 1)^2 (t - 2), then (t - 1)^2 (t - 2)^2
+        assert reference_profile([-2, 5, -4, 1]) == {1: 1, 2: 1}
+        assert reference_profile([4, -12, 13, -6, 1]) == {2: 2}
+        assert reference_profile([1]) == reference_profile([]) == {}
 
-    @settings(max_examples=200, deadline=None)
-    @given(COEFFS, COEFFS)
-    def test_gcd_matches_coefficient_list_reference(self, a, b):
-        assert list_coeffs(rational_gcd(scalars(a), scalars(b))) == poly_gcd(a, b)
-        assert shared_root(scalars(a), scalars(b)) == (len(poly_gcd(a, b)) > 1)
-        at = scalars(a)
-        assert list_coeffs(derivative(at, 1)) == poly_derivative(a)
+    def test_coefficients_at(self):
+        p = char_poly(ParametricMatrix.diagonal([A, B * 2]))
+        # (t - 1/2)(t - 6) at a = 1/2, b = 3
+        assert coefficients_at(p, {"a": Fraction(1, 2), "b": 3}) == [3, Fraction(-13, 2), 1]
 
     @settings(max_examples=200, deadline=None)
-    @given(COEFFS)
-    def test_profile_matches_coefficient_list_reference(self, a):
-        assert multiplicity_profile(scalars(a)) == reference_profile(a)
+    @given(ROOT_LISTS, ROOT_LISTS, SCALES)
+    def test_shares_root_matches_the_roots(self, roots, others, scale):
+        a, b = scaled_coefficients(roots, scale), scaled_coefficients(others, 1)
+        assert shares_root(a, b) == bool(set(roots) & set(others))
+        assert shares_root(a, poly_derivative(a)) == (len(set(roots)) < len(roots))
+
+    @settings(max_examples=200, deadline=None)
+    @given(ROOT_LISTS, SCALES)
+    def test_profile_matches_the_roots(self, roots, scale):
+        expected = Counter(Counter(roots).values())
+        assert reference_profile(scaled_coefficients(roots, scale)) == expected
 
 
 class TestEvaluateAtMetric:
@@ -313,16 +249,15 @@ class TestEvaluateAtMetric:
         bad = evaluate_at_metric([q], {"a": Fraction(1), "b": Fraction(1)})
         assert not bad.ok  # multiplicity four, not two
 
+    # eigenvalues 2a - b and b, which coincide exactly when a = b
+    PAIR = ParametricMatrix.diagonal([A * 2 - B, B])
 
-# [[a, a - b], [a - b, a]] has eigenvalues 2a - b and b
-NON_SPLIT = RepresentationEntry(
-    "N", "real", "N", ParametricMatrix(2, [A, A - B, A - B, A])
-)
-
-
-class TestNonSplitEntries:
-    def test_shares_a_value_with_a_split_entry(self):
-        family = [NON_SPLIT, entry("S", [A + B]), entry("T", [A * 3])]
+    def test_shares_a_value_across_entries(self):
+        family = [
+            RepresentationEntry("N", "real", "N", self.PAIR),
+            entry("S", [A + B]),
+            entry("T", [A * 3]),
+        ]
         # (2, 1): N has 3 and 1, S has 3, T has 6
         report = evaluate_at_metric(family, {"a": Fraction(2), "b": Fraction(1)})
         assert report.shared_eigenvalues == (("N", "S"),)
@@ -336,7 +271,7 @@ class TestNonSplitEntries:
         assert report.multiplicity_violations == ()
 
     def test_own_eigenvalue_repeats(self):
-        family = [NON_SPLIT, entry("S", [A + B, B * 3])]
+        family = [RepresentationEntry("N", "real", "N", self.PAIR), entry("S", [A + B, B * 3])]
         # a = b: N has the double eigenvalue b
         for mode in ("real", "complex"):
             report = evaluate_at_metric(
@@ -344,14 +279,14 @@ class TestNonSplitEntries:
             )
             assert report.multiplicity_violations == (("N", 2),)
             assert report.shared_eigenvalues == ()
-        quaternionic = RepresentationEntry("N", "quaternionic", "N", NON_SPLIT.casimir)
+        quaternionic = RepresentationEntry("N", "quaternionic", "N", self.PAIR)
         good = evaluate_at_metric([quaternionic], {"a": Fraction(1), "b": Fraction(1)})
         assert good.ok
         bad = evaluate_at_metric([quaternionic], {"a": Fraction(2), "b": Fraction(1)})
         assert bad.multiplicity_violations == (("N", 1),)
 
-    def test_dual_exemption_covers_non_split_pairs(self):
-        v = RepresentationEntry("V", "complex", "W", NON_SPLIT.casimir)
+    def test_dual_exemption_covers_pairs(self):
+        v = RepresentationEntry("V", "complex", "W", self.PAIR)
         w = RepresentationEntry("W", "complex", "V", ParametricMatrix.diagonal([B, A * 2 - B]))
         point = {"a": Fraction(3), "b": Fraction(1)}
         assert evaluate_at_metric([v, w], point, mode="real").shared_eigenvalues == ()
@@ -360,24 +295,34 @@ class TestNonSplitEntries:
         assert complex_report.type_violations == ("V", "W")
 
 
+def reference_spectra(ordered, point):
+    """Shared eigenvalues and multiplicity profiles of `ordered` at a point, by gcds."""
+    at = [coefficients_at(char_poly(e.casimir), point) for e in ordered]
+    meets = {
+        (i, j)
+        for i in range(len(ordered))
+        for j in range(i + 1, len(ordered))
+        if shares_root(at[i], at[j])
+    }
+    return meets, {i: reference_profile(coeffs) for i, coeffs in enumerate(at)}
+
+
 def reference_report(family, point, mode):
     """evaluate_at_metric with every pair and entry decided through gcds."""
     ordered = sorted(family, key=lambda e: e.id)
     names = family[0].casimir.variables
-    at = {e.id: char_poly(e.casimir).evaluate_params(point) for e in ordered}
+    meets, profiles = reference_spectra(ordered, point)
     shared = tuple(
-        (v.id, w.id)
-        for i, v in enumerate(ordered)
-        for w in ordered[i + 1:]
-        if (mode == "complex" or v.dual_id != w.id) and shared_root(at[v.id], at[w.id])
+        (ordered[i].id, ordered[j].id)
+        for i, j in sorted(meets)
+        if mode == "complex" or ordered[i].dual_id != ordered[j].id
     )
     multiplicity = []
-    for e in ordered:
-        profile = multiplicity_profile(at[e.id])
+    for i, e in enumerate(ordered):
         if mode == "complex" or e.type_class != "quaternionic":
-            bad = [m for m in profile if m > 1]
+            bad = [m for m in profiles[i] if m > 1]
         else:
-            bad = [m for m in profile if m != 2]
+            bad = [m for m in profiles[i] if m != 2]
         if bad:
             multiplicity.append((e.id, max(bad)))
     return simplicity.MetricReport(
@@ -424,14 +369,13 @@ SHIPPED = {
 
 
 class TestSplitPathAgainstGcdPath:
-    """The by-value split path against the gcd path on split families."""
+    """The by-value split path against gcds of the evaluated coefficient lists."""
 
     def _check(self, family, point):
         ordered = sorted(family, key=lambda e: e.id)
         values = {n: Fraction(v) for n, v in point.items()}
         by_value = simplicity._spectra_by_value(ordered, values)
-        by_gcd = simplicity._spectra_by_gcd(ordered, values, range(len(ordered)))
-        assert by_value == by_gcd
+        assert by_value == reference_spectra(ordered, values)
         for mode in ("real", "complex"):
             assert evaluate_at_metric(family, point, mode) == reference_report(
                 family, point, mode
@@ -451,15 +395,6 @@ class TestSplitPathAgainstGcdPath:
     def test_shipped_families(self, name, x, y):
         family, names = SHIPPED[name]
         self._check(family, dict(zip(names, (x, y))))
-
-    def test_mixed_family_uses_both_paths(self):
-        family = [NON_SPLIT, entry("S", [A + B, A * 2 - B]), entry("T", [B, B])]
-        for a, b in [(2, 1), (1, 1), (3, 5), (1, 3)]:
-            point = {"a": Fraction(a), "b": Fraction(b)}
-            for mode in ("real", "complex"):
-                assert evaluate_at_metric(family, point, mode) == reference_report(
-                    family, point, mode
-                )
 
 
 class TestResultantOracleAgreement:
@@ -498,9 +433,7 @@ class TestResultantOracleAgreement:
                 res = resultant(p, q)
                 for point in points:
                     vanished = res.evaluate(point) == 0
-                    brute = shared_root(
-                        p.evaluate_params(point), q.evaluate_params(point)
-                    )
+                    brute = shares_root(coefficients_at(p, point), coefficients_at(q, point))
                     assert vanished == brute
 
     def test_derivative_resultant(self):
@@ -510,44 +443,16 @@ class TestResultantOracleAgreement:
         res = resultant(p, derivative(p, 1))
         assert not res.is_zero()
         for point in self._points(("a", "b")):
-            at = p.evaluate_params(point)
-            brute = shared_root(at, derivative(at, 1))
+            at = coefficients_at(p, point)
+            brute = shares_root(at, poly_derivative(at))
             assert (res.evaluate(point) == 0) == brute
 
 
 # -- conditions (a)-(c) against the multiplied-out Sylvester resultant ----
 
 # the Sylvester determinant of two degree-8 polynomials takes seconds, so
-# the oracle draws fewer and smaller entries: (max_entries, max_size), and
-# fewer still beside the non-split entries
+# the oracle draws fewer and smaller entries: (max_entries, max_size)
 ORACLE_SIZES = (4, 3)
-Z = MultiPoly.zero(AB)
-# [[a, b], [b, a]] + [a] has eigenvalues a + b, a - b and a, so p''(a) = 0
-NON_SPLIT_3 = RepresentationEntry(
-    "M", "real", "M", ParametricMatrix(3, [A, B, Z, B, A, Z, Z, Z, A])
-)
-# a dual pair with a non-diagonal member; both have eigenvalues b and 2a - b
-NON_SPLIT_DUALS = [
-    RepresentationEntry("C", "complex", "C*", NON_SPLIT.casimir),
-    RepresentationEntry("C*", "complex", "C", ParametricMatrix.diagonal([B, A * 2 - B])),
-]
-
-
-@st.composite
-def mixed_families(draw):
-    extra = draw(
-        st.lists(st.sampled_from(["N", "M", "C"]), min_size=1, max_size=3, unique=True)
-    )
-    family = draw(split_families(3, 2))
-    if "N" in extra:
-        family.append(NON_SPLIT)
-    if "M" in extra:
-        family.append(NON_SPLIT_3)
-    if "C" in extra:
-        family.extend(NON_SPLIT_DUALS)
-    return family
-
-
 _SYLVESTER = {}  # (p, q) -> res(p, q) is zero; drawn families repeat pairs
 
 
@@ -596,11 +501,6 @@ class TestConditionsAgainstSylvester:
     def test_split_families(self, family):
         self._check(family)
 
-    @settings(max_examples=25, deadline=None)
-    @given(mixed_families())
-    def test_mixed_families(self, family):
-        self._check(family)
-
     @pytest.mark.parametrize(
         "diag", [[A, A + B, A - B], [A * 2, A + B, B * 2]], ids=["a+-b", "2a,a+b,2b"]
     )
@@ -609,12 +509,6 @@ class TestConditionsAgainstSylvester:
         self._check(family)
         assert condition_b(family) == []
         assert condition_c(family) == ["Q", "V"]
-
-    def test_non_split_c_without_a_repeated_entry(self):
-        family = [NON_SPLIT_3, entry("S", [A - B])]
-        self._check(family)
-        assert condition_a(family) == [("M", "S")]
-        assert (condition_b(family), condition_c(family)) == ([], ["M"])
 
     def test_shipped_families(self):
         for family, _ in SHIPPED.values():
@@ -626,7 +520,7 @@ class TestFactorByFactor:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"char_poly": 0, "derivative": 0, "resultant": 0, "roots": []}
+        calls = {"char_poly": 0, "derivative": 0, "roots": []}
 
         def counting_char_poly(matrix):
             calls["char_poly"] += 1
@@ -636,21 +530,16 @@ class TestFactorByFactor:
             calls["derivative"] += 1
             return derivative(p, order)
 
-        def counting_resultant(p, q):
-            calls["resultant"] += 1
-            return resultant(p, q)
-
         def counting_from_roots(roots, q):
             calls["roots"].append(len(roots))
             return resultant_from_roots(roots, q)
 
         monkeypatch.setattr(simplicity, "char_poly", counting_char_poly)
         monkeypatch.setattr(simplicity, "derivative", counting_derivative)
-        monkeypatch.setattr(simplicity, "resultant", counting_resultant)
         monkeypatch.setattr(simplicity, "resultant_from_roots", counting_from_roots)
         return calls
 
-    NO_CALLS = {"char_poly": 0, "derivative": 0, "resultant": 0, "roots": []}
+    NO_CALLS = {"char_poly": 0, "derivative": 0, "roots": []}
 
     def test_split_family_condition_a_takes_no_resultant(self, calls):
         family = su2f_representation_family(24) + [
@@ -669,23 +558,13 @@ class TestFactorByFactor:
     def test_condition_c_passes_one_root(self, calls):
         family = su2f_representation_family(24) + [entry("P", [A, A + B, A - B])]
         assert condition_c(family) == ["P"]
-        assert calls["char_poly"] > 0 and calls["resultant"] == 0
-        assert calls["roots"] and set(calls["roots"]) == {1}
-
-    def test_mixed_family_sends_non_split_entries_to_resultant(self, calls):
-        family = [NON_SPLIT, NON_SPLIT_3, entry("S", [A + B, A * 2 - B, B])]
-        assert condition_b(family) == []
-        assert calls["resultant"] == 2 and calls["roots"] == []
-        condition_a(family)
-        condition_c(family)
+        assert calls["char_poly"] > 0
         assert calls["roots"] and set(calls["roots"]) == {1}
 
     def test_each_characteristic_polynomial_once(self, calls):
-        # condition (b) takes p' and res(p, p') from one char_poly per entry
-        assert condition_b([NON_SPLIT, NON_SPLIT_3]) == []
-        assert calls["char_poly"] == 2 and calls["resultant"] == 2
-        # condition (a) computes each of its G = 3 general entries' once
-        calls["char_poly"] = 0
-        family = [NON_SPLIT, NON_SPLIT_3, *NON_SPLIT_DUALS, entry("S", [A + B, B])]
-        condition_a(family)
-        assert calls["char_poly"] == 3
+        # condition (c) multiplies out p once per entry of dimension above two
+        family = [
+            entry("P", [A, A + B, A - B]), entry("Q", [A, B]), entry("R", [A, B, A * 2])
+        ]
+        assert condition_c(family) == ["P"]
+        assert calls["char_poly"] == 2 and calls["derivative"] == 2
