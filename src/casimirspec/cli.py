@@ -54,56 +54,68 @@ PAIR_CHUNK = 1 << 15
 _PAIRS_MARK = "\0pairs"
 
 
-def _row_text(row: list) -> str:
-    return str(tuple(row))
-
-
-def _json_rational(value) -> str:
-    # a rational string needs no JSON escaping
-    return f'"{rational_to_str(value)}"'
-
-
 def _emit_pairs(payload: dict, as_json: bool, pairs, keys: dict, line: tuple, empty: str) -> None:
     """Print ``payload`` with the records of ``pairs`` as its "collisions", or table lines.
 
     ``pairs`` is a :class:`spectrum.CollisionPairs`, and no record is
-    built: each used box row and each distinct value is rendered once,
-    and each pair fills one fixed template.  In JSON mode the bytes are
-    those of ``_emit`` on the payload with every record's dict in place;
-    ``keys`` maps each record key to its field, "a", "b", "value" or
-    "dual".  In table mode ``line`` holds the line template and the
-    fields it takes, and ``empty`` is the one line for no pairs.  Records
-    reach stdout ``PAIR_CHUNK`` at a time.
+    built.  Each distinct value and each used box row is rendered once,
+    into string tables; the pairs index those tables.  Records are
+    assembled ``PAIR_CHUNK`` at a time in an object grid of the
+    template's fixed text and the indexed table columns, and each chunk
+    reaches stdout as one ``str.join`` of that grid.  In JSON mode the
+    bytes are those of ``_emit`` on the payload with every record's dict
+    in place; ``keys`` maps each record key to its field, "a", "b",
+    "value" or "dual".  In table mode ``line`` holds the line template
+    and the fields it takes, and ``empty`` is the one line for no pairs.
     """
     if not pairs:
         _emit({**payload, "collisions": []}, as_json, [empty])
         return
     if as_json:
         names = sorted(keys)
-        template = "    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in names) + "\n    }"
         fields = [keys[k] for k in names]
+        # the rational strings need no JSON escaping, only quotes
+        slots = ['"%s"' if field == "value" else "%s" for field in fields]
+        template = "    {\n" + ",\n".join(
+            f"      {json.dumps(k)}: {slot}" for k, slot in zip(names, slots)
+        ) + "\n    }"
         text = json.dumps({**payload, "collisions": _PAIRS_MARK}, sort_keys=True, indent=2)
         head, tail = text.split(json.dumps(_PAIRS_MARK))
         head, separator, tail = head + "[\n", ",\n", "\n  ]" + tail + "\n"
         # a box row as json.dumps(..., indent=2) writes it inside a record
-        row_template = "[\n" + ",\n".join(["        %d"] * pairs.rows.shape[1]) + "\n      ]"
-        render_row = lambda row: row_template % tuple(row)  # noqa: E731
-        render_value, flags = _json_rational, ("false", "true")
+        row_text, flags = ("[\n        ", ",\n        ", "\n      ]"), ("false", "true")
     else:
         (template, fields), head, separator, tail = line, "", "\n", "\n"
-        render_row, render_value, flags = _row_text, rational_to_str, ("", "  [dual pair]")
-    columns = {"value": spectrum.pair_values(pairs.values, pairs.first, pairs.denom, render_value)}
-    columns["a"], columns["b"] = spectrum.pair_rows(pairs.rows, pairs.first, pairs.second, render_row)
+        # a rank-one row is a one-tuple, "(5,)"
+        closing = ",)" if pairs.rows.shape[1] == 1 else ")"
+        row_text, flags = ("(", ", ", closing), ("", "  [dual pair]")
+    used, row_a, row_b = spectrum.distinct_indices(len(pairs.rows), pairs.first, pairs.second)
+    distinct, value_index = np.unique(pairs.values[used], return_inverse=True)
+    rows = spectrum.row_strings(pairs.rows[used], *row_text)
+    # each field's table of strings, and the table entry of every pair
+    tables = {
+        "a": (rows, row_a),
+        "b": (rows, row_b),
+        # a pair's value is its first row's
+        "value": (spectrum.value_strings(distinct, pairs.denom)[value_index], row_a),
+    }
     if pairs.dual is not None:
-        columns["dual"] = np.array(flags, object)[pairs.dual.astype(np.intp)]
-    columns = [columns[field] for field in fields]
+        tables["dual"] = (np.array(flags, object), pairs.dual.view(np.uint8))
+    columns = [tables[field] for field in fields]
+    count, literals = len(pairs), template.split("%s")
+    # one record per grid row: the template's fixed text, with the fields between
+    grid = np.empty((min(count, PAIR_CHUNK), 2 * len(fields) + 1), object)
+    grid[:, 0::2] = [separator + literals[0], *literals[1:]]
+    # the first record follows the head directly
+    grid[0, 0] = literals[0]
     write = sys.stdout.write
     write(head)
-    for start in range(0, len(pairs), PAIR_CHUNK):
-        if start:
-            write(separator)
-        chunk = [column[start:start + PAIR_CHUNK].tolist() for column in columns]
-        write(separator.join([template % record for record in zip(*chunk)]))
+    for start in range(0, count, PAIR_CHUNK):
+        block = grid[: min(PAIR_CHUNK, count - start)]
+        for slot, (table, index) in enumerate(columns):
+            block[:, 2 * slot + 1] = table[index[start:start + PAIR_CHUNK]]
+        write("".join(block.ravel().tolist()))
+        grid[0, 0] = separator + literals[0]
     write(tail)
 
 

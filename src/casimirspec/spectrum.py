@@ -116,6 +116,13 @@ class CollisionReport:
 MAX_BOX_ROWS = 2**23
 
 
+# Most equal-value pairs a scan lists.  On a 2-vCPU Intel Xeon VM,
+# `product --factors S2,S2,S2 --bound 70 --beta 1,1,1 --json`, with
+# 15,981,879 pairs, takes 14 s and 900 MB peak RSS; bound 202 would list
+# 1,073,281,317 pairs in a box under MAX_BOX_ROWS.
+MAX_PAIRS = 2**24
+
+
 def require_box(rank: int, bound: int) -> None:
     """Refuse a box of more than ``MAX_BOX_ROWS`` rows before anything is allocated."""
     if (bound + 1) ** rank > MAX_BOX_ROWS:
@@ -145,7 +152,8 @@ def equal_value_pairs(values: np.ndarray) -> tuple:
     Returns ``(first, second)`` holding each pair once, sorted by
     ``first`` and then by ``second``.  ``values`` is a 1-D ``int64`` or
     ``object`` array of Python ints; only comparisons touch it, so both
-    take the same path and neither rounds.
+    take the same path and neither rounds.  More than ``MAX_PAIRS``
+    pairs is a ValueError, raised before any pair array is allocated.
     """
     order = np.argsort(values, kind="stable")
     ordered = values[order]
@@ -156,6 +164,9 @@ def equal_value_pairs(values: np.ndarray) -> tuple:
     # so output slot t belongs to s = first_pos[t] and pairs it with
     # s + 1 + (t - offset[s])
     later = np.repeat(starts + sizes, sizes) - np.arange(len(values)) - 1
+    count = int(later.sum())
+    if count > MAX_PAIRS:
+        raise ValueError(f"{count} equal-value pairs exceed the maximum of {MAX_PAIRS}")
     first_pos = np.repeat(np.arange(len(values)), later)
     offset = np.cumsum(later) - later
     second_pos = first_pos + 1 + np.arange(len(first_pos)) - offset[first_pos]
@@ -165,27 +176,73 @@ def equal_value_pairs(values: np.ndarray) -> tuple:
     return first[pairs], second[pairs]
 
 
-def pair_rows(rows: np.ndarray, first: np.ndarray, second: np.ndarray, render=tuple) -> tuple:
-    """``render`` of the rows at ``first`` and at ``second``, as object arrays.
+def distinct_indices(size: int, *indices: np.ndarray) -> tuple:
+    """The distinct entries of index arrays into ``range(size)``, and each entry's place.
 
-    Each row occurring in a pair is rendered once, from its list of
-    Python ints.  Object arrays, unlike lists, are not walked by the
-    garbage collector.
+    Returns ``(distinct, *places)``: ``distinct`` ascending, and
+    ``distinct[places[k]] == indices[k]`` entry by entry.  A mark per
+    index in ``range(size)`` stands in for sorting the entries.
     """
-    used, inverse = np.unique(np.r_[first, second], return_inverse=True)
-    rendered = np.fromiter(map(render, rows[used].tolist()), object, len(used))
-    return rendered[inverse[: len(first)]], rendered[inverse[len(first):]]
+    mark = np.zeros(size, bool)
+    for index in indices:
+        mark[index] = True
+    place = np.cumsum(mark) - 1
+    return (np.flatnonzero(mark), *(place[index] for index in indices))
 
 
-def pair_values(values: np.ndarray, first: np.ndarray, denom: int, render=None) -> np.ndarray:
-    """``values[i] / denom`` for each i in ``first``, rendered once per distinct value.
+def pair_rows(rows: np.ndarray, first: np.ndarray, second: np.ndarray) -> tuple:
+    """The rows at ``first`` and at ``second`` as tuples of Python ints, in object arrays.
 
-    Each value is a Fraction, passed through ``render`` when one is given.
+    Each row occurring in a pair is converted once.  Object arrays,
+    unlike lists, are not walked by the garbage collector.
     """
+    used, place_a, place_b = distinct_indices(len(rows), first, second)
+    converted = np.fromiter(map(tuple, rows[used].tolist()), object, len(used))
+    return converted[place_a], converted[place_b]
+
+
+def pair_values(values: np.ndarray, first: np.ndarray, denom: int) -> np.ndarray:
+    """``values[i] / denom`` for each i in ``first``, one Fraction per distinct value."""
     distinct, inverse = np.unique(values[first], return_inverse=True)
     fractions = (Fraction(value, denom) for value in distinct.tolist())
-    rendered = fractions if render is None else map(render, fractions)
-    return np.fromiter(rendered, object, len(distinct))[inverse]
+    return np.fromiter(fractions, object, len(distinct))[inverse]
+
+
+def value_strings(values: np.ndarray, denom: int) -> np.ndarray:
+    """``rational_to_str(values[i] / denom)`` for each entry, as an object array.
+
+    ``int64`` values are reduced by ``np.gcd`` and written from integers;
+    an ``object`` array of Python ints, or a denominator past ``int64``,
+    goes through Fraction.
+    """
+    if values.dtype == object or denom >= 2**63:
+        strings = (rational_to_str(Fraction(v, denom)) for v in values.tolist())
+        return np.fromiter(strings, object, len(values))
+    common = np.gcd(values, denom)
+    dens, den_index = np.unique(denom // common, return_inverse=True)
+    suffixes = np.array(["" if d == 1 else f"/{d}" for d in dens.tolist()], object)
+    return (values // common).astype(str).astype(object) + suffixes[den_index]
+
+
+# ends each row in the one string ``row_strings`` joins (ASCII record
+# separator: no rendered row holds it, and numpy's str arrays would strip a NUL)
+_ROW_END = "\x1e"
+
+
+def row_strings(rows: np.ndarray, opening: str, comma: str, closing: str) -> np.ndarray:
+    """Each row of a non-negative integer array written ``opening c0 comma c1 ... closing``.
+
+    Each distinct coordinate is written once.  The rows are one
+    ``str.join`` of a grid of those strings and the fixed text, split
+    again at a sentinel ending each row.
+    """
+    coordinates, inverse = distinct_indices(int(rows.max()) + 1, rows.ravel())
+    text = coordinates.astype(str).astype(object)
+    count, rank = rows.shape
+    grid = np.empty((count, 2 * rank + 2), object)
+    grid[:, 0], grid[:, 2:-2:2], grid[:, -2], grid[:, -1] = opening, comma, closing, _ROW_END
+    grid[:, 1:-1:2] = text[inverse.reshape(rows.shape)]
+    return np.fromiter("".join(grid.ravel().tolist()).split(_ROW_END), object, count)
 
 
 class CollisionPairs(Sequence):

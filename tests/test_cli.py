@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import casimirspec
-from casimirspec import bundles, products, su2f
+from casimirspec import bundles, products, spectrum, su2f
 from casimirspec.cli import EXIT_CERT_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, run
 from casimirspec.spectrum import MAX_BOX_ROWS
 from casimirspec.symmdata import LABELS, MAX_RANK, restricted_datum
@@ -556,6 +556,15 @@ class TestExitCodeFuzz:
             "error: no collision-free beta among the first 25 candidates; more on a box "
             "of 25 rows exceed the maximum of 625 sorted values\n"
         )
+
+    def test_many_pairs_are_refused_before_the_pair_arrays(self, monkeypatch):
+        # 1,764,105 equal pairs on 41^3 rows; each pair index array would be 14 MB
+        monkeypatch.setattr(spectrum, "MAX_PAIRS", 1000)
+        argv = ["product", "--factors", "S2,S2,S2", "--bound", "40", "--beta", "1,1,1"]
+        code, err, peak = run_traced(argv)
+        assert code == EXIT_USAGE
+        assert err == "error: 1764105 equal-value pairs exceed the maximum of 1000\n"
+        assert peak < 1764105 * 8
 
     @pytest.mark.parametrize("label", sorted(RANK_PARAMS))
     def test_rank_params_give_that_rank(self, label):

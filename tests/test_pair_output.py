@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimirspec import cli, products, spectrum
+from casimirspec import cli, exactalg, products, spectrum
 from casimirspec.exactalg import rational_to_str
 from casimirspec.products import check_beta, factor_spectrum, generic_beta_certificate
 from casimirspec.spectrum import CollisionPairs, CollisionReport, enumerate_collisions
@@ -261,3 +261,133 @@ def test_dual_flags_match_dual_weights():
         pairs = enumerate_collisions(datum, largest_bound(datum.rank, 400))
         expected = [spectrum.dual_weight(datum, rep.weight_a) == rep.weight_b for rep in pairs]
         assert np.array_equal(pairs.dual, np.array(expected, bool))
+
+
+# -- the string tables ------------------------------------------------------------
+
+
+denominators = st.one_of(st.integers(1, 50), st.integers(1, 2**70))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.integers(-(2**63) + 1, 2**63 - 1), min_size=1, max_size=30),
+    denom=denominators,
+    as_object=st.booleans(),
+)
+def test_value_strings_match_rational_to_str(values, denom, as_object):
+    array = np.array(values, object if as_object else np.int64)
+    expected = [rational_to_str(Fraction(v, denom)) for v in values]
+    assert spectrum.value_strings(array, denom).tolist() == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.lists(st.integers(-(2**80), 2**80), min_size=1, max_size=30),
+    denom=denominators,
+)
+def test_value_strings_past_int64(values, denom):
+    values.append(INT64_LIMIT)
+    expected = [rational_to_str(Fraction(v, denom)) for v in values]
+    assert spectrum.value_strings(np.array(values, object), denom).tolist() == expected
+
+
+box_rows = st.sampled_from([1, 3, 8]).flatmap(
+    lambda rank: st.lists(
+        st.lists(st.integers(0, 3000), min_size=rank, max_size=rank), min_size=1, max_size=20
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=box_rows, depth=st.integers(0, 4))
+def test_row_strings_match_json_dumps(rows, depth):
+    # json.dumps(..., indent=2) writes a list nested ``depth`` levels deep so
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    rendered = spectrum.row_strings(np.array(rows, np.int64), "[" + inner, "," + inner, outer + "]")
+    expected = [json.dumps(row, indent=2).replace("\n", outer) for row in rows]
+    assert rendered.tolist() == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=box_rows)
+def test_row_strings_match_tuples(rows):
+    closing = ",)" if len(rows[0]) == 1 else ")"
+    rendered = spectrum.row_strings(np.array(rows, np.int64), "(", ", ", closing)
+    assert rendered.tolist() == [str(tuple(row)) for row in rows]
+
+
+def test_product_beta_denominator_past_int64():
+    # the box values fit int64, their common denominator does not
+    beta = [Fraction(1, 2**66), Fraction(3, 2**66)]
+    pairs = check_beta([factor_spectrum("S2", 3)] * 2, beta)
+    assert pairs and pairs.values.dtype == np.int64 and pairs.denom >= INT64_LIMIT
+    product_case(["S2", "S2"], 3, beta, 2)
+
+
+# each op's box values are int64; each writes pairs, two with dual flags
+INT64_OPS = [
+    ["collide", "AI", "--r", "3", "--bound", "6"],
+    ["collide", "AI", "--r", "3", "--bound", "4", "--include-duals"],
+    ["collide", "EVI", "--bound", "3"],
+    ["product", "--factors", "S2,CP2,S2", "--bound", "5", "--beta", "1,2/3,5/7"],
+]
+
+
+@pytest.mark.parametrize("argv", INT64_OPS)
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_int64_output_builds_no_fraction_and_no_record(monkeypatch, argv, mode):
+    expected = run_op(argv + mode, 5)
+    assert expected[1].count("\n") > 20
+    emit_pairs = cli._emit_pairs
+
+    def refusing_emit_pairs(payload, as_json, pairs, *args):
+        # the scans before the writer may use Fraction; the writer may not
+        assert pairs.values.dtype == np.int64
+        with mock.patch.object(spectrum, "Fraction", refuse), \
+                mock.patch.object(exactalg, "rational_to_str", refuse), \
+                mock.patch.object(spectrum, "rational_to_str", refuse):
+            emit_pairs(payload, as_json, pairs, *args)
+
+    monkeypatch.setattr(cli, "_emit_pairs", refusing_emit_pairs)
+    monkeypatch.setattr(spectrum, "CollisionReport", refuse)
+    monkeypatch.setattr(products, "CollisionWitness", refuse)
+    assert run_op(argv + mode, 5) == expected
+
+
+# -- the pair cap -----------------------------------------------------------------
+
+
+def run_op_with_stderr(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# collision-rich boxes, and the pairs ``equal_value_pairs`` lists on each
+CAPPED_OPS = [
+    (["collide", "AI", "--r", "3", "--bound", "6"],
+     lambda: enumerate_collisions(restricted_datum("AI", r=3), 6, exclude_dual_pairs=False)),
+    # every pair is a dual pair: all are listed, then dropped
+    (["collide", "EIV", "--bound", "20"],
+     lambda: enumerate_collisions(restricted_datum("EIV"), 20, exclude_dual_pairs=False)),
+    (["product", "--factors", "S2,S2,S2", "--bound", "8", "--beta", "1,1,1"],
+     lambda: check_beta([factor_spectrum("S2", 8)] * 3, (1, 1, 1))),
+]
+
+
+@pytest.mark.parametrize("argv,scan", CAPPED_OPS)
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_pairs_past_the_cap_are_refused(monkeypatch, argv, scan, mode):
+    count = len(scan())
+    assert count > 100
+    expected = run_op_with_stderr(argv + mode)
+    monkeypatch.setattr(spectrum, "MAX_PAIRS", count - 1)
+    assert run_op_with_stderr(argv + mode) == (
+        cli.EXIT_USAGE, "",
+        f"error: {count} equal-value pairs exceed the maximum of {count - 1}\n",
+    )
+    monkeypatch.setattr(spectrum, "MAX_PAIRS", count)
+    assert run_op_with_stderr(argv + mode) == expected
