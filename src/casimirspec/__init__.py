@@ -11,7 +11,6 @@ from .exactalg import MultiPoly, ParametricMatrix, Rational, UniPoly
 from .rootsys import CartanData, RootSystemType, cartan_data, gram_matrix
 from .spectrum import (
     CollisionPairs,
-    CollisionReport,
     EigenvalueForm,
     ReflectionWitness,
     enumerate_collisions,
@@ -25,7 +24,6 @@ from .symmdata import RestrictedDatum, cross_datum, restricted_datum
 __all__ = [
     "CartanData",
     "CollisionPairs",
-    "CollisionReport",
     "EigenvalueForm",
     "MultiPoly",
     "ParametricMatrix",

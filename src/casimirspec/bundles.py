@@ -32,7 +32,7 @@ import numpy as np
 
 from .exactalg import MultiPoly, ParametricMatrix
 from .simplicity import RepresentationEntry
-from .spectrum import equal_value_pairs, exact_dtype, pair_rows, weight_box
+from .spectrum import equal_value_pairs, exact_dtype, weight_box
 
 METRIC_PARAMS = ("gamma1", "gamma2")
 
@@ -193,7 +193,8 @@ def hopf_swap_theorem_scan(n: int, bound: int) -> HopfScanReport:
 
     first, second = equal_value_pairs(reduced)
     swap = (box[first][:, ::-1] == box[second]).all(1)
-    non_swap = zip(*pair_rows(box, first[~swap], second[~swap]))
+    rows_a, rows_b = box[first[~swap]].tolist(), box[second[~swap]].tolist()
+    non_swap = zip(map(tuple, rows_a), map(tuple, rows_b))
     return HopfScanReport(
         n=n,
         bound=bound,

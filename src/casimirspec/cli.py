@@ -57,16 +57,16 @@ _PAIRS_MARK = "\0pairs"
 def _emit_pairs(payload: dict, as_json: bool, pairs, keys: dict, line: tuple, empty: str) -> None:
     """Print ``payload`` with the records of ``pairs`` as its "collisions", or table lines.
 
-    ``pairs`` is a :class:`spectrum.CollisionPairs`, and no record is
-    built.  Each distinct value and each used box row is rendered once,
-    into string tables; the pairs index those tables.  Records are
-    assembled ``PAIR_CHUNK`` at a time in an object grid of the
-    template's fixed text and the indexed table columns, and each chunk
-    reaches stdout as one ``str.join`` of that grid.  In JSON mode the
-    bytes are those of ``_emit`` on the payload with every record's dict
-    in place; ``keys`` maps each record key to its field, "a", "b",
-    "value" or "dual".  In table mode ``line`` holds the line template
-    and the fields it takes, and ``empty`` is the one line for no pairs.
+    ``pairs`` is a :class:`spectrum.CollisionPairs`.  Each distinct value
+    and each used box row is rendered once, into string tables; the pairs
+    index those tables.  Records are assembled ``PAIR_CHUNK`` at a time in
+    an object grid of the template's fixed text and the indexed table
+    columns, and each chunk reaches stdout as one ``str.join`` of that
+    grid.  In JSON mode the bytes are those of ``_emit`` on the payload
+    with every record's dict in place; ``keys`` maps each record key to
+    its field, "a", "b", "value" or "dual".  In table mode ``line`` holds
+    the line template and the fields it takes, and ``empty`` is the one
+    line for no pairs.
     """
     if not pairs:
         _emit({**payload, "collisions": []}, as_json, [empty])
@@ -153,7 +153,13 @@ def _datum_from_args(args) -> symmdata.RestrictedDatum:
     return symmdata.restricted_datum(args.label, r=args.r, ell=ell)
 
 
+def _require_one_format(args) -> None:
+    if args.csv and args.json:
+        raise ValueError("--csv conflicts with --json")
+
+
 def _cmd_table_delta(args) -> int:
+    _require_one_format(args)
     if args.label:
         data = [_datum_from_args(args)]
     else:
@@ -184,6 +190,7 @@ def _cmd_table_delta(args) -> int:
 
 
 def _cmd_rank2_catalog(args) -> int:
+    _require_one_format(args)
     cases = spectrum.rank2_catalog()
     verified = all(
         spectrum.verify_rank2_pair(case, pair)

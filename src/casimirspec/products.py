@@ -201,24 +201,14 @@ def collision_hyperplanes(factors: Sequence[FactorSpectrum], bound: int = None) 
     return normals
 
 
-@dataclass(frozen=True)
-class CollisionWitness:
-    """Two index arrays whose weighted eigenvalues agree at a given beta."""
-
-    array_a: tuple
-    array_b: tuple
-    value: Fraction
-
-
 def check_beta(
     factors: Sequence[FactorSpectrum], beta: Sequence, bound: int = None
 ) -> CollisionPairs:
     """All collision witnesses for a candidate weight vector, sorted.
 
-    The result is a :class:`~casimirspec.spectrum.CollisionPairs`
-    sequence in (array_a, array_b) order; its ``CollisionWitness``
-    records are built only when indexed or iterated, so a truth test
-    builds none.
+    The result is a :class:`~casimirspec.spectrum.CollisionPairs` over
+    the index arrays of the box, one per row, with its pairs in (first,
+    second) order.
 
     The box values are the outer sum of the per-factor tables
     beta_i * lambda_i(m), scaled by the lcm D of their denominators to
@@ -245,7 +235,7 @@ def check_beta(
         values = np.add.outer(values, np.array(table, dtype)).ravel()
     first, second = equal_value_pairs(values)
     box = weight_box(len(factors), bound)
-    return CollisionPairs(CollisionWitness, box, first, second, values, denom)
+    return CollisionPairs(box, first, second, values, denom)
 
 
 def prime_sequence() -> Iterator[int]:

@@ -16,7 +16,6 @@ the catalog of rank-two cases with their closed-form collision pairs.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,16 +95,6 @@ def polynomial_form(datum: RestrictedDatum) -> MultiPoly:
     names = _coordinate_names(datum.rank)
     shift = [MultiPoly.constant(names, c) for c in datum.two_delta_bar]
     return eigenvalue_polynomial(datum.gram, shift, names, names)
-
-
-@dataclass(frozen=True)
-class CollisionReport:
-    """A pair of distinct dominant weights with exactly equal eigenvalue."""
-
-    weight_a: tuple
-    weight_b: tuple
-    eigenvalue: Fraction
-    dual_related: bool
 
 
 # Largest box (bound + 1)^rank a scan accepts, in rows.  On a 2-vCPU Intel
@@ -190,24 +179,6 @@ def distinct_indices(size: int, *indices: np.ndarray) -> tuple:
     return (np.flatnonzero(mark), *(place[index] for index in indices))
 
 
-def pair_rows(rows: np.ndarray, first: np.ndarray, second: np.ndarray) -> tuple:
-    """The rows at ``first`` and at ``second`` as tuples of Python ints, in object arrays.
-
-    Each row occurring in a pair is converted once.  Object arrays,
-    unlike lists, are not walked by the garbage collector.
-    """
-    used, place_a, place_b = distinct_indices(len(rows), first, second)
-    converted = np.fromiter(map(tuple, rows[used].tolist()), object, len(used))
-    return converted[place_a], converted[place_b]
-
-
-def pair_values(values: np.ndarray, first: np.ndarray, denom: int) -> np.ndarray:
-    """``values[i] / denom`` for each i in ``first``, one Fraction per distinct value."""
-    distinct, inverse = np.unique(values[first], return_inverse=True)
-    fractions = (Fraction(value, denom) for value in distinct.tolist())
-    return np.fromiter(fractions, object, len(distinct))[inverse]
-
-
 def value_strings(values: np.ndarray, denom: int) -> np.ndarray:
     """``rational_to_str(values[i] / denom)`` for each entry, as an object array.
 
@@ -245,61 +216,26 @@ def row_strings(rows: np.ndarray, opening: str, comma: str, closing: str) -> np.
     return np.fromiter("".join(grid.ravel().tolist()).split(_ROW_END), object, count)
 
 
-class CollisionPairs(Sequence):
-    """The equal-value pairs of one box scan, held as arrays.
+@dataclass(frozen=True, eq=False)
+class CollisionPairs:
+    """The equal-value pairs of one scan, held as arrays.
 
-    Pair t joins box rows ``first[t] < second[t]`` at the value
-    ``values[first[t]] / denom``; ``dual`` flags dual pairs, or is None
-    when the record has no such field.  Length and truthiness read the
-    arrays only.  Indexing or iterating builds ``record(row_a, row_b,
-    value[, dual])`` per pair, in (first, second) order, and the sequence
-    equals a list of the same records.
+    Pair t joins ``rows[first[t]]`` and ``rows[second[t]]``, with
+    ``first[t] < second[t]``, at the value ``values[first[t]] / denom``.
+    ``values`` holds one exact integer per row, ``int64`` or Python ints
+    in an ``object`` array.  ``dual`` flags the dual pairs, or is None
+    when the scan has no duality.
     """
 
-    def __init__(self, record, rows, first, second, values, denom, dual=None):
-        self.record = record
-        self.rows = rows
-        self.first = first
-        self.second = second
-        self.values = values
-        self.denom = denom
-        self.dual = dual
+    rows: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    values: np.ndarray
+    denom: int
+    dual: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.first)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            dual = None if self.dual is None else self.dual[index]
-            return CollisionPairs(
-                self.record, self.rows, self.first[index], self.second[index],
-                self.values, self.denom, dual,
-            )
-        i, j = self.first[index], self.second[index]
-        fields = [
-            tuple(self.rows[i].tolist()),
-            tuple(self.rows[j].tolist()),
-            Fraction(int(self.values[i]), self.denom),
-        ]
-        if self.dual is not None:
-            fields.append(bool(self.dual[index]))
-        return self.record(*fields)
-
-    def __iter__(self):
-        rows_a, rows_b = pair_rows(self.rows, self.first, self.second)
-        values = pair_values(self.values, self.first, self.denom)
-        flags = () if self.dual is None else (self.dual.astype(object),)
-        return map(self.record, rows_a, rows_b, values, *flags)
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, CollisionPairs)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"<{len(self)} {self.record.__name__} pairs>"
 
 
 def enumerate_collisions(
@@ -308,10 +244,9 @@ def enumerate_collisions(
     """All eigenvalue collisions in the per-coordinate box [0, bound]^rank.
 
     Every unordered pair of weights with the same exact eigenvalue is
-    reported, flagged when the two weights are duals of each other.
-    Output is sorted lexicographically by (weight_a, weight_b), which is
-    box-row order.  The result is a :class:`CollisionPairs` sequence; its
-    ``CollisionReport`` records are built only when indexed or iterated.
+    listed, flagged when the two weights are duals of each other.  The
+    result's rows are the box of :func:`weight_box`, and its pairs come in
+    (first, second) order, which is lexicographic in the two weights.
 
     The scan is exact integer arithmetic: with D the lcm of the
     denominators of G and of c = G^T shift, D * lambda(w) = w^T (D G) w +
@@ -347,7 +282,7 @@ def enumerate_collisions(
     dual = dual_row[first] == second
     if exclude_dual_pairs:
         first, second, dual = first[~dual], second[~dual], dual[~dual]
-    return CollisionPairs(CollisionReport, grid, first, second, values, denom, dual)
+    return CollisionPairs(grid, first, second, values, denom, dual)
 
 
 # -- reflection witnesses (rank >= 3) -----------------------------------

@@ -44,7 +44,7 @@ import numpy as np
 from .exactalg import MultiPoly, ParametricMatrix, rational_to_str
 from .products import candidate_tuples
 from .simplicity import RepresentationEntry
-from .spectrum import equal_value_pairs, exact_dtype, pair_values
+from .spectrum import CollisionPairs, equal_value_pairs, exact_dtype, value_strings
 
 METRIC_PARAMS = ("a", "b")
 
@@ -158,14 +158,15 @@ def su2f_representation_family(kmax: int) -> list:
     return entries
 
 
-def collisions_at_metric(kmax: int, a: Fraction, b: Fraction) -> list:
+def collisions_at_metric(kmax: int, a: Fraction, b: Fraction) -> CollisionPairs:
     """Pairs of distinct invariant lines with equal eigenvalue at (a, b).
 
-    Pairs come in ascending eigenvalue.  With D the lcm of the
-    denominators of a and b, A = D a and B = D b, each line's value times
-    8 D is the integer -d^2 A + (k(k+2) + d^2) B of its form key.  These
-    are compared in int64 when the largest magnitude is below 2**63 and in
-    Python ints otherwise; only the colliding values become Fractions.
+    The rows are the lines' (k, d^2) for k <= kmax, and the pairs come in
+    ascending eigenvalue, then in (first, second) order.  With D the lcm
+    of the denominators of a and b, A = D a and B = D b, each line's value
+    times 8 D is the integer -d^2 A + (k(k+2) + d^2) B of its form key, so
+    the denominator is 8 D.  The values are int64 when the largest
+    magnitude is below 2**63 and Python ints otherwise.
     """
     lines = [(k, *key) for k in range(0, kmax + 1, 2) for key in form_keys(k)]
     denom = lcm(a.denominator, b.denominator)
@@ -174,9 +175,8 @@ def collisions_at_metric(kmax: int, a: Fraction, b: Fraction) -> list:
     values = np.array(values, exact_dtype(max(map(abs, values), default=0)))
     first, second = equal_value_pairs(values)
     ascending = np.argsort(values[first], kind="stable")
-    first, second = first[ascending], second[ascending]
-    keys = np.fromiter(((k, -a8) for k, a8, _ in lines), object, len(lines))
-    return list(zip(keys[first], keys[second], pair_values(values, first, 8 * denom)))
+    rows = np.array([(k, -a8) for k, a8, _ in lines], np.int64).reshape(-1, 2)
+    return CollisionPairs(rows, first[ascending], second[ascending], values, 8 * denom)
 
 
 def find_simple_metric(kmax: int) -> tuple:
@@ -202,7 +202,7 @@ class SimplicityReport:
     within_k_distinct: bool
     cross_k_injective: bool
     metric: Optional[tuple]
-    metric_collisions: tuple
+    metric_collisions: Optional[CollisionPairs]  # None without a metric
 
     @property
     def certified(self) -> bool:
@@ -212,6 +212,12 @@ class SimplicityReport:
         return ok
 
     def to_json(self) -> dict:
+        collisions = []
+        if self.metric_collisions is not None:
+            pairs = self.metric_collisions
+            values = value_strings(pairs.values[pairs.first], pairs.denom).tolist()
+            rows_a, rows_b = pairs.rows[pairs.first].tolist(), pairs.rows[pairs.second].tolist()
+            collisions = [list(pair) for pair in zip(rows_a, rows_b, values)]
         return {
             "kmax": self.kmax,
             "dimensions": {str(k): d for k, d in self.dimensions},
@@ -220,10 +226,7 @@ class SimplicityReport:
             "metric": None
             if self.metric is None
             else [rational_to_str(x) for x in self.metric],
-            "metric_collisions": [
-                [list(ka), list(kb), rational_to_str(value)]
-                for ka, kb, value in self.metric_collisions
-            ],
+            "metric_collisions": collisions,
             "certified": self.certified,
         }
 
@@ -256,13 +259,13 @@ def simplicity_certificate(
     injective = len(set(keys)) == len(keys)
 
     metric = None
-    metric_collisions = ()
+    metric_collisions = None
     if sample_metric is not None:
         a, b = Fraction(sample_metric[0]), Fraction(sample_metric[1])
         if a <= 0 or b <= 0:
             raise ValueError("metric parameters must be positive")
         metric = (a, b)
-        metric_collisions = tuple(collisions_at_metric(kmax, a, b))
+        metric_collisions = collisions_at_metric(kmax, a, b)
 
     return SimplicityReport(
         kmax=kmax,

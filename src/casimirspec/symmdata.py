@@ -120,11 +120,12 @@ def delta_bar_coeffs(multiplicities: Sequence) -> tuple:
 def dual_permutation(descriptor: SymmetricSpaceDescriptor) -> tuple:
     """Permutation sigma with dual(sum m_k M_k) = sum m_{sigma(k)} M_k.
 
-    Order-reversing for type A, the last-two swap for type D of odd rank,
-    the diagram flip for E6; the identity for every other type (B, C, BC,
-    D of even rank, E7, E8, F4, G2 admit no diagram symmetry acting here).
+    The descriptor's ``involution``: order-reversing for type A, the
+    last-two swap for type D of odd rank, the diagram flip for E6; the
+    identity for every other type (B, C, BC, D of even rank, E7, E8, F4,
+    G2 admit no diagram symmetry acting here).
     """
-    return _involution_for(descriptor.restricted_type)
+    return descriptor.involution
 
 
 def _involution_for(system: RootSystemType) -> tuple:

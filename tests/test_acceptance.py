@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 from polyref import coefficients_at, poly_derivative, shares_root
+import pairref
 
 from casimirspec import bundles, products, spectrum, su2f
 from casimirspec.exactalg import MultiPoly, char_poly, derivative, resultant
@@ -161,7 +162,7 @@ def test_criterion_5_rank_one_emptiness():
     data = rank_one_catalog()
     assert {str(d.descriptor.restricted_type) for d in data} == {"A1", "BC1"}
     for datum in data:
-        assert spectrum.enumerate_collisions(datum, 10_000) == []
+        assert not spectrum.enumerate_collisions(datum, 10_000)
     _report(5, "rank-one collision emptiness", started, 10)
 
 
@@ -190,7 +191,7 @@ def test_criterion_7_su2f():
     assert report.within_k_distinct and report.cross_k_injective
     metric = su2f.find_simple_metric(kmax)
     assert metric[0] != metric[1]
-    assert su2f.collisions_at_metric(kmax, *metric) == []
+    assert not su2f.collisions_at_metric(kmax, *metric)
     round_point = su2f.collisions_at_metric(kmax, Fraction(1), Fraction(1))
     assert len(round_point) >= 1
     _report(7, "SU(2)/F certificate up to k = 60", started, 30)
@@ -199,12 +200,12 @@ def test_criterion_7_su2f():
 def test_criterion_8_products():
     started = time.time()
     factors = [products.factor_spectrum("S2", 30)] * 2
-    rejected = products.check_beta(factors, (1, 1), 30)
+    rejected = pairref.witnesses(products.check_beta(factors, (1, 1), 30))
     keys = {(w.array_a, w.array_b) for w in rejected}
     assert ((1, 2), (2, 1)) in keys
     certificate = products.generic_beta_certificate(factors, 30)
     assert certificate.beta[0] != certificate.beta[1]
-    assert products.check_beta(factors, certificate.beta, 30) == []
+    assert not products.check_beta(factors, certificate.beta, 30)
     assert certificate.distinct_values == 31 * 31
     single = products.generic_beta_certificate(
         [products.factor_spectrum("CP2", 30)], 30

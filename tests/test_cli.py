@@ -350,6 +350,8 @@ class TestUsageErrors:
              "--mode applies only with --metric"),
             (["simplicity", "--family", "hopf", "--bound", "3", "--mode", "real"],
              "--mode applies only with --metric"),
+            (["table-delta", "--csv", "--json"], "--csv conflicts with --json"),
+            (["rank2-catalog", "--csv", "--json"], "--csv conflicts with --json"),
         ],
     )
     def test_conflicting_duplicate_inputs(self, capsys, argv, message):
@@ -447,7 +449,7 @@ _FACTORS = st.lists(
 _JSON = st.sampled_from([[], ["--json"]])
 # family bounds far past the builders' caps
 _BOUNDS = st.one_of(_INTS, st.integers(10**6, 10**40).map(str))
-_TABLE_FORMAT = st.sampled_from([[], ["--json"], ["--csv"]])
+_TABLE_FORMAT = st.sampled_from([[], ["--json"], ["--csv"], ["--csv", "--json"]])
 
 COMMAND_LINES = st.one_of(
     _argv(st.just(["table-delta"]), *_SPACE, _TABLE_FORMAT),

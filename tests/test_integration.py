@@ -13,6 +13,7 @@ from casimirspec.spectrum import (
     reflection_witness,
 )
 from casimirspec.symmdata import restricted_datum
+import pairref
 
 RANK2_INSTANCES = {
     "AIII1": [{"r": 4, "ell": 2}, {"r": 5, "ell": 2}, {"r": 7, "ell": 2}],
@@ -65,7 +66,9 @@ class TestBoxScanFindsCatalogPairs:
                 else:
                     point_a, point_b = wa, wb
                 bound = max(point_a + point_b)
-                reports = enumerate_collisions(datum, bound, exclude_dual_pairs=False)
+                reports = pairref.reports(
+                    enumerate_collisions(datum, bound, exclude_dual_pairs=False)
+                )
                 keys = {
                     frozenset((rep.weight_a, rep.weight_b)) for rep in reports
                 }
@@ -95,7 +98,7 @@ class TestWitnessAgainstBoxScan:
         datum = restricted_datum(label, **params)
         witness = reflection_witness(datum)
         bound = max(witness.weight_v + witness.weight_w)
-        reports = enumerate_collisions(datum, bound, exclude_dual_pairs=True)
+        reports = pairref.reports(enumerate_collisions(datum, bound, exclude_dual_pairs=True))
         keys = {frozenset((rep.weight_a, rep.weight_b)) for rep in reports}
         assert frozenset((witness.weight_v, witness.weight_w)) in keys
 
@@ -123,7 +126,7 @@ class TestEigenvalueFormZero:
 class TestSphericalConeSemantics:
     def test_negative_coordinates_never_enumerated(self):
         datum = restricted_datum("AIII2", ell=2)
-        for rep in enumerate_collisions(datum, 6):
+        for rep in pairref.reports(enumerate_collisions(datum, 6)):
             assert all(c >= 0 for c in rep.weight_a + rep.weight_b)
 
     def test_eigenvalue_defined_on_rational_cone_points(self):

@@ -1,9 +1,11 @@
 """Collision output written from the pair arrays, against ``json.dumps``.
 
-``collide`` and ``product --beta`` print their pairs straight from a
-``CollisionPairs`` sequence.  The oracle here is the output the CLI used
-to build: ``json.dumps(payload, sort_keys=True, indent=2)`` over one dict
-per materialised record, and one f-string line per record in table mode.
+``collide`` and ``product --beta`` print their pairs straight from the
+arrays of a ``CollisionPairs``.  The oracle here is the output the CLI
+used to build: ``json.dumps(payload, sort_keys=True, indent=2)`` over one
+dict per record, and one f-string line per record in table mode, with
+the records rebuilt by ``pairref``.  The array contract every pair lister
+keeps is checked here too.
 """
 
 import contextlib
@@ -17,10 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimirspec import cli, exactalg, products, spectrum
+import pairref
+
+from casimirspec import cli, exactalg, spectrum, su2f
 from casimirspec.exactalg import rational_to_str
-from casimirspec.products import check_beta, factor_spectrum, generic_beta_certificate
-from casimirspec.spectrum import CollisionPairs, CollisionReport, enumerate_collisions
+from casimirspec.products import check_beta, factor_spectrum
+from casimirspec.spectrum import enumerate_collisions, weight_box
 from casimirspec.symmdata import restricted_datum, table_rows
 
 INT64_LIMIT = 2**63
@@ -90,7 +94,9 @@ def collide_argv(label, params, bound, include_duals):
 
 def collide_case(label, params, bound, include_duals, chunk):
     datum = restricted_datum(label, **params)
-    reports = list(enumerate_collisions(datum, bound, exclude_dual_pairs=not include_duals))
+    reports = pairref.reports(
+        enumerate_collisions(datum, bound, exclude_dual_pairs=not include_duals)
+    )
     argv = collide_argv(label, params, bound, include_duals)
     payload = {
         "label": label,
@@ -141,7 +147,7 @@ def product_case(labels, bound, beta, chunk):
         "--beta", ",".join(rational_to_str(b) for b in beta),
     ]
     factors = [factor_spectrum(label, bound) for label in labels]
-    witnesses = list(check_beta(factors, beta, bound))
+    witnesses = pairref.witnesses(check_beta(factors, beta, bound))
     payload = {
         "factors": labels,
         "bound": bound,
@@ -192,75 +198,81 @@ def test_product_beta_edge_boxes(labels, bound, beta, collide):
     product_case(labels, bound, [Fraction(b) for b in beta], 2)
 
 
-# -- the lazy sequence -----------------------------------------------------------
+# -- the array contract -----------------------------------------------------------
 
 
-def refuse(*args):
-    raise AssertionError("a record was built")
+def collide_scan(datum, include_duals):
+    bound = largest_bound(datum.rank, 400)
+    pairs = enumerate_collisions(datum, bound, exclude_dual_pairs=not include_duals)
+    return pairs, weight_box(datum.rank, bound), datum
 
 
-def test_length_and_truth_build_no_record(monkeypatch):
-    factors = [factor_spectrum("S2", 12)] * 3
-    pairs = check_beta(factors, (1, 1, 1))
-    monkeypatch.setattr(pairs, "record", refuse)
-    assert len(pairs) > 100 and pairs
-    monkeypatch.setattr(products, "CollisionWitness", refuse)
-    assert check_beta(factors, (1, 1, 1))
+def product_scan(labels, bound, beta):
+    pairs = check_beta([factor_spectrum(label, bound) for label in labels], beta, bound)
+    return pairs, weight_box(len(labels), bound), None
 
 
-def test_certificate_search_builds_no_witness(monkeypatch):
-    monkeypatch.setattr(products, "CollisionWitness", refuse)
-    factors = [factor_spectrum("S2", 30)] * 2
-    assert generic_beta_certificate(factors, 30).beta == (1, 61)
+def su2f_scan(kmax, a, b):
+    lines = [(k, gap * gap) for k in range(0, kmax + 1, 2) for gap in su2f.fixed_space(k)]
+    return su2f.collisions_at_metric(kmax, a, b), np.array(lines, np.int64), None
 
 
-def test_cli_output_builds_no_record(monkeypatch):
-    expected = run_op(["collide", "AI", "--r", "3", "--bound", "6", "--json"])
-    monkeypatch.setattr(spectrum, "CollisionReport", refuse)
-    assert run_op(["collide", "AI", "--r", "3", "--bound", "6", "--json"]) == expected
+PAIR_LISTERS = [
+    *(
+        pytest.param(collide_scan, (datum, include_duals),
+                     id=f"collide-{datum.descriptor.label}-{'duals' if include_duals else 'nodual'}")
+        for datum in table_rows()
+        for include_duals in (False, True)
+    ),
+    pytest.param(product_scan, (["S2"], 40, [1]), id="product-S2"),
+    pytest.param(product_scan, (["S2", "S2"], 12, [1, 1]), id="product-S2,S2"),
+    pytest.param(product_scan, (["S2", "CP2"], 12, [1, 1]), id="product-S2,CP2"),
+    pytest.param(product_scan, (["S2", "S2", "S2"], 6, [1, 1, 1]), id="product-S2x3"),
+    pytest.param(product_scan, (["S2", "CP2", "OP2"], 5, [1, Fraction(2, 3), Fraction(5, 7)]),
+                 id="product-S2,CP2,OP2"),
+    # the sums pass 2**63: the object-dtype path
+    pytest.param(product_scan, (["S2", "S2"], 5, [INT64_LIMIT // 60] * 2), id="product-object"),
+    pytest.param(su2f_scan, (60, Fraction(1), Fraction(1)), id="su2f-round"),
+    pytest.param(su2f_scan, (60, Fraction(3), Fraction(1)), id="su2f-3,1"),
+    pytest.param(su2f_scan, (60, Fraction(1, 3), Fraction(5, 7)), id="su2f-1/3,5/7"),
+    pytest.param(su2f_scan, (24, Fraction(INT64_LIMIT, 3), Fraction(INT64_LIMIT, 3)),
+                 id="su2f-object"),
+]
 
 
-def test_indexing_matches_iteration():
-    pairs = enumerate_collisions(restricted_datum("AI", r=3), 5, exclude_dual_pairs=False)
-    records = list(pairs)
-    assert len(records) == len(pairs) > 10
-    assert [pairs[i] for i in range(len(pairs))] == records
-    assert pairs[-1] == records[-1] and pairs[-len(pairs)] == records[0]
-    with pytest.raises(IndexError):
-        pairs[len(pairs)]
-    assert pairs[3:9:2] == records[3:9:2]
-    assert isinstance(pairs[3:9:2], CollisionPairs)
-    assert pairs[5:5] == [] and not pairs[5:5]
-    assert records[4] in pairs and pairs.index(records[4]) == 4
-
-
-def test_equality_is_with_lists_of_records():
-    datum = restricted_datum("AIII2", ell=2)
-    pairs = enumerate_collisions(datum, 5)
-    records = list(pairs)
-    assert pairs == records and records == pairs
-    assert pairs == enumerate_collisions(datum, 5)
-    assert pairs != records[:-1] and pairs[:-1] != records and pairs != records[::-1]
-    assert pairs != tuple(records)
-    assert enumerate_collisions(datum, 1) == []
-    assert repr(pairs) == f"<{len(pairs)} CollisionReport pairs>"
-
-
-def test_records_hold_python_values():
-    rep = enumerate_collisions(restricted_datum("AIII2", ell=2), 5)[0]
-    assert isinstance(rep, CollisionReport)
-    assert all(type(x) is int for x in rep.weight_a + rep.weight_b)
-    assert type(rep.eigenvalue) is Fraction and type(rep.dual_related) is bool
-    witness = check_beta([factor_spectrum("S2", 4)] * 2, (1, 1))[0]
-    assert all(type(x) is int for x in witness.array_a + witness.array_b)
-    assert type(witness.value) is Fraction
-
-
-def test_dual_flags_match_dual_weights():
-    for datum in table_rows():
-        pairs = enumerate_collisions(datum, largest_bound(datum.rank, 400))
-        expected = [spectrum.dual_weight(datum, rep.weight_a) == rep.weight_b for rep in pairs]
-        assert np.array_equal(pairs.dual, np.array(expected, bool))
+@pytest.mark.parametrize("scan,args", PAIR_LISTERS)
+def test_pair_arrays_keep_the_contract(scan, args):
+    pairs, rows, datum = scan(*args)
+    first, second, values = pairs.first, pairs.second, pairs.values
+    assert pairs.rows.dtype == np.int64 and np.array_equal(pairs.rows, rows)
+    assert values.ndim == 1 and len(values) == len(rows)
+    assert type(pairs.denom) is int and pairs.denom >= 1
+    assert first.dtype.kind == second.dtype.kind == "i"
+    assert len(first) == len(second) == len(pairs)
+    assert (0 <= first).all() and (first < second).all() and (second < len(rows)).all()
+    assert (values[first] == values[second]).all()
+    # box scans list pairs by (first, second); su2f by value, then (first, second)
+    keys = [first.tolist(), second.tolist()]
+    if scan is su2f_scan:
+        keys.insert(0, values[first].tolist())
+    order = list(zip(*keys))
+    assert all(a < b for a, b in zip(order, order[1:]))
+    # every equal pair is listed, less the dual pairs a collide scan drops
+    counts = np.unique(values, return_counts=True)[1].tolist()
+    every = sum(c * (c - 1) // 2 for c in counts)
+    if datum is None:
+        assert pairs.dual is None and len(pairs) == every
+        return
+    dual = [
+        spectrum.dual_weight(datum, tuple(a)) == tuple(b)
+        for a, b in zip(rows[first].tolist(), rows[second].tolist())
+    ]
+    assert pairs.dual.dtype == bool and pairs.dual.tolist() == dual
+    include_duals = args[1]
+    if include_duals:
+        assert len(pairs) == every
+    else:
+        assert not any(dual) and len(pairs) <= every
 
 
 # -- the string tables ------------------------------------------------------------
@@ -326,6 +338,10 @@ def test_product_beta_denominator_past_int64():
     product_case(["S2", "S2"], 3, beta, 2)
 
 
+def refuse(*args):
+    raise AssertionError("a Fraction was built")
+
+
 # each op's box values are int64; each writes pairs, two with dual flags
 INT64_OPS = [
     ["collide", "AI", "--r", "3", "--bound", "6"],
@@ -337,7 +353,7 @@ INT64_OPS = [
 
 @pytest.mark.parametrize("argv", INT64_OPS)
 @pytest.mark.parametrize("mode", [[], ["--json"]])
-def test_int64_output_builds_no_fraction_and_no_record(monkeypatch, argv, mode):
+def test_int64_output_builds_no_fraction(monkeypatch, argv, mode):
     expected = run_op(argv + mode, 5)
     assert expected[1].count("\n") > 20
     emit_pairs = cli._emit_pairs
@@ -351,8 +367,6 @@ def test_int64_output_builds_no_fraction_and_no_record(monkeypatch, argv, mode):
             emit_pairs(payload, as_json, pairs, *args)
 
     monkeypatch.setattr(cli, "_emit_pairs", refusing_emit_pairs)
-    monkeypatch.setattr(spectrum, "CollisionReport", refuse)
-    monkeypatch.setattr(products, "CollisionWitness", refuse)
     assert run_op(argv + mode, 5) == expected
 
 

@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 from casimirspec import products, spectrum, su2f
 from casimirspec.cli import run
 from casimirspec.exactalg import rational_to_str
-from casimirspec.products import CollisionWitness, FactorSpectrum, check_beta, factor_spectrum
+from casimirspec.products import FactorSpectrum, check_beta, factor_spectrum
 from casimirspec.spectrum import (
-    CollisionReport,
     EigenvalueForm,
     dual_weight,
     enumerate_collisions,
@@ -27,6 +26,8 @@ from casimirspec.spectrum import (
     eigenvalue,
 )
 from casimirspec.symmdata import cross_datum, table_rows
+import pairref
+from pairref import CollisionReport, CollisionWitness
 
 INT64_LIMIT = 2**63
 
@@ -161,8 +162,8 @@ ROWS = table_rows()
 def test_enumerate_collisions_matches_reference(datum, data, exclude):
     largest = max(b for b in range(1, 2000) if (b + 1) ** datum.rank <= 2000)
     bound = data.draw(st.integers(1, largest), label="bound")
-    assert enumerate_collisions(datum, bound, exclude) == reference_enumerate_collisions(
-        datum, bound, exclude
+    assert pairref.reports(enumerate_collisions(datum, bound, exclude)) == (
+        reference_enumerate_collisions(datum, bound, exclude)
     )
 
 
@@ -187,14 +188,14 @@ def test_check_beta_matches_reference(labels, data):
         label="beta",
     )
     factors = [factor_spectrum(label, bound) for label in labels]
-    assert check_beta(factors, beta, bound) == reference_check_beta(factors, beta, bound)
+    assert pairref.witnesses(check_beta(factors, beta, bound)) == reference_check_beta(factors, beta, bound)
 
 
 def test_check_beta_collision_rich_box():
     factors = [factor_spectrum("S2", 6)] * 3
     expected = reference_check_beta(factors, (1, 1, 1))
     assert len(expected) > 100
-    assert check_beta(factors, (1, 1, 1)) == expected
+    assert pairref.witnesses(check_beta(factors, (1, 1, 1))) == expected
 
 
 def test_check_beta_rejects_bound_beyond_spectrum():
@@ -216,7 +217,9 @@ def test_collision_hyperplanes_rejects_bound_beyond_spectrum():
 @example(kmax=60, a=Fraction(1), b=Fraction(1))
 @example(kmax=24, a=Fraction(2), b=Fraction(2))
 def test_collisions_at_metric_matches_reference(kmax, a, b):
-    assert su2f.collisions_at_metric(kmax, a, b) == reference_collisions_at_metric(kmax, a, b)
+    assert pairref.records(su2f.collisions_at_metric(kmax, a, b)) == (
+        reference_collisions_at_metric(kmax, a, b)
+    )
 
 
 # -- the int64 boundary -------------------------------------------------------
@@ -271,15 +274,15 @@ def test_check_beta_magnitude_bound_is_inclusive(monkeypatch, top, dtype):
         FactorSpectrum("B", datum, (0, 2, top)),
     ]
     seen = spy_dtypes(monkeypatch, products)
-    witnesses = check_beta(factors, (1, 1))
-    assert witnesses and witnesses == reference_check_beta(factors, (1, 1))
+    found = pairref.witnesses(check_beta(factors, (1, 1)))
+    assert found and found == reference_check_beta(factors, (1, 1))
     assert seen == [dtype]
 
 
 def test_su2f_large_metric_takes_object_side(monkeypatch):
     seen = spy_dtypes(monkeypatch, su2f)
     a, b = Fraction(INT64_LIMIT, 3), Fraction(INT64_LIMIT, 5)
-    assert su2f.collisions_at_metric(12, a, b) == reference_collisions_at_metric(12, a, b)
+    assert pairref.records(su2f.collisions_at_metric(12, a, b)) == reference_collisions_at_metric(12, a, b)
     assert seen == [np.dtype(object)]
 
 

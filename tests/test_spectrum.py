@@ -21,6 +21,7 @@ from casimirspec.spectrum import (
     verify_rank2_pair,
 )
 from casimirspec.symmdata import LABELS, _ROWS, rank_one_catalog, restricted_datum
+import pairref
 
 
 def form_of(label, **params):
@@ -78,7 +79,7 @@ class TestDualWeight:
 class TestEnumerateCollisions:
     def test_aiii2_contains_catalog_pair(self):
         datum = restricted_datum("AIII2", ell=2)
-        reports = enumerate_collisions(datum, 5)
+        reports = pairref.reports(enumerate_collisions(datum, 5))
         hits = [
             rep for rep in reports
             if {rep.weight_a, rep.weight_b} == {(2, 0), (0, 3)}
@@ -89,7 +90,7 @@ class TestEnumerateCollisions:
 
     def test_bi_r3(self):
         datum = restricted_datum("BI", r=3, ell=2)
-        reports = enumerate_collisions(datum, 7)
+        reports = pairref.reports(enumerate_collisions(datum, 7))
         hits = [
             rep for rep in reports
             if {rep.weight_a, rep.weight_b} == {(6, 0), (0, 4)}
@@ -98,12 +99,12 @@ class TestEnumerateCollisions:
 
     def test_rank_one_empty(self):
         for datum in rank_one_catalog():
-            assert enumerate_collisions(datum, 2000) == []
+            assert not enumerate_collisions(datum, 2000)
 
     def test_exclude_dual_pairs(self):
         datum = restricted_datum("AI", r=3)
-        full = enumerate_collisions(datum, 4, exclude_dual_pairs=False)
-        kept = enumerate_collisions(datum, 4, exclude_dual_pairs=True)
+        full = pairref.reports(enumerate_collisions(datum, 4, exclude_dual_pairs=False))
+        kept = pairref.reports(enumerate_collisions(datum, 4, exclude_dual_pairs=True))
         dual = [rep for rep in full if rep.dual_related]
         assert dual  # reversal duals do collide for AI
         assert len(kept) == len(full) - len(dual)
@@ -111,8 +112,8 @@ class TestEnumerateCollisions:
 
     def test_deterministic_order(self):
         datum = restricted_datum("AIII2", ell=2)
-        first = enumerate_collisions(datum, 6)
-        second = enumerate_collisions(datum, 6)
+        first = pairref.reports(enumerate_collisions(datum, 6))
+        second = pairref.reports(enumerate_collisions(datum, 6))
         assert first == second
         keys = [(rep.weight_a, rep.weight_b) for rep in first]
         assert keys == sorted(keys)
