@@ -68,8 +68,12 @@ def factor_spectrum(factor: Union[str, RestrictedDatum], bound: int) -> FactorSp
     """Spectrum of a rank-one factor for weight indices 0..bound.
 
     The factor may be an alias like ``S2``/``CP2``/``HP2``/``OP2`` or an
-    already-built rank-one restricted datum.  Strict monotonicity and a
-    zero value at index 0 are asserted.
+    already-built rank-one restricted datum.  At rank one the eigenvalue
+    g m^2 + g s m is a quadratic in m, so :func:`~casimirspec.spectrum.eigenvalue`
+    is evaluated at m = 0, 1, 2 only; its coefficients, written over
+    their lcm D as integers A and B, give the table A m^2 + B m in Python
+    ints, and each entry is returned as ``Fraction(A m^2 + B m, D)``.  A
+    zero value at index 0 and strict increase of the table are asserted.
     """
     datum = cross_datum(factor) if isinstance(factor, str) else factor
     if datum.rank != 1:
@@ -77,21 +81,23 @@ def factor_spectrum(factor: Union[str, RestrictedDatum], bound: int) -> FactorSp
     if bound < 1:
         raise ValueError("bound must be >= 1")
     form = EigenvalueForm.from_datum(datum)
-    values = tuple(eigenvalue(form, (m,)) for m in range(bound + 1))
-    if values[0] != 0:
+    at0, at1, at2 = (eigenvalue(form, (m,)) for m in range(3))
+    if at0 != 0:
         raise AssertionError("eigenvalue at the zero weight must be 0")
-    if any(values[i] >= values[i + 1] for i in range(bound)):
+    square = (at2 - 2 * at1) / 2
+    linear = at1 - square
+    denom = lcm(square.denominator, linear.denominator)
+    a, b = int(square * denom), int(linear * denom)
+    table = [(a * m + b) * m for m in range(bound + 1)]
+    if any(table[i] >= table[i + 1] for i in range(bound)):
         raise AssertionError("rank-one spectrum must be strictly increasing")
-    return FactorSpectrum(
-        label=datum.descriptor.label, datum=datum, eigenvalues=values
-    )
+    eigenvalues = tuple(Fraction(x, denom) for x in table)
+    return FactorSpectrum(label=datum.descriptor.label, datum=datum, eigenvalues=eigenvalues)
 
 
-def lambda_array(factors: Sequence[FactorSpectrum], indices: Sequence[int]) -> tuple:
-    """Per-factor eigenvalue array of one index array."""
-    if len(indices) != len(factors):
-        raise ValueError("index array length must match the factor count")
-    return tuple(f.eigenvalues[indices[i]] for i, f in enumerate(factors))
+def common_denominator(factors: Sequence[FactorSpectrum], bound: int) -> int:
+    """The lcm of the denominators of lambda_i(0..bound) over every factor."""
+    return lcm(*(v.denominator for f in factors for v in f.eigenvalues[: bound + 1]))
 
 
 def integer_tables(factors: Sequence[FactorSpectrum], bound: int) -> list:
@@ -99,11 +105,12 @@ def integer_tables(factors: Sequence[FactorSpectrum], bound: int) -> list:
 
     One common scale keeps every difference on its ray and every weighted
     sum exact: sum_i c_i lambda_i(m_i) agree exactly when the integer
-    sums sum_i c_i t_i[m_i] do.
+    sums sum_i c_i t_i[m_i] do.  Each entry is its numerator times
+    D over its denominator, with no Fraction arithmetic.
     """
+    denom = common_denominator(factors, bound)
     tables = [f.eigenvalues[: bound + 1] for f in factors]
-    denom = lcm(*(v.denominator for table in tables for v in table))
-    return [[int(v * denom) for v in table] for table in tables]
+    return [[v.numerator * (denom // v.denominator) for v in table] for table in tables]
 
 
 def distinct(values: np.ndarray) -> np.ndarray:
@@ -210,11 +217,13 @@ def check_beta(
     the index arrays of the box, one per row, with its pairs in (first,
     second) order.
 
-    The box values are the outer sum of the per-factor tables
-    beta_i * lambda_i(m), scaled by the lcm D of their denominators to
-    exact integers.  Every entry and partial sum is at most the sum over
-    factors of the largest |D * beta_i * lambda_i(m)|; the box is summed
-    in int64 when that bound is below 2**63 and in Python ints otherwise.
+    The box values are sum_i w_i t_i[m_i]: t_i are the integer tables of
+    :func:`integer_tables`, at the lcm D of the eigenvalue denominators,
+    and w_i = beta_i Q are the weights at the lcm Q of the denominators
+    of beta, so the box holds D Q times the weighted eigenvalues and the
+    denominator is D Q.  Every entry and partial sum is at most
+    sum_i w_i max |t_i|; the box is summed in int64 when that bound is
+    below 2**63 and in Python ints otherwise.
     """
     if bound is None:
         bound = min(f.bound for f in factors)
@@ -226,16 +235,16 @@ def check_beta(
     if any(f.bound < bound for f in factors):
         raise ValueError("bound exceeds a factor's spectrum")
     require_box(len(factors), bound)
-    tables = [[b * v for v in f.eigenvalues[: bound + 1]] for b, f in zip(beta, factors)]
-    denom = lcm(*(x.denominator for table in tables for x in table))
-    tables = [[int(x * denom) for x in table] for table in tables]
-    dtype = exact_dtype(sum(max(abs(x) for x in table) for table in tables))
+    scale = lcm(*(x.denominator for x in beta))
+    weights = [x.numerator * (scale // x.denominator) for x in beta]
+    tables = integer_tables(factors, bound)
+    dtype = exact_dtype(sum(w * max(map(abs, table)) for w, table in zip(weights, tables)))
     values = np.zeros(1, dtype)
-    for table in tables:
-        values = np.add.outer(values, np.array(table, dtype)).ravel()
+    for w, table in zip(weights, tables):
+        values = np.add.outer(values, w * np.array(table, dtype)).ravel()
     first, second = equal_value_pairs(values)
     box = weight_box(len(factors), bound)
-    return CollisionPairs(box, first, second, values, denom)
+    return CollisionPairs(box, first, second, values, common_denominator(factors, bound) * scale)
 
 
 def prime_sequence() -> Iterator[int]:

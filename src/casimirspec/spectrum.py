@@ -98,10 +98,11 @@ def polynomial_form(datum: RestrictedDatum) -> MultiPoly:
 
 
 # Largest box (bound + 1)^rank a scan accepts, in rows.  On a 2-vCPU Intel
-# Xeon VM, near 2^23 rows `hopf --n 2 --bound 2895 --json` takes 5.9 s and
-# 1.2 GB peak RSS, `product --factors S2,S2 --bound 2895 --beta 1,1000003
-# --json` 1.6 s and 496 MB, and `collide AI --r 1 --bound 8388607 --json`
-# 1.0 s and 543 MB; at 2^24 (bound 4095) the Hopf scan takes 13-15 s and 2.3 GB.
+# Xeon VM, near 2^23 rows, a fresh process running `hopf --n 2 --bound 2895
+# --json` takes 5.2-6.5 s and 1.2 GB peak RSS, and the collision-free boxes
+# `product --factors S2,S2 --bound 2895 --beta 1,1000003 --json` 0.45 s and
+# 223 MB and `collide AI --r 1 --bound 8388607 --json` 0.6-0.7 s and 287 MB;
+# at 2^24 (bound 4095) the Hopf scan takes 13-15 s and 2.3 GB.
 MAX_BOX_ROWS = 2**23
 
 
@@ -143,10 +144,18 @@ def equal_value_pairs(values: np.ndarray) -> tuple:
     ``object`` array of Python ints; only comparisons touch it, so both
     take the same path and neither rounds.  More than ``MAX_PAIRS``
     pairs is a ValueError, raised before any pair array is allocated.
+
+    A sorted copy of the values comes first: when no two neighbours in
+    it are equal, two empty ``np.intp`` arrays are returned at once, and
+    only a repeated value costs the index sort and the pair arrays.
     """
+    ordered = np.sort(values)
+    change = ordered[1:] != ordered[:-1]
+    if change.all():
+        return np.zeros(0, np.intp), np.zeros(0, np.intp)
     order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    starts = np.flatnonzero(np.r_[True, change])
+    del ordered, change
     sizes = np.diff(np.r_[starts, len(values)])
     # sorted position s pairs with the positions after it up to its run's
     # end; its block of ``later[s]`` pairs starts at offset[s] in the output,

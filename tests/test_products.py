@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice, product
 from math import gcd, lcm
@@ -20,8 +21,8 @@ from casimirspec.products import (
     generic_beta_certificate,
     prime_sequence,
 )
-from casimirspec.spectrum import weight_box
-from casimirspec.symmdata import restricted_datum
+from casimirspec.spectrum import EigenvalueForm, eigenvalue, weight_box
+from casimirspec.symmdata import cross_datum, rank_one_catalog, restricted_datum
 
 
 def reference_collision_hyperplanes(factors, bound):
@@ -76,6 +77,22 @@ def rational_factors(bound):
     ]
 
 
+# cross_datum aliases of every family, the rank-one catalog data, and one
+# rank-one datum whose eigenvalues are not integers
+FACTOR_SPECTRUM_CASES = [
+    *(f"S{d}" for d in (2, 3, 4, 5, 7, 16)),
+    *(f"CP{n}" for n in (1, 2, 3, 5)),
+    *(f"HP{n}" for n in (1, 2, 3, 4)),
+    "OP2",
+    "FII",
+    *(pytest.param(d, id=f"catalog-{d.descriptor.label}") for d in rank_one_catalog()),
+    pytest.param(
+        replace(cross_datum("CP2"), gram=((Fraction(2, 3),),), two_delta_bar=(Fraction(5, 7),)),
+        id="rational",
+    ),
+]
+
+
 class TestFactorSpectrum:
     def test_two_sphere(self):
         spec = factor_spectrum("S2", 5)
@@ -90,14 +107,12 @@ class TestFactorSpectrum:
         with pytest.raises(ValueError):
             factor_spectrum(restricted_datum("BI", r=3, ell=2), 5)
 
-    def test_lambda_array(self):
-        from casimirspec.products import lambda_array
-
-        factors = [factor_spectrum("S2", 5), factor_spectrum("CP2", 5)]
-        values = lambda_array(factors, (1, 2))
-        assert values == (factors[0].eigenvalues[1], factors[1].eigenvalues[2])
-        with pytest.raises(ValueError):
-            lambda_array(factors, (1,))
+    @pytest.mark.parametrize("factor", FACTOR_SPECTRUM_CASES)
+    def test_matches_per_index_eigenvalues(self, factor):
+        datum = cross_datum(factor) if isinstance(factor, str) else factor
+        form = EigenvalueForm.from_datum(datum)
+        expected = tuple(eigenvalue(form, (m,)) for m in range(301))
+        assert factor_spectrum(factor, 300).eigenvalues == expected
 
 
 class TestHyperplanes:
@@ -231,7 +246,6 @@ class TestCertificate:
         # per-factor injectivity is the same statement as an empty
         # rank-one collision scan
         from casimirspec.spectrum import enumerate_collisions
-        from casimirspec.symmdata import cross_datum
 
         for alias in ("S2", "CP2", "OP2"):
             datum = cross_datum(alias)

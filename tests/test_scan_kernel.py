@@ -6,6 +6,7 @@ dict, then list every pair.
 """
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -127,7 +128,7 @@ class TestEqualValuePairs:
     @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
     def test_returns_index_arrays(self, dtype):
         for index in equal_value_pairs(np.array([2, 1, 2, 2], dtype=dtype)):
-            assert index.dtype.kind == "i"
+            assert index.dtype == np.intp
 
     def test_values_straddling_int64_are_exact(self):
         # neighbours of +-2**63 that int64 would wrap or merge
@@ -144,6 +145,29 @@ class TestEqualValuePairs:
     def test_matches_dict_pairs(self, values):
         dtype = exact_dtype(max(map(abs, values), default=0))
         assert as_pairs(equal_value_pairs(np.array(values, dtype))) == dict_pairs(values)
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 2**16])
+    @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+    def test_all_distinct_values_return_empty_intp_arrays(self, size, dtype):
+        values = np.random.default_rng(size).permutation(size) * 3 - size
+        if dtype is object:
+            # past 2**63 on both sides, where int64 would wrap
+            values = np.array([v * INT64_LIMIT + v for v in values.tolist()], object)
+        for index in equal_value_pairs(values):
+            assert index.dtype == np.intp and index.shape == (0,)
+
+    def test_collision_free_scan_allocates_one_sorted_copy(self):
+        size = 2**20
+        values = np.random.default_rng(0).permutation(size).astype(np.int64) * 7
+        tracemalloc.start()
+        try:
+            first, second = equal_value_pairs(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(first) == len(second) == 0
+        # the sorted copy and the neighbour mask: 9 bytes a row
+        assert peak < 24 * size
 
     def test_dtype_switches_exactly_at_the_bound(self):
         assert exact_dtype(INT64_LIMIT - 1) is np.int64
@@ -189,6 +213,37 @@ def test_check_beta_matches_reference(labels, data):
     )
     factors = [factor_spectrum(label, bound) for label in labels]
     assert pairref.witnesses(check_beta(factors, beta, bound)) == reference_check_beta(factors, beta, bound)
+
+
+def scaled_factors(bound):
+    """S2/3 and 2CP2/7: spectra whose eigenvalues are not integers."""
+    s2, cp2 = factor_spectrum("S2", bound), factor_spectrum("CP2", bound)
+    return [
+        FactorSpectrum("S2/3", s2.datum, tuple(v / 3 for v in s2.eigenvalues)),
+        FactorSpectrum("2CP2/7", cp2.datum, tuple(v * 2 / 7 for v in cp2.eigenvalues)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "factors,beta,dtype",
+    [
+        ([factor_spectrum("S2", 12), factor_spectrum("CP2", 12)],
+         (Fraction(1, 3), Fraction(2, 7)), np.int64),
+        ([factor_spectrum("S2", 12)] * 2, (Fraction(1, 3), Fraction(2, 3)), np.int64),
+        (scaled_factors(12), (1, 1), np.int64),
+        (scaled_factors(12), (Fraction(3, 5), Fraction(7, 4)), np.int64),
+        (scaled_factors(12), (Fraction(6, 7), Fraction(1, 3)), np.int64),
+        # the lcm of beta's denominators alone puts the sums past 2**63
+        ([factor_spectrum("S2", 4)] * 3,
+         (Fraction(1, 3), Fraction(1, 3), Fraction(1, 2**62 + 1)), np.dtype(object)),
+    ],
+    ids=["S2,CP2-1/3,2/7", "S2,S2-1/3,2/3", "scaled-1,1", "scaled-3/5,7/4", "scaled-6/7,1/3",
+         "object-by-denominators"],
+)
+def test_check_beta_with_fractional_weights_matches_reference(factors, beta, dtype):
+    pairs = check_beta(factors, beta)
+    assert pairs.values.dtype == dtype
+    assert pairref.witnesses(pairs) == reference_check_beta(factors, beta)
 
 
 def test_check_beta_collision_rich_box():
