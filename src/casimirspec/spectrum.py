@@ -106,10 +106,10 @@ def polynomial_form(datum: RestrictedDatum) -> MultiPoly:
 MAX_BOX_ROWS = 2**23
 
 
-# Most equal-value pairs a scan lists.  On a 2-vCPU Intel Xeon VM,
-# `product --factors S2,S2,S2 --bound 70 --beta 1,1,1 --json`, with
-# 15,981,879 pairs, takes 14 s and 900 MB peak RSS; bound 202 would list
-# 1,073,281,317 pairs in a box under MAX_BOX_ROWS.
+# Most equal-value pairs a scan lists.  On a 2-vCPU Intel Xeon VM, `product
+# --factors S2,S2,S2 --bound 70 --beta 1,1,1 --json` (15,981,879 pairs) takes
+# 4.0-5.0 s and 597 MB peak RSS, 0.16 s of it in `equal_value_pairs`; bound
+# 202 would list 1,073,281,317 pairs in a box under MAX_BOX_ROWS.
 MAX_PAIRS = 2**24
 
 
@@ -146,32 +146,37 @@ def equal_value_pairs(values: np.ndarray) -> tuple:
     pairs is a ValueError, raised before any pair array is allocated.
 
     A sorted copy of the values comes first: when no two neighbours in
-    it are equal, two empty ``np.intp`` arrays are returned at once, and
-    only a repeated value costs the index sort and the pair arrays.
+    it are equal, two empty ``np.intp`` arrays are returned at once.  A
+    repeat costs the index sort, the pair count and the pair arrays; no
+    pair is sorted.
     """
     ordered = np.sort(values)
     change = ordered[1:] != ordered[:-1]
     if change.all():
         return np.zeros(0, np.intp), np.zeros(0, np.intp)
-    order = np.argsort(values, kind="stable")
-    starts = np.flatnonzero(np.r_[True, change])
-    del ordered, change
-    sizes = np.diff(np.r_[starts, len(values)])
-    # sorted position s pairs with the positions after it up to its run's
-    # end; its block of ``later[s]`` pairs starts at offset[s] in the output,
-    # so output slot t belongs to s = first_pos[t] and pairs it with
-    # s + 1 + (t - offset[s])
-    later = np.repeat(starts + sizes, sizes) - np.arange(len(values)) - 1
+    del ordered
+    size = len(values)
+    # sorted position s pairs with the positions after it up to its run's end
+    ends = np.flatnonzero(np.r_[change, True]) + 1
+    later = np.repeat(ends, np.diff(ends, prepend=0)) - np.arange(1, size + 1)
+    del change, ends
     count = int(later.sum())
     if count > MAX_PAIRS:
         raise ValueError(f"{count} equal-value pairs exceed the maximum of {MAX_PAIRS}")
-    first_pos = np.repeat(np.arange(len(values)), later)
-    offset = np.cumsum(later) - later
-    second_pos = first_pos + 1 + np.arange(len(first_pos)) - offset[first_pos]
-    # a stable sort keeps each run in input order, so first < second
-    first, second = order[first_pos], order[second_pos]
-    pairs = np.lexsort((second, first))
-    return first[pairs], second[pairs]
+    # a stable sort lists each run in input order, so index i pairs with
+    # order[rank[i] + 1:][:length[i]], ascending; with offset[i] =
+    # length[:i].sum(), output slot t takes order[rank[i] + 1 + t - offset[i]]
+    order = np.argsort(values, kind="stable")
+    rank = np.empty(size, np.intp)
+    rank[order] = np.arange(size)
+    length = later[rank]
+    position = np.repeat(rank + 1 - (np.cumsum(length) - length), length)
+    del later, rank
+    position += np.arange(count)
+    # at most two pair-length arrays are alive at once
+    second = order[position]
+    del order, position
+    return np.repeat(np.arange(size, dtype=np.intp), length), second
 
 
 def distinct_indices(size: int, *indices: np.ndarray) -> tuple:
@@ -204,25 +209,24 @@ def value_strings(values: np.ndarray, denom: int) -> np.ndarray:
     return (values // common).astype(str).astype(object) + suffixes[den_index]
 
 
-# ends each row in the one string ``row_strings`` joins (ASCII record
-# separator: no rendered row holds it, and numpy's str arrays would strip a NUL)
-_ROW_END = "\x1e"
-
-
 def row_strings(rows: np.ndarray, opening: str, comma: str, closing: str) -> np.ndarray:
     """Each row of a non-negative integer array written ``opening c0 comma c1 ... closing``.
 
-    Each distinct coordinate is written once.  The rows are one
-    ``str.join`` of a grid of those strings and the fixed text, split
-    again at a sentinel ending each row.
+    Each distinct coordinate is written once.  The text before a row's
+    last coordinate is built one coordinate at a time, once per distinct
+    prefix; a mark per prefix and coordinate finds them, so the rows of
+    a box need marks for at most the box.
     """
-    coordinates, inverse = distinct_indices(int(rows.max()) + 1, rows.ravel())
+    coordinates, cells = distinct_indices(int(rows.max()) + 1, rows.ravel())
     text = coordinates.astype(str).astype(object)
-    count, rank = rows.shape
-    grid = np.empty((count, 2 * rank + 2), object)
-    grid[:, 0], grid[:, 2:-2:2], grid[:, -2], grid[:, -1] = opening, comma, closing, _ROW_END
-    grid[:, 1:-1:2] = text[inverse.reshape(rows.shape)]
-    return np.fromiter("".join(grid.ravel().tolist()).split(_ROW_END), object, count)
+    width = len(text)
+    *heads, last = cells.reshape(rows.shape).T
+    # every row starts at the one empty prefix
+    prefix, strings = np.zeros(len(rows), np.intp), np.array([opening], object)
+    for column in heads:
+        distinct, prefix = distinct_indices(len(strings) * width, prefix * width + column)
+        strings = strings[distinct // width] + text[distinct % width] + comma
+    return strings[prefix] + (text + closing)[last]
 
 
 @dataclass(frozen=True, eq=False)

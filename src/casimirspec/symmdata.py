@@ -398,9 +398,9 @@ _CROSS_ALIAS = re.compile(r"(S|CP|HP|OP)(\d+)")
 def cross_datum(alias: str) -> RestrictedDatum:
     """Rank-one restricted datum for a compact rank-one symmetric space.
 
-    Accepts ``S<d>`` (spheres, d >= 2), ``CP<n>``/``HP<n>`` (n >= 1),
-    ``OP2``/``FII`` (the Cayley plane), or any catalog label at rank one
-    such as ``AI`` with r=1.
+    Accepts only ``S<d>`` (spheres, d >= 2), ``CP<n>``/``HP<n>`` (n >= 1) and
+    ``OP2``/``FII`` (the Cayley plane).  A catalog datum at rank one, such as
+    ``AI`` with r=1, goes to ``products.factor_spectrum`` as a RestrictedDatum.
     """
     alias = alias.strip()
     if alias in ("OP2", "FII"):

@@ -340,6 +340,9 @@ class TestUsageErrors:
             (["product", "--factors", "S2,,S2", "--bound", "3"], "empty field in 'S2,,S2'"),
             (["product", "--factors", "S2, ", "--bound", "3", "--beta", "1,2"],
              "empty field in 'S2, '"),
+            # a factor string cannot carry a catalog label's parameters
+            (["product", "--factors", "AI,S2", "--bound", "3", "--beta", "1,2"],
+             "unknown rank-one factor 'AI'"),
             (["simplicity", "--family", "hopf", "--bound", "3", "--metric", " ,2,5"],
              "empty field in ' ,2,5'"),
             (["simplicity", "--family", "su2f", "--n", "7", "--bound", "12"],

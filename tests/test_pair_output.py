@@ -330,6 +330,24 @@ def test_row_strings_match_tuples(rows):
     assert rendered.tolist() == [str(tuple(row)) for row in rows]
 
 
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_row_strings_on_random_rows(rank):
+    # unsorted rows over few coordinates, so prefixes repeat at every level,
+    # and whole rows repeated
+    rng = np.random.default_rng(rank)
+    rows = rng.integers(0, [4, 12, 1001][rank % 3], (300, rank))
+    rows = rows[rng.integers(0, len(rows), 600)]
+    for depth in range(5):
+        outer = "\n" + "  " * depth
+        inner = outer + "  "
+        rendered = spectrum.row_strings(rows, "[" + inner, "," + inner, outer + "]")
+        expected = [json.dumps(row, indent=2).replace("\n", outer) for row in rows.tolist()]
+        assert rendered.tolist() == expected
+    closing = ",)" if rank == 1 else ")"
+    rendered = spectrum.row_strings(rows, "(", ", ", closing)
+    assert rendered.tolist() == [str(tuple(row)) for row in rows.tolist()]
+
+
 def test_product_beta_denominator_past_int64():
     # the box values fit int64, their common denominator does not
     beta = [Fraction(1, 2**66), Fraction(3, 2**66)]

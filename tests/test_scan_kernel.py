@@ -169,6 +169,33 @@ class TestEqualValuePairs:
         # the sorted copy and the neighbour mask: 9 bytes a row
         assert peak < 24 * size
 
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("high", [7, 2000], ids=["long-runs", "short-runs"])
+    @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+    def test_interleaved_runs_match_dict_pairs(self, seed, high, dtype):
+        # the runs' members interleave in input order, so the blocks of
+        # consecutive first indices come from different runs of the value sort
+        drawn = np.random.default_rng(seed).integers(0, high, 3000).tolist()
+        # values near +-2**63 in int64, and past them as Python ints
+        half = high // 2
+        scale = INT64_LIMIT // (half + 1) if dtype is np.int64 else INT64_LIMIT
+        values = [(v - half) * scale + v for v in drawn]
+        pairs = as_pairs(equal_value_pairs(np.array(values, dtype)))
+        assert pairs == dict_pairs(values)
+
+    def test_many_pair_scan_holds_two_pair_arrays(self):
+        values = check_beta([factor_spectrum("S2", 30)] * 3, (1, 1, 1)).values
+        tracemalloc.start()
+        try:
+            first, second = equal_value_pairs(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(first) == len(second) == 578127
+        # two pair-length index arrays at a time, 16 bytes a pair; a kernel
+        # that sorts the pairs holds about 57
+        assert peak < 20 * len(first) + 64 * len(values)
+
     def test_dtype_switches_exactly_at_the_bound(self):
         assert exact_dtype(INT64_LIMIT - 1) is np.int64
         assert exact_dtype(INT64_LIMIT) is object

@@ -176,3 +176,7 @@ class TestRankOneData:
             cross_datum("T2")
         with pytest.raises(ValueError):
             cross_datum("S1")
+        # a catalog label is not an alias, even for a rank-one datum
+        for label in ("AI", "AII", "CI", "DI1", "AIII1"):
+            with pytest.raises(ValueError, match="unknown rank-one factor"):
+                cross_datum(label)
