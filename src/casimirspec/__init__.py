@@ -7,15 +7,13 @@ and certifies or refutes the irreducibility of Laplace eigenspaces for
 two-parameter and product metric families.
 """
 
-from .exactalg import MultiPoly, ParametricMatrix, Rational, UniPoly
+from .exactalg import MultiPoly, ParametricMatrix, UniPoly
 from .rootsys import CartanData, RootSystemType, cartan_data, gram_matrix
 from .spectrum import (
     CollisionPairs,
-    EigenvalueForm,
     ReflectionWitness,
     enumerate_collisions,
     eigenvalue,
-    polynomial_form,
     rank2_catalog,
     reflection_witness,
 )
@@ -24,10 +22,8 @@ from .symmdata import RestrictedDatum, cross_datum, restricted_datum
 __all__ = [
     "CartanData",
     "CollisionPairs",
-    "EigenvalueForm",
     "MultiPoly",
     "ParametricMatrix",
-    "Rational",
     "ReflectionWitness",
     "RestrictedDatum",
     "RootSystemType",
@@ -37,7 +33,6 @@ __all__ = [
     "enumerate_collisions",
     "eigenvalue",
     "gram_matrix",
-    "polynomial_form",
     "rank2_catalog",
     "reflection_witness",
     "restricted_datum",

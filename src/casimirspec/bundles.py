@@ -26,7 +26,6 @@ the direct two-equation system on every pair of weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -51,21 +50,6 @@ class BundleEigenvalue:
     weight: tuple
 
 
-@dataclass(frozen=True)
-class HopfInvariantPair:
-    """The substituted coordinates x = 2(n+1)p + n, y = 2(n+1)q + n."""
-
-    x: int
-    y: int
-
-    @classmethod
-    def from_weight(cls, n: int, p: int, q: int) -> "HopfInvariantPair":
-        return cls(x=2 * (n + 1) * p + n, y=2 * (n + 1) * q + n)
-
-    def invariants(self) -> tuple:
-        return (self.x * self.x + self.y * self.y, self.x * self.y)
-
-
 def hopf_eigenvalue(n: int, p: int, q: int) -> BundleEigenvalue:
     """Eigenvalue data of the (p, q) spherical weight on S^(2n+1)."""
     if n < 1:
@@ -75,24 +59,6 @@ def hopf_eigenvalue(n: int, p: int, q: int) -> BundleEigenvalue:
     alpha = -(n * n) * (q - p) * (q - p)
     freudenthal = n * (p * p + q * q) + 2 * p * q + n * (p + q)
     return BundleEigenvalue(alpha=alpha, freudenthal=freudenthal, weight=(p, q))
-
-
-def direct_system_check(n: int, first: Sequence[int], second: Sequence[int]) -> bool:
-    """Both collision equations, evaluated verbatim."""
-    a = hopf_eigenvalue(n, *first)
-    b = hopf_eigenvalue(n, *second)
-    return a.alpha == b.alpha and a.freudenthal == b.freudenthal
-
-
-def collision_system_check(n: int, first: Sequence[int], second: Sequence[int]) -> bool:
-    """Collision test through the (x, y)-invariant reduction."""
-    p, q = first
-    pp, qq = second
-    if min(p, q, pp, qq) < 0:
-        raise ValueError("weights must be non-negative")
-    inv_a = HopfInvariantPair.from_weight(n, p, q).invariants()
-    inv_b = HopfInvariantPair.from_weight(n, pp, qq).invariants()
-    return inv_a == inv_b
 
 
 @dataclass(frozen=True)
@@ -233,54 +199,3 @@ def hopf_representation_family(n: int, max_degree: int) -> list:
             )
     return entries
 
-
-@dataclass(frozen=True)
-class BundleCase:
-    """One circle-bundle case with its base-simplicity verdict."""
-
-    name: str
-    total_space: str
-    base: str
-    base_simple_when: str
-    note: str
-
-
-def bundle_case_notes() -> list:
-    """The three circle-bundle families over Hermitian symmetric bases.
-
-    A non-simple base forces a non-simple total space (eigenfunctions
-    pull back through the Riemannian submersion with totally geodesic
-    circle fibers), so only rank-one bases survive the base test.
-    """
-    return [
-        BundleCase(
-            name="B1",
-            total_space="SU(n+m)/(SU(m) x SU(n))",
-            base="SU(n+m)/S(U(n) x U(m)), Cartan type AIII",
-            base_simple_when="m = 1 (rank-one base CP^n; the Hopf fibration)",
-            note=(
-                "Only m = 1 passes the rank-one test; the scan in this "
-                "module settles the Hopf case for n > 1."
-            ),
-        ),
-        BundleCase(
-            name="B2",
-            total_space="SO(2n)/SU(n) for odd n >= 3",
-            base="SO(2n)/U(n), Cartan type DIII",
-            base_simple_when="n = 3 (the base SO(6)/U(3) is CP^3)",
-            note=(
-                "For n = 3 the double cover SU(4)/SU(3) -> SO(6)/SU(3) "
-                "reduces the case to the Hopf fibration: a metric whose "
-                "conditions hold upstairs descends along a discrete "
-                "central quotient with the conditions intact.  No "
-                "separate computation is performed."
-            ),
-        ),
-        BundleCase(
-            name="B3",
-            total_space="E6/D5",
-            base="E6/(U(1) x D5), Cartan type EIII",
-            base_simple_when="never (the base has rank two)",
-            note="The rank-two base already carries eigenvalue collisions.",
-        ),
-    ]

@@ -25,8 +25,6 @@ from fractions import Fraction
 from operator import index
 from typing import Iterable, Mapping, Sequence, Union
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int, str]
 
 

@@ -34,8 +34,7 @@ import numpy as np
 
 from .exactalg import rational_to_str
 from .spectrum import (
-    CollisionPairs, EigenvalueForm, eigenvalue, equal_value_pairs, exact_dtype, require_box,
-    weight_box,
+    CollisionPairs, eigenvalue, equal_value_pairs, exact_dtype, require_box, weight_box,
 )
 from .symmdata import RestrictedDatum, cross_datum
 
@@ -80,8 +79,7 @@ def factor_spectrum(factor: Union[str, RestrictedDatum], bound: int) -> FactorSp
         raise ValueError(f"{datum.descriptor.label} has rank {datum.rank}, need rank one")
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    form = EigenvalueForm.from_datum(datum)
-    at0, at1, at2 = (eigenvalue(form, (m,)) for m in range(3))
+    at0, at1, at2 = (eigenvalue(datum, (m,)) for m in range(3))
     if at0 != 0:
         raise AssertionError("eigenvalue at the zero weight must be 0")
     square = (at2 - 2 * at1) / 2

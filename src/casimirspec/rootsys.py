@@ -21,13 +21,12 @@ under global rescaling, so only determinism is at stake in this choice.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import floordiv
 
-from .exactalg import fraction_free_elimination, rational_to_str
+from .exactalg import fraction_free_elimination
 
 FAMILIES = ("A", "B", "C", "D", "BC", "E6", "E7", "E8", "F4", "G2")
 
@@ -88,20 +87,6 @@ class CartanData:
     @property
     def rank(self) -> int:
         return self.system.rank
-
-    def to_json(self) -> dict:
-        return {
-            "type": str(self.system),
-            "cartan": [list(row) for row in self.cartan],
-            "norms": [rational_to_str(x) for x in self.norms],
-            "inverse_cartan": [
-                [rational_to_str(x) for x in row] for row in self.inverse_cartan
-            ],
-            "doubled": list(self.doubled),
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def _chain_cartan(rank: int, edges) -> list:

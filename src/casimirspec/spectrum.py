@@ -25,51 +25,27 @@ from typing import Optional
 import numpy as np
 
 from .exactalg import MultiPoly, rational_to_str
-from .symmdata import RestrictedDatum, dual_permutation
+from .symmdata import RestrictedDatum
 from .rootsys import gram_matrix, cartan_data, parse_type
 
 
-@dataclass(frozen=True)
-class EigenvalueForm:
-    """The quadratic form w -> w^T G w + shift^T G w."""
-
-    gram: tuple
-    shift: tuple
-
-    @classmethod
-    def from_datum(cls, datum: RestrictedDatum) -> "EigenvalueForm":
-        return cls(gram=datum.gram, shift=datum.two_delta_bar)
-
-    @property
-    def rank(self) -> int:
-        return len(self.shift)
-
-
-def eigenvalue(form: EigenvalueForm, weight: Sequence) -> Fraction:
-    """Exact eigenvalue of the form at a weight (rational coordinates)."""
-    n = form.rank
+def eigenvalue(datum: RestrictedDatum, weight: Sequence) -> Fraction:
+    """Exact eigenvalue w^T G w + shift^T G w at a weight (rational coordinates)."""
+    n = datum.rank
     if len(weight) != n:
-        raise ValueError("weight length does not match the form's rank")
-    gw = [sum(form.gram[i][j] * weight[j] for j in range(n)) for i in range(n)]
+        raise ValueError("weight length does not match the datum's rank")
+    gw = [sum(datum.gram[i][j] * weight[j] for j in range(n)) for i in range(n)]
     quad = sum(weight[i] * gw[i] for i in range(n))
-    lin = sum(form.shift[i] * gw[i] for i in range(n))
+    lin = sum(datum.two_delta_bar[i] * gw[i] for i in range(n))
     return Fraction(quad + lin)
 
 
 def dual_weight(datum: RestrictedDatum, weight: Sequence[int]) -> tuple:
     """Coordinates of the dual representation's highest weight."""
-    sigma = dual_permutation(datum.descriptor)
+    sigma = datum.descriptor.involution
     if len(weight) != len(sigma):
         raise ValueError("weight length does not match the datum's rank")
     return tuple(weight[sigma[k]] for k in range(len(sigma)))
-
-
-def _coordinate_names(rank: int) -> tuple:
-    if rank == 1:
-        return ("x",)
-    if rank == 2:
-        return ("x", "y")
-    return tuple(f"x{i + 1}" for i in range(rank))
 
 
 def eigenvalue_polynomial(gram, shift_polys, variables, coord_names) -> MultiPoly:
@@ -88,13 +64,6 @@ def eigenvalue_polynomial(gram, shift_polys, variables, coord_names) -> MultiPol
             total = total + gij * coords[i] * coords[j]
             total = total + gij * shift_polys[i] * coords[j]
     return total
-
-
-def polynomial_form(datum: RestrictedDatum) -> MultiPoly:
-    """Eigenvalue form as a polynomial in the weight coordinates."""
-    names = _coordinate_names(datum.rank)
-    shift = [MultiPoly.constant(names, c) for c in datum.two_delta_bar]
-    return eigenvalue_polynomial(datum.gram, shift, names, names)
 
 
 # Largest box (bound + 1)^rank a scan accepts, in rows.  On a 2-vCPU Intel
@@ -290,7 +259,7 @@ def enumerate_collisions(
 
     first, second = equal_value_pairs(values)
     # the box row of each row's dual weight
-    sigma = list(dual_permutation(datum.descriptor))
+    sigma = list(datum.descriptor.involution)
     dual_row = np.ravel_multi_index(grid[:, sigma].T, (bound + 1,) * rank)
     dual = dual_row[first] == second
     if exclude_dual_pairs:
@@ -337,19 +306,6 @@ class ReflectionWitness:
             "w": list(self.weight_w),
             "eigenvalue": rational_to_str(self.eigenvalue),
         }
-
-
-def reflect(datum: RestrictedDatum, alpha: Sequence, vector: Sequence) -> tuple:
-    """Image of a vector under the reflection through alpha (dual basis)."""
-    form_gram = datum.gram
-    n = datum.rank
-    alpha = [Fraction(a) for a in alpha]
-    vector = [Fraction(v) for v in vector]
-    g_alpha = [sum(form_gram[i][j] * alpha[j] for j in range(n)) for i in range(n)]
-    alpha_alpha = sum(alpha[i] * g_alpha[i] for i in range(n))
-    alpha_v = sum(vector[i] * g_alpha[i] for i in range(n))
-    factor = 2 * alpha_v / alpha_alpha
-    return tuple(vector[i] - factor * alpha[i] for i in range(n))
 
 
 def admissible_pairs(datum: RestrictedDatum) -> list:
@@ -400,7 +356,6 @@ def reflection_witness(datum: RestrictedDatum) -> ReflectionWitness:
     seed[i], seed[j] = 1, 0
     others = [k for k in range(n) if k not in (i, j)]
 
-    form = EigenvalueForm.from_datum(datum)
     for _ in range(WITNESS_RETRIES):
         image = [Fraction(c * length - d, length) for c, d in zip(seed, diff)]
         if any(c < 0 for c in image):
@@ -409,8 +364,8 @@ def reflection_witness(datum: RestrictedDatum) -> ReflectionWitness:
         v = tuple(multiplier * c for c in seed)
         w = tuple(int(multiplier * c) for c in image)
         if w != v and dual_weight(datum, v) != w:
-            value_v = eigenvalue(form, v)
-            value_w = eigenvalue(form, w)
+            value_v = eigenvalue(datum, v)
+            value_w = eigenvalue(datum, w)
             if value_v != value_w:
                 raise WitnessError("reflection produced unequal eigenvalues")
             return ReflectionWitness(
@@ -446,13 +401,6 @@ class Rank2Pair:
     weight_b: tuple
     min_param: int
 
-    def concrete(self, s: int):
-        point = {"s": Fraction(s)}
-        wa = tuple(int(c.evaluate(point)) for c in self.weight_a)
-        wb = tuple(int(c.evaluate(point)) for c in self.weight_b)
-        r = int(self.r_expr.evaluate(point)) if self.r_expr is not None else None
-        return r, wa, wb
-
 
 @dataclass(frozen=True)
 class Rank2Case:
@@ -465,20 +413,6 @@ class Rank2Case:
     parameterized: bool
     pairs: tuple
 
-    def polynomial_at(self, r: Optional[int] = None) -> MultiPoly:
-        """Specialize the range parameter, leaving a polynomial in (x, y)."""
-        if not self.parameterized:
-            return self.polynomial
-        if r is None:
-            raise ValueError(f"{self.label} needs the range parameter r")
-        xy = ("x", "y")
-        subs = {
-            "x": MultiPoly.variable(xy, "x"),
-            "y": MultiPoly.variable(xy, "y"),
-            "r": MultiPoly.constant(xy, r),
-        }
-        return self.polynomial.substitute(subs)
-
     def to_json(self) -> dict:
         return {
             "label": self.label,
@@ -489,20 +423,12 @@ class Rank2Case:
         }
 
 
-def _const(variables, value):
-    return MultiPoly.constant(variables, value)
-
-
 def _spoly(const, s_coeff=0):
     s = ("s",)
     poly = MultiPoly.constant(s, const)
     if s_coeff:
         poly = poly + MultiPoly.variable(s, "s") * s_coeff
     return poly
-
-
-def _gram_for(type_label: str):
-    return gram_matrix(cartan_data(parse_type(type_label)))
 
 
 def _case(label, type_label, shift_entries, pairs):
@@ -512,14 +438,15 @@ def _case(label, type_label, shift_entries, pairs):
     shift = []
     for c in shift_entries:
         if isinstance(c, int):
-            shift.append(_const(variables, c))
+            shift.append(MultiPoly.constant(variables, c))
         else:  # (constant, r-coefficient)
             const, rc = c
             shift.append(
-                _const(variables, const)
+                MultiPoly.constant(variables, const)
                 + MultiPoly.variable(variables, "r") * rc
             )
-    poly = eigenvalue_polynomial(_gram_for(type_label), shift, variables, ("x", "y"))
+    gram = gram_matrix(cartan_data(parse_type(type_label)))
+    poly = eigenvalue_polynomial(gram, shift, variables, ("x", "y"))
     return Rank2Case(
         label=label,
         restricted_type=type_label,
@@ -627,17 +554,11 @@ def verify_rank2_pair(case: Rank2Case, pair: Rank2Pair) -> bool:
     parameter) into the case polynomial; the two sides must agree as
     polynomials in the free parameter.
     """
-    s_vars = ("s",)
 
     def value_at(weight):
-        subs = {
-            "x": weight[0],
-            "y": weight[1],
-        }
+        subs = {"x": weight[0], "y": weight[1]}
         if case.parameterized:
             subs["r"] = pair.r_expr
-        basis = {k: (v if isinstance(v, MultiPoly) else _const(s_vars, v))
-                 for k, v in subs.items()}
-        return case.polynomial.substitute(basis)
+        return case.polynomial.substitute(subs)
 
     return value_at(pair.weight_a) == value_at(pair.weight_b)

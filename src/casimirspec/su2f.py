@@ -42,7 +42,6 @@ from typing import Optional
 import numpy as np
 
 from .exactalg import MultiPoly, ParametricMatrix, rational_to_str
-from .products import candidate_tuples
 from .simplicity import RepresentationEntry
 from .spectrum import CollisionPairs, equal_value_pairs, exact_dtype, value_strings
 
@@ -104,23 +103,6 @@ def fixed_space(k: int) -> tuple:
     return tuple(sorted(k - 2 * row for row in diagonal if 2 * row <= k))
 
 
-def predicted_dimension(k: int) -> int:
-    """Dimension of the F-invariant subspace of V_k, counted by rule.
-
-    This is the rule of ``averaging_projector`` restated as a count:
-    pairs l < k - l with 2l = k (mod 6) each contribute one invariant
-    line; the middle monomial l = k/2 survives exactly when the tau phase
-    (-i)^k is +1, i.e. k = 0 (mod 4).  Odd k has no invariants because
-    -1 in F acts by (-1)^k.
-    """
-    if k % 2 == 1:
-        return 0
-    count = sum(1 for ell in range(k // 2) if (2 * ell - k) % 6 == 0)
-    if k % 4 == 0:
-        count += 1
-    return count
-
-
 def form_keys(k: int) -> list:
     """The key (-d^2, k(k+2) + d^2) of each weight gap d of V_k, ascending in d.
 
@@ -177,20 +159,6 @@ def collisions_at_metric(kmax: int, a: Fraction, b: Fraction) -> CollisionPairs:
     ascending = np.argsort(values[first], kind="stable")
     rows = np.array([(k, -a8) for k, a8, _ in lines], np.int64).reshape(-1, 2)
     return CollisionPairs(rows, first[ascending], second[ascending], values, 8 * denom)
-
-
-def find_simple_metric(kmax: int) -> tuple:
-    """First candidate metric (a, b), a != b, with no eigenvalue collision.
-
-    Candidates are drawn from the deterministic sequence 1, 2, 3, 5, 7,
-    11, ... (one and the primes), enumerated in lexicographic order.
-    """
-    for a, b in candidate_tuples(2):
-        if a == b:
-            continue
-        if not collisions_at_metric(kmax, Fraction(a), Fraction(b)):
-            return (Fraction(a), Fraction(b))
-    raise RuntimeError("unreachable: the candidate sequence is infinite")
 
 
 @dataclass(frozen=True)

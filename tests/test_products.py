@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairref
+from specref import rank_one_catalog
 
 from casimirspec import products
 from casimirspec.products import (
@@ -21,8 +22,8 @@ from casimirspec.products import (
     generic_beta_certificate,
     prime_sequence,
 )
-from casimirspec.spectrum import EigenvalueForm, eigenvalue, weight_box
-from casimirspec.symmdata import cross_datum, rank_one_catalog, restricted_datum
+from casimirspec.spectrum import eigenvalue, weight_box
+from casimirspec.symmdata import cross_datum, restricted_datum
 
 
 def reference_collision_hyperplanes(factors, bound):
@@ -110,8 +111,7 @@ class TestFactorSpectrum:
     @pytest.mark.parametrize("factor", FACTOR_SPECTRUM_CASES)
     def test_matches_per_index_eigenvalues(self, factor):
         datum = cross_datum(factor) if isinstance(factor, str) else factor
-        form = EigenvalueForm.from_datum(datum)
-        expected = tuple(eigenvalue(form, (m,)) for m in range(301))
+        expected = tuple(eigenvalue(datum, (m,)) for m in range(301))
         assert factor_spectrum(factor, 300).eigenvalues == expected
 
 

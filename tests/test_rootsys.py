@@ -191,14 +191,6 @@ class TestGramMatrix:
                 scale = lcm // gcd(scale, entry.denominator)
         assert all((entry * scale).denominator == 1 for row in gram for entry in row)
 
-    def test_json_dump(self):
-        import json
-
-        data = cartan_data(parse_type("BC2"))
-        parsed = json.loads(data.dumps())
-        assert parsed["type"] == "BC2"
-        assert parsed["doubled"] == [False, True]
-
 
 SWEEP_MAX_RANK = 40
 # reference_minors runs one elimination per minor, O(n^4) Fraction work:

@@ -19,7 +19,6 @@ from casimirspec.cli import run
 from casimirspec.exactalg import rational_to_str
 from casimirspec.products import FactorSpectrum, check_beta, factor_spectrum
 from casimirspec.spectrum import (
-    EigenvalueForm,
     dual_weight,
     enumerate_collisions,
     equal_value_pairs,
@@ -59,10 +58,9 @@ def reference_pairs(groups):
 
 
 def reference_enumerate_collisions(datum, bound, exclude_dual_pairs=False):
-    form = EigenvalueForm.from_datum(datum)
     groups = {}
     for weight in reference_box((bound,) * datum.rank):
-        groups.setdefault(eigenvalue(form, weight), []).append(weight)
+        groups.setdefault(eigenvalue(datum, weight), []).append(weight)
     reports = []
     for value, wa, wb in reference_pairs(groups):
         dual = dual_weight(datum, wa) == wb

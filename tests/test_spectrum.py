@@ -6,50 +6,43 @@ import pytest
 from casimirspec.exactalg import MultiPoly
 from casimirspec.spectrum import (
     MAX_BOX_ROWS,
-    EigenvalueForm,
     WitnessError,
     admissible_pairs,
     dual_weight,
     enumerate_collisions,
     eigenvalue,
     eigenvalue_polynomial,
-    polynomial_form,
     rank2_catalog,
-    reflect,
     reflection_witness,
     require_box,
     verify_rank2_pair,
 )
-from casimirspec.symmdata import LABELS, _ROWS, rank_one_catalog, restricted_datum
+from casimirspec.symmdata import LABELS, _ROWS, restricted_datum
 import pairref
-
-
-def form_of(label, **params):
-    return EigenvalueForm.from_datum(restricted_datum(label, **params))
+from specref import pair_at, polynomial_at, polynomial_form, rank_one_catalog, reflect
 
 
 class TestEigenvalue:
     def test_aiii2_values(self):
-        form = form_of("AIII2", ell=2)
-        assert eigenvalue(form, (2, 0)) == 36
-        assert eigenvalue(form, (0, 3)) == 36
-        assert eigenvalue(form, (0, 0)) == 0
+        datum = restricted_datum("AIII2", ell=2)
+        assert eigenvalue(datum, (2, 0)) == 36
+        assert eigenvalue(datum, (0, 3)) == 36
+        assert eigenvalue(datum, (0, 0)) == 0
 
     def test_dimension_mismatch(self):
-        form = form_of("AIII2", ell=2)
+        datum = restricted_datum("AIII2", ell=2)
         with pytest.raises(ValueError):
-            eigenvalue(form, (1, 2, 3))
+            eigenvalue(datum, (1, 2, 3))
 
     def test_polynomial_form_matches_eigenvalue(self):
         rng = random.Random(11)
         for label, params in (("AI", {"r": 3}), ("BI", {"r": 4, "ell": 2})):
             datum = restricted_datum(label, **params)
             poly = polynomial_form(datum)
-            form = EigenvalueForm.from_datum(datum)
             for _ in range(25):
                 w = tuple(rng.randint(0, 9) for _ in range(datum.rank))
                 point = dict(zip(poly.variables, map(Fraction, w)))
-                assert poly.evaluate(point) == eigenvalue(form, w)
+                assert poly.evaluate(point) == eigenvalue(datum, w)
 
     def test_ai3_polynomial(self):
         datum = restricted_datum("AI", r=3)
@@ -224,11 +217,10 @@ class TestReflectionWitness:
     def test_witness_validity(self, label, params):
         datum = restricted_datum(label, **params)
         witness = reflection_witness(datum)
-        form = EigenvalueForm.from_datum(datum)
         v, w = witness.weight_v, witness.weight_w
         assert v != w
         assert all(c >= 0 for c in v) and all(c >= 0 for c in w)
-        assert eigenvalue(form, v) == eigenvalue(form, w) == witness.eigenvalue
+        assert eigenvalue(datum, v) == eigenvalue(datum, w) == witness.eigenvalue
         assert dual_weight(datum, v) != w
         # the reflection fixes the half-sum exactly
         fixed = reflect(datum, witness.alpha, datum.two_delta_bar)
@@ -248,14 +240,13 @@ class TestReflectionWitness:
     def test_reflection_identity_random_weights(self, label, params):
         datum = restricted_datum(label, **params)
         witness = reflection_witness(datum)
-        form = EigenvalueForm.from_datum(datum)
         rng = random.Random(hash(label) & 0xFFFF)
         checked = 0
         for _ in range(100):
             v = tuple(rng.randint(0, 8) for _ in range(datum.rank))
             image = reflect(datum, witness.alpha, v)
             if all(c >= 0 for c in image):
-                assert eigenvalue(form, v) == eigenvalue(form, image)
+                assert eigenvalue(datum, v) == eigenvalue(datum, image)
                 checked += 1
         assert checked > 0
 
@@ -282,8 +273,7 @@ class TestReflectionWitness:
                 Fraction(c, m) for c in w
             ), (r, ell)
             assert v != w and dual_weight(datum, v) != w and min(w) >= 0, (r, ell)
-            form = EigenvalueForm.from_datum(datum)
-            assert eigenvalue(form, v) == eigenvalue(form, w) == witness.eigenvalue
+            assert eigenvalue(datum, v) == eigenvalue(datum, w) == witness.eigenvalue
 
     def test_rank_two_rejected(self):
         with pytest.raises(WitnessError):
@@ -326,7 +316,7 @@ class TestRank2Catalog:
         for label, (params, r) in checks.items():
             case = by_label[label]
             datum = restricted_datum(label, **params)
-            assert case.polynomial_at(r) == polynomial_form(datum), label
+            assert polynomial_at(case, r) == polynomial_form(datum), label
 
     def test_pinned_values(self):
         by_label = {case.label: case for case in rank2_catalog()}
@@ -342,14 +332,14 @@ class TestRank2Catalog:
     def test_parameterized_concrete_pairs(self):
         by_label = {case.label: case for case in rank2_catalog()}
         bi = by_label["BI"]
-        r, wa, wb = bi.pairs[0].concrete(3)
+        r, wa, wb = pair_at(bi.pairs[0], 3)
         assert (r, wa, wb) == (3, (6, 0), (0, 4))
-        poly = bi.polynomial_at(3)
+        poly = polynomial_at(bi, 3)
         va = poly.evaluate({"x": Fraction(6), "y": Fraction(0)})
         vb = poly.evaluate({"x": Fraction(0), "y": Fraction(4)})
         assert va == vb == 120
         aiii1 = by_label["AIII1"]
-        r, wa, wb = aiii1.pairs[0].concrete(2)  # even branch, r = 4
+        r, wa, wb = pair_at(aiii1.pairs[0], 2)  # even branch, r = 4
         assert r == 4 and wa == (5, 0) and wb == (1, 6)
 
 
@@ -417,12 +407,11 @@ class TestExplicitCoordinateOracle:
     )
     def test_gram_form_equals_oracle(self, label, params):
         datum = restricted_datum(label, **params)
-        form = EigenvalueForm.from_datum(datum)
         type_label = str(datum.descriptor.restricted_type)
         shift = datum.two_delta_bar
         for x in range(21):
             for y in range(21):
-                assert eigenvalue(form, (x, y)) == self.oracle(
+                assert eigenvalue(datum, (x, y)) == self.oracle(
                     type_label, shift, Fraction(x), Fraction(y)
                 )
 

@@ -18,16 +18,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pairref
+from specref import find_simple_metric, predicted_dimension
 
 from casimirspec.exactalg import MultiPoly
 from casimirspec.su2f import (
     METRIC_PARAMS,
     averaging_projector,
     collisions_at_metric,
-    find_simple_metric,
     fixed_space,
     form_keys,
-    predicted_dimension,
     simplicity_certificate,
     su2f_representation_family,
 )

@@ -7,11 +7,10 @@ from casimirspec.symmdata import (
     LABELS,
     cross_datum,
     delta_bar_coeffs,
-    dual_permutation,
-    rank_one_catalog,
     restricted_datum,
     table_rows,
 )
+from specref import rank_one_catalog
 
 # the half-sum coefficient catalog at the representative parameters
 EXPECTED_TWO_DELTA_BAR = {
@@ -104,30 +103,26 @@ class TestRankTwoTypes:
 class TestDualPermutation:
     def test_a3_reversal(self):
         datum = restricted_datum("AI", r=3)
-        assert dual_permutation(datum.descriptor) == (2, 1, 0)
+        assert datum.descriptor.involution == (2, 1, 0)
 
     def test_b2_identity(self):
         datum = restricted_datum("BI", r=3, ell=2)
-        assert dual_permutation(datum.descriptor) == (0, 1)
+        assert datum.descriptor.involution == (0, 1)
 
     def test_bc1_identity(self):
-        assert dual_permutation(restricted_datum("FII").descriptor) == (0,)
+        assert restricted_datum("FII").descriptor.involution == (0,)
 
     def test_d_parity(self):
-        assert dual_permutation(restricted_datum("DI3", ell=5).descriptor) == (
-            0, 1, 2, 4, 3,
-        )
-        assert dual_permutation(restricted_datum("DI3", ell=4).descriptor) == (
-            0, 1, 2, 3,
-        )
+        assert restricted_datum("DI3", ell=5).descriptor.involution == (0, 1, 2, 4, 3)
+        assert restricted_datum("DI3", ell=4).descriptor.involution == (0, 1, 2, 3)
 
     def test_e6_flip(self):
-        sigma = dual_permutation(restricted_datum("EI").descriptor)
+        sigma = restricted_datum("EI").descriptor.involution
         assert sigma == (5, 1, 4, 3, 2, 0)
 
     def test_involutive(self):
         for datum in table_rows():
-            sigma = dual_permutation(datum.descriptor)
+            sigma = datum.descriptor.involution
             assert all(sigma[sigma[i]] == i for i in range(len(sigma)))
 
 
