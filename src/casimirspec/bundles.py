@@ -36,8 +36,8 @@ from .spectrum import equal_value_pairs, exact_dtype, weight_box
 METRIC_PARAMS = ("gamma1", "gamma2")
 
 # Largest degree p + q the representation family accepts: `simplicity --family
-# hopf --n 2 --bound 1100 --metric 2,5` takes 54-58 s and 891 MB on a 2-vCPU
-# Intel Xeon VM.
+# hopf --n 2 --bound 1100 --metric 2,5` takes 35 s and 890 MB on a 2-vCPU
+# Intel Xeon VM (54-58 s when the cap was set).
 MAX_FAMILY_DEGREE = 1100
 
 

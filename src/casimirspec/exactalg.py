@@ -22,7 +22,7 @@ resultant(q, p)``.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import index
+from operator import add, index
 from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -88,6 +88,14 @@ class MultiPoly:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _result(cls, variables: tuple, terms: dict) -> "MultiPoly":
+        """A result of arithmetic on checked polynomials: only zeros are dropped."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "variables", variables)
+        object.__setattr__(poly, "terms", {e: c for e, c in terms.items() if c})
+        return poly
+
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
@@ -137,13 +145,13 @@ class MultiPoly:
         other = self._coerce(other)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return MultiPoly(self.variables, terms)
+            terms[exps] = terms[exps] + coeff if exps in terms else coeff
+        return MultiPoly._result(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._result(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         return self + (-self._coerce(other))
@@ -156,9 +164,9 @@ class MultiPoly:
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return MultiPoly(self.variables, terms)
+                key, term = tuple(map(add, e1, e2)), c1 * c2
+                terms[key] = terms[key] + term if key in terms else term
+        return MultiPoly._result(self.variables, terms)
 
     __rmul__ = __mul__
 
@@ -274,17 +282,6 @@ class UniPoly:
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "UniPoly":
         return cls(variables, [])
-
-    @classmethod
-    def from_scalars(cls, variables: Sequence[str], scalars: Iterable[RationalLike]) -> "UniPoly":
-        variables = tuple(variables)
-        return cls(variables, [MultiPoly.constant(variables, s) for s in scalars])
-
-    @classmethod
-    def t_minus(cls, value: MultiPoly) -> "UniPoly":
-        """The linear polynomial ``t - value``."""
-        one = MultiPoly.constant(value.variables, 1)
-        return cls(value.variables, [-value, one])
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -411,14 +408,17 @@ class ParametricMatrix:
 def char_poly(matrix: ParametricMatrix) -> UniPoly:
     """Characteristic polynomial ``prod (t - d_i)`` of a diagonal matrix, exact and monic.
 
-    A non-diagonal matrix raises ValueError.
+    Each linear factor is multiplied in by one shift-and-subtract pass over
+    the coefficients.  A non-diagonal matrix raises ValueError.
     """
     if not matrix.is_diagonal():
         raise ValueError("characteristic polynomial of a non-diagonal matrix")
-    result = UniPoly.from_scalars(matrix.variables, [1])
+    one = MultiPoly.constant(matrix.variables, 1)
+    coeffs = [one]  # of t^0, ..., t^k, the last one 1
     for d in matrix.diagonal_entries():
-        result = result * UniPoly.t_minus(d)
-    return result
+        # (t - d) sum_i c_i t^i has c_(i-1) - d c_i at t^i, with c_(-1) = 0
+        coeffs = [-(d * coeffs[0])] + [lo - d * hi for lo, hi in zip(coeffs, coeffs[1:])] + [one]
+    return UniPoly(matrix.variables, coeffs)
 
 
 # -- exact determinants and resultants ---------------------------------

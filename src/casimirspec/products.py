@@ -16,9 +16,9 @@ Both steps run on one integer table per factor, lambda_i(0..bound) times
 the lcm of the denominators.  The hyperplanes are packed into one
 ``int64`` key per normal and deduplicated by sorting; the beta candidates
 are tested in batches, each one sorted ``(batch, box)`` array of box
-values.  Python ints take over wherever a bound stated below would reach
-2**63, and ``check_beta`` stays the exact witness lister that confirms
-the winner.  Grids past ``MAX_DIFFERENCE_GRID`` and searches past
+values, ``int32`` while they stay below 2**31.  Python ints take over
+wherever a bound stated below would reach 2**63, and ``check_beta``
+stays the exact witness lister that confirms the winner.  Grids past ``MAX_DIFFERENCE_GRID`` and searches past
 ``MAX_SEARCH_ENTRIES`` are refused with ``ValueError``.
 """
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import islice, product, takewhile
 from math import gcd, lcm, prod
 from typing import Iterator, Sequence, Union
@@ -40,6 +41,8 @@ from .symmdata import RestrictedDatum, cross_datum
 
 # one more than the largest int64; the array paths stay below it
 INT64_LIMIT = 2**63
+# one more than the largest int32; beta batches below it sort narrow rows
+INT32_LIMIT = 2**31
 # difference-grid rows per step of the hyperplane walk
 HYPERPLANE_CHUNK = 2**16
 # candidate box values per batch of the beta search
@@ -147,11 +150,16 @@ def collision_hyperplanes(factors: Sequence[FactorSpectrum], bound: int = None) 
 
     Returns an ``(h, n)`` array, one normal per row in lexicographic
     order.  Let M be the largest |entry| of any D_i on the integer
-    tables of :func:`integer_tables`.  When (2M + 1)^n < 2**63, the rows
-    with d_1 > 0 (and d_1 = 0 when n >= 3) are walked in chunks of
-    ``HYPERPLANE_CHUNK`` as ``int64``: each mixed-sign row is divided by
-    its gcd and packed, with its negation, into the key sum_i (x_i + M)
-    (2M + 1)^(n - 1 - i), whose order is the rows' lexicographic order.
+    tables of :func:`integer_tables`.  When (2M + 1)^n < 2**63, one sign
+    of each normal is walked as ``int64``: the rows whose first nonzero
+    entry is positive, in blocks 0, ..., 0, d_k > 0, d_(k+1), ..., d_n,
+    each in chunks of ``HYPERPLANE_CHUNK`` rows held as n column arrays.
+    A row whose later entries reach below zero mixes signs; it is divided
+    by its gcd and packed into the key sum_i (x_i + M) (2M + 1)^(n - 1 - i),
+    whose order is the rows' lexicographic order.  These keys lie above
+    the key of the zero row, and the key of -x is twice that key minus
+    the key of x, so the negated rows, in reverse, are the sorted rows
+    below it and need no second sort.
     Otherwise the product is walked over Python ints.  A grid of more
     than ``MAX_DIFFERENCE_GRID`` rows is refused with ``ValueError``
     before the difference sets are built, since a rank-one spectrum has
@@ -181,28 +189,38 @@ def collision_hyperplanes(factors: Sequence[FactorSpectrum], bound: int = None) 
         return np.array(sorted(normals), exact_dtype(span)).reshape(-1, n)
     differences = [distinct(np.subtract.outer(t, t)) for t in map(np.array, tables)]
     require_difference_grid(prod(len(d) for d in differences))
-    # a row with d_1 < 0 is the negation of one with d_1 > 0; one with d_1 = 0
-    # can mix signs only in its other n - 1 >= 2 entries
-    differences[0] = differences[0][differences[0] >= (0 if n >= 3 else 1)]
     weights = [base ** (n - 1 - i) for i in range(n)]
-    top = base**n - 1  # the key of -x is top minus the key of x
-    shape = tuple(len(d) for d in differences)
+    middle = span * sum(weights)  # the key of the zero row
     parts = []
-    for start in range(0, prod(shape), HYPERPLANE_CHUNK):
-        stop = min(start + HYPERPLANE_CHUNK, prod(shape))
-        index = np.unravel_index(np.arange(start, stop), shape)
-        rows = np.column_stack([d[i] for d, i in zip(differences, index)])
-        rows = rows[(rows.max(axis=1) > 0) & (rows.min(axis=1) < 0)]
-        rows //= np.gcd.reduce(rows, axis=1, keepdims=True)
-        keys = sum((rows[:, i] + span) * w for i, w in enumerate(weights))
-        parts.append(distinct(np.concatenate([keys, top - keys])))
-    keys = np.concatenate(parts or [np.zeros(0, np.int64)])
+    # block k holds the rows with zeros before entry k and entry k positive;
+    # the zeros add nothing to the key, the minimum or the gcd
+    for k in range(n - 1):
+        columns = [differences[k][differences[k] > 0]] + differences[k + 1:]
+        shape = tuple(map(len, columns))
+        for start in range(0, prod(shape), HYPERPLANE_CHUNK):
+            stop = min(start + HYPERPLANE_CHUNK, prod(shape))
+            index = np.unravel_index(np.arange(start, stop), shape)
+            rows = [d[i] for d, i in zip(columns, index)]
+            del index
+            # the first entry is positive: a negative one later mixes signs
+            mixed = reduce(np.minimum, rows[1:]) < 0
+            rows = [column[mixed] for column in rows]
+            content = reduce(np.gcd, rows)
+            keys = np.full(len(content), middle, np.int64)
+            for column, w in zip(rows, weights[k:]):
+                column //= content
+                column *= w
+                keys += column
+            parts.append(distinct(keys))
+    keys = distinct(np.concatenate(parts or [np.zeros(0, np.int64)]))
     del parts
-    keys = distinct(keys)
-    normals = np.empty((len(keys), n), np.int64)
+    # the negated rows, reversed, are the sorted rows below the middle
+    half = len(keys)
+    normals = np.empty((2 * half, n), np.int64)
     for i in reversed(range(n)):
-        keys, normals[:, i] = np.divmod(keys, base)
-    normals -= span
+        keys, normals[half:, i] = np.divmod(keys, base)
+    normals[half:] -= span
+    np.negative(normals[half:][::-1], out=normals[:half])
     return normals
 
 
@@ -320,14 +338,19 @@ def first_free_candidate(tables: list, candidates: list) -> int:
 
     ``tables`` are the integer tables of :func:`integer_tables` as
     ``int64`` arrays.  The batch's box values sum_i c_i t_i[m_i] form one
-    ``(batch, box)`` outer sum, exact in ``int64`` because the caller
-    checks max(c) * sum_i max |t_i| < 2**63; each row is sorted and a
-    candidate is free when no two neighbours are equal.
+    ``(batch, box)`` outer sum; each row is sorted and a candidate is
+    free when no two neighbours are equal.  Every entry and partial sum
+    is at most max(c) * sum_i max |t_i|, which the caller keeps below
+    2**63.  Below 2**31 the sums are built and sorted as ``int32``, which
+    halves the bytes each sort moves, and as ``int64`` otherwise.
     """
-    weights = np.array(candidates, np.int64)
-    values = np.zeros((len(candidates), 1), np.int64)
+    widest = max(map(max, candidates)) * sum(int(abs(table).max()) for table in tables)
+    dtype = np.int32 if widest < INT32_LIMIT else np.int64
+    weights = np.array(candidates, dtype)
+    values = np.zeros((len(candidates), 1), dtype)
     for i, table in enumerate(tables):
-        values = (values[:, :, None] + weights[:, i, None, None] * table).reshape(len(weights), -1)
+        values = values[:, :, None] + weights[:, i, None, None] * table.astype(dtype)
+        values = values.reshape(len(weights), -1)
     values.sort(axis=1)
     free = np.flatnonzero((values[:, 1:] != values[:, :-1]).all(axis=1))
     return int(free[0]) if len(free) else -1

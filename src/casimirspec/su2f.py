@@ -50,7 +50,7 @@ METRIC_PARAMS = ("a", "b")
 # Largest kmax each builder accepts.  On a 2-vCPU Intel Xeon VM `su2f --kmax
 # 7200 --json` takes 4.0-4.4 s and 490 MB, `su2f --kmax 7200 --metric 1,2
 # --json` 21 s and 1.1 GB, and `simplicity --family su2f --bound 270 --metric
-# 2,5` 62 s (54-57 s, and 71 s at bound 280, when the cap was set).
+# 2,5` 19 s and 36 MB (54-57 s, and 71 s at bound 280, when the cap was set).
 MAX_KMAX = 7200
 MAX_FAMILY_KMAX = 270
 

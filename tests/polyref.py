@@ -5,10 +5,17 @@ coefficients of t^0, t^1, ... as Fractions, and gcds are exact Euclid over
 the rationals.  The tests evaluate a characteristic polynomial at a metric
 point into such a list and decide shared roots and root multiplicities
 from gcds, against the library's split path and its resultants.
+
+On the library's own ``UniPoly`` it also keeps two builders the tests
+use, and the generic-product characteristic polynomial that
+``exactalg.char_poly`` replaced with one shift-and-subtract step per
+linear factor.
 """
 
 from fractions import Fraction
 from typing import Mapping, Sequence
+
+from casimirspec.exactalg import MultiPoly, ParametricMatrix, UniPoly
 
 
 def poly_normalize(coeffs: Sequence[Fraction]) -> list:
@@ -82,3 +89,21 @@ def reference_profile(coeffs: Sequence[Fraction]) -> dict:
 def coefficients_at(p, point: Mapping[str, Fraction]) -> list:
     """The coefficient list of a parametric polynomial in t at a metric point."""
     return poly_normalize([c.evaluate(point) for c in p.coeffs])
+
+
+def from_scalars(variables: Sequence[str], scalars: Sequence) -> UniPoly:
+    """The polynomial in t with these rational coefficients of t^0, t^1, ..."""
+    return UniPoly(variables, [MultiPoly.constant(variables, s) for s in scalars])
+
+
+def t_minus(value: MultiPoly) -> UniPoly:
+    """The linear polynomial ``t - value``."""
+    return UniPoly(value.variables, [-value, MultiPoly.constant(value.variables, 1)])
+
+
+def reference_char_poly(matrix: ParametricMatrix) -> UniPoly:
+    """prod (t - d_i) over the diagonal, one generic ``UniPoly`` product per factor."""
+    result = from_scalars(matrix.variables, [1])
+    for d in matrix.diagonal_entries():
+        result = result * t_minus(d)
+    return result

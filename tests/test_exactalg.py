@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyref import from_scalars, reference_char_poly, t_minus
+
 from casimirspec.exactalg import (
     MultiPoly,
     ParametricMatrix,
@@ -60,6 +62,13 @@ small_poly = st.dictionaries(
     st.fractions(min_value=-5, max_value=5, max_denominator=6),
     max_size=4,
 ).map(lambda terms: MultiPoly(AB, terms))
+
+
+def assert_stored_canonically(p):
+    """p holds what the public constructor would store for the same terms."""
+    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+    rebuilt = MultiPoly(p.variables, p.terms)
+    assert p.terms == rebuilt.terms and p == rebuilt and hash(p) == hash(rebuilt)
 
 
 class TestMultiPoly:
@@ -121,12 +130,39 @@ class TestMultiPoly:
     def test_non_constant_stays_apart_from_numbers(self):
         assert len({var("a"), 0, 1}) == 3
 
+    @settings(max_examples=60)
+    @given(small_poly, small_poly)
+    def test_arithmetic_results_stored_canonically(self, p, q):
+        for result in [p + q, p - q, p * q, -p, p + 1, 2 * p, p - Fraction(1, 3)]:
+            assert_stored_canonically(result)
+
+    @settings(max_examples=60)
+    @given(small_poly)
+    def test_cancellations_leave_no_zero_coefficient(self, p):
+        zero = MultiPoly.zero(AB)
+        for result in [p + (-p), p - p, p * 0, p * zero, zero * p, -p + p]:
+            assert result.terms == {} and result.is_zero()
+            assert result == zero == 0 and hash(result) == hash(zero) == hash(0)
+        # a partial cancellation drops only the terms that cancel
+        q = p + var("a") ** 5
+        assert q - p == var("a") ** 5 and (q - p).terms == {(5, 0): Fraction(1)}
+        assert_stored_canonically(q - p)
+
+    def test_public_constructor_still_validates(self):
+        with pytest.raises(ValueError):
+            MultiPoly(AB, {(1,): 1})
+        with pytest.raises(ValueError):
+            MultiPoly(AB, {(1, -1): 1})
+        with pytest.raises(TypeError):
+            MultiPoly(AB, {(1, 0): 0.5})
+        assert MultiPoly(AB, {(1, 0): "3/4", (0, 1): 0}).terms == {(1, 0): Fraction(3, 4)}
+
 
 class TestUniPoly:
     def test_derivative(self):
-        t_sq = UniPoly.from_scalars(AB, [0, 0, 1])
-        assert derivative(t_sq, 1) == UniPoly.from_scalars(AB, [0, 2])
-        assert derivative(t_sq, 2) == UniPoly.from_scalars(AB, [2])
+        t_sq = from_scalars(AB, [0, 0, 1])
+        assert derivative(t_sq, 1) == from_scalars(AB, [0, 2])
+        assert derivative(t_sq, 2) == from_scalars(AB, [2])
         cubic = UniPoly(AB, [const(0), var("b"), const(0), var("a")])
         assert derivative(cubic, 1) == UniPoly(AB, [var("b"), const(0), var("a") * 3])
         with pytest.raises(ValueError):
@@ -139,8 +175,8 @@ class TestUniPoly:
             _ = z.degree
 
     def test_mul_degree(self):
-        p = UniPoly.t_minus(var("a"))
-        q = UniPoly.t_minus(var("b"))
+        p = t_minus(var("a"))
+        q = t_minus(var("b"))
         prod = p * q
         assert prod.degree == 2
         assert prod.coefficient(0) == var("a") * var("b")
@@ -157,7 +193,7 @@ class TestCharPoly:
 
     def test_one_by_one(self):
         p = char_poly(ParametricMatrix(1, [const(5)]))
-        assert p == UniPoly.from_scalars(AB, [-5, 1])
+        assert p == from_scalars(AB, [-5, 1])
 
     def test_explicit_zero_off_diagonal(self):
         # a full matrix whose off-diagonal entries are zero counts as diagonal
@@ -177,6 +213,16 @@ class TestCharPoly:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             ParametricMatrix(2, [const(1)] * 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(small_poly, min_size=1, max_size=6))
+    def test_matches_generic_product(self, diagonal):
+        matrix = ParametricMatrix.diagonal(diagonal)
+        p, expected = char_poly(matrix), reference_char_poly(matrix)
+        assert p == expected and hash(p) == hash(expected)
+        assert p.degree == len(diagonal) and p.coefficient(len(diagonal)) == 1
+        for c in p.coeffs:
+            assert_stored_canonically(c)
 
 
 class TestDeterminant:
@@ -206,44 +252,44 @@ class TestDeterminant:
 class TestResultant:
     def test_linear_difference(self):
         uv = ("u", "v")
-        p = UniPoly.t_minus(MultiPoly.variable(uv, "u"))
-        q = UniPoly.t_minus(MultiPoly.variable(uv, "v"))
+        p = t_minus(MultiPoly.variable(uv, "u"))
+        q = t_minus(MultiPoly.variable(uv, "v"))
         expected = MultiPoly.variable(uv, "u") - MultiPoly.variable(uv, "v")
         assert resultant(p, q) == expected
 
     def test_discriminant_convention(self):
         # p = t^2 - 3t + 2 against p' = 2t - 3; the p-rows-first Sylvester
         # determinant is |1 -3 2; 2 -3 0; 0 2 -3| = -1
-        p = UniPoly.from_scalars(AB, [2, -3, 1])
+        p = from_scalars(AB, [2, -3, 1])
         q = derivative(p, 1)
         assert resultant(p, q) == const(-1)
 
     def test_linear_root_substitution(self):
-        p = UniPoly.t_minus(var("a") + var("b"))
-        q = UniPoly.t_minus(var("b") * 2)
+        p = t_minus(var("a") + var("b"))
+        q = t_minus(var("b") * 2)
         assert resultant(p, q) == var("a") - var("b")
 
     def test_swap_sign(self):
-        p = UniPoly.from_scalars(AB, [2, -3, 1])
-        q = UniPoly.from_scalars(AB, [-3, 2])
+        p = from_scalars(AB, [2, -3, 1])
+        q = from_scalars(AB, [-3, 2])
         r_pq = resultant(p, q)
         r_qp = resultant(q, p)
         assert r_pq == r_qp * Fraction((-1) ** (p.degree * q.degree))
 
     def test_degenerate(self):
-        c = UniPoly.from_scalars(AB, [3])
+        c = from_scalars(AB, [3])
         with pytest.raises(ValueError):
             resultant(c, c)
 
     def test_constant_second_argument(self):
-        p = UniPoly.from_scalars(AB, [2, -3, 1])
-        assert resultant(p, UniPoly.from_scalars(AB, [5])) == const(25)
+        p = from_scalars(AB, [2, -3, 1])
+        assert resultant(p, from_scalars(AB, [5])) == const(25)
 
     def test_from_roots_matches_determinant(self):
         roots = [var("a"), var("b"), var("a") + const(1)]
-        p = UniPoly.from_scalars(AB, [1])
+        p = from_scalars(AB, [1])
         for root in roots:
-            p = p * UniPoly.t_minus(root)
+            p = p * t_minus(root)
         q = derivative(p, 1)
         assert resultant_from_roots(roots, q) == resultant(p, q)
 
@@ -252,8 +298,8 @@ class TestResultant:
 
         rng = random.Random(7)
         a, b = var("a"), var("b")
-        p = UniPoly.t_minus(a) * UniPoly.t_minus(b + const(1))
-        q = UniPoly.t_minus(b) * UniPoly.t_minus(a * 2)
+        p = t_minus(a) * t_minus(b + const(1))
+        q = t_minus(b) * t_minus(a * 2)
         res = resultant(p, q)
         for _ in range(20):
             point = {
@@ -266,7 +312,7 @@ class TestResultant:
 
     def test_simple_roots_nonzero_discriminant_resultant(self):
         # distinct roots at a point: res(p, p') evaluates nonzero there
-        p = UniPoly.t_minus(var("a")) * UniPoly.t_minus(var("b"))
+        p = t_minus(var("a")) * t_minus(var("b"))
         res = resultant(p, derivative(p, 1))
         point = {"a": Fraction(1, 3), "b": Fraction(5, 2)}
         assert res.evaluate(point) != 0
@@ -274,7 +320,7 @@ class TestResultant:
         assert res.evaluate(equal_point) == 0
 
     def test_sylvester_shape(self):
-        p = UniPoly.from_scalars(AB, [2, -3, 1])
-        q = UniPoly.from_scalars(AB, [-3, 2])
+        p = from_scalars(AB, [2, -3, 1])
+        q = from_scalars(AB, [-3, 2])
         rows = sylvester_matrix(p, q)
         assert len(rows) == 3 and all(len(r) == 3 for r in rows)

@@ -162,6 +162,32 @@ class TestHyperplanes:
         # lambda(1, 0) - lambda(0, 1) = (4/3, -24/7) = (4/21) * (7, -18)
         assert [7, -18] in normals and [-7, 18] in normals
 
+    @pytest.mark.parametrize(
+        "labels,bound",
+        [
+            ("S2/3,2CP2/7", 9),
+            ("S2/3,2CP2/7,S2", 5),
+            ("S2,S2,S2", 6),
+            ("2CP2/7,S3,S2/3", 4),
+            ("S2/3,2CP2/7,S2,OP2", 2),
+            ("S3,S3,S3,S3", 2),
+        ],
+    )
+    @pytest.mark.parametrize("path", ["int64", "python-int"])
+    def test_walk_matches_reference_on_two_to_four_factors(self, monkeypatch, labels, bound, path):
+        scaled = dict(zip(["S2/3", "2CP2/7"], rational_factors(bound)))
+        factors = [scaled.get(label) or factor_spectrum(label, bound) for label in labels.split(",")]
+        if path == "python-int":
+            monkeypatch.setattr(products, "INT64_LIMIT", 1)
+            monkeypatch.setattr(products, "distinct", None)  # the array path is not taken
+        normals = collision_hyperplanes(factors, bound).tolist()
+        assert normals == reference_collision_hyperplanes(factors, bound)
+        # the walk takes one sign per normal: a normal is there with its negation
+        assert normals == [[-x for x in normal] for normal in reversed(normals)]
+        # rows with d_1 = 0 (and d_1 = d_2 = 0 at n = 4) mix signs in their other entries
+        for zeros in range(1, len(factors) - 1):
+            assert any(normal[:zeros] == [0] * zeros and normal[zeros] > 0 for normal in normals)
+
 
 class TestCheckBeta:
     def test_symmetric_beta_rejected_with_witness(self):
@@ -293,6 +319,26 @@ class TestBatchedSearch:
         assert first_free_candidate(tables, [(1, 11), (1, 1)]) == 0
         assert first_free_candidate(tables, [(1, 1), (1, 2), (1, 11)]) == 2
         assert first_free_candidate(tables, [(1, 1), (1, 2)]) == -1
+
+    @pytest.mark.parametrize("int32_limit", [1, products.INT32_LIMIT])
+    @pytest.mark.parametrize("labels,bound", [("S2,S2", 6), ("S2,CP2,OP2", 3)])
+    def test_int32_and_int64_batches_agree(self, monkeypatch, int32_limit, labels, bound):
+        # limit 1 builds every batch in int64; these boxes are int32 otherwise
+        factors = [factor_spectrum(label, bound) for label in labels.split(",")]
+        expected = reference_generic_beta(factors, bound)
+        monkeypatch.setattr(products, "INT32_LIMIT", int32_limit)
+        cert = generic_beta_certificate(factors, bound)
+        assert (cert.beta, cert.candidates_tried) == expected
+
+    def test_int32_limit_keeps_batches_exact(self, monkeypatch):
+        # max(c) * sum_i max |t_i| is 2**31 - 1 for the first batch and 2**32 + 1
+        # for the second, whose 2**32 wraps to 0 in int32
+        narrow = [np.array([0, 2**31 - 2]), np.array([0, 1])]
+        wide = [np.array([0, 2**32]), np.array([0, 1])]
+        assert first_free_candidate(narrow, [(1, 1)]) == 0
+        assert first_free_candidate(wide, [(1, 1)]) == 0
+        monkeypatch.setattr(products, "INT32_LIMIT", products.INT64_LIMIT)
+        assert first_free_candidate(wide, [(1, 1)]) == -1
 
     @pytest.mark.parametrize("limit", [1, 10**4])
     def test_python_int_fallback(self, monkeypatch, limit):
