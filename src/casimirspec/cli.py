@@ -26,6 +26,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -50,73 +51,69 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
 
 # pair records formatted per stdout write
 PAIR_CHUNK = 1 << 15
-# stands in for the pair list while the rest of a payload is serialized
-_PAIRS_MARK = "\0pairs"
+# marks where a field goes: json.dumps writes it "\u0000", and no payload holds it
+_MARK = "\0"
 
 
-def _emit_pairs(payload: dict, as_json: bool, pairs, keys: dict, line: tuple, empty: str) -> None:
-    """Print ``payload`` with the records of ``pairs`` as its "collisions", or table lines.
+def _emit_pairs(payload: dict, as_json: bool, pairs, key: str, record, line="", empty="") -> None:
+    """Print ``payload`` with the records of ``pairs`` as its list ``key``, or table lines.
 
-    ``pairs`` is a :class:`spectrum.CollisionPairs`.  Each distinct value
-    and each used box row is rendered once, into string tables; the pairs
-    index those tables.  Records are assembled ``PAIR_CHUNK`` at a time in
-    an object grid of the template's fixed text and the indexed table
-    columns, and each chunk reaches stdout as one ``str.join`` of that
-    grid.  In JSON mode the bytes are those of ``_emit`` on the payload
-    with every record's dict in place; ``keys`` maps each record key to
-    its field, "a", "b", "value" or "dual".  In table mode ``line`` holds
-    the line template and the fields it takes, and ``empty`` is the one
-    line for no pairs.
+    ``pairs`` is a :class:`spectrum.CollisionPairs` or None.  A record's
+    fields are "a", "b" (the pair's rows), "value" and "dual".  ``record``
+    is the shape of one JSON record, a dict from each key to its field or
+    a list of fields; ``line`` is a table line, a format string over the
+    fields, and ``empty`` the line for no pairs.  The layout is read off
+    two records, cut at their fields: ``json.dumps`` of the payload with
+    two marked records, or ``line`` twice.  A JSON row is ``json.dumps``
+    of a row at the indent of its marker's line, so the bytes are those of
+    ``_emit`` with every record in place.  Each distinct value and used
+    row is rendered once, into string tables that the pairs index, and
+    each ``PAIR_CHUNK`` records reach stdout as one ``str.join`` of an
+    object grid of the fixed text and the indexed table columns.
     """
     if not pairs:
-        _emit({**payload, "collisions": []}, as_json, [empty])
+        _emit({**payload, key: []}, as_json, [empty])
         return
     if as_json:
-        names = sorted(keys)
-        fields = [keys[k] for k in names]
-        # the rational strings need no JSON escaping, only quotes
-        slots = ['"%s"' if field == "value" else "%s" for field in fields]
-        template = "    {\n" + ",\n".join(
-            f"      {json.dumps(k)}: {slot}" for k, slot in zip(names, slots)
-        ) + "\n    }"
-        text = json.dumps({**payload, "collisions": _PAIRS_MARK}, sort_keys=True, indent=2)
-        head, tail = text.split(json.dumps(_PAIRS_MARK))
-        head, separator, tail = head + "[\n", ",\n", "\n  ]" + tail + "\n"
-        # a box row as json.dumps(..., indent=2) writes it inside a record
-        row_text, flags = ("[\n        ", ",\n        ", "\n      ]"), ("false", "true")
+        marked = ({name: _MARK + field for name, field in record.items()}
+                  if isinstance(record, dict) else [_MARK + field for field in record])
+        text = json.dumps({**payload, key: [marked, marked]}, sort_keys=True, indent=2)
+        pieces = re.split(r'"\\u0000(\w+)"', text + "\n")
+        indent = re.search(r'^( *).*"\\u0000a"', text, re.M).group(1)
+        row = json.dumps([_MARK] * 2, indent=2).replace("\n", "\n" + indent)
+        row_text, flags = row.split(json.dumps(_MARK)), (json.dumps(False), json.dumps(True))
     else:
-        (template, fields), head, separator, tail = line, "", "\n", "\n"
+        pieces = re.split(r"\{(\w+)\}", (line + "\n") * 2)
         # a rank-one row is a one-tuple, "(5,)"
         closing = ",)" if pairs.rows.shape[1] == 1 else ")"
         row_text, flags = ("(", ", ", closing), ("", "  [dual pair]")
+    # each record's fields, and the text before each field and after the last
+    per_record = len(pieces) // 4
+    fields, literals = pieces[1 : 2 * per_record : 2], pieces[0::2]
     used, row_a, row_b = spectrum.distinct_indices(len(pairs.rows), pairs.first, pairs.second)
     distinct, value_index = np.unique(pairs.values[used], return_inverse=True)
+    values = spectrum.value_strings(distinct, pairs.denom)
+    if as_json:
+        # JSON strings: the rational strings need no escaping, only quotes
+        values = '"' + values + '"'
     rows = spectrum.row_strings(pairs.rows[used], *row_text)
-    # each field's table of strings, and the table entry of every pair
-    tables = {
-        "a": (rows, row_a),
-        "b": (rows, row_b),
-        # a pair's value is its first row's
-        "value": (spectrum.value_strings(distinct, pairs.denom)[value_index], row_a),
-    }
+    # each field's table of strings, and the table entry of every pair (its value is its a's)
+    tables = {"a": (rows, row_a), "b": (rows, row_b), "value": (values[value_index], row_a)}
     if pairs.dual is not None:
         tables["dual"] = (np.array(flags, object), pairs.dual.view(np.uint8))
     columns = [tables[field] for field in fields]
-    count, literals = len(pairs), template.split("%s")
-    # one record per grid row: the template's fixed text, with the fields between
-    grid = np.empty((min(count, PAIR_CHUNK), 2 * len(fields) + 1), object)
-    grid[:, 0::2] = [separator + literals[0], *literals[1:]]
-    # the first record follows the head directly
-    grid[0, 0] = literals[0]
-    write = sys.stdout.write
-    write(head)
+    count = len(pairs)
+    # one record per grid row: the text before it, then its fields with the text between them
+    grid = np.empty((min(count, PAIR_CHUNK), 2 * per_record), object)
+    grid[:, 0], grid[:, 2::2] = literals[per_record], literals[1:per_record]
+    grid[0, 0] = literals[0]  # the first record follows the head
     for start in range(0, count, PAIR_CHUNK):
         block = grid[: min(PAIR_CHUNK, count - start)]
         for slot, (table, index) in enumerate(columns):
             block[:, 2 * slot + 1] = table[index[start:start + PAIR_CHUNK]]
-        write("".join(block.ravel().tolist()))
-        grid[0, 0] = separator + literals[0]
-    write(tail)
+        sys.stdout.write("".join(block.ravel().tolist()))
+        grid[0, 0] = literals[per_record]
+    sys.stdout.write(literals[-1])
 
 
 def _print_csv(header: list, rows) -> None:
@@ -230,10 +227,9 @@ def _cmd_collide(args) -> int:
         "include_duals": bool(args.include_duals),
     }
     _emit_pairs(
-        payload, args.json, pairs,
+        payload, args.json, pairs, "collisions",
         {"dual_related": "dual", "eigenvalue": "value", "weight_a": "a", "weight_b": "b"},
-        ("%s ~ %s  eigenvalue %s%s", ("a", "b", "value", "dual")),
-        "no collisions in the box",
+        "{a} ~ {b}  eigenvalue {value}{dual}", "no collisions in the box",
     )
     return EXIT_OK
 
@@ -275,9 +271,7 @@ def _cmd_hopf(args) -> int:
 
 
 def _cmd_su2f(args) -> int:
-    metric = None
-    if args.metric is not None:
-        metric = tuple(_parse_metric(args.metric, 2))
+    metric = None if args.metric is None else tuple(_parse_metric(args.metric, 2))
     report = su2f.simplicity_certificate(args.kmax, sample_metric=metric)
     payload = report.to_json()
     lines = [
@@ -291,7 +285,12 @@ def _cmd_su2f(args) -> int:
             f"{len(report.metric_collisions)} collisions"
         )
     lines.append(f"certified: {report.certified}")
-    _emit(payload, args.json, lines)
+    if args.json:
+        # each record is [[k, d^2], [k', d'^2], value]
+        pairs = report.metric_collisions
+        _emit_pairs(payload, True, pairs, "metric_collisions", ["a", "b", "value"])
+    else:
+        _emit(payload, False, lines)
     return EXIT_OK if report.certified else EXIT_CERT_FAILED
 
 
@@ -308,10 +307,9 @@ def _cmd_product(args) -> int:
             "beta": [rational_to_str(b) for b in beta],
         }
         _emit_pairs(
-            payload, args.json, pairs,
+            payload, args.json, pairs, "collisions",
             {"array_a": "a", "array_b": "b", "value": "value"},
-            ("%s ~ %s at %s", ("a", "b", "value")),
-            "no collisions: beta is certified on this box",
+            "{a} ~ {b} at {value}", "no collisions: beta is certified on this box",
         )
         return EXIT_OK if not pairs else EXIT_CERT_FAILED
     certificate = products.generic_beta_certificate(factors, args.bound)

@@ -297,23 +297,6 @@ class UniPoly:
             return self.coeffs[power]
         return MultiPoly.zero(self.variables)
 
-    def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, (MultiPoly, int, Fraction)):
-            if not isinstance(other, MultiPoly):
-                other = MultiPoly.constant(self.variables, other)
-            return UniPoly(self.variables, [c * other for c in self.coeffs])
-        if self.variables != other.variables:
-            raise ValueError("variable mismatch")
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero(self.variables)
-        out = [MultiPoly.zero(self.variables)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(self.variables, out)
-
-    __rmul__ = __mul__
-
     def eval_at(self, value: MultiPoly) -> MultiPoly:
         """Substitute ``t = value`` (Horner, exact)."""
         result = MultiPoly.zero(self.variables)

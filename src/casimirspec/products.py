@@ -18,8 +18,9 @@ the lcm of the denominators.  The hyperplanes are packed into one
 are tested in batches, each one sorted ``(batch, box)`` array of box
 values, ``int32`` while they stay below 2**31.  Python ints take over
 wherever a bound stated below would reach 2**63, and ``check_beta``
-stays the exact witness lister that confirms the winner.  Grids past ``MAX_DIFFERENCE_GRID`` and searches past
-``MAX_SEARCH_ENTRIES`` are refused with ``ValueError``.
+stays the exact witness lister that confirms the winner.  Grids past
+``MAX_DIFFERENCE_GRID`` and searches past ``MAX_SEARCH_ENTRIES`` are
+refused with ``ValueError``.
 """
 
 from __future__ import annotations

@@ -43,13 +43,13 @@ import numpy as np
 
 from .exactalg import MultiPoly, ParametricMatrix, rational_to_str
 from .simplicity import RepresentationEntry
-from .spectrum import CollisionPairs, equal_value_pairs, exact_dtype, value_strings
+from .spectrum import CollisionPairs, equal_value_pairs, exact_dtype
 
 METRIC_PARAMS = ("a", "b")
 
 # Largest kmax each builder accepts.  On a 2-vCPU Intel Xeon VM `su2f --kmax
-# 7200 --json` takes 4.0-4.4 s and 490 MB, `su2f --kmax 7200 --metric 1,2
-# --json` 21 s and 1.1 GB, and `simplicity --family su2f --bound 270 --metric
+# 7200 --json` takes 3.7-4.4 s and 490 MB, `su2f --kmax 7200 --metric 1,2
+# --json` 7.5-8.6 s and 1.0 GB, and `simplicity --family su2f --bound 270 --metric
 # 2,5` 19 s and 36 MB (54-57 s, and 71 s at bound 280, when the cap was set).
 MAX_KMAX = 7200
 MAX_FAMILY_KMAX = 270
@@ -180,12 +180,7 @@ class SimplicityReport:
         return ok
 
     def to_json(self) -> dict:
-        collisions = []
-        if self.metric_collisions is not None:
-            pairs = self.metric_collisions
-            values = value_strings(pairs.values[pairs.first], pairs.denom).tolist()
-            rows_a, rows_b = pairs.rows[pairs.first].tolist(), pairs.rows[pairs.second].tolist()
-            collisions = [list(pair) for pair in zip(rows_a, rows_b, values)]
+        """The report less its metric collisions, which the CLI writes from the pair arrays."""
         return {
             "kmax": self.kmax,
             "dimensions": {str(k): d for k, d in self.dimensions},
@@ -194,7 +189,6 @@ class SimplicityReport:
             "metric": None
             if self.metric is None
             else [rational_to_str(x) for x in self.metric],
-            "metric_collisions": collisions,
             "certified": self.certified,
         }
 

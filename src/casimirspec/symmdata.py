@@ -158,14 +158,6 @@ def _tail(m: int, rank: int, last) -> tuple:
     return _uniform(m, rank)[:-1] + (tuple(last),)
 
 
-class _Row:
-    """Catalog row: parameter validation plus restricted data assembly."""
-
-    def __init__(self, build, node_perm=None):
-        self.build = build
-        self.node_perm = node_perm
-
-
 def _require(condition: bool, message: str):
     if not condition:
         raise ValueError(message)
@@ -268,45 +260,46 @@ def _row_diii2(r, ell):
     return system, _tail(4, ell, (4, 1)), {"r": 2 * ell + 1, "ell": ell}
 
 
-def _fixed_row(system_text, multiplicities):
+def _fixed_row(system_text, multiplicities, node_perm=None):
     def build(r, ell):
         _require(r is None and ell is None, "this label takes no parameters")
-        return parse_type(system_text), tuple(multiplicities), {}
+        return parse_type(system_text), tuple(multiplicities), {}, node_perm
 
     return build
 
 
+# each label's build: (r, ell) -> (restricted type, multiplicities, params),
+# and on a fixed row a fourth entry, the node relabelling of the standard
+# Cartan data or None
 _ROWS = {
-    "AI": _Row(_row_ai),
-    "AII": _Row(_row_aii),
-    "AIII1": _Row(_row_aiii1),
-    "AIII2": _Row(_row_aiii2),
-    "BI": _Row(_row_bi),
-    "CI": _Row(_row_ci),
-    "CII1": _Row(_row_cii1),
-    "CII2": _Row(_row_cii2),
-    "DI1": _Row(_row_di1),
-    "DI2": _Row(_row_di2),
-    "DI3": _Row(_row_di3),
-    "DIII1": _Row(_row_diii1),
-    "DIII2": _Row(_row_diii2),
-    "EI": _Row(_fixed_row("E6", _uniform(1, 6))),
+    "AI": _row_ai,
+    "AII": _row_aii,
+    "AIII1": _row_aiii1,
+    "AIII2": _row_aiii2,
+    "BI": _row_bi,
+    "CI": _row_ci,
+    "CII1": _row_cii1,
+    "CII2": _row_cii2,
+    "DI1": _row_di1,
+    "DI2": _row_di2,
+    "DI3": _row_di3,
+    "DIII1": _row_diii1,
+    "DIII2": _row_diii2,
+    "EI": _fixed_row("E6", _uniform(1, 6)),
     # EII nodes are listed in the ambient E6 index order of the folded
     # classes (alpha_1/alpha_6, alpha_2, alpha_3/alpha_5, alpha_4), hence
-    # the node relabeling of the standard F4 chain below.
-    "EII": _Row(
-        _fixed_row("F4", ((2, 0), (1, 0), (2, 0), (1, 0))), node_perm=(3, 0, 2, 1)
-    ),
-    "EIII": _Row(_fixed_row("B2", ((8, 1), (6, 0)))),
-    "EIV": _Row(_fixed_row("A2", _uniform(8, 2))),
-    "EV": _Row(_fixed_row("E7", _uniform(1, 7))),
-    "EVI": _Row(_fixed_row("F4", ((1, 0), (1, 0), (4, 0), (4, 0)))),
-    "EVII": _Row(_fixed_row("C3", ((8, 0), (8, 0), (1, 0)))),
-    "EVIII": _Row(_fixed_row("E8", _uniform(1, 8))),
-    "EIX": _Row(_fixed_row("F4", ((1, 0), (1, 0), (8, 0), (8, 0)))),
-    "FI": _Row(_fixed_row("F4", _uniform(1, 4))),
-    "FII": _Row(_fixed_row("BC1", ((8, 7),))),
-    "G": _Row(_fixed_row("G2", _uniform(1, 2))),
+    # its node relabelling of the standard F4 chain.
+    "EII": _fixed_row("F4", ((2, 0), (1, 0), (2, 0), (1, 0)), node_perm=(3, 0, 2, 1)),
+    "EIII": _fixed_row("B2", ((8, 1), (6, 0))),
+    "EIV": _fixed_row("A2", _uniform(8, 2)),
+    "EV": _fixed_row("E7", _uniform(1, 7)),
+    "EVI": _fixed_row("F4", ((1, 0), (1, 0), (4, 0), (4, 0))),
+    "EVII": _fixed_row("C3", ((8, 0), (8, 0), (1, 0))),
+    "EVIII": _fixed_row("E8", _uniform(1, 8)),
+    "EIX": _fixed_row("F4", ((1, 0), (1, 0), (8, 0), (8, 0))),
+    "FI": _fixed_row("F4", _uniform(1, 4)),
+    "FII": _fixed_row("BC1", ((8, 7),)),
+    "G": _fixed_row("G2", _uniform(1, 2)),
 }
 
 # one representative parameter choice per label, inside the valid range
@@ -353,11 +346,10 @@ def _assemble(label, system, multiplicities, params, node_perm=None) -> Restrict
 
 def restricted_datum(label: str, r: Optional[int] = None, ell: Optional[int] = None) -> RestrictedDatum:
     """Build the restricted datum for a catalog label at given parameters."""
-    row = _ROWS.get(label)
-    if row is None:
+    build = _ROWS.get(label)
+    if build is None:
         raise ValueError(f"unknown symmetric-space label {label!r}")
-    system, multiplicities, params = row.build(r, ell)
-    return _assemble(label, system, multiplicities, params, row.node_perm)
+    return _assemble(label, *build(r, ell))
 
 
 def table_rows() -> list:

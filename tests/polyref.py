@@ -7,9 +7,9 @@ point into such a list and decide shared roots and root multiplicities
 from gcds, against the library's split path and its resultants.
 
 On the library's own ``UniPoly`` it also keeps two builders the tests
-use, and the generic-product characteristic polynomial that
-``exactalg.char_poly`` replaced with one shift-and-subtract step per
-linear factor.
+use, the generic product of two polynomials, and the generic-product
+characteristic polynomial that ``exactalg.char_poly`` replaced with one
+shift-and-subtract step per linear factor.
 """
 
 from fractions import Fraction
@@ -101,9 +101,18 @@ def t_minus(value: MultiPoly) -> UniPoly:
     return UniPoly(value.variables, [-value, MultiPoly.constant(value.variables, 1)])
 
 
+def poly_mul(p: UniPoly, q: UniPoly) -> UniPoly:
+    """The product ``p q``, multiplied out coefficient by coefficient."""
+    out = [MultiPoly.zero(p.variables)] * max(0, len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return UniPoly(p.variables, out)
+
+
 def reference_char_poly(matrix: ParametricMatrix) -> UniPoly:
     """prod (t - d_i) over the diagonal, one generic ``UniPoly`` product per factor."""
     result = from_scalars(matrix.variables, [1])
     for d in matrix.diagonal_entries():
-        result = result * t_minus(d)
+        result = poly_mul(result, t_minus(d))
     return result

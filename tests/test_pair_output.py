@@ -1,11 +1,12 @@
 """Collision output written from the pair arrays, against ``json.dumps``.
 
-``collide`` and ``product --beta`` print their pairs straight from the
-arrays of a ``CollisionPairs``.  The oracle here is the output the CLI
-used to build: ``json.dumps(payload, sort_keys=True, indent=2)`` over one
-dict per record, and one f-string line per record in table mode, with
-the records rebuilt by ``pairref``.  The array contract every pair lister
-keeps is checked here too.
+``collide``, ``product --beta`` and ``su2f --metric`` print their pairs
+straight from the arrays of a ``CollisionPairs``.  The oracle here is the
+output the CLI used to build: ``json.dumps(payload, sort_keys=True,
+indent=2)`` over one dict (``su2f``: one list) per record, and one
+f-string line per record in table mode, with the records rebuilt by
+``pairref``.  The array contract every pair lister keeps is checked here
+too.
 """
 
 import contextlib
@@ -198,6 +199,66 @@ def test_product_beta_edge_boxes(labels, bound, beta, collide):
     product_case(labels, bound, [Fraction(b) for b in beta], 2)
 
 
+# -- su2f --metric ----------------------------------------------------------------
+
+
+def su2f_case(kmax, metric, chunk):
+    argv = ["su2f", "--kmax", str(kmax)]
+    if metric is not None:
+        argv += ["--metric", ",".join(rational_to_str(x) for x in metric)]
+    report = su2f.simplicity_certificate(kmax, sample_metric=metric)
+    pairs = report.metric_collisions
+    collisions = [
+        [list(a), list(b), rational_to_str(value)]
+        for a, b, value in (pairref.records(pairs) if pairs is not None else [])
+    ]
+    payload = {**report.to_json(), "metric_collisions": collisions}
+    code = cli.EXIT_OK if report.certified else cli.EXIT_CERT_FAILED
+    assert run_op(argv + ["--json"], chunk) == (code, dumps(payload))
+    table = [
+        f"kmax = {kmax}",
+        f"within-k forms distinct: {report.within_k_distinct}",
+        f"cross-k injective: {report.cross_k_injective}",
+    ]
+    if metric is not None:
+        table.append(
+            f"metric ({rational_to_str(metric[0])}, {rational_to_str(metric[1])}): "
+            f"{len(collisions)} collisions"
+        )
+    table.append(f"certified: {report.certified}")
+    assert run_op(argv, chunk) == (code, lines(table))
+    return collisions
+
+
+metrics = st.none() | st.tuples(st.integers(1, 6), st.integers(1, 6)).map(
+    lambda m: tuple(map(Fraction, m))
+) | st.tuples(positive_rationals, positive_rationals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kmax=st.integers(2, 300),
+    metric=metrics,
+    chunk=st.sampled_from([1, 2, 7, cli.PAIR_CHUNK]),
+)
+def test_su2f_matches_dumps_and_lines(kmax, metric, chunk):
+    su2f_case(kmax, metric, chunk)
+
+
+@pytest.mark.parametrize(
+    "kmax,metric,collide",
+    [
+        (60, (Fraction(1), Fraction(2)), True),
+        (200, (Fraction(1, 3), Fraction(5, 7)), True),
+        (120, (Fraction(2), Fraction(17)), False),  # a certified metric: no pairs
+        (60, None, False),
+    ],
+)
+@pytest.mark.parametrize("chunk", [1, 2, 7, cli.PAIR_CHUNK])
+def test_su2f_edge_runs(kmax, metric, collide, chunk):
+    assert bool(su2f_case(kmax, metric, chunk)) is collide
+
+
 # -- the array contract -----------------------------------------------------------
 
 
@@ -337,6 +398,8 @@ def test_row_strings_on_random_rows(rank):
     rng = np.random.default_rng(rank)
     rows = rng.integers(0, [4, 12, 1001][rank % 3], (300, rank))
     rows = rows[rng.integers(0, len(rows), 600)]
+    # coordinates below the cell count: they are marked, not sorted
+    assert rows.max() < rows.size
     for depth in range(5):
         outer = "\n" + "  " * depth
         inner = outer + "  "
@@ -346,6 +409,27 @@ def test_row_strings_on_random_rows(rank):
     closing = ",)" if rank == 1 else ")"
     rendered = spectrum.row_strings(rows, "(", ", ", closing)
     assert rendered.tolist() == [str(tuple(row)) for row in rows.tolist()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(st.integers(0, 2**62), min_size=2, max_size=2), min_size=1, max_size=20
+    ),
+    depth=st.integers(0, 4),
+)
+def test_row_strings_past_the_cell_count(rows, depth):
+    # SU(2)/F's (k, d^2) rows: d^2 reaches 51,840,000 at su2f.MAX_KMAX, far
+    # past the number of cells, so the coordinates are sorted, not marked
+    rows.append([su2f.MAX_KMAX, su2f.MAX_KMAX**2])
+    array = np.array(rows, np.int64)
+    assert array.max() >= array.size
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    rendered = spectrum.row_strings(array, "[" + inner, "," + inner, outer + "]")
+    assert rendered.tolist() == [json.dumps(row, indent=2).replace("\n", outer) for row in rows]
+    rendered = spectrum.row_strings(array, "(", ", ", ")")
+    assert rendered.tolist() == [str(tuple(row)) for row in rows]
 
 
 def test_product_beta_denominator_past_int64():

@@ -210,15 +210,14 @@ def _sweep_root_data():
     values = [None] + list(range(1, 2 * SWEEP_MAX_RANK + 2))
     found = set()
     for label in LABELS:
-        row = _ROWS[label]
         for r in values:
             for ell in values[: SWEEP_MAX_RANK + 1]:
                 try:
-                    system, _, _ = row.build(r, ell)
+                    system, _, _, *node_perm = _ROWS[label](r, ell)
                 except ValueError:
                     continue
                 if system.rank <= SWEEP_MAX_RANK:
-                    found.add((system, row.node_perm))
+                    found.add((system, (node_perm or [None])[0]))
     return sorted(found, key=lambda key: (str(key[0]), key[1] or ()))
 
 

@@ -149,17 +149,16 @@ def _witness_sweep():
     values = [None] + list(range(1, 2 * SWEEP_MAX_RANK + 2))
     found, sweep = set(), {label: [] for label in LABELS}
     for label in LABELS:
-        row = _ROWS[label]
         top = (0, None, None)
         for r in values:
             for ell in values[: SWEEP_MAX_RANK + 1]:
                 try:
-                    system, multiplicities, _ = row.build(r, ell)
+                    system, multiplicities, _, *node_perm = _ROWS[label](r, ell)
                 except ValueError:
                     continue
                 if system.rank > SWEEP_MAX_RANK:
                     continue
-                key = (system, tuple(map(tuple, multiplicities)), row.node_perm)
+                key = (system, tuple(map(tuple, multiplicities)), (node_perm or [None])[0])
                 if system.rank > top[0]:
                     top = (system.rank, key, (r, ell))
                 if (r or 0) <= SWEEP_MAX_RANK and (ell or 0) <= 20 and key not in found:
