@@ -97,8 +97,13 @@ def _emit_pairs(payload: dict, as_json: bool, pairs, key: str, record, line="", 
         # JSON strings: the rational strings need no escaping, only quotes
         values = '"' + values + '"'
     rows = spectrum.row_strings(pairs.rows[used], *row_text)
-    # each field's table of strings, and the table entry of every pair (its value is its a's)
-    tables = {"a": (rows, row_a), "b": (rows, row_b), "value": (values[value_index], row_a)}
+    # each field's table of strings, and the table entry of every pair
+    tables = {
+        "a": (rows, row_a),
+        "b": (rows, row_b),
+        # a pair's value is its first row's
+        "value": (values[value_index], row_a),
+    }
     if pairs.dual is not None:
         tables["dual"] = (np.array(flags, object), pairs.dual.view(np.uint8))
     columns = [tables[field] for field in fields]
@@ -106,7 +111,8 @@ def _emit_pairs(payload: dict, as_json: bool, pairs, key: str, record, line="", 
     # one record per grid row: the text before it, then its fields with the text between them
     grid = np.empty((min(count, PAIR_CHUNK), 2 * per_record), object)
     grid[:, 0], grid[:, 2::2] = literals[per_record], literals[1:per_record]
-    grid[0, 0] = literals[0]  # the first record follows the head
+    # the first record follows the head
+    grid[0, 0] = literals[0]
     for start in range(0, count, PAIR_CHUNK):
         block = grid[: min(PAIR_CHUNK, count - start)]
         for slot, (table, index) in enumerate(columns):
@@ -271,7 +277,9 @@ def _cmd_hopf(args) -> int:
 
 
 def _cmd_su2f(args) -> int:
-    metric = None if args.metric is None else tuple(_parse_metric(args.metric, 2))
+    metric = None
+    if args.metric is not None:
+        metric = tuple(_parse_metric(args.metric, 2))
     report = su2f.simplicity_certificate(args.kmax, sample_metric=metric)
     payload = report.to_json()
     lines = [

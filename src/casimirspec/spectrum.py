@@ -181,18 +181,13 @@ def value_strings(values: np.ndarray, denom: int) -> np.ndarray:
 def row_strings(rows: np.ndarray, opening: str, comma: str, closing: str) -> np.ndarray:
     """Each row of a non-negative integer array written ``opening c0 comma c1 ... closing``.
 
-    Each distinct coordinate is written once, found by a mark per
-    coordinate when the largest is below the cell count, as in a box, and
-    else by a sort (SU(2)/F's d^2 reaches 5.2e7).  The text before a
-    row's last coordinate is built one coordinate at a time, once per
-    distinct prefix; a mark per prefix and coordinate finds them, so the
-    rows of a box need marks for at most the box.
+    Each distinct coordinate is written once, found by a sort (SU(2)/F's
+    d^2 reaches 5.2e7).  The text before a row's last coordinate is built
+    one coordinate at a time, once per distinct prefix; a mark per prefix
+    and coordinate finds them, so the rows of a box need marks for at
+    most the box.
     """
-    top = int(rows.max()) + 1
-    if top <= rows.size:
-        coordinates, cells = distinct_indices(top, rows.ravel())
-    else:
-        coordinates, cells = np.unique(rows, return_inverse=True)
+    coordinates, cells = np.unique(rows, return_inverse=True)
     text = coordinates.astype(str).astype(object)
     width = len(text)
     *heads, last = cells.reshape(rows.shape).T

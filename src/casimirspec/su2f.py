@@ -180,7 +180,11 @@ class SimplicityReport:
         return ok
 
     def to_json(self) -> dict:
-        """The report less its metric collisions, which the CLI writes from the pair arrays."""
+        """The su2f JSON object less its "metric_collisions" key.
+
+        ``su2f --json`` adds that key from the pair arrays, through the
+        CLI's pair writer.
+        """
         return {
             "kmax": self.kmax,
             "dimensions": {str(k): d for k, d in self.dimensions},

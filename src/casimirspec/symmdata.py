@@ -260,17 +260,15 @@ def _row_diii2(r, ell):
     return system, _tail(4, ell, (4, 1)), {"r": 2 * ell + 1, "ell": ell}
 
 
-def _fixed_row(system_text, multiplicities, node_perm=None):
+def _fixed_row(system_text, multiplicities):
     def build(r, ell):
         _require(r is None and ell is None, "this label takes no parameters")
-        return parse_type(system_text), tuple(multiplicities), {}, node_perm
+        return parse_type(system_text), tuple(multiplicities), {}
 
     return build
 
 
-# each label's build: (r, ell) -> (restricted type, multiplicities, params),
-# and on a fixed row a fourth entry, the node relabelling of the standard
-# Cartan data or None
+# each label's build: (r, ell) -> (restricted type, multiplicities, params)
 _ROWS = {
     "AI": _row_ai,
     "AII": _row_aii,
@@ -286,10 +284,7 @@ _ROWS = {
     "DIII1": _row_diii1,
     "DIII2": _row_diii2,
     "EI": _fixed_row("E6", _uniform(1, 6)),
-    # EII nodes are listed in the ambient E6 index order of the folded
-    # classes (alpha_1/alpha_6, alpha_2, alpha_3/alpha_5, alpha_4), hence
-    # its node relabelling of the standard F4 chain.
-    "EII": _fixed_row("F4", ((2, 0), (1, 0), (2, 0), (1, 0)), node_perm=(3, 0, 2, 1)),
+    "EII": _fixed_row("F4", ((2, 0), (1, 0), (2, 0), (1, 0))),
     "EIII": _fixed_row("B2", ((8, 1), (6, 0))),
     "EIV": _fixed_row("A2", _uniform(8, 2)),
     "EV": _fixed_row("E7", _uniform(1, 7)),
@@ -301,6 +296,11 @@ _ROWS = {
     "FII": _fixed_row("BC1", ((8, 7),)),
     "G": _fixed_row("G2", _uniform(1, 2)),
 }
+
+# node relabellings of the standard Cartan data: EII nodes are listed in
+# the ambient E6 index order of the folded classes (alpha_1/alpha_6,
+# alpha_2, alpha_3/alpha_5, alpha_4), hence the relabelling of the F4 chain
+_NODE_PERMS = {"EII": (3, 0, 2, 1)}
 
 # one representative parameter choice per label, inside the valid range
 REPRESENTATIVE_PARAMS = {
@@ -349,7 +349,7 @@ def restricted_datum(label: str, r: Optional[int] = None, ell: Optional[int] = N
     build = _ROWS.get(label)
     if build is None:
         raise ValueError(f"unknown symmetric-space label {label!r}")
-    return _assemble(label, *build(r, ell))
+    return _assemble(label, *build(r, ell), _NODE_PERMS.get(label))
 
 
 def table_rows() -> list:

@@ -398,8 +398,6 @@ def test_row_strings_on_random_rows(rank):
     rng = np.random.default_rng(rank)
     rows = rng.integers(0, [4, 12, 1001][rank % 3], (300, rank))
     rows = rows[rng.integers(0, len(rows), 600)]
-    # coordinates below the cell count: they are marked, not sorted
-    assert rows.max() < rows.size
     for depth in range(5):
         outer = "\n" + "  " * depth
         inner = outer + "  "
@@ -420,7 +418,7 @@ def test_row_strings_on_random_rows(rank):
 )
 def test_row_strings_past_the_cell_count(rows, depth):
     # SU(2)/F's (k, d^2) rows: d^2 reaches 51,840,000 at su2f.MAX_KMAX, far
-    # past the number of cells, so the coordinates are sorted, not marked
+    # past the number of cells, and up to int64's range
     rows.append([su2f.MAX_KMAX, su2f.MAX_KMAX**2])
     array = np.array(rows, np.int64)
     assert array.max() >= array.size

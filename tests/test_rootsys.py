@@ -13,7 +13,7 @@ from casimirspec.rootsys import (
     gram_matrix,
     parse_type,
 )
-from casimirspec.symmdata import LABELS, _permuted, _ROWS
+from casimirspec.symmdata import LABELS, _NODE_PERMS, _permuted, _ROWS
 
 ALL_TYPES = [
     parse_type(t)
@@ -213,11 +213,11 @@ def _sweep_root_data():
         for r in values:
             for ell in values[: SWEEP_MAX_RANK + 1]:
                 try:
-                    system, _, _, *node_perm = _ROWS[label](r, ell)
+                    system, _, _ = _ROWS[label](r, ell)
                 except ValueError:
                     continue
                 if system.rank <= SWEEP_MAX_RANK:
-                    found.add((system, (node_perm or [None])[0]))
+                    found.add((system, _NODE_PERMS.get(label)))
     return sorted(found, key=lambda key: (str(key[0]), key[1] or ()))
 
 

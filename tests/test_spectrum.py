@@ -17,7 +17,7 @@ from casimirspec.spectrum import (
     require_box,
     verify_rank2_pair,
 )
-from casimirspec.symmdata import LABELS, _ROWS, restricted_datum
+from casimirspec.symmdata import LABELS, _NODE_PERMS, _ROWS, restricted_datum
 import pairref
 from specref import pair_at, polynomial_at, polynomial_form, rank_one_catalog, reflect
 
@@ -153,12 +153,12 @@ def _witness_sweep():
         for r in values:
             for ell in values[: SWEEP_MAX_RANK + 1]:
                 try:
-                    system, multiplicities, _, *node_perm = _ROWS[label](r, ell)
+                    system, multiplicities, _ = _ROWS[label](r, ell)
                 except ValueError:
                     continue
                 if system.rank > SWEEP_MAX_RANK:
                     continue
-                key = (system, tuple(map(tuple, multiplicities)), (node_perm or [None])[0])
+                key = (system, tuple(map(tuple, multiplicities)), _NODE_PERMS.get(label))
                 if system.rank > top[0]:
                     top = (system.rank, key, (r, ell))
                 if (r or 0) <= SWEEP_MAX_RANK and (ell or 0) <= 20 and key not in found:
