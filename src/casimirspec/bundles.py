@@ -20,7 +20,9 @@ and a multiset {x, y} of positive numbers is determined by those two
 invariants, so the only collisions are coordinate swaps (p, q) <-> (q, p),
 which index dual representations.  The scan below verifies this
 exhaustively on a box and cross-checks the invariant reduction against
-the direct two-equation system on every pair of weights.
+the direct two-equation system on every pair of weights.  The scan and
+the representation family both take (alpha, freudenthal) from the one
+formula in ``hopf_eigenvalue``, evaluated on integer arrays.
 """
 
 from __future__ import annotations
@@ -36,29 +38,25 @@ from .spectrum import equal_value_pairs, exact_dtype, weight_box
 METRIC_PARAMS = ("gamma1", "gamma2")
 
 # Largest degree p + q the representation family accepts: `simplicity --family
-# hopf --n 2 --bound 1100 --metric 2,5` takes 35 s and 890 MB on a 2-vCPU
-# Intel Xeon VM (54-58 s when the cap was set).
+# hopf --n 2 --bound 1100 --metric 2,5` takes 31-46 s and 883 MB on a 2-vCPU
+# Intel Xeon VM, whose speed drifts (54-58 s when the cap was set).
 MAX_FAMILY_DEGREE = 1100
 
 
-@dataclass(frozen=True)
-class BundleEigenvalue:
-    """Fiber-squared eigenvalue and round-metric Casimir value of a weight, as ints."""
+def hopf_eigenvalue(n: int, p, q) -> tuple:
+    """``(alpha, freudenthal)`` of the (p, q) spherical weight on S^(2n+1).
 
-    alpha: int
-    freudenthal: int
-    weight: tuple
-
-
-def hopf_eigenvalue(n: int, p: int, q: int) -> BundleEigenvalue:
-    """Eigenvalue data of the (p, q) spherical weight on S^(2n+1)."""
+    ``p`` and ``q`` are ints, giving ints, or ints and integer arrays that
+    broadcast together, giving arrays of their dtype; an array caller
+    chooses a dtype that bounds every value.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if p < 0 or q < 0:
+    if np.any(p < 0) or np.any(q < 0):
         raise ValueError("p, q must be non-negative")
     alpha = -(n * n) * (q - p) * (q - p)
     freudenthal = n * (p * p + q * q) + 2 * p * q + n * (p + q)
-    return BundleEigenvalue(alpha=alpha, freudenthal=freudenthal, weight=(p, q))
+    return alpha, freudenthal
 
 
 @dataclass(frozen=True)
@@ -153,8 +151,7 @@ def hopf_swap_theorem_scan(n: int, bound: int) -> HopfScanReport:
     x = 2 * (n + 1) * p + n
     y = 2 * (n + 1) * q + n
     reduced = (x * x + y * y) * radix + x * y
-    alpha = -(n * n) * (q - p) * (q - p)
-    freudenthal = n * (p * p + q * q) + 2 * p * q + n * (p + q)
+    alpha, freudenthal = hopf_eigenvalue(n, p, q)
     direct = alpha * radix + freudenthal
 
     first, second = equal_value_pairs(reduced)
@@ -178,23 +175,27 @@ def hopf_representation_family(n: int, max_degree: int) -> list:
 
     Entries are 1x1 parametric Casimir matrices over (gamma1, gamma2),
     each the affine form gamma1 * alpha + gamma2 * (freudenthal - alpha)
-    written once from the integers of ``hopf_eigenvalue``; the weight
-    (p, q) is dual to (q, p) and of complex type when p != q.  Used by the
-    resultant condition engines.
+    written once from ``hopf_eigenvalue`` on the array of each p's q; the
+    weight (p, q) is dual to (q, p) and of complex type when p != q.
+    Used by the resultant condition engines.
     """
     if max_degree > MAX_FAMILY_DEGREE:
         raise ValueError(f"degree {max_degree} exceeds the maximum of {MAX_FAMILY_DEGREE}")
+    # with D = max_degree, |alpha| <= n^2 D^2 and every partial sum of freudenthal
+    # is at most (n + 1)(D + 1)^2, so all of them stay below 2 (n + 1)^2 (D + 1)^2
+    dtype = exact_dtype(2 * (n + 1) ** 2 * (max_degree + 1) ** 2)
     entries = []
     for p in range(max_degree + 1):
-        for q in range(max_degree + 1 - p):
-            ev = hopf_eigenvalue(n, p, q)
-            form = MultiPoly(METRIC_PARAMS, {(1, 0): ev.alpha, (0, 1): ev.freudenthal - ev.alpha})
+        qs = np.arange(max_degree + 1 - p).astype(dtype)
+        alphas, freudenthals = hopf_eigenvalue(n, p, qs)
+        for q, alpha, freudenthal in zip(qs.tolist(), alphas.tolist(), freudenthals.tolist()):
+            form = MultiPoly(METRIC_PARAMS, {(1, 0): alpha, (0, 1): freudenthal - alpha})
             entries.append(
                 RepresentationEntry(
                     id=f"H({p},{q})",
                     type_class="real" if p == q else "complex",
                     dual_id=f"H({q},{p})",
-                    casimir=ParametricMatrix(1, [form]),
+                    casimir=ParametricMatrix([form]),
                 )
             )
     return entries

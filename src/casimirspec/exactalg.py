@@ -333,72 +333,47 @@ class UniPoly:
         return f"UniPoly({self})"
 
 
-def derivative(p: UniPoly, order: int = 1) -> UniPoly:
-    """Formal derivative in ``t``; order must be 1 or 2."""
-    if order not in (1, 2):
-        raise ValueError("derivative order must be 1 or 2")
-    for _ in range(order):
-        p = UniPoly(
-            p.variables,
-            [p.coefficient(i) * i for i in range(1, len(p.coeffs))],
-        )
-    return p
+def derivative(p: UniPoly) -> UniPoly:
+    """Second formal derivative in ``t``."""
+    return UniPoly(
+        p.variables,
+        [p.coefficient(i) * (i * (i - 1)) for i in range(2, len(p.coeffs))],
+    )
 
 
 class ParametricMatrix:
-    """Square matrix of MultiPoly entries, stored row-major."""
+    """Diagonal ("split") matrix of MultiPoly entries: ``entries`` is its diagonal."""
 
-    __slots__ = ("dimension", "variables", "entries")
+    __slots__ = ("variables", "entries")
 
-    def __init__(self, dimension: int, entries: Sequence[MultiPoly]):
+    def __init__(self, entries: Sequence[MultiPoly]):
         entries = tuple(entries)
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
-        if len(entries) != dimension * dimension:
-            raise ValueError("entry count does not match a square matrix")
+        if not entries:
+            raise ValueError("a matrix needs at least one diagonal entry")
         variables = entries[0].variables
         for e in entries:
             if e.variables != variables:
                 raise ValueError("entry variable mismatch")
-        object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name, value):
         raise AttributeError("ParametricMatrix is immutable")
 
-    @classmethod
-    def diagonal(cls, diag: Sequence[MultiPoly]) -> "ParametricMatrix":
-        diag = list(diag)
-        n = len(diag)
-        zero = MultiPoly.zero(diag[0].variables)
-        flat = [diag[i] if i == j else zero for i in range(n) for j in range(n)]
-        return cls(n, flat)
-
-    def entry(self, i: int, j: int) -> MultiPoly:
-        return self.entries[i * self.dimension + j]
-
-    def is_diagonal(self) -> bool:
-        n = self.dimension
-        return all(
-            self.entry(i, j).is_zero() for i in range(n) for j in range(n) if i != j
-        )
-
-    def diagonal_entries(self) -> list:
-        return [self.entry(i, i) for i in range(self.dimension)]
+    @property
+    def dimension(self) -> int:
+        return len(self.entries)
 
 
 def char_poly(matrix: ParametricMatrix) -> UniPoly:
     """Characteristic polynomial ``prod (t - d_i)`` of a diagonal matrix, exact and monic.
 
     Each linear factor is multiplied in by one shift-and-subtract pass over
-    the coefficients.  A non-diagonal matrix raises ValueError.
+    the coefficients.
     """
-    if not matrix.is_diagonal():
-        raise ValueError("characteristic polynomial of a non-diagonal matrix")
     one = MultiPoly.constant(matrix.variables, 1)
     coeffs = [one]  # of t^0, ..., t^k, the last one 1
-    for d in matrix.diagonal_entries():
+    for d in matrix.entries:
         # (t - d) sum_i c_i t^i has c_(i-1) - d c_i at t^i, with c_(-1) = 0
         coeffs = [-(d * coeffs[0])] + [lo - d * hi for lo, hi in zip(coeffs, coeffs[1:])] + [one]
     return UniPoly(matrix.variables, coeffs)

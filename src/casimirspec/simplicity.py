@@ -16,13 +16,13 @@ vanishing conditions are:
     quaternionic entry cannot tolerate).
 
 Every entry's Casimir matrix is diagonal ("split"), as in both shipped
-families, SU(2)/F and the Hopf circle bundles; an entry refuses any other.
-Its characteristic polynomial is prod (t - d_i) over the integral domain
-Q[params], so a resultant with it vanishes identically exactly when a
-factor q(d_i) does: the conditions read off the diagonal entries, grouped
-as polynomials for (a), as a repeat among them for (b)
-(p'(d_j) = prod_{k != j} (d_j - d_k)), one root at a time for (c), and
-grouped by value at a metric point.
+families, SU(2)/F and the Hopf circle bundles: a ``ParametricMatrix``
+holds only its diagonal entries d_i.  Its characteristic polynomial is
+prod (t - d_i) over the integral domain Q[params], so a resultant with
+it vanishes identically exactly when a factor q(d_i) does: the
+conditions read off the diagonal entries, grouped as polynomials for
+(a), as a repeat among them for (b) (p'(d_j) = prod_{k != j} (d_j - d_k)),
+one root at a time for (c), and grouped by value at a metric point.
 
 Every report carries the finite family it was computed on; no claim is
 made beyond that truncation.
@@ -63,8 +63,6 @@ class RepresentationEntry:
             raise ValueError(
                 "complex type must coincide with being non-self-dual"
             )
-        if not self.casimir.is_diagonal():
-            raise ValueError(f"the Casimir matrix of {self.id!r} is not diagonal")
 
 
 def validate_family(family: Sequence[RepresentationEntry]):
@@ -94,7 +92,7 @@ def _resultant_vanishes(entry: RepresentationEntry, q) -> bool:
     multiplied out.
     """
     return any(
-        resultant_from_roots([d], q).is_zero() for d in entry.casimir.diagonal_entries()
+        resultant_from_roots([d], q).is_zero() for d in entry.casimir.entries
     )
 
 
@@ -129,7 +127,7 @@ def _second_derivative_vanishes(entry: RepresentationEntry) -> bool:
     """
     if entry.casimir.dimension <= 2:
         return False
-    return _resultant_vanishes(entry, derivative(char_poly(entry.casimir), 2))
+    return _resultant_vanishes(entry, derivative(char_poly(entry.casimir)))
 
 
 def _repeated_root(entry: RepresentationEntry) -> bool:
@@ -138,7 +136,7 @@ def _repeated_root(entry: RepresentationEntry) -> bool:
     p'(d_j) = prod_{k != j} (d_j - d_k) in the integral domain Q[params], so
     this is a repeat among the entry's diagonal entries.
     """
-    diagonal = entry.casimir.diagonal_entries()
+    diagonal = entry.casimir.entries
     return len(set(diagonal)) < len(diagonal)
 
 
@@ -201,7 +199,7 @@ def _spectra_by_value(ordered: Sequence[RepresentationEntry], values=None) -> tu
     """
     holders = defaultdict(list)  # value -> entry index, once per copy
     for i, entry in enumerate(ordered):
-        for d in entry.casimir.diagonal_entries():
+        for d in entry.casimir.entries:
             holders[d if values is None else d.evaluate(values)].append(i)
     meets, profiles = set(), defaultdict(Counter)
     for group in holders.values():

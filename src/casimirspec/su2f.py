@@ -26,9 +26,12 @@ d = 2l - k by the linear form
 
 The k(k+2)/8 normalization of the round Casimir is used consistently; a
 uniform positive factor on all forms moves no collision.  Each form is
-its integer key (-d^2, k (k + 2) + d^2) from ``form_keys``, eight times
-the coefficients: the certificate compares the keys and evaluates them
-in integers, and the representation family writes each as a MultiPoly.
+its integer key (-d^2, k (k + 2) + d^2), eight times the coefficients.
+A certificate run builds one table of the lines' (k, d^2) from
+``fixed_space``, in ``invariant_lines``: it packs each line's key into
+one integer and groups the keys once for both separation verdicts, and
+evaluates the same table at a metric in integers.  The representation
+family writes each key of each k as a MultiPoly.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import lcm
 from typing import Optional
 
@@ -48,9 +52,9 @@ from .spectrum import CollisionPairs, equal_value_pairs, exact_dtype
 METRIC_PARAMS = ("a", "b")
 
 # Largest kmax each builder accepts.  On a 2-vCPU Intel Xeon VM `su2f --kmax
-# 7200 --json` takes 3.7-4.4 s and 490 MB, `su2f --kmax 7200 --metric 1,2
-# --json` 7.5-8.6 s and 1.0 GB, and `simplicity --family su2f --bound 270 --metric
-# 2,5` 19 s and 36 MB (54-57 s, and 71 s at bound 280, when the cap was set).
+# 7200 --json` takes 2.2-3.0 s and 195 MB, `su2f --kmax 7200 --metric 1,2
+# --json` 3.2-4.1 s and 406 MB, and `simplicity --family su2f --bound 270 --metric
+# 2,5` 20-22 s and 35 MB (54-57 s, and 71 s at bound 280, when the cap was set).
 MAX_KMAX = 7200
 MAX_FAMILY_KMAX = 270
 
@@ -103,17 +107,19 @@ def fixed_space(k: int) -> tuple:
     return tuple(sorted(k - 2 * row for row in diagonal if 2 * row <= k))
 
 
-def form_keys(k: int) -> list:
-    """The key (-d^2, k(k+2) + d^2) of each weight gap d of V_k, ascending in d.
+def invariant_lines(kmax: int) -> np.ndarray:
+    """The (k, d^2) of every F-invariant line of V_k for k <= kmax, one per row.
 
-    A key is eight times the (a, b) coefficients of the line's linear
-    form, so keys are equal exactly when the forms are.  Within one k the
-    keys are asserted distinct.
+    Rows run in ascending k and, within k, in ascending gap d, as
+    ``fixed_space`` lists them.  The table is int64 when kmax^2, which
+    bounds every gap's square, is below 2**63 and Python ints otherwise.
     """
-    keys = [(-gap * gap, k * (k + 2) + gap * gap) for gap in fixed_space(k)]
-    if len(set(keys)) != len(keys):
-        raise AssertionError("eigenvalue forms within one k must be distinct")
-    return keys
+    spaces = [fixed_space(k) for k in range(0, kmax + 1, 2)]
+    sizes = [len(space) for space in spaces]
+    dtype = exact_dtype(kmax * kmax)
+    gaps = np.fromiter(chain.from_iterable(spaces), dtype, sum(sizes))
+    k = np.repeat(np.arange(0, kmax + 1, 2).astype(dtype), sizes)
+    return np.column_stack((k, gaps * gaps))
 
 
 def su2f_representation_family(kmax: int) -> list:
@@ -122,43 +128,50 @@ def su2f_representation_family(kmax: int) -> list:
         raise ValueError(f"kmax {kmax} exceeds the maximum of {MAX_FAMILY_KMAX}")
     entries = []
     for k in range(0, kmax + 1, 2):
-        if not fixed_space(k):
+        gaps = fixed_space(k)
+        if not gaps:
             continue
-        # the projector's columns run in ascending l, so in descending gap
+        # the form key (-d^2, k(k+2) + d^2) over 8 of each gap d; the
+        # projector's columns run in ascending l, so in descending gap
         diagonal = [
-            MultiPoly(METRIC_PARAMS, {(1, 0): Fraction(a8, 8), (0, 1): Fraction(b8, 8)})
-            for a8, b8 in reversed(form_keys(k))
+            MultiPoly(
+                METRIC_PARAMS,
+                {(1, 0): Fraction(-d * d, 8), (0, 1): Fraction(k * (k + 2) + d * d, 8)},
+            )
+            for d in reversed(gaps)
         ]
         entries.append(
             RepresentationEntry(
                 id=f"V{k}",
                 type_class="real",
                 dual_id=f"V{k}",
-                casimir=ParametricMatrix.diagonal(diagonal),
+                casimir=ParametricMatrix(diagonal),
             )
         )
     return entries
 
 
-def collisions_at_metric(kmax: int, a: Fraction, b: Fraction) -> CollisionPairs:
+def collisions_at_metric(lines: np.ndarray, a: Fraction, b: Fraction) -> CollisionPairs:
     """Pairs of distinct invariant lines with equal eigenvalue at (a, b).
 
-    The rows are the lines' (k, d^2) for k <= kmax, and the pairs come in
-    ascending eigenvalue, then in (first, second) order.  With D the lcm
-    of the denominators of a and b, A = D a and B = D b, each line's value
-    times 8 D is the integer -d^2 A + (k(k+2) + d^2) B of its form key, so
-    the denominator is 8 D.  The values are int64 when the largest
-    magnitude is below 2**63 and Python ints otherwise.
+    ``lines`` is the (k, d^2) table of ``invariant_lines``, and the pairs
+    come in ascending eigenvalue, then in (first, second) order.  With D
+    the lcm of the denominators of a and b, A = D a and B = D b, each
+    line's value times 8 D is the integer -d^2 A + (k(k+2) + d^2) B of its
+    form key, so the denominator is 8 D.  With K the largest k and T =
+    K(K+2) plus the largest d^2, every value and partial sum is at most
+    (|A| + |B|) T, and A and B are at most |A| + |B|: the values are int64
+    when (|A| + |B|) (T + 1) is below 2**63 and Python ints otherwise.
     """
-    lines = [(k, *key) for k in range(0, kmax + 1, 2) for key in form_keys(k)]
     denom = lcm(a.denominator, b.denominator)
     scaled_a, scaled_b = int(a * denom), int(b * denom)
-    values = [a8 * scaled_a + b8 * scaled_b for _, a8, b8 in lines]
-    values = np.array(values, exact_dtype(max(map(abs, values), default=0)))
+    top_k, top_d2 = (int(column.max()) for column in lines.T)
+    dtype = exact_dtype((abs(scaled_a) + abs(scaled_b)) * (top_k * (top_k + 2) + top_d2 + 1))
+    k, d2 = lines.astype(dtype, copy=False).T
+    values = (k * (k + 2) + d2) * scaled_b - d2 * scaled_a
     first, second = equal_value_pairs(values)
     ascending = np.argsort(values[first], kind="stable")
-    rows = np.array([(k, -a8) for k, a8, _ in lines], np.int64).reshape(-1, 2)
-    return CollisionPairs(rows, first[ascending], second[ascending], values, 8 * denom)
+    return CollisionPairs(lines, first[ascending], second[ascending], values, 8 * denom)
 
 
 @dataclass(frozen=True)
@@ -221,8 +234,13 @@ def simplicity_certificate(
             raise AssertionError("odd k must have no invariants")
         dimensions.append((k, dim))
 
-    keys = [key for k in range(0, kmax + 1, 2) for key in form_keys(k)]
-    injective = len(set(keys)) == len(keys)
+    lines = invariant_lines(kmax)
+    # each line's form key (-d^2, k(k+2) + d^2), packed as (k(k+2) + d^2) R + d^2
+    # with R above every d^2: with K the largest k, every key is below (K(K+2) + R) R
+    top_k, top_d2 = (int(column.max()) for column in lines.T)
+    radix = top_d2 + 1
+    k, d2 = lines.astype(exact_dtype((top_k * (top_k + 2) + radix) * radix), copy=False).T
+    first, second = equal_value_pairs((k * (k + 2) + d2) * radix + d2)
 
     metric = None
     metric_collisions = None
@@ -231,13 +249,13 @@ def simplicity_certificate(
         if a <= 0 or b <= 0:
             raise ValueError("metric parameters must be positive")
         metric = (a, b)
-        metric_collisions = collisions_at_metric(kmax, a, b)
+        metric_collisions = collisions_at_metric(lines, a, b)
 
     return SimplicityReport(
         kmax=kmax,
         dimensions=tuple(dimensions),
-        within_k_distinct=True,  # form_keys asserts it
-        cross_k_injective=injective,
+        within_k_distinct=not (k[first] == k[second]).any(),
+        cross_k_injective=not len(first),
         metric=metric,
         metric_collisions=metric_collisions,
     )

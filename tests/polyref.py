@@ -6,10 +6,11 @@ the rationals.  The tests evaluate a characteristic polynomial at a metric
 point into such a list and decide shared roots and root multiplicities
 from gcds, against the library's split path and its resultants.
 
-On the library's own ``UniPoly`` it also keeps two builders the tests
-use, the generic product of two polynomials, and the generic-product
+On the library's own ``UniPoly`` it also keeps three builders the tests
+use: the generic product of two polynomials, the generic-product
 characteristic polynomial that ``exactalg.char_poly`` replaced with one
-shift-and-subtract step per linear factor.
+shift-and-subtract step per linear factor, and the first derivative in
+``t`` (the library takes only the second, for condition (c)).
 """
 
 from fractions import Fraction
@@ -113,6 +114,11 @@ def poly_mul(p: UniPoly, q: UniPoly) -> UniPoly:
 def reference_char_poly(matrix: ParametricMatrix) -> UniPoly:
     """prod (t - d_i) over the diagonal, one generic ``UniPoly`` product per factor."""
     result = from_scalars(matrix.variables, [1])
-    for d in matrix.diagonal_entries():
+    for d in matrix.entries:
         result = poly_mul(result, t_minus(d))
     return result
+
+
+def first_derivative(p: UniPoly) -> UniPoly:
+    """The formal derivative of ``p`` in ``t``."""
+    return UniPoly(p.variables, [p.coefficient(i) * i for i in range(1, len(p.coeffs))])

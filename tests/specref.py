@@ -4,7 +4,8 @@ Each is a plain restatement of a closed form or a rule the library
 evaluates some other way: the eigenvalue form written as a polynomial,
 the reflection through a root, the rank-two catalog pairs and
 polynomials at concrete parameters, the SU(2)/F invariant dimensions
-counted by rule, and a rank-one datum from every catalog family.
+counted by rule and its form keys one tuple per line, and a rank-one
+datum from every catalog family.
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ from typing import Optional, Sequence
 from casimirspec.exactalg import MultiPoly
 from casimirspec.products import candidate_tuples
 from casimirspec.spectrum import eigenvalue_polynomial
-from casimirspec.su2f import collisions_at_metric
+from casimirspec.su2f import collisions_at_metric, fixed_space, invariant_lines
 from casimirspec.symmdata import restricted_datum
 
 
@@ -89,14 +90,25 @@ def predicted_dimension(k: int) -> int:
     return count
 
 
+def form_keys(k: int) -> list:
+    """The key (-d^2, k(k+2) + d^2) of each weight gap d of V_k, ascending in d.
+
+    Eight times the (a, b) coefficients of the line's linear form, built
+    one tuple per line: the oracle for the packed keys and the (k, d^2)
+    table of ``su2f.invariant_lines``.
+    """
+    return [(-gap * gap, k * (k + 2) + gap * gap) for gap in fixed_space(k)]
+
+
 def find_simple_metric(kmax: int) -> tuple:
     """First candidate metric (a, b), a != b, with no SU(2)/F eigenvalue collision.
 
     Candidates are drawn from the deterministic sequence 1, 2, 3, 5, 7,
     11, ... (one and the primes), enumerated in lexicographic order.
     """
+    lines = invariant_lines(kmax)
     for a, b in candidate_tuples(2):
-        if a != b and not collisions_at_metric(kmax, Fraction(a), Fraction(b)):
+        if a != b and not collisions_at_metric(lines, Fraction(a), Fraction(b)):
             return (Fraction(a), Fraction(b))
 
 

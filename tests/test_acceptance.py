@@ -9,12 +9,12 @@ import random
 import time
 from fractions import Fraction
 
-from polyref import coefficients_at, poly_derivative, shares_root
+from polyref import coefficients_at, first_derivative, poly_derivative, shares_root
 import pairref
 import specref
 
 from casimirspec import bundles, products, spectrum, su2f
-from casimirspec.exactalg import MultiPoly, char_poly, derivative, resultant
+from casimirspec.exactalg import MultiPoly, char_poly, resultant
 from casimirspec.rootsys import cartan_data, gram_matrix, parse_type
 from casimirspec.spectrum import eigenvalue
 from casimirspec.symmdata import restricted_datum
@@ -191,8 +191,9 @@ def test_criterion_7_su2f():
     assert report.within_k_distinct and report.cross_k_injective
     metric = specref.find_simple_metric(kmax)
     assert metric[0] != metric[1]
-    assert not su2f.collisions_at_metric(kmax, *metric)
-    round_point = su2f.collisions_at_metric(kmax, Fraction(1), Fraction(1))
+    lines = su2f.invariant_lines(kmax)
+    assert not su2f.collisions_at_metric(lines, *metric)
+    round_point = su2f.collisions_at_metric(lines, Fraction(1), Fraction(1))
     assert len(round_point) >= 1
     _report(7, "SU(2)/F certificate up to k = 60", started, 30)
 
@@ -266,7 +267,7 @@ def test_criterion_9_oracle_equivalence():
         for i in range(len(ordered)):
             p = char_poly(ordered[i].casimir)
             if p.degree >= 2:
-                res_pp = resultant(p, derivative(p, 1))
+                res_pp = resultant(p, first_derivative(p))
                 for point in points:
                     at = coefficients_at(p, point)
                     assert (res_pp.evaluate(point) == 0) == shares_root(

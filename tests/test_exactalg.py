@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyref import from_scalars, poly_mul, reference_char_poly, t_minus
+from polyref import first_derivative, from_scalars, poly_mul, reference_char_poly, t_minus
 
 from casimirspec.exactalg import (
     MultiPoly,
@@ -161,12 +161,18 @@ class TestMultiPoly:
 class TestUniPoly:
     def test_derivative(self):
         t_sq = from_scalars(AB, [0, 0, 1])
-        assert derivative(t_sq, 1) == from_scalars(AB, [0, 2])
-        assert derivative(t_sq, 2) == from_scalars(AB, [2])
+        assert first_derivative(t_sq) == from_scalars(AB, [0, 2])
+        assert derivative(t_sq) == from_scalars(AB, [2])
+        assert derivative(first_derivative(t_sq)).is_zero()
         cubic = UniPoly(AB, [const(0), var("b"), const(0), var("a")])
-        assert derivative(cubic, 1) == UniPoly(AB, [var("b"), const(0), var("a") * 3])
-        with pytest.raises(ValueError):
-            derivative(t_sq, 3)
+        assert first_derivative(cubic) == UniPoly(AB, [var("b"), const(0), var("a") * 3])
+        assert derivative(cubic) == UniPoly(AB, [const(0), var("a") * 6])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(small_poly, max_size=6))
+    def test_second_derivative_is_the_first_taken_twice(self, coeffs):
+        p = UniPoly(AB, coeffs)
+        assert derivative(p) == first_derivative(first_derivative(p))
 
     def test_zero_state(self):
         z = UniPoly.zero(AB)
@@ -185,39 +191,34 @@ class TestUniPoly:
 
 class TestCharPoly:
     def test_diagonal(self):
-        m = ParametricMatrix.diagonal([var("a"), var("b")])
+        m = ParametricMatrix([var("a"), var("b")])
+        assert m.dimension == 2 and m.variables == AB
         p = char_poly(m)
         assert p.coefficient(2) == const(1)
         assert p.coefficient(1) == -(var("a") + var("b"))
         assert p.coefficient(0) == var("a") * var("b")
 
     def test_one_by_one(self):
-        p = char_poly(ParametricMatrix(1, [const(5)]))
+        p = char_poly(ParametricMatrix([const(5)]))
         assert p == from_scalars(AB, [-5, 1])
 
-    def test_explicit_zero_off_diagonal(self):
-        # a full matrix whose off-diagonal entries are zero counts as diagonal
-        zero = const(0)
-        m = ParametricMatrix(2, [var("a"), zero, zero, var("b") * 2])
-        assert char_poly(m) == char_poly(ParametricMatrix.diagonal([var("a"), var("b") * 2]))
-
-    @pytest.mark.parametrize(
-        "entries",
-        [["0", "1", "1", "0"], ["a", "b", "b", "a"], ["a", "0", "1", "b"]],
-    )
-    def test_non_diagonal_refused(self, entries):
-        matrix = ParametricMatrix(2, [var(e) if e in AB else const(int(e)) for e in entries])
-        with pytest.raises(ValueError, match="non-diagonal"):
-            char_poly(matrix)
-
-    def test_non_square_rejected(self):
+    def test_empty_diagonal_rejected(self):
         with pytest.raises(ValueError):
-            ParametricMatrix(2, [const(1)] * 3)
+            ParametricMatrix([])
+
+    def test_variable_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="variable mismatch"):
+            ParametricMatrix([var("a"), mp({(1,): 1}, ("u",))])
+
+    def test_immutable(self):
+        m = ParametricMatrix([var("a")])
+        with pytest.raises(AttributeError):
+            m.entries = (var("b"),)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(small_poly, min_size=1, max_size=6))
     def test_matches_generic_product(self, diagonal):
-        matrix = ParametricMatrix.diagonal(diagonal)
+        matrix = ParametricMatrix(diagonal)
         p, expected = char_poly(matrix), reference_char_poly(matrix)
         assert p == expected and hash(p) == hash(expected)
         assert p.degree == len(diagonal) and p.coefficient(len(diagonal)) == 1
@@ -261,7 +262,7 @@ class TestResultant:
         # p = t^2 - 3t + 2 against p' = 2t - 3; the p-rows-first Sylvester
         # determinant is |1 -3 2; 2 -3 0; 0 2 -3| = -1
         p = from_scalars(AB, [2, -3, 1])
-        q = derivative(p, 1)
+        q = first_derivative(p)
         assert resultant(p, q) == const(-1)
 
     def test_linear_root_substitution(self):
@@ -290,7 +291,7 @@ class TestResultant:
         p = from_scalars(AB, [1])
         for root in roots:
             p = poly_mul(p, t_minus(root))
-        q = derivative(p, 1)
+        q = first_derivative(p)
         assert resultant_from_roots(roots, q) == resultant(p, q)
 
     def test_vanishes_iff_common_root_at_points(self):
@@ -313,7 +314,7 @@ class TestResultant:
     def test_simple_roots_nonzero_discriminant_resultant(self):
         # distinct roots at a point: res(p, p') evaluates nonzero there
         p = poly_mul(t_minus(var("a")), t_minus(var("b")))
-        res = resultant(p, derivative(p, 1))
+        res = resultant(p, first_derivative(p))
         point = {"a": Fraction(1, 3), "b": Fraction(5, 2)}
         assert res.evaluate(point) != 0
         equal_point = {"a": Fraction(5, 2), "b": Fraction(5, 2)}

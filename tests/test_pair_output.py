@@ -275,7 +275,7 @@ def product_scan(labels, bound, beta):
 
 def su2f_scan(kmax, a, b):
     lines = [(k, gap * gap) for k in range(0, kmax + 1, 2) for gap in su2f.fixed_space(k)]
-    return su2f.collisions_at_metric(kmax, a, b), np.array(lines, np.int64), None
+    return su2f.collisions_at_metric(su2f.invariant_lines(kmax), a, b), np.array(lines, np.int64), None
 
 
 PAIR_LISTERS = [

@@ -27,6 +27,7 @@ from casimirspec.spectrum import (
 )
 from casimirspec.symmdata import cross_datum, table_rows
 import pairref
+import specref
 from pairref import CollisionReport, CollisionWitness
 
 INT64_LIMIT = 2**63
@@ -90,7 +91,7 @@ def reference_check_beta(factors, beta, bound=None):
 def reference_collisions_at_metric(kmax, a, b):
     groups = {}
     for k in range(0, kmax + 1, 2):
-        for a8, b8 in su2f.form_keys(k):
+        for a8, b8 in specref.form_keys(k):
             value = a * Fraction(a8, 8) + b * Fraction(b8, 8)
             groups.setdefault(value, []).append((k, -a8))
     return [
@@ -297,7 +298,7 @@ def test_collision_hyperplanes_rejects_bound_beyond_spectrum():
 @example(kmax=60, a=Fraction(1), b=Fraction(1))
 @example(kmax=24, a=Fraction(2), b=Fraction(2))
 def test_collisions_at_metric_matches_reference(kmax, a, b):
-    assert pairref.records(su2f.collisions_at_metric(kmax, a, b)) == (
+    assert pairref.records(su2f.collisions_at_metric(su2f.invariant_lines(kmax), a, b)) == (
         reference_collisions_at_metric(kmax, a, b)
     )
 
@@ -362,7 +363,8 @@ def test_check_beta_magnitude_bound_is_inclusive(monkeypatch, top, dtype):
 def test_su2f_large_metric_takes_object_side(monkeypatch):
     seen = spy_dtypes(monkeypatch, su2f)
     a, b = Fraction(INT64_LIMIT, 3), Fraction(INT64_LIMIT, 5)
-    assert pairref.records(su2f.collisions_at_metric(12, a, b)) == reference_collisions_at_metric(12, a, b)
+    pairs = su2f.collisions_at_metric(su2f.invariant_lines(12), a, b)
+    assert pairref.records(pairs) == reference_collisions_at_metric(12, a, b)
     assert seen == [np.dtype(object)]
 
 

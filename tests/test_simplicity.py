@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from polyref import (
     coefficients_at,
+    first_derivative,
     poly_derivative,
     poly_gcd,
     reference_profile,
@@ -46,7 +47,7 @@ def entry(id_, diag, type_class="real", dual_id=None):
         id=id_,
         type_class=type_class,
         dual_id=dual_id if dual_id is not None else id_,
-        casimir=ParametricMatrix.diagonal(list(diag)),
+        casimir=ParametricMatrix(diag),
     )
 
 
@@ -121,27 +122,16 @@ class TestConditionC:
 
 class TestFamilyValidation:
     def test_asymmetric_dual_rejected(self):
-        v = RepresentationEntry("V", "complex", "W", ParametricMatrix(1, [A]))
-        w = RepresentationEntry("W", "complex", "X", ParametricMatrix(1, [B]))
+        v = RepresentationEntry("V", "complex", "W", ParametricMatrix([A]))
+        w = RepresentationEntry("W", "complex", "X", ParametricMatrix([B]))
         with pytest.raises(ValueError):
             validate_family([v, w])
 
     def test_type_dual_consistency(self):
         with pytest.raises(ValueError):
-            RepresentationEntry("V", "complex", "V", ParametricMatrix(1, [A]))
+            RepresentationEntry("V", "complex", "V", ParametricMatrix([A]))
         with pytest.raises(ValueError):
-            RepresentationEntry("V", "real", "W", ParametricMatrix(1, [A]))
-
-    def test_non_diagonal_casimir_refused(self):
-        # [[a, a - b], [a - b, a]] has eigenvalues 2a - b and b
-        matrix = ParametricMatrix(2, [A, A - B, A - B, A])
-        with pytest.raises(ValueError, match="not diagonal"):
-            RepresentationEntry("N", "real", "N", matrix)
-
-    def test_explicit_zero_off_diagonal_accepted(self):
-        zero = MultiPoly.zero(AB)
-        full = RepresentationEntry("N", "real", "N", ParametricMatrix(2, [A, zero, zero, B]))
-        assert condition_a([full, entry("S", [A, B])]) == [("N", "S")]
+            RepresentationEntry("V", "real", "W", ParametricMatrix([A]))
 
 
 # roots from a small pool, so that shared and repeated roots are frequent
@@ -156,7 +146,7 @@ def scaled_coefficients(roots, scale):
     """scale * prod (t - r) as a coefficient list, multiplied out by char_poly."""
     if not roots:
         return [Fraction(scale)]
-    matrix = ParametricMatrix.diagonal([MultiPoly.constant(AB, r) for r in roots])
+    matrix = ParametricMatrix([MultiPoly.constant(AB, r) for r in roots])
     return [scale * c for c in coefficients_at(char_poly(matrix), {"a": 1, "b": 1})]
 
 
@@ -176,7 +166,7 @@ class TestReferenceOracle:
         assert reference_profile([1]) == reference_profile([]) == {}
 
     def test_coefficients_at(self):
-        p = char_poly(ParametricMatrix.diagonal([A, B * 2]))
+        p = char_poly(ParametricMatrix([A, B * 2]))
         # (t - 1/2)(t - 6) at a = 1/2, b = 3
         assert coefficients_at(p, {"a": Fraction(1, 2), "b": 3}) == [3, Fraction(-13, 2), 1]
 
@@ -242,7 +232,7 @@ class TestEvaluateAtMetric:
     def test_quaternionic_multiplicity_rule(self):
         q = RepresentationEntry(
             "Q", "quaternionic", "Q",
-            ParametricMatrix.diagonal([A, A, B, B]),
+            ParametricMatrix([A, A, B, B]),
         )
         good = evaluate_at_metric([q], {"a": Fraction(1), "b": Fraction(2)})
         assert good.ok
@@ -250,7 +240,7 @@ class TestEvaluateAtMetric:
         assert not bad.ok  # multiplicity four, not two
 
     # eigenvalues 2a - b and b, which coincide exactly when a = b
-    PAIR = ParametricMatrix.diagonal([A * 2 - B, B])
+    PAIR = ParametricMatrix([A * 2 - B, B])
 
     def test_shares_a_value_across_entries(self):
         family = [
@@ -287,7 +277,7 @@ class TestEvaluateAtMetric:
 
     def test_dual_exemption_covers_pairs(self):
         v = RepresentationEntry("V", "complex", "W", self.PAIR)
-        w = RepresentationEntry("W", "complex", "V", ParametricMatrix.diagonal([B, A * 2 - B]))
+        w = RepresentationEntry("W", "complex", "V", ParametricMatrix([B, A * 2 - B]))
         point = {"a": Fraction(3), "b": Fraction(1)}
         assert evaluate_at_metric([v, w], point, mode="real").shared_eigenvalues == ()
         complex_report = evaluate_at_metric([v, w], point, mode="complex")
@@ -440,7 +430,7 @@ class TestResultantOracleAgreement:
         family = su2f_representation_family(12)
         entry_12 = next(e for e in family if e.id == "V12")
         p = char_poly(entry_12.casimir)
-        res = resultant(p, derivative(p, 1))
+        res = resultant(p, first_derivative(p))
         assert not res.is_zero()
         for point in self._points(("a", "b")):
             at = coefficients_at(p, point)
@@ -474,12 +464,13 @@ def sylvester_condition_a(family):
 
 
 def sylvester_derivative_condition(family, order, exempt):
+    take = {1: first_derivative, 2: derivative}[order]
     violations = []
     for e in sorted(family, key=lambda e: e.id):
         if e.type_class == exempt or e.casimir.dimension < order + 1:
             continue
         p = char_poly(e.casimir)
-        if sylvester_vanishes(p, derivative(p, order)):
+        if sylvester_vanishes(p, take(p)):
             violations.append(e.id)
     return violations
 
@@ -526,9 +517,9 @@ class TestFactorByFactor:
             calls["char_poly"] += 1
             return char_poly(matrix)
 
-        def counting_derivative(p, order):
+        def counting_derivative(p):
             calls["derivative"] += 1
-            return derivative(p, order)
+            return derivative(p)
 
         def counting_from_roots(roots, q):
             calls["roots"].append(len(roots))

@@ -8,25 +8,28 @@ and the invariant basis vectors themselves, built by a dense
 elimination, are checked here against the group and the gaps.
 """
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pairref
-from specref import find_simple_metric, predicted_dimension
+from specref import find_simple_metric, form_keys, predicted_dimension
 
+from casimirspec import cli, su2f
 from casimirspec.exactalg import MultiPoly
 from casimirspec.su2f import (
     METRIC_PARAMS,
     averaging_projector,
     collisions_at_metric,
     fixed_space,
-    form_keys,
+    invariant_lines,
     simplicity_certificate,
     su2f_representation_family,
 )
@@ -420,15 +423,81 @@ class TestFormKeys:
     def test_family_diagonals_against_arithmetic(self):
         for entry in su2f_representation_family(200):
             k = int(entry.id[1:])
-            diagonal = entry.casimir.diagonal_entries()
+            diagonal = list(entry.casimir.entries)
             oracles = [arithmetic_form(a8, b8) for a8, b8 in reversed(form_keys(k))]
             assert diagonal == oracles
             assert [hash(d) for d in diagonal] == [hash(o) for o in oracles]
 
 
+class TestLineTable:
+    KMAX = 1200
+
+    def test_table_against_the_keys_to_1200(self):
+        lines = invariant_lines(self.KMAX)
+        assert lines.dtype == np.int64
+        keys = [(k, key) for k in range(0, self.KMAX + 1, 2) for key in form_keys(k)]
+        assert lines.tolist() == [[k, -a8] for k, (a8, _) in keys]
+        for kmax in (2, 12, 13, 120):
+            assert invariant_lines(kmax).tolist() == lines[lines[:, 0] <= kmax].tolist()
+
+    @pytest.mark.parametrize("kmax", [2, 12, 120, 1200])
+    def test_verdicts_against_the_keys(self, kmax):
+        by_k = [form_keys(k) for k in range(0, kmax + 1, 2)]
+        keys = [key for block in by_k for key in block]
+        within = all(len(set(block)) == len(block) for block in by_k)
+        injective = len(set(keys)) == len(keys)
+        report = simplicity_certificate(kmax)
+        verdicts = (report.within_k_distinct, report.cross_k_injective)
+        assert verdicts == (within, injective) == (True, True)
+
+    def test_python_int_fallback_gives_the_same_report(self, monkeypatch):
+        expected = simplicity_certificate(120, sample_metric=(1, 1))
+        monkeypatch.setattr(su2f, "exact_dtype", lambda magnitude: object)
+        assert invariant_lines(120).dtype == object
+        report = simplicity_certificate(120, sample_metric=(1, 1))
+        assert report.metric_collisions.values.dtype == object
+        assert report.to_json() == expected.to_json()
+        assert pairref.records(report.metric_collisions) == pairref.records(
+            expected.metric_collisions
+        )
+
+
+class TestPlantedDuplicates:
+    """A repeated form fails its verdict, and the certificate exits 1."""
+
+    def _run(self, capsys):
+        code = cli.run(["su2f", "--kmax", "12", "--json"])
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_within_one_k(self, monkeypatch, capsys):
+        original = su2f.fixed_space
+
+        def planted(k):
+            return (0, 6, 6, 12) if k == 12 else original(k)
+
+        monkeypatch.setattr(su2f, "fixed_space", planted)
+        code, out = self._run(capsys)
+        assert code == 1 and out["certified"] is False
+        assert out["within_k_distinct"] is False and out["cross_k_injective"] is False
+        assert out["dimensions"]["12"] == 4
+
+    def test_across_two_k(self, monkeypatch, capsys):
+        # the key (-d^2, k(k+2) + d^2) determines k, so no fixed_space plants
+        # this one: the grouping reports lines 1 (k = 4) and 3 (k = 8) as equal
+        monkeypatch.setattr(
+            su2f, "equal_value_pairs", lambda values: (np.array([1]), np.array([3]))
+        )
+        assert invariant_lines(12)[[1, 3], 0].tolist() == [4, 8]
+        code, out = self._run(capsys)
+        assert code == 1 and out["certified"] is False
+        assert out["within_k_distinct"] is True and out["cross_k_injective"] is False
+
+
 class TestMetrics:
     def test_round_direction_collides(self):
-        collisions = pairref.records(collisions_at_metric(12, Fraction(1), Fraction(1)))
+        collisions = pairref.records(
+            collisions_at_metric(invariant_lines(12), Fraction(1), Fraction(1))
+        )
         assert collisions
         # all forms inside one k agree at a = b
         assert any(ka[0] == kb[0] for ka, kb, _ in collisions)
@@ -436,12 +505,13 @@ class TestMetrics:
     def test_found_metric_is_clean(self):
         a, b = find_simple_metric(12)
         assert a != b
-        assert not collisions_at_metric(12, a, b)
+        assert not collisions_at_metric(invariant_lines(12), a, b)
 
     def test_scaling_invariance(self):
         t = Fraction(7, 3)
-        base = pairref.records(collisions_at_metric(16, Fraction(1), Fraction(1)))
-        scaled = pairref.records(collisions_at_metric(16, t, t))
+        lines = invariant_lines(16)
+        base = pairref.records(collisions_at_metric(lines, Fraction(1), Fraction(1)))
+        scaled = pairref.records(collisions_at_metric(lines, t, t))
         assert [(ka, kb) for ka, kb, _ in base] == [(ka, kb) for ka, kb, _ in scaled]
 
 
@@ -468,8 +538,7 @@ class TestRepresentationFamily:
     def test_k12_entry_diagonal(self):
         family = su2f_representation_family(12)
         entry = next(e for e in family if e.id == "V12")
-        assert entry.casimir.dimension == 3
-        assert entry.casimir.is_diagonal()
+        assert entry.casimir.dimension == len(entry.casimir.entries) == 3
         assert entry.type_class == "real" and entry.dual_id == "V12"
 
     def test_dimensions_match_fixed_spaces(self):
@@ -484,4 +553,4 @@ class TestRepresentationFamily:
             k = int(entry.id[1:])
             by_gap = {-a8: arithmetic_form(a8, b8) for a8, b8 in form_keys(k)}
             expected = [by_gap[weight_gap(k, v) ** 2] for v in reference_fixed_space(k)[0]]
-            assert [entry.casimir.entry(i, i) for i in range(len(expected))] == expected
+            assert list(entry.casimir.entries) == expected
