@@ -410,24 +410,22 @@ def exact_div(num: MultiPoly, den) -> MultiPoly:
     return quotient
 
 
-def fraction_free_elimination(rows: Sequence[Sequence], divide) -> tuple:
-    """Fraction-free (Bareiss) Gauss-Jordan elimination over an integral domain.
+def fraction_free_elimination(rows: Iterable[Sequence], divide) -> tuple:
+    """Forward fraction-free (Bareiss) elimination over an integral domain.
 
-    Step k clears column k above and below its pivot by
+    Step k clears column k below its pivot by
     ``row = (pivot * row - row[k] * pivot_row) / divisor``, the divisor
     being the pivot of the row's last update (1 before any).  The division
     is exact, and ``divide`` is the ring's exact division:
     ``operator.floordiv`` for int, ``exact_div`` for MultiPoly.  A row with
-    a zero in column k is not scaled by pivot / previous pivot; it catches
-    up at its next update, when it becomes the pivot row, or at the end.
-    A zero pivot is exchanged with the first row below it that is nonzero
-    in its column.
+    a zero in column k is not touched; it catches up at its next update or
+    when it becomes the pivot row.  A zero pivot is exchanged with the
+    first row below it that is nonzero in its column.
 
     Returns ``(pivots, swaps, rows)``.  With no exchange the pivots are the
     leading principal minors.  The last pivot is ``(-1)**swaps`` times the
-    determinant of the leading square block, and that block ends as the
-    pivot times the identity; columns to its right end multiplied by the
-    pivot times the block's inverse.  A singular block stops the
+    determinant of the leading square block, which ends upper triangular
+    with the pivots on its diagonal.  A singular block stops the
     elimination at a zero pivot, the last one returned.
     """
     a = [list(row) for row in rows]
@@ -443,16 +441,17 @@ def fraction_free_elimination(rows: Sequence[Sequence], divide) -> tuple:
             a[k], a[found] = a[found], a[k]
             divisors[k], divisors[found] = divisors[found], divisors[k]
             swaps += 1
-        top = a[k] = [divide(x * previous, divisors[k]) for x in a[k]]
-        pivot = divisors[k] = top[k]
-        for i, row in enumerate(a):
+        if divisors[k] != previous:
+            a[k] = [divide(x * previous, divisors[k]) for x in a[k]]
+        top, pivot = a[k], a[k][k]
+        for i, row in enumerate(a[k + 1:], k + 1):
             factor = row[k]
-            if i != k and factor != 0:
+            if factor != 0:
                 divisor, divisors[i] = divisors[i], pivot
                 a[i] = [divide(pivot * x - factor * y, divisor) for x, y in zip(row, top)]
         pivots.append(pivot)
         previous = pivot
-    return pivots, swaps, [[divide(x * previous, d) for x in row] for row, d in zip(a, divisors)]
+    return pivots, swaps, a
 
 
 def determinant(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:

@@ -1,9 +1,8 @@
 """Cartan data for the (restricted) root system types A, B, C, D, BC, E, F, G.
 
 Each type carries an integer Cartan matrix, exact square norms of the
-simple roots, the inverse Cartan matrix (the integer adjugate over det C,
-from one fraction-free elimination), and per-node flags marking doubled
-restricted roots (type BC).  The Cartan convention is
+simple roots, and per-node flags marking doubled restricted roots (type
+BC).  The Cartan convention is
 
     cartan[i][j] = 2 (beta_i, beta_j) / (beta_j, beta_j),
 
@@ -12,6 +11,8 @@ norms[i]`` holds, and the Gram matrix of the dual basis defined by
 ``(M_i, beta_j) = delta_ij (beta_j, beta_j)`` is
 
     G = 2 * cartan^{-1} * diag(norms).
+
+No inverse is stored: G w is one ``solve``, a forward elimination of [C | b].
 
 Norms are normalized per type so that the rank-two Gram matrices come out
 as [[2,2],[2,4]] for B2 and [[4,2],[2,2]] for C2; other types use square
@@ -24,6 +25,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
+from math import lcm
 from operator import floordiv
 
 from .exactalg import fraction_free_elimination
@@ -76,12 +79,11 @@ def parse_type(text: str) -> RootSystemType:
 
 @dataclass(frozen=True)
 class CartanData:
-    """Cartan matrix, simple-root norms, inverse, and doubled-root flags."""
+    """Cartan matrix, simple-root norms, and doubled-root flags."""
 
     system: RootSystemType
     cartan: tuple
     norms: tuple
-    inverse_cartan: tuple
     doubled: tuple
 
     @property
@@ -150,60 +152,70 @@ def _build(system: RootSystemType):
 def cartan_data(system: RootSystemType) -> CartanData:
     """Cartan data for a root system type, validated against the invariants.
 
-    One fraction-free elimination of [C | I] over the integers gives both
-    the inverse and the definiteness certificate.  It needs no row
-    exchange exactly when every leading principal minor of C is nonzero,
-    and its pivots are then those minors; C^{-1} is the right-hand block
-    divided by the last pivot, det C.  Every pivot must be positive.
+    One forward fraction-free elimination of C gives the definiteness
+    certificate.  It needs no row exchange exactly when every leading
+    principal minor of C is nonzero, and its pivots are then those
+    minors.  Every pivot must be positive.
 
     That also certifies the Gram matrix G = 2 C^{-1} N of ``gram_matrix``,
     N = diag(norms), so no elimination runs on G.  G^{-1} = N^{-1} C / 2,
     so N G^{-1} N = C N / 2 is congruent to G^{-1}.  Norm-weighted
-    symmetry makes C N symmetric.  The k-th leading minor of C N is that
-    of C times the positive product of the first k norms.  So, by
-    Sylvester's criterion, C N, hence G^{-1} and G, is positive definite
-    exactly when every leading minor of C is positive.  Relabelling the
-    nodes (``symmdata._permuted``) conjugates C, N and G by one
-    permutation matrix, which keeps G positive definite.
+    symmetry makes C N symmetric (checked where C_ij or C_ji is nonzero).
+    The k-th leading minor of C N is that of C times the positive product
+    of the first k norms.  So, by Sylvester's criterion, C N, hence G^{-1}
+    and G, is positive definite exactly when every leading minor of C is
+    positive.  Relabelling the nodes (``symmdata._permuted``) conjugates
+    C, N and G by one permutation matrix, which keeps G positive definite.
     """
     cartan, norms, doubled = _build(system)
-    rank = system.rank
     if any(x <= 0 for x in norms):
         raise AssertionError("simple-root norms must be positive")
-    for i in range(rank):
-        if cartan[i][i] != 2:
+    for i, row in enumerate(cartan):
+        if row[i] != 2:
             raise AssertionError("diagonal Cartan entry must be 2")
-        for j in range(rank):
-            if i != j and cartan[i][j] not in (0, -1, -2, -3):
+        for j in compress(count(), row):
+            if i != j and row[j] not in (-1, -2, -3):
                 raise AssertionError("off-diagonal Cartan entry out of range")
-            if cartan[i][j] * norms[j] != cartan[j][i] * norms[i]:
+            if row[j] * norms[j] != cartan[j][i] * norms[i]:
                 raise AssertionError("norm-weighted symmetry violated")
-    augmented = [list(row) + [int(i == j) for j in range(rank)] for i, row in enumerate(cartan)]
-    pivots, swaps, rows = fraction_free_elimination(augmented, floordiv)
+    pivots, swaps, _ = fraction_free_elimination(cartan, floordiv)
     if swaps or any(p <= 0 for p in pivots):
         raise AssertionError("Cartan matrix needs positive leading principal minors")
-    return CartanData(
-        system=system,
-        cartan=tuple(tuple(row) for row in cartan),
-        norms=tuple(norms),
-        inverse_cartan=tuple(tuple(Fraction(x, pivots[-1]) for x in row[rank:]) for row in rows),
-        doubled=tuple(doubled),
+    return CartanData(system, tuple(tuple(row) for row in cartan), tuple(norms), tuple(doubled))
+
+
+def solve(data: CartanData, columns) -> tuple:
+    """The solutions x of C x = b, one tuple of Fractions per column b.
+
+    One forward elimination of [C | L b ...], L the lcm of b's denominators:
+    z = det(C) L x is integral (Cramer), so pivot row k gives z_k exactly
+    from its nonzeros right of k.  A singular C raises ZeroDivisionError.
+    """
+    n = data.rank
+    scales = [lcm(*(x.denominator for x in column)) for column in columns]
+    augmented = (  # a generator: the elimination's copy is the one dense copy
+        [*row, *((column[i] * scale).numerator for column, scale in zip(columns, scales))]
+        for i, row in enumerate(data.cartan)
     )
+    pivots, _, rows = fraction_free_elimination(augmented, floordiv)
+    det = pivots[-1]
+    z = [[0] * n for _ in columns]
+    for k, row in zip(range(n - 1, -1, -1), reversed(rows)):
+        nonzero = list(compress(range(k + 1, n), row[k + 1:n]))
+        for c, zc in enumerate(z, n):
+            zc[k] = (det * row[c] - sum(row[j] * zc[j] for j in nonzero)) // row[k]
+    return tuple(tuple(Fraction(x, det * scale) for x in zc) for zc, scale in zip(z, scales))
 
 
 def gram_matrix(data: CartanData) -> tuple:
     """Gram matrix of the dual weight basis: G = 2 * cartan^{-1} * diag(norms).
 
     Symmetric and positive definite; G[i][j] = (M_i, M_j) for the basis
-    with (M_i, beta_j) = delta_ij (beta_j, beta_j).
+    with (M_i, beta_j) = delta_ij (beta_j, beta_j).  One ``solve``.
     """
     n = data.rank
-    gram = tuple(
-        tuple(2 * data.inverse_cartan[i][j] * data.norms[j] for j in range(n))
-        for i in range(n)
-    )
-    for i in range(n):
-        for j in range(n):
-            if gram[i][j] != gram[j][i]:
-                raise AssertionError("Gram matrix is not symmetric")
+    columns = [[2 * norm * (i == j) for i in range(n)] for j, norm in enumerate(data.norms)]
+    gram = solve(data, columns)
+    if gram != tuple(zip(*gram)):
+        raise AssertionError("Gram matrix is not symmetric")
     return gram

@@ -26,17 +26,17 @@ import numpy as np
 
 from .exactalg import MultiPoly, rational_to_str
 from .symmdata import RestrictedDatum
-from .rootsys import gram_matrix, cartan_data, parse_type
+from .rootsys import gram_matrix, cartan_data, parse_type, solve
 
 
 def eigenvalue(datum: RestrictedDatum, weight: Sequence) -> Fraction:
-    """Exact eigenvalue w^T G w + shift^T G w at a weight (rational coordinates)."""
-    n = datum.rank
-    if len(weight) != n:
+    """Exact eigenvalue w^T G w + shift^T G w at a weight; G w = 2 C^{-1} N w is one solve."""
+    data = datum.cartan
+    if len(weight) != data.rank:
         raise ValueError("weight length does not match the datum's rank")
-    gw = [sum(datum.gram[i][j] * weight[j] for j in range(n)) for i in range(n)]
-    quad = sum(weight[i] * gw[i] for i in range(n))
-    lin = sum(datum.two_delta_bar[i] * gw[i] for i in range(n))
+    (gw,) = solve(data, [[2 * norm * x for norm, x in zip(data.norms, weight)]])
+    quad = sum(x * g for x, g in zip(weight, gw))
+    lin = sum(s * g for s, g in zip(datum.two_delta_bar, gw))
     return Fraction(quad + lin)
 
 
@@ -241,7 +241,8 @@ def enumerate_collisions(
     if bound < 1:
         raise ValueError("bound must be >= 1")
     rank = datum.rank
-    gram = datum.gram
+    grid = weight_box(rank, bound)
+    gram = gram_matrix(datum.cartan)
     linear = [
         sum(datum.two_delta_bar[i] * gram[i][j] for i in range(rank))
         for j in range(rank)
@@ -254,7 +255,6 @@ def enumerate_collisions(
         + bound * sum(abs(x) for x in lin)
     )
     dtype = exact_dtype(magnitude)
-    grid = weight_box(rank, bound)
     box = grid.astype(dtype, copy=False)
     values = ((box @ np.array(quad, dtype)) * box).sum(1) + box @ np.array(lin, dtype)
 
@@ -309,9 +309,8 @@ class ReflectionWitness:
         }
 
 
-def admissible_pairs(datum: RestrictedDatum) -> list:
-    """Index pairs (i, j) with equal half-sum coefficients and equal norms."""
-    pairs = []
+def admissible_pairs(datum: RestrictedDatum):
+    """Index pairs (i, j) with equal half-sum coefficients and equal norms, in order."""
     n = datum.rank
     for i in range(n):
         for j in range(i + 1, n):
@@ -319,8 +318,7 @@ def admissible_pairs(datum: RestrictedDatum) -> list:
                 datum.two_delta_bar[i] == datum.two_delta_bar[j]
                 and datum.cartan.norms[i] == datum.cartan.norms[j]
             ):
-                pairs.append((i, j))
-    return pairs
+                yield i, j
 
 
 def reflection_witness(datum: RestrictedDatum) -> ReflectionWitness:
@@ -336,12 +334,12 @@ def reflection_witness(datum: RestrictedDatum) -> ReflectionWitness:
     n = datum.rank
     if n < 3:
         raise WitnessError("the reflection construction needs rank >= 3")
-    pairs = admissible_pairs(datum)
-    if not pairs:
+    pair = next(admissible_pairs(datum), None)
+    if pair is None:
         raise WitnessError(
             "no index pair with equal half-sum coefficients and equal norms"
         )
-    i, j = pairs[0]
+    i, j = pair
 
     # beta_l = 1/2 sum_k C_lk M_k, and with equal norms the reflection
     # through beta_i - beta_j sends v to v - (v_i - v_j)(C_i - C_j)/(2 - C_ij),

@@ -37,7 +37,6 @@ from .rootsys import (
     CartanData,
     RootSystemType,
     cartan_data,
-    gram_matrix,
     parse_type,
 )
 
@@ -48,11 +47,11 @@ LABELS = (
     "FI", "FII", "G",
 )
 
-# Largest restricted rank a catalog row accepts.  The root data cost one
-# integer elimination of [C | I], O(rank^3) operations on small ints:
-# `witness --label AI --r 500` takes about 24 s on a 2-vCPU Intel Xeon VM,
-# all but about 2.5 s of it building the root data.
-MAX_RANK = 500
+# Largest restricted rank a catalog row accepts.  The Cartan matrix is dense,
+# and each forward elimination on it (one in cartan_data, one per eigenvalue)
+# is O(rank^2): `witness --label AI --r 5000` takes 17-19 s and 435 MB on a
+# 2-vCPU Intel Xeon VM, rank 6000 about 26 s, near half of a 60 s budget.
+MAX_RANK = 5000
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,6 @@ class RestrictedDatum:
 
     descriptor: SymmetricSpaceDescriptor
     cartan: CartanData
-    gram: tuple
     two_delta_bar: tuple
 
     @property
@@ -136,15 +134,10 @@ def _permuted(data: CartanData, perm: Sequence[int]) -> CartanData:
     cartan = tuple(
         tuple(data.cartan[perm[i]][perm[j]] for j in range(n)) for i in range(n)
     )
-    inverse = tuple(
-        tuple(data.inverse_cartan[perm[i]][perm[j]] for j in range(n))
-        for i in range(n)
-    )
     return CartanData(
         system=data.system,
         cartan=cartan,
         norms=tuple(data.norms[perm[i]] for i in range(n)),
-        inverse_cartan=inverse,
         doubled=tuple(data.doubled[perm[i]] for i in range(n)),
     )
 
@@ -328,7 +321,6 @@ def _assemble(label, system, multiplicities, params, node_perm=None) -> Restrict
     two_delta = tuple(2 * k for k in k_coeffs)
     if any(x <= 0 for x in two_delta):
         raise AssertionError("half-sum coefficients must be positive")
-    gram = gram_matrix(data)
     descriptor = SymmetricSpaceDescriptor(
         label=label,
         params=tuple(sorted(params.items())),
@@ -339,7 +331,6 @@ def _assemble(label, system, multiplicities, params, node_perm=None) -> Restrict
     return RestrictedDatum(
         descriptor=descriptor,
         cartan=data,
-        gram=gram,
         two_delta_bar=two_delta,
     )
 

@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 
 from casimirspec.exactalg import MultiPoly
 from casimirspec.products import candidate_tuples
+from casimirspec.rootsys import gram_matrix
 from casimirspec.spectrum import eigenvalue_polynomial
 from casimirspec.su2f import collisions_at_metric, fixed_space, invariant_lines
 from casimirspec.symmdata import restricted_datum
@@ -30,12 +31,12 @@ def polynomial_form(datum) -> MultiPoly:
     else:
         names = tuple(f"x{i + 1}" for i in range(rank))
     shift = [MultiPoly.constant(names, c) for c in datum.two_delta_bar]
-    return eigenvalue_polynomial(datum.gram, shift, names, names)
+    return eigenvalue_polynomial(gram_matrix(datum.cartan), shift, names, names)
 
 
 def reflect(datum, alpha: Sequence, vector: Sequence) -> tuple:
     """Image of a vector under the reflection through alpha (dual basis)."""
-    gram = datum.gram
+    gram = gram_matrix(datum.cartan)
     n = datum.rank
     alpha = [Fraction(a) for a in alpha]
     vector = [Fraction(v) for v in vector]

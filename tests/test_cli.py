@@ -420,7 +420,7 @@ _RATIONALS = st.lists(
 # ranks past symmdata.MAX_RANK, up to values no tuple or index could hold
 _HUGE_RANKS = st.one_of(st.integers(MAX_RANK + 1, 10**6), st.integers(10**6, 10**40))
 # AII has rank (r - 1) / 2, so a parameter just past MAX_RANK builds a slow
-# rank-250 datum; the fuzz draws parameters far beyond the cap instead
+# rank-2500 datum; the fuzz draws parameters far beyond the cap instead
 _PARAMS = st.one_of(_INTS, st.integers(10**6, 10**40).map(str))
 _SPACE = (
     st.lists(st.sampled_from(LABELS + ("XX", "A1", "S2")), max_size=1),
@@ -525,6 +525,8 @@ class TestExitCodeFuzz:
         [
             (["collide", "AI", "--r", "12", "--bound", "5"], "6^12"),
             (["collide", "AI", "--r", "40", "--bound", "3"], "4^40"),
+            # refused before the datum's Gram matrix is solved for
+            (["collide", "AI", "--r", "100", "--bound", "1"], "2^100"),
             (["hopf", "--n", "2", "--bound", "100000"], "100001^2"),
             (["product", "--factors", ",".join(["S2"] * 8), "--bound", "30",
               "--beta", "1,2,3,5,7,11,13,17"], "31^8"),

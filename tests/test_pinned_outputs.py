@@ -131,7 +131,12 @@ SIMPLICITY_PINS = [
      "d4ce1d32ce3c7a8e73defc4a1f4e14de2d9b5aa9a1240f0cb447065878b01827"),
 ]
 
+# the two rank-500 digests were recorded from the dense inverse Cartan matrix
 WITNESS_PINS = [
+    (["witness", "--label", "AI", "--r", "500", "--json"], 0,
+     "b7e1dd9ab1bbf8cb8984f657eb9efd955efbe2f0d2e1ede10c7a2250d94b20df"),
+    (["witness", "--label", "DI3", "--ell", "500", "--json"], 0,
+     "813ab3830043097c72535d16231b847384d5d76e296021de18579cd42b4d1af0"),
     (["witness", "--label", "AI", "--r", "60", "--json"], 0,
      "3026a20d77acfd520bfeb4f9a5079fc814aa664b6980f93ca22677a122a78cfd"),
     (["witness", "--label", "AI", "--r", "5", "--json"], 0,

@@ -88,7 +88,11 @@ FACTOR_SPECTRUM_CASES = [
     "FII",
     *(pytest.param(d, id=f"catalog-{d.descriptor.label}") for d in rank_one_catalog()),
     pytest.param(
-        replace(cross_datum("CP2"), gram=((Fraction(2, 3),),), two_delta_bar=(Fraction(5, 7),)),
+        replace(
+            cross_datum("CP2"),
+            cartan=replace(cross_datum("CP2").cartan, norms=(Fraction(2, 3),)),
+            two_delta_bar=(Fraction(5, 7),),
+        ),
         id="rational",
     ),
 ]

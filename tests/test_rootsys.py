@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from casimirspec import rootsys
 from casimirspec.exactalg import fraction_free_elimination
 from casimirspec.rootsys import (
+    CartanData,
     RootSystemType,
     cartan_data,
     gram_matrix,
     parse_type,
+    solve,
 )
 from casimirspec.symmdata import LABELS, _NODE_PERMS, _permuted, _ROWS
 
@@ -76,6 +78,34 @@ def reference_minors(matrix):
     return minors
 
 
+def identity_columns(n):
+    return [[int(i == j) for i in range(n)] for j in range(n)]
+
+
+def solved_inverse(data):
+    """C^{-1} row by row, from one solve on the columns of the identity."""
+    return tuple(zip(*solve(data, identity_columns(data.rank))))
+
+
+def reference_gram(data):
+    """G = 2 C^{-1} N from the Gauss-Jordan inverse."""
+    return tuple(
+        tuple(2 * x * norm for x, norm in zip(row, data.norms))
+        for row in reference_inverse(data.cartan)
+    )
+
+
+def unchecked_data(matrix):
+    """Any square integer matrix as Cartan data, bypassing cartan_data's checks."""
+    n = len(matrix)
+    return CartanData(
+        system=RootSystemType("A", n),
+        cartan=tuple(tuple(row) for row in matrix),
+        norms=(Fraction(2),) * n,
+        doubled=(False,) * n,
+    )
+
+
 class TestCartanData:
     def test_a3(self):
         data = cartan_data(parse_type("A3"))
@@ -111,18 +141,25 @@ class TestCartanData:
                     data.cartan[i][j] * data.norms[j]
                     == data.cartan[j][i] * data.norms[i]
                 )
-        # inverse_cartan * cartan = identity
-        for i in range(n):
-            for j in range(n):
-                acc = sum(
-                    data.inverse_cartan[i][k] * data.cartan[k][j] for k in range(n)
-                )
-                assert acc == (1 if i == j else 0)
+        # cartan * solve(e_j) = e_j
+        for j, x in enumerate(solve(data, identity_columns(n))):
+            for i in range(n):
+                assert sum(data.cartan[i][k] * x[k] for k in range(n)) == (i == j)
 
     @pytest.mark.parametrize("system", ALL_TYPES, ids=str)
     def test_inverse_matches_reference(self, system):
         data = cartan_data(system)
-        assert data.inverse_cartan == reference_inverse(data.cartan)
+        assert solved_inverse(data) == reference_inverse(data.cartan)
+        assert gram_matrix(data) == reference_gram(data)
+
+    def test_solve_keeps_rational_columns_exact(self):
+        data = cartan_data(parse_type("A3"))
+        column = (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 2))
+        (x,) = solve(data, [column])
+        inverse = reference_inverse(data.cartan)
+        assert x == tuple(sum(a * b for a, b in zip(row, column)) for row in inverse)
+        rational = CartanData(data.system, data.cartan, (Fraction(2, 3),) * 3, data.doubled)
+        assert gram_matrix(rational) == reference_gram(rational)
 
     def test_unsupported(self):
         with pytest.raises(ValueError):
@@ -224,13 +261,13 @@ def _sweep_root_data():
 SWEEP = _sweep_root_data()
 
 
-def _augmented(cartan):
-    n = len(cartan)
-    return [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(cartan)]
+def _relabelled(system, node_perm):
+    data = cartan_data(system)
+    return data if node_perm is None else _permuted(data, node_perm)
 
 
 class TestEliminationSweep:
-    """The integer elimination against the Fraction Gauss-Jordan oracles."""
+    """The forward integer elimination against the Fraction Gauss-Jordan oracles."""
 
     def test_sweep_reaches_rank_40_in_every_family(self):
         top = {}
@@ -248,11 +285,10 @@ class TestEliminationSweep:
         ids=[f"{system}{'-relabelled' if perm else ''}" for system, perm in SWEEP],
     )
     def test_matches_gauss_jordan_oracle(self, system, node_perm):
-        data = cartan_data(system)
-        if node_perm is not None:
-            data = _permuted(data, node_perm)
-        assert data.inverse_cartan == reference_inverse(data.cartan)
-        pivots, swaps, _ = fraction_free_elimination(_augmented(data.cartan), floordiv)
+        data = _relabelled(system, node_perm)
+        assert solved_inverse(data) == reference_inverse(data.cartan)
+        assert gram_matrix(data) == reference_gram(data)
+        pivots, swaps, _ = fraction_free_elimination(data.cartan, floordiv)
         assert swaps == 0
         assert pivots == reference_minors(data.cartan)
         if system.rank <= GRAM_ORACLE_MAX_RANK:
@@ -276,18 +312,44 @@ class TestEliminationSweep:
     @example([[2, 1], [1, 2]])
     def test_integer_matrices_match_the_oracles(self, matrix):
         n = len(matrix)
-        pivots, swaps, rows = fraction_free_elimination(_augmented(matrix), floordiv)
+        pivots, swaps, rows = fraction_free_elimination(matrix, floordiv)
         minors = reference_minors(matrix)
         assert (-1) ** swaps * pivots[-1] == minors[-1]
-        if swaps == 0:
-            assert pivots == minors[: len(pivots)]
+        # the pivots are the leading minors up to the first one that
+        # vanishes, where a row exchange or a singular stop must follow
+        first_zero = next((k for k, m in enumerate(minors) if m == 0), n)
+        assert pivots[:first_zero] == minors[:first_zero]
+        assert (swaps > 0 or pivots[-1] == 0) == (first_zero < n)
         if minors[-1] != 0:
-            last = pivots[-1]
-            assert [row[:n] for row in rows] == [
-                [last * (i == j) for j in range(n)] for i in range(n)
-            ]
-            inverse = tuple(tuple(Fraction(x, last) for x in row[n:]) for row in rows)
-            assert inverse == reference_inverse(matrix)
+            assert [row[:k] for k, row in enumerate(rows)] == [[0] * k for k in range(n)]
+            assert [row[k] for k, row in enumerate(rows)] == pivots
+            assert solved_inverse(unchecked_data(matrix)) == reference_inverse(matrix)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                solve(unchecked_data(matrix), identity_columns(n))
+
+    @pytest.mark.parametrize(
+        "system,node_perm",
+        [(parse_type("A60"), None), (parse_type("D60"), None), (parse_type("F4"), _NODE_PERMS["EII"])],
+        ids=["A60", "D60", "F4-relabelled"],
+    )
+    def test_elimination_of_one_column_stays_sparse(self, system, node_perm):
+        # a tree in node order fills in almost nothing, so the forward pass
+        # on [C | b] updates O(r) rows; clearing above the pivots as well
+        # would update O(r^2) of them
+        data = _relabelled(system, node_perm)
+        rank = data.rank
+        calls = 0
+
+        def counting_floordiv(a, b):
+            nonlocal calls
+            calls += 1
+            return a // b
+
+        augmented = [[*row, i + 1] for i, row in enumerate(data.cartan)]
+        pivots, swaps, _ = fraction_free_elimination(augmented, counting_floordiv)
+        assert swaps == 0 and all(p > 0 for p in pivots)
+        assert calls <= 3 * rank * (rank + 1)
 
     @pytest.mark.parametrize(
         "cartan,norms",
