@@ -66,10 +66,11 @@ def _emit_pairs(payload: dict, as_json: bool, pairs, key: str, record, line="", 
     two records, cut at their fields: ``json.dumps`` of the payload with
     two marked records, or ``line`` twice.  A JSON row is ``json.dumps``
     of a row at the indent of its marker's line, so the bytes are those of
-    ``_emit`` with every record in place.  Each distinct value and used
-    row is rendered once, into string tables that the pairs index, and
-    each ``PAIR_CHUNK`` records reach stdout as one ``str.join`` of an
-    object grid of the fixed text and the indexed table columns.
+    ``_emit`` with every record in place.  Each distinct value and each
+    kept row is rendered once, into string tables that the pair arrays
+    index as they are, and each ``PAIR_CHUNK`` records reach stdout as
+    one ``str.join`` of an object grid of the fixed text and the indexed
+    table columns.
     """
     if not pairs:
         _emit({**payload, key: []}, as_json, [empty])
@@ -90,19 +91,18 @@ def _emit_pairs(payload: dict, as_json: bool, pairs, key: str, record, line="", 
     # each record's fields, and the text before each field and after the last
     per_record = len(pieces) // 4
     fields, literals = pieces[1 : 2 * per_record : 2], pieces[0::2]
-    used, row_a, row_b = spectrum.distinct_indices(len(pairs.rows), pairs.first, pairs.second)
-    distinct, value_index = np.unique(pairs.values[used], return_inverse=True)
+    distinct, value_index = np.unique(pairs.values, return_inverse=True)
     values = spectrum.value_strings(distinct, pairs.denom)
     if as_json:
         # JSON strings: the rational strings need no escaping, only quotes
         values = '"' + values + '"'
-    rows = spectrum.row_strings(pairs.rows[used], *row_text)
+    rows = spectrum.row_strings(pairs.rows, *row_text)
     # each field's table of strings, and the table entry of every pair
     tables = {
-        "a": (rows, row_a),
-        "b": (rows, row_b),
+        "a": (rows, pairs.first),
+        "b": (rows, pairs.second),
         # a pair's value is its first row's
-        "value": (values[value_index], row_a),
+        "value": (values[value_index], pairs.first),
     }
     if pairs.dual is not None:
         tables["dual"] = (np.array(flags, object), pairs.dual.view(np.uint8))
@@ -147,12 +147,19 @@ def _parse_metric(text: str, count: int) -> list:
     return values
 
 
-def _datum_from_args(args) -> symmdata.RestrictedDatum:
+def _datum_from_args(args, bound=None) -> symmdata.RestrictedDatum:
+    """The datum the label options name; with a ``bound``, its box is checked first.
+
+    The box [0, bound]^rank is refused from the catalog row's rank,
+    before any Cartan data is built.
+    """
     if args.label_pos not in (None, args.label):
         raise ValueError(f"LABEL {args.label_pos} conflicts with --label {args.label}")
     if None not in (args.ell, args.rank) and args.ell != args.rank:
         raise ValueError(f"--ell {args.ell} conflicts with --rank {args.rank}")
     ell = args.rank if args.rank is not None else args.ell
+    if bound is not None:
+        spectrum.require_box(symmdata.restricted_rank(args.label, r=args.r, ell=ell), bound)
     return symmdata.restricted_datum(args.label, r=args.r, ell=ell)
 
 
@@ -223,7 +230,7 @@ def _cmd_rank2_catalog(args) -> int:
 
 
 def _cmd_collide(args) -> int:
-    datum = _datum_from_args(args)
+    datum = _datum_from_args(args, args.bound)
     pairs = spectrum.enumerate_collisions(
         datum, args.bound, exclude_dual_pairs=not args.include_duals
     )

@@ -36,7 +36,7 @@ import numpy as np
 
 from .exactalg import rational_to_str
 from .spectrum import (
-    CollisionPairs, eigenvalue, equal_value_pairs, exact_dtype, require_box, weight_box,
+    CollisionPairs, compact_pairs, eigenvalue, equal_value_pairs, exact_dtype, require_box,
 )
 from .symmdata import RestrictedDatum, cross_datum
 
@@ -231,8 +231,9 @@ def check_beta(
     """All collision witnesses for a candidate weight vector, sorted.
 
     The result is a :class:`~casimirspec.spectrum.CollisionPairs` over
-    the index arrays of the box, one per row, with its pairs in (first,
-    second) order.
+    the index arrays of the box that some pair joins, in box order, with
+    its pairs in (first, second) order.  No box of index arrays is built:
+    the joined rows are decoded from their box positions.
 
     The box values are sum_i w_i t_i[m_i]: t_i are the integer tables of
     :func:`integer_tables`, at the lcm D of the eigenvalue denominators,
@@ -260,8 +261,10 @@ def check_beta(
     for w, table in zip(weights, tables):
         values = np.add.outer(values, w * np.array(table, dtype)).ravel()
     first, second = equal_value_pairs(values)
-    box = weight_box(len(factors), bound)
-    return CollisionPairs(box, first, second, values, common_denominator(factors, bound) * scale)
+    used, first, second = compact_pairs(len(values), first, second)
+    rows = np.column_stack(np.unravel_index(used, (bound + 1,) * len(factors)))
+    denom = common_denominator(factors, bound) * scale
+    return CollisionPairs(rows.astype(np.int64, copy=False), first, second, values[used], denom)
 
 
 def prime_sequence() -> Iterator[int]:

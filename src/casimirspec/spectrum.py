@@ -69,22 +69,24 @@ def eigenvalue_polynomial(gram, shift_polys, variables, coord_names) -> MultiPol
 # Largest box (bound + 1)^rank a scan accepts, in rows.  On a 2-vCPU Intel
 # Xeon VM, near 2^23 rows, a fresh process running `hopf --n 2 --bound 2895
 # --json` takes 5.2-6.5 s and 1.2 GB peak RSS, and the collision-free boxes
-# `product --factors S2,S2 --bound 2895 --beta 1,1000003 --json` 0.45 s and
-# 223 MB and `collide AI --r 1 --bound 8388607 --json` 0.6-0.7 s and 287 MB;
+# `product --factors S2,S2 --bound 2895 --beta 1,1000003 --json` 0.35 s and
+# 166 MB and `collide AI --r 1 --bound 8388607 --json` 0.6 s and 286 MB;
 # at 2^24 (bound 4095) the Hopf scan takes 13-15 s and 2.3 GB.
 MAX_BOX_ROWS = 2**23
 
 
 # Most equal-value pairs a scan lists.  On a 2-vCPU Intel Xeon VM, `product
 # --factors S2,S2,S2 --bound 70 --beta 1,1,1 --json` (15,981,879 pairs) takes
-# 4.0-5.0 s and 597 MB peak RSS, 0.16 s of it in `equal_value_pairs`; bound
-# 202 would list 1,073,281,317 pairs in a box under MAX_BOX_ROWS.
+# 7-8 s (4-5 s when the VM ran faster) and 405 MB peak RSS, writing to
+# /dev/null; bound 202 would list 1,073,281,317 pairs in a box under
+# MAX_BOX_ROWS.
 MAX_PAIRS = 2**24
 
 
 def require_box(rank: int, bound: int) -> None:
     """Refuse a box of more than ``MAX_BOX_ROWS`` rows before anything is allocated."""
-    if (bound + 1) ** rank > MAX_BOX_ROWS:
+    # a negative bound's box is empty
+    if max(bound + 1, 0) ** rank > MAX_BOX_ROWS:
         raise ValueError(
             f"box of {bound + 1}^{rank} weights exceeds the maximum of {MAX_BOX_ROWS}"
         )
@@ -153,13 +155,28 @@ def distinct_indices(size: int, *indices: np.ndarray) -> tuple:
 
     Returns ``(distinct, *places)``: ``distinct`` ascending, and
     ``distinct[places[k]] == indices[k]`` entry by entry.  A mark per
-    index in ``range(size)`` stands in for sorting the entries.
+    index in ``range(size)`` stands in for sorting the entries.  The
+    places are ``int32``, exact for any ``size`` below 2**31.
     """
     mark = np.zeros(size, bool)
     for index in indices:
         mark[index] = True
-    place = np.cumsum(mark) - 1
+    place = np.cumsum(mark, dtype=np.int32) - 1
     return (np.flatnonzero(mark), *(place[index] for index in indices))
+
+
+def compact_pairs(size: int, first: np.ndarray, second: np.ndarray) -> tuple:
+    """The rows some pair joins, and the pairs as ``int32`` indices into them.
+
+    ``first`` and ``second`` index ``range(size)``.  Returns ``(used,
+    first, second)``: ``used`` the distinct joined rows, ascending, and
+    ``used[first]``, ``used[second]`` the given pairs, in their order.
+    With no pairs the three arrays are empty and nothing of length
+    ``size`` is allocated.
+    """
+    if not len(first):
+        return np.zeros(0, np.intp), np.zeros(0, np.int32), np.zeros(0, np.int32)
+    return distinct_indices(size, first, second)
 
 
 def value_strings(values: np.ndarray, denom: int) -> np.ndarray:
@@ -203,11 +220,16 @@ def row_strings(rows: np.ndarray, opening: str, comma: str, closing: str) -> np.
 class CollisionPairs:
     """The equal-value pairs of one scan, held as arrays.
 
-    Pair t joins ``rows[first[t]]`` and ``rows[second[t]]``, with
-    ``first[t] < second[t]``, at the value ``values[first[t]] / denom``.
-    ``values`` holds one exact integer per row, ``int64`` or Python ints
-    in an ``object`` array.  ``dual`` flags the dual pairs, or is None
-    when the scan has no duality.
+    ``rows`` holds only the rows that some pair joins, each once, in the
+    scan's ascending order: box order for a box scan, table order for
+    SU(2)/F.  ``values`` holds one exact integer per kept row, ``int64``
+    or Python ints in an ``object`` array.  Pair t joins
+    ``rows[first[t]]`` and ``rows[second[t]]``, with ``first[t] <
+    second[t]``, at the value ``values[first[t]] / denom``.  ``first``
+    and ``second`` are ``int32``, which is exact: a box scan keeps at
+    most ``MAX_BOX_ROWS`` (2^23) rows and SU(2)/F about 2.2 million lines
+    at ``su2f.MAX_KMAX``, both below 2^31.  ``dual`` flags the dual
+    pairs, or is None when the scan has no duality.
     """
 
     rows: np.ndarray
@@ -228,8 +250,9 @@ def enumerate_collisions(
 
     Every unordered pair of weights with the same exact eigenvalue is
     listed, flagged when the two weights are duals of each other.  The
-    result's rows are the box of :func:`weight_box`, and its pairs come in
-    (first, second) order, which is lexicographic in the two weights.
+    result keeps the rows of the box of :func:`weight_box` that some pair
+    joins, and its pairs come in (first, second) order, which is
+    lexicographic in the two weights.
 
     The scan is exact integer arithmetic: with D the lcm of the
     denominators of G and of c = G^T shift, D * lambda(w) = w^T (D G) w +
@@ -263,9 +286,11 @@ def enumerate_collisions(
     sigma = list(datum.descriptor.involution)
     dual_row = np.ravel_multi_index(grid[:, sigma].T, (bound + 1,) * rank)
     dual = dual_row[first] == second
+    del dual_row
     if exclude_dual_pairs:
         first, second, dual = first[~dual], second[~dual], dual[~dual]
-    return CollisionPairs(grid, first, second, values, denom, dual)
+    used, first, second = compact_pairs(len(grid), first, second)
+    return CollisionPairs(grid[used], first, second, values[used], denom, dual)
 
 
 # -- reflection witnesses (rank >= 3) -----------------------------------

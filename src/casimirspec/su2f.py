@@ -47,7 +47,7 @@ import numpy as np
 
 from .exactalg import MultiPoly, ParametricMatrix, rational_to_str
 from .simplicity import RepresentationEntry
-from .spectrum import CollisionPairs, equal_value_pairs, exact_dtype
+from .spectrum import CollisionPairs, compact_pairs, equal_value_pairs, exact_dtype
 
 METRIC_PARAMS = ("a", "b")
 
@@ -154,7 +154,8 @@ def su2f_representation_family(kmax: int) -> list:
 def collisions_at_metric(lines: np.ndarray, a: Fraction, b: Fraction) -> CollisionPairs:
     """Pairs of distinct invariant lines with equal eigenvalue at (a, b).
 
-    ``lines`` is the (k, d^2) table of ``invariant_lines``, and the pairs
+    ``lines`` is the (k, d^2) table of ``invariant_lines``.  The result
+    keeps the lines that some pair joins, in table order, and the pairs
     come in ascending eigenvalue, then in (first, second) order.  With D
     the lcm of the denominators of a and b, A = D a and B = D b, each
     line's value times 8 D is the integer -d^2 A + (k(k+2) + d^2) B of its
@@ -170,8 +171,10 @@ def collisions_at_metric(lines: np.ndarray, a: Fraction, b: Fraction) -> Collisi
     k, d2 = lines.astype(dtype, copy=False).T
     values = (k * (k + 2) + d2) * scaled_b - d2 * scaled_a
     first, second = equal_value_pairs(values)
+    used, first, second = compact_pairs(len(lines), first, second)
+    values = values[used]
     ascending = np.argsort(values[first], kind="stable")
-    return CollisionPairs(lines, first[ascending], second[ascending], values, 8 * denom)
+    return CollisionPairs(lines[used], first[ascending], second[ascending], values, 8 * denom)
 
 
 @dataclass(frozen=True)

@@ -335,12 +335,22 @@ def _assemble(label, system, multiplicities, params, node_perm=None) -> Restrict
     )
 
 
-def restricted_datum(label: str, r: Optional[int] = None, ell: Optional[int] = None) -> RestrictedDatum:
-    """Build the restricted datum for a catalog label at given parameters."""
+def _row(label: str, r: Optional[int], ell: Optional[int]) -> tuple:
+    """A catalog row's (restricted type, multiplicities, params); no Cartan data."""
     build = _ROWS.get(label)
     if build is None:
         raise ValueError(f"unknown symmetric-space label {label!r}")
-    return _assemble(label, *build(r, ell), _NODE_PERMS.get(label))
+    return build(r, ell)
+
+
+def restricted_rank(label: str, r: Optional[int] = None, ell: Optional[int] = None) -> int:
+    """The restricted rank of a catalog label at given parameters, before any Cartan data."""
+    return len(_row(label, r, ell)[1])
+
+
+def restricted_datum(label: str, r: Optional[int] = None, ell: Optional[int] = None) -> RestrictedDatum:
+    """Build the restricted datum for a catalog label at given parameters."""
+    return _assemble(label, *_row(label, r, ell), _NODE_PERMS.get(label))
 
 
 def table_rows() -> list:

@@ -527,6 +527,8 @@ class TestExitCodeFuzz:
             (["collide", "AI", "--r", "40", "--bound", "3"], "4^40"),
             # refused before the datum's Gram matrix is solved for
             (["collide", "AI", "--r", "100", "--bound", "1"], "2^100"),
+            # refused from the catalog row's rank, before any Cartan data is built
+            (["collide", "AI", "--r", "5000", "--bound", "1"], "2^5000"),
             (["hopf", "--n", "2", "--bound", "100000"], "100001^2"),
             (["product", "--factors", ",".join(["S2"] * 8), "--bound", "30",
               "--beta", "1,2,3,5,7,11,13,17"], "31^8"),
@@ -543,6 +545,12 @@ class TestExitCodeFuzz:
             f"error: box of {box} weights exceeds the maximum of {MAX_BOX_ROWS}\n"
         )
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("bound", ["0", "-5"])
+    def test_collide_bound_below_one_is_refused_as_such(self, bound):
+        # the box check that runs before the datum reads a negative bound's box as empty
+        code, err, _ = run_traced(["collide", "AI", "--r", "12", "--bound", bound])
+        assert (code, err) == (EXIT_USAGE, "error: bound must be >= 1\n")
 
     def test_large_difference_grid_is_refused(self):
         # 269^3 collision-hyperplane differences; the box has only 21^3 rows

@@ -12,7 +12,9 @@ too.
 import contextlib
 import io
 import json
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 import pairref
 
-from casimirspec import cli, exactalg, spectrum, su2f
+from casimirspec import cli, exactalg, products, spectrum, su2f
 from casimirspec.exactalg import rational_to_str
 from casimirspec.products import check_beta, factor_spectrum
 from casimirspec.spectrum import enumerate_collisions, weight_box
@@ -265,17 +267,65 @@ def test_su2f_edge_runs(kmax, metric, collide, chunk):
 def collide_scan(datum, include_duals):
     bound = largest_bound(datum.rank, 400)
     pairs = enumerate_collisions(datum, bound, exclude_dual_pairs=not include_duals)
-    return pairs, weight_box(datum.rank, bound), datum
+    box = weight_box(datum.rank, bound).tolist()
+    return pairs, box, [spectrum.eigenvalue(datum, row) for row in box], datum
 
 
 def product_scan(labels, bound, beta):
-    pairs = check_beta([factor_spectrum(label, bound) for label in labels], beta, bound)
-    return pairs, weight_box(len(labels), bound), None
+    factors = [factor_spectrum(label, bound) for label in labels]
+    return check_beta(factors, beta, bound), *product_reference(factors, beta, bound), None
+
+
+def product_reference(factors, beta, bound):
+    """The full box of index arrays and each array's weighted eigenvalue."""
+    box = weight_box(len(factors), bound).tolist()
+    values = [
+        sum(Fraction(b) * f.eigenvalues[m] for b, f, m in zip(beta, factors, row)) for row in box
+    ]
+    return box, values
 
 
 def su2f_scan(kmax, a, b):
-    lines = [(k, gap * gap) for k in range(0, kmax + 1, 2) for gap in su2f.fixed_space(k)]
-    return su2f.collisions_at_metric(su2f.invariant_lines(kmax), a, b), np.array(lines, np.int64), None
+    lines = [[k, gap * gap] for k in range(0, kmax + 1, 2) for gap in su2f.fixed_space(k)]
+    values = [(b * (k * (k + 2) + d2) - a * d2) / 8 for k, d2 in lines]
+    return su2f.collisions_at_metric(su2f.invariant_lines(kmax), a, b), lines, values, None
+
+
+def reference_records(rows, values, datum, include_duals, by_value):
+    """``pairref.records`` of every equal pair of the full rows, in the scan's order.
+
+    Pairs run by (first, second) row, or by value first when ``by_value``;
+    with a ``datum`` each record ends in its dual flag, and dual pairs are
+    dropped unless ``include_duals``.
+    """
+    groups = {}
+    for index, value in enumerate(values):
+        groups.setdefault(value, []).append(index)
+    pairs = sorted(
+        (value if by_value else 0, i, j, value)
+        for value, members in groups.items()
+        for i, j in combinations(members, 2)
+    )
+    records = []
+    for _, i, j, value in pairs:
+        a, b = tuple(rows[i]), tuple(rows[j])
+        if datum is None:
+            records.append((a, b, value))
+        elif include_duals or spectrum.dual_weight(datum, a) != b:
+            records.append((a, b, value, spectrum.dual_weight(datum, a) == b))
+    return records
+
+
+PRODUCT_LISTERS = [
+    pytest.param(product_scan, (["S2"], 40, [1]), id="product-S2"),
+    pytest.param(product_scan, (["S2", "S2"], 12, [1, 1]), id="product-S2,S2"),
+    pytest.param(product_scan, (["S2", "CP2"], 12, [1, 1]), id="product-S2,CP2"),
+    pytest.param(product_scan, (["S2", "S2", "S2"], 6, [1, 1, 1]), id="product-S2x3"),
+    pytest.param(product_scan, (["S2", "CP2", "OP2"], 5, [1, Fraction(2, 3), Fraction(5, 7)]),
+                 id="product-S2,CP2,OP2"),
+    # the sums pass 2**63: the object-dtype path
+    pytest.param(product_scan, (["S2", "S2"], 5, [INT64_LIMIT // 60] * 2), id="product-object"),
+]
 
 
 PAIR_LISTERS = [
@@ -285,14 +335,7 @@ PAIR_LISTERS = [
         for datum in table_rows()
         for include_duals in (False, True)
     ),
-    pytest.param(product_scan, (["S2"], 40, [1]), id="product-S2"),
-    pytest.param(product_scan, (["S2", "S2"], 12, [1, 1]), id="product-S2,S2"),
-    pytest.param(product_scan, (["S2", "CP2"], 12, [1, 1]), id="product-S2,CP2"),
-    pytest.param(product_scan, (["S2", "S2", "S2"], 6, [1, 1, 1]), id="product-S2x3"),
-    pytest.param(product_scan, (["S2", "CP2", "OP2"], 5, [1, Fraction(2, 3), Fraction(5, 7)]),
-                 id="product-S2,CP2,OP2"),
-    # the sums pass 2**63: the object-dtype path
-    pytest.param(product_scan, (["S2", "S2"], 5, [INT64_LIMIT // 60] * 2), id="product-object"),
+    *PRODUCT_LISTERS,
     pytest.param(su2f_scan, (60, Fraction(1), Fraction(1)), id="su2f-round"),
     pytest.param(su2f_scan, (60, Fraction(3), Fraction(1)), id="su2f-3,1"),
     pytest.param(su2f_scan, (60, Fraction(1, 3), Fraction(5, 7)), id="su2f-1/3,5/7"),
@@ -303,37 +346,67 @@ PAIR_LISTERS = [
 
 @pytest.mark.parametrize("scan,args", PAIR_LISTERS)
 def test_pair_arrays_keep_the_contract(scan, args):
-    pairs, rows, datum = scan(*args)
-    first, second, values = pairs.first, pairs.second, pairs.values
-    assert pairs.rows.dtype == np.int64 and np.array_equal(pairs.rows, rows)
-    assert values.ndim == 1 and len(values) == len(rows)
+    pairs, rows, values, datum = scan(*args)
+    kept, first, second = pairs.rows, pairs.first, pairs.second
+    assert kept.dtype == np.int64 and kept.shape == (len(kept), len(rows[0]))
+    assert pairs.values.ndim == 1 and len(pairs.values) == len(kept)
     assert type(pairs.denom) is int and pairs.denom >= 1
-    assert first.dtype.kind == second.dtype.kind == "i"
+    assert first.dtype == second.dtype == np.int32
     assert len(first) == len(second) == len(pairs)
-    assert (0 <= first).all() and (first < second).all() and (second < len(rows)).all()
-    assert (values[first] == values[second]).all()
-    # box scans list pairs by (first, second); su2f by value, then (first, second)
-    keys = [first.tolist(), second.tolist()]
-    if scan is su2f_scan:
-        keys.insert(0, values[first].tolist())
-    order = list(zip(*keys))
-    assert all(a < b for a, b in zip(order, order[1:]))
-    # every equal pair is listed, less the dual pairs a collide scan drops
-    counts = np.unique(values, return_counts=True)[1].tolist()
-    every = sum(c * (c - 1) // 2 for c in counts)
+    assert (0 <= first).all() and (first < second).all() and (second < len(kept)).all()
+    # the kept rows are rows of the full box or table, strictly ascending in
+    # its order, each with its own value, and every one is used
+    position = {tuple(row): i for i, row in enumerate(rows)}
+    places = [position[tuple(row)] for row in kept.tolist()]
+    assert all(p < q for p, q in zip(places, places[1:]))
+    assert [Fraction(v, pairs.denom) for v in pairs.values.tolist()] == [values[p] for p in places]
+    assert set(first.tolist()) | set(second.tolist()) == set(range(len(kept)))
+    # the expanded pairs are the full reference's: box scans list them by
+    # (first, second), su2f by value and then (first, second)
+    include_duals = datum is None or args[1]
+    expected = reference_records(rows, values, datum, include_duals, scan is su2f_scan)
+    assert pairref.records(pairs) == expected
     if datum is None:
-        assert pairs.dual is None and len(pairs) == every
-        return
-    dual = [
-        spectrum.dual_weight(datum, tuple(a)) == tuple(b)
-        for a, b in zip(rows[first].tolist(), rows[second].tolist())
-    ]
-    assert pairs.dual.dtype == bool and pairs.dual.tolist() == dual
-    include_duals = args[1]
-    if include_duals:
-        assert len(pairs) == every
+        assert pairs.dual is None
     else:
-        assert not any(dual) and len(pairs) <= every
+        assert pairs.dual.dtype == bool
+
+
+def test_pair_indices_fit_int32():
+    # a box scan keeps at most MAX_BOX_ROWS rows; V_k has at most k/2 + 1
+    # invariant lines, one per tau-orbit {l, k - l}
+    assert spectrum.MAX_BOX_ROWS < 2**31
+    assert sum(k // 2 + 1 for k in range(0, su2f.MAX_KMAX + 1, 2)) < 2**31
+
+
+def refuse_box(*args):
+    raise AssertionError("a weight box was built")
+
+
+@pytest.mark.parametrize("scan,args", PRODUCT_LISTERS)
+def test_check_beta_builds_no_box(monkeypatch, scan, args):
+    labels, bound, beta = args
+    factors = [factor_spectrum(label, bound) for label in labels]
+    with monkeypatch.context() as patch:
+        patch.setattr(spectrum, "weight_box", refuse_box)
+        patch.setattr(products, "weight_box", refuse_box, raising=False)
+        pairs = check_beta(factors, beta, bound)
+    rows, values = product_reference(factors, beta, bound)
+    assert pairref.records(pairs) == reference_records(rows, values, None, True, False)
+
+
+def test_collision_free_check_beta_holds_two_value_arrays():
+    # 1001^2 box values and their sorted copy; a box of index arrays would
+    # add 16 bytes a row
+    factors = [factor_spectrum("S2", 1000)] * 2
+    tracemalloc.start()
+    try:
+        pairs = check_beta(factors, (1, 1000003))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not pairs and len(pairs.rows) == len(pairs.values) == 0
+    assert peak < 2.2 * 8 * 1001**2
 
 
 # -- the string tables ------------------------------------------------------------
