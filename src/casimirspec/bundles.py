@@ -31,16 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactalg import MultiPoly, ParametricMatrix
-from .simplicity import RepresentationEntry
-from .spectrum import equal_value_pairs, exact_dtype, weight_box
+from .simplicity import SplitFamily
+from .spectrum import equal_value_pairs, exact_dtype, require_box
 
 METRIC_PARAMS = ("gamma1", "gamma2")
 
-# Largest degree p + q the representation family accepts: `simplicity --family
-# hopf --n 2 --bound 1100 --metric 2,5` takes 31-46 s and 883 MB on a 2-vCPU
-# Intel Xeon VM, whose speed drifts (54-58 s when the cap was set).
-MAX_FAMILY_DEGREE = 1100
+# Largest degree p + q the representation family accepts, on the 1-2-5 scale: on a
+# 2-vCPU Intel Xeon VM `simplicity --family hopf --n 2 --bound 2000 --metric 2,5
+# --json` (2,003,001 entries) takes 5.0-5.7 s and 617 MB, most of it writing 33 MB
+# of JSON; bound 5000 runs out of a 2 GiB address space.
+MAX_FAMILY_DEGREE = 2000
 
 
 def hopf_eigenvalue(n: int, p, q) -> tuple:
@@ -143,60 +143,68 @@ def hopf_swap_theorem_scan(n: int, bound: int) -> HopfScanReport:
     if bound < 1:
         raise ValueError("bound must be >= 1")
 
-    box = weight_box(2, bound)
+    require_box(2, bound)
+    side = bound + 1
     top = 2 * (n + 1) * bound + n
     radix = top * top + 1
     dtype = exact_dtype(2 * radix * radix)
-    p, q = box.astype(dtype, copy=False).T
-    x = 2 * (n + 1) * p + n
-    y = 2 * (n + 1) * q + n
-    reduced = (x * x + y * y) * radix + x * y
-    alpha, freudenthal = hopf_eigenvalue(n, p, q)
-    direct = alpha * radix + freudenthal
 
+    def coordinates():
+        """The columns p and q of the box, whose row i is (i // side, i % side)."""
+        return (c.astype(dtype, copy=False) for c in np.divmod(np.arange(side * side), side))
+
+    def rows(positions):
+        return map(tuple, np.column_stack(np.divmod(positions, side)).tolist())
+
+    # each full-length array is dropped after its last use
+    x, y = (2 * (n + 1) * c + n for c in coordinates())
+    reduced = (x * x + y * y) * radix + x * y
+    del x, y
     first, second = equal_value_pairs(reduced)
-    swap = (box[first][:, ::-1] == box[second]).all(1)
-    rows_a, rows_b = box[first[~swap]].tolist(), box[second[~swap]].tolist()
-    non_swap = zip(map(tuple, rows_a), map(tuple, rows_b))
+    # a collision is a swap when its second row is the first one's transpose
+    swap = second == first % side * side + first // side
+    non_swap = tuple(zip(rows(first[~swap]), rows(second[~swap])))
+    collision_pairs, swap_pairs = len(first), int(swap.sum())
+    del first, second, swap
+    alpha, freudenthal = hopf_eigenvalue(n, *coordinates())
+    direct = alpha * radix + freudenthal
+    del alpha, freudenthal
     return HopfScanReport(
         n=n,
         bound=bound,
-        weights_scanned=len(box),
-        collision_pairs=len(first),
-        swap_pairs=int(swap.sum()),
-        non_swap_pairs=tuple(non_swap),
-        agreement_pairs_checked=len(box) ** 2,
+        weights_scanned=side * side,
+        collision_pairs=collision_pairs,
+        swap_pairs=swap_pairs,
+        non_swap_pairs=non_swap,
+        agreement_pairs_checked=side**4,
         agreement_mismatches=pair_disagreements(direct, reduced),
     )
 
 
-def hopf_representation_family(n: int, max_degree: int) -> list:
-    """Representation entries for the truncation p + q <= max_degree.
+def hopf_representation_family(n: int, max_degree: int) -> SplitFamily:
+    """The weights p + q <= max_degree as a split family over (gamma1, gamma2).
 
-    Entries are 1x1 parametric Casimir matrices over (gamma1, gamma2),
-    each the affine form gamma1 * alpha + gamma2 * (freudenthal - alpha)
-    written once from ``hopf_eigenvalue`` on the array of each p's q; the
-    weight (p, q) is dual to (q, p) and of complex type when p != q.
-    Used by the resultant condition engines.
+    Weight (p, q) is a 1x1 entry with the form gamma1 alpha + gamma2
+    (freudenthal - alpha), key (0, alpha, freudenthal - alpha), from
+    ``hopf_eigenvalue`` on the arrays of all weights; it is dual to (q, p)
+    and of complex type when p != q.  "H(p,q)" ids ascend as strings, that
+    is by p's decimal string and then by q's, so the entries are laid out
+    on the grid of those two string ranks.
     """
+    if max_degree < 0:
+        raise ValueError("bound must be >= 0")
     if max_degree > MAX_FAMILY_DEGREE:
         raise ValueError(f"degree {max_degree} exceeds the maximum of {MAX_FAMILY_DEGREE}")
+    by_string = np.array(sorted(range(max_degree + 1), key=str))
+    inside = by_string[:, None] + by_string <= max_degree
+    # entry positions on the rank grid, which is symmetric: (q, p) sits at the transpose
+    duals = (np.cumsum(inside, dtype=np.int32) - 1).reshape(inside.shape).T[inside]
+    rank_p, rank_q = np.nonzero(inside)
     # with D = max_degree, |alpha| <= n^2 D^2 and every partial sum of freudenthal
     # is at most (n + 1)(D + 1)^2, so all of them stay below 2 (n + 1)^2 (D + 1)^2
     dtype = exact_dtype(2 * (n + 1) ** 2 * (max_degree + 1) ** 2)
-    entries = []
-    for p in range(max_degree + 1):
-        qs = np.arange(max_degree + 1 - p).astype(dtype)
-        alphas, freudenthals = hopf_eigenvalue(n, p, qs)
-        for q, alpha, freudenthal in zip(qs.tolist(), alphas.tolist(), freudenthals.tolist()):
-            form = MultiPoly(METRIC_PARAMS, {(1, 0): alpha, (0, 1): freudenthal - alpha})
-            entries.append(
-                RepresentationEntry(
-                    id=f"H({p},{q})",
-                    type_class="real" if p == q else "complex",
-                    dual_id=f"H({q},{p})",
-                    casimir=ParametricMatrix([form]),
-                )
-            )
-    return entries
-
+    p, q = by_string.astype(dtype)[rank_p], by_string.astype(dtype)[rank_q]
+    alpha, freudenthal = hopf_eigenvalue(n, p, q)
+    ids = [f"H({a},{b})" for a, b in zip(p.tolist(), q.tolist())]
+    keys = np.column_stack((np.zeros_like(alpha), alpha, freudenthal - alpha))
+    return SplitFamily(METRIC_PARAMS, ids, rank_p != rank_q, duals, np.arange(len(ids)), keys)

@@ -345,10 +345,8 @@ def _cmd_simplicity(args) -> int:
         raise ValueError("--mode applies only with --metric")
     if args.family == "su2f":
         family = su2f.su2f_representation_family(args.bound)
-        param_names = su2f.METRIC_PARAMS
     else:
         family = bundles.hopf_representation_family(2 if args.n is None else args.n, args.bound)
-        param_names = bundles.METRIC_PARAMS
     violations = {
         "condition_a": [list(p) for p in simplicity.condition_a(family)],
         "condition_b": simplicity.condition_b(family),
@@ -368,8 +366,8 @@ def _cmd_simplicity(args) -> int:
         f"identically-vanishing res(p, p''): {violations['condition_c']}",
     ]
     if args.metric is not None:
-        values = _parse_metric(args.metric, len(param_names))
-        point = dict(zip(param_names, values))
+        values = _parse_metric(args.metric, len(family.params))
+        point = dict(zip(family.params, values))
         mode = args.mode or "real"
         report = simplicity.evaluate_at_metric(family, point, mode=mode)
         payload["metric_report"] = report.to_json()

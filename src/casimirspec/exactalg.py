@@ -178,20 +178,6 @@ class MultiPoly:
             result = result * self
         return result
 
-    # -- evaluation ---------------------------------------------------
-
-    def evaluate(self, values: Mapping[str, RationalLike]) -> Fraction:
-        """Evaluate at a full assignment of rational values."""
-        point = [as_rational(values[v]) for v in self.variables]
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for base, e in zip(point, exps):
-                if e:
-                    term *= base**e
-            total += term
-        return total
-
     def substitute(self, values: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Substitute polynomials for every variable (exact composition).
 
@@ -359,10 +345,6 @@ class ParametricMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("ParametricMatrix is immutable")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.entries)
 
 
 def char_poly(matrix: ParametricMatrix) -> UniPoly:

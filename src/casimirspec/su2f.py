@@ -31,7 +31,7 @@ A certificate run builds one table of the lines' (k, d^2) from
 ``fixed_space``, in ``invariant_lines``: it packs each line's key into
 one integer and groups the keys once for both separation verdicts, and
 evaluates the same table at a metric in integers.  The representation
-family writes each key of each k as a MultiPoly.
+family for the condition engines is the same table, its keys over 8.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from typing import Optional
 
 import numpy as np
 
-from .exactalg import MultiPoly, ParametricMatrix, rational_to_str
-from .simplicity import RepresentationEntry
+from .exactalg import rational_to_str
+from .simplicity import SplitFamily
 from .spectrum import CollisionPairs, compact_pairs, equal_value_pairs, exact_dtype
 
 METRIC_PARAMS = ("a", "b")
@@ -122,33 +122,25 @@ def invariant_lines(kmax: int) -> np.ndarray:
     return np.column_stack((k, gaps * gaps))
 
 
-def su2f_representation_family(kmax: int) -> list:
-    """Representation entries (diagonal Casimir matrices) for k <= kmax."""
+def su2f_representation_family(kmax: int) -> SplitFamily:
+    """The V_k with invariants, k <= kmax, as a split family over (a, b).
+
+    Each line of ``invariant_lines`` is a row keyed (0, -d^2, k(k+2) + d^2)
+    over 8, far below 2**63 under ``MAX_FAMILY_KMAX``.  Entries "V<k>" are
+    real and self-dual, in id-string order, each with its lines in
+    descending gap as the projector's columns run.
+    """
+    if kmax < 0:
+        raise ValueError("bound must be >= 0")
     if kmax > MAX_FAMILY_KMAX:
         raise ValueError(f"kmax {kmax} exceeds the maximum of {MAX_FAMILY_KMAX}")
-    entries = []
-    for k in range(0, kmax + 1, 2):
-        gaps = fixed_space(k)
-        if not gaps:
-            continue
-        # the form key (-d^2, k(k+2) + d^2) over 8 of each gap d; the
-        # projector's columns run in ascending l, so in descending gap
-        diagonal = [
-            MultiPoly(
-                METRIC_PARAMS,
-                {(1, 0): Fraction(-d * d, 8), (0, 1): Fraction(k * (k + 2) + d * d, 8)},
-            )
-            for d in reversed(gaps)
-        ]
-        entries.append(
-            RepresentationEntry(
-                id=f"V{k}",
-                type_class="real",
-                dual_id=f"V{k}",
-                casimir=ParametricMatrix(diagonal),
-            )
-        )
-    return entries
+    lines = invariant_lines(kmax)[::-1]
+    ids, entry = np.unique([f"V{k}" for k in lines[:, 0].tolist()], return_inverse=True)
+    order = np.argsort(entry, kind="stable")
+    k, d2 = lines[order].T
+    keys = np.column_stack((0 * k, -d2, k * (k + 2) + d2))
+    real, self_dual = [0] * len(ids), range(len(ids))
+    return SplitFamily(METRIC_PARAMS, ids.tolist(), real, self_dual, entry[order], keys, 8)
 
 
 def collisions_at_metric(lines: np.ndarray, a: Fraction, b: Fraction) -> CollisionPairs:

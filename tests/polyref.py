@@ -6,8 +6,9 @@ the rationals.  The tests evaluate a characteristic polynomial at a metric
 point into such a list and decide shared roots and root multiplicities
 from gcds, against the library's split path and its resultants.
 
-On the library's own ``UniPoly`` it also keeps three builders the tests
-use: the generic product of two polynomials, the generic-product
+On the library's own types it keeps ``poly_at``, the evaluation of a
+``MultiPoly`` at a rational point, and three ``UniPoly`` builders the
+tests use: the generic product of two polynomials, the generic-product
 characteristic polynomial that ``exactalg.char_poly`` replaced with one
 shift-and-subtract step per linear factor, and the first derivative in
 ``t`` (the library takes only the second, for condition (c)).
@@ -16,7 +17,7 @@ shift-and-subtract step per linear factor, and the first derivative in
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from casimirspec.exactalg import MultiPoly, ParametricMatrix, UniPoly
+from casimirspec.exactalg import MultiPoly, ParametricMatrix, UniPoly, as_rational
 
 
 def poly_normalize(coeffs: Sequence[Fraction]) -> list:
@@ -87,9 +88,22 @@ def reference_profile(coeffs: Sequence[Fraction]) -> dict:
     return profile
 
 
+def poly_at(poly: MultiPoly, values: Mapping) -> Fraction:
+    """The value of ``poly`` at a full assignment of rational values."""
+    point = [as_rational(values[v]) for v in poly.variables]
+    total = Fraction(0)
+    for exps, coeff in poly.terms.items():
+        term = coeff
+        for base, e in zip(point, exps):
+            if e:
+                term *= base**e
+        total += term
+    return total
+
+
 def coefficients_at(p, point: Mapping[str, Fraction]) -> list:
     """The coefficient list of a parametric polynomial in t at a metric point."""
-    return poly_normalize([c.evaluate(point) for c in p.coeffs])
+    return poly_normalize([poly_at(c, point) for c in p.coeffs])
 
 
 def from_scalars(variables: Sequence[str], scalars: Sequence) -> UniPoly:

@@ -11,6 +11,8 @@ datum from every catalog family.
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from polyref import poly_at
+
 from casimirspec.exactalg import MultiPoly
 from casimirspec.products import candidate_tuples
 from casimirspec.rootsys import gram_matrix
@@ -53,9 +55,9 @@ def pair_at(pair, s: int) -> tuple:
     ``r`` is None for a fixed pair.
     """
     point = {"s": Fraction(s)}
-    wa = tuple(int(c.evaluate(point)) for c in pair.weight_a)
-    wb = tuple(int(c.evaluate(point)) for c in pair.weight_b)
-    r = int(pair.r_expr.evaluate(point)) if pair.r_expr is not None else None
+    wa = tuple(int(poly_at(c, point)) for c in pair.weight_a)
+    wb = tuple(int(poly_at(c, point)) for c in pair.weight_b)
+    r = int(poly_at(pair.r_expr, point)) if pair.r_expr is not None else None
     return r, wa, wb
 
 

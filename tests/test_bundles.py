@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from casimirspec import bundles
+from casimirspec import bundles, spectrum
 from casimirspec.bundles import (
     HopfScanReport,
     hopf_eigenvalue,
@@ -15,6 +16,7 @@ from casimirspec.bundles import (
 )
 from casimirspec.exactalg import MultiPoly
 from casimirspec.spectrum import weight_box
+from polyref import poly_at
 
 
 @dataclass(frozen=True)
@@ -150,8 +152,10 @@ class TestHopfEigenvalue:
         g1 = MultiPoly.variable(bundles.METRIC_PARAMS, "gamma1")
         g2 = MultiPoly.variable(bundles.METRIC_PARAMS, "gamma2")
         family = hopf_representation_family(n, 30)
-        weights = [(p, q) for p in range(31) for q in range(31 - p)]
-        assert [e.id for e in family] == [f"H({p},{q})" for p, q in weights]
+        # entries in id-string order: "H(10,0)" before "H(2,0)"
+        ids = sorted(f"H({p},{q})" for p in range(31) for q in range(31 - p))
+        assert [e.id for e in family] == ids
+        weights = [tuple(map(int, i[2:-1].split(","))) for i in ids]
         for entry, (p, q) in zip(family, weights):
             alpha, freudenthal = hopf_eigenvalue(n, p, q)
             oracle = g1 * Fraction(alpha) + g2 * (Fraction(freudenthal) - alpha)
@@ -257,6 +261,23 @@ class TestSwapTheoremScan:
         with pytest.raises(ValueError):
             hopf_swap_theorem_scan(1, 5)
 
+    def test_builds_no_box_and_drops_each_array(self, monkeypatch):
+        # rows are decoded from box positions; with the box, x, y, alpha, F and
+        # both keys alive through the sorts the scan peaked at 141 bytes a row
+        def refuse(*args):
+            raise AssertionError("a weight box was built")
+
+        monkeypatch.setattr(spectrum, "weight_box", refuse)
+        hopf_swap_theorem_scan(2, 20)
+        tracemalloc.start()
+        try:
+            report = hopf_swap_theorem_scan(2, 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.swap_theorem_holds and report.weights_scanned == 301**2
+        assert peak < 100 * 301**2
+
 
 class TestPairDisagreements:
     @given(st.lists(st.tuples(LABELS, LABELS), min_size=1, max_size=24))
@@ -293,7 +314,8 @@ class TestRepresentationFamily:
     def test_parametric_entries(self):
         family = hopf_representation_family(2, 2)
         entry = next(e for e in family if e.id == "H(1,1)")
-        value = entry.casimir.entries[0].evaluate(
+        value = poly_at(
+            entry.casimir.entries[0],
             {"gamma1": Fraction(1), "gamma2": Fraction(1)}
         )
         assert value == hopf_eigenvalue(2, 1, 1)[1]

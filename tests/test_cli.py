@@ -275,6 +275,16 @@ class TestJsonSchemas:
                            "--beta", "1,2", "--json"]),
         ("simplicity", ["simplicity", "--family", "su2f", "--bound", "8",
                         "--metric", "1,2", "--json"]),
+        pytest.param("simplicity", ["simplicity", "--family", "su2f", "--bound", "24",
+                                    "--metric", "1,1", "--json"], id="simplicity-su2f-real"),
+        pytest.param("simplicity", ["simplicity", "--family", "su2f", "--bound", "24",
+                                    "--metric", "1,1", "--mode", "complex", "--json"],
+                     id="simplicity-su2f-complex"),
+        pytest.param("simplicity", ["simplicity", "--family", "hopf", "--n", "3", "--bound",
+                                    "40", "--metric", "2,5", "--json"], id="simplicity-hopf-real"),
+        pytest.param("simplicity", ["simplicity", "--family", "hopf", "--bound", "40",
+                                    "--metric", "1/2,5/3", "--mode", "complex", "--json"],
+                     id="simplicity-hopf-complex"),
     ]
 
     @pytest.mark.parametrize("command,argv", CASES, ids=lambda x: str(x)[:40])
@@ -283,6 +293,37 @@ class TestJsonSchemas:
         out = capsys.readouterr().out
         assert code in (EXIT_OK, EXIT_CERT_FAILED)
         validate(command, json.loads(out))
+
+    def test_simplicity_list_items(self, capsys):
+        # the shipped families pass conditions (a)-(c), so the item shapes
+        # are checked on edited copies of a real payload
+        run(["simplicity", "--family", "hopf", "--bound", "3", "--metric", "1,2",
+             "--mode", "complex", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        report = payload["metric_report"]
+        assert report["multiplicity_violations"] == [] and report["type_violations"]
+        good = {
+            "condition_a": [["H(0,1)", "H(0,2)"]], "condition_b": ["H(0,1)"],
+            "condition_c": ["H(0,1)"],
+        }
+        validate("simplicity", dict(payload, **good))
+        report["multiplicity_violations"] = [["H(0,1)", 2]]
+        validate("simplicity", payload)
+        bad = [
+            ("condition_a", ["H(0,1)", "H(0,2)"]), ("condition_a", [["H(0,1)"]]),
+            ("condition_b", [["H(0,1)"]]), ("condition_c", [1]), ("entries", 0),
+        ]
+        for key, value in bad:
+            with pytest.raises(jsonschema.ValidationError):
+                validate("simplicity", dict(payload, **{key: value}))
+        for key, value in [
+            ("shared_eigenvalues", [["H(0,1)", "H(0,2)", "H(0,3)"]]),
+            ("multiplicity_violations", [["H(0,1)", "2"]]),
+            ("multiplicity_violations", [["H(0,1)", 2, 3]]),
+            ("type_violations", [["H(0,1)"]]),
+        ]:
+            with pytest.raises(jsonschema.ValidationError):
+                validate("simplicity", dict(payload, metric_report=dict(report, **{key: value})))
 
 
 class TestUsageErrors:
@@ -498,6 +539,13 @@ class TestExitCodeFuzz:
                 assert exc.code == EXIT_USAGE
                 return
         assert code in (EXIT_OK, EXIT_CERT_FAILED, EXIT_USAGE, EXIT_INTERNAL)
+
+    @pytest.mark.parametrize("family", ["hopf", "su2f"])
+    def test_negative_bound_is_refused_before_the_family(self, family):
+        code, err, peak = run_traced(["simplicity", "--family", family, "--bound", "-1"])
+        assert code == EXIT_USAGE
+        assert err == "error: bound must be >= 0\n"
+        assert peak < 1 << 20
 
     @settings(max_examples=60, deadline=None)
     @given(

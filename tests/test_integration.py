@@ -13,6 +13,7 @@ from casimirspec.spectrum import (
 from casimirspec.rootsys import gram_matrix
 from casimirspec.symmdata import restricted_datum
 import pairref
+from polyref import poly_at
 from specref import pair_at, polynomial_at, polynomial_form
 
 RANK2_INSTANCES = {
@@ -61,8 +62,8 @@ class TestBoxScanFindsCatalogPairs:
                 if isinstance(wa[0], tuple):
                     continue
                 if not case.parameterized:
-                    point_a = tuple(int(c.evaluate({"s": 0})) for c in wa)
-                    point_b = tuple(int(c.evaluate({"s": 0})) for c in wb)
+                    point_a = tuple(int(poly_at(c, {"s": 0})) for c in wa)
+                    point_b = tuple(int(poly_at(c, {"s": 0})) for c in wb)
                 else:
                     point_a, point_b = wa, wb
                 bound = max(point_a + point_b)
