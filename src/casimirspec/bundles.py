@@ -156,11 +156,13 @@ def hopf_swap_theorem_scan(n: int, bound: int) -> HopfScanReport:
     def rows(positions):
         return map(tuple, np.column_stack(np.divmod(positions, side)).tolist())
 
-    # each full-length array is dropped after its last use
-    x, y = (2 * (n + 1) * c + n for c in coordinates())
-    reduced = (x * x + y * y) * radix + x * y
-    del x, y
-    first, second = equal_value_pairs(reduced)
+    def reduced_keys():
+        x, y = (2 * (n + 1) * c + n for c in coordinates())
+        return (x * x + y * y) * radix + x * y
+
+    # each full-length array is dropped after its last use; the swaps
+    # (0, 1) ~ (1, 0) repeat a key, so the kernel hands back its second build
+    first, second, reduced = equal_value_pairs(reduced_keys)
     # a collision is a swap when its second row is the first one's transpose
     swap = second == first % side * side + first // side
     non_swap = tuple(zip(rows(first[~swap]), rows(second[~swap])))

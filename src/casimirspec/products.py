@@ -235,13 +235,16 @@ def check_beta(
     its pairs in (first, second) order.  No box of index arrays is built:
     the joined rows are decoded from their box positions.
 
-    The box values are sum_i w_i t_i[m_i]: t_i are the integer tables of
+    The box values are sum_i w_i t_i[m_i], built by outer sums of the
+    weighted tables: t_i are the integer tables of
     :func:`integer_tables`, at the lcm D of the eigenvalue denominators,
     and w_i = beta_i Q are the weights at the lcm Q of the denominators
     of beta, so the box holds D Q times the weighted eigenvalues and the
-    denominator is D Q.  Every entry and partial sum is at most
-    sum_i w_i max |t_i|; the box is summed in int64 when that bound is
-    below 2**63 and in Python ints otherwise.
+    denominator is D Q.  :func:`~casimirspec.spectrum.equal_value_pairs`
+    sorts one build in place and builds again only when a value repeats,
+    so a collision-free box holds one array of values.  Every entry and
+    partial sum is at most sum_i w_i max |t_i|; the box is summed in
+    int64 when that bound is below 2**63 and in Python ints otherwise.
     """
     if bound is None:
         bound = min(f.bound for f in factors)
@@ -257,12 +260,17 @@ def check_beta(
     weights = [x.numerator * (scale // x.denominator) for x in beta]
     tables = integer_tables(factors, bound)
     dtype = exact_dtype(sum(w * max(map(abs, table)) for w, table in zip(weights, tables)))
-    values = np.zeros(1, dtype)
-    for w, table in zip(weights, tables):
-        values = np.add.outer(values, w * np.array(table, dtype)).ravel()
-    first, second = equal_value_pairs(values)
-    used, first, second = compact_pairs(len(values), first, second)
-    rows = np.column_stack(np.unravel_index(used, (bound + 1,) * len(factors)))
+
+    def build():
+        values = np.zeros(1, dtype)
+        for w, table in zip(weights, tables):
+            values = np.add.outer(values, w * np.array(table, dtype)).ravel()
+        return values
+
+    first, second, values = equal_value_pairs(build)
+    shape = (bound + 1,) * len(factors)
+    used, first, second = compact_pairs(prod(shape), first, second)
+    rows = np.column_stack(np.unravel_index(used, shape))
     denom = common_denominator(factors, bound) * scale
     return CollisionPairs(rows.astype(np.int64, copy=False), first, second, values[used], denom)
 

@@ -141,10 +141,14 @@ def _equal_rows(family: SplitFamily, weights: Sequence[int]) -> tuple:
     tops = [int(abs(column).max()) for column in family.keys.T]
     dtype = exact_dtype(sum((top + 1) * abs(w) for top, w in zip(tops, weights)))
     keys = family.keys.astype(dtype, copy=False)
-    values = keys[:, 0] * weights[0]
-    for column, weight in zip(keys.T[1:], weights[1:]):
-        values += column * weight
-    return equal_value_pairs(values)
+
+    def build():
+        values = keys[:, 0] * weights[0]
+        for column, weight in zip(keys.T[1:], weights[1:]):
+            values += column * weight
+        return values
+
+    return equal_value_pairs(build)[:2]
 
 
 def _equal_forms(family: SplitFamily) -> tuple:

@@ -66,21 +66,26 @@ def eigenvalue_polynomial(gram, shift_polys, variables, coord_names) -> MultiPol
     return total
 
 
-# Largest box (bound + 1)^rank a scan accepts, in rows.  On a 2-vCPU Intel
-# Xeon VM, near 2^23 rows, a fresh process running `hopf --n 2 --bound 2895
-# --json` takes 5.2-6.5 s and 1.2 GB peak RSS, and the collision-free boxes
-# `product --factors S2,S2 --bound 2895 --beta 1,1000003 --json` 0.35 s and
-# 166 MB and `collide AI --r 1 --bound 8388607 --json` 0.6 s and 286 MB;
-# at 2^24 (bound 4095) the Hopf scan takes 13-15 s and 2.3 GB.
+# Largest box (bound + 1)^rank a scan accepts, in rows.  The Hopf scan sets
+# it: on a 2-vCPU Intel Xeon VM, near 2^23 rows, a fresh process running
+# `hopf --n 2 --bound 2895 --json` spends 3.6-3.8 s in `cli.run` and peaks
+# at 719 MB RSS, 579 MB of it allocated inside `bundles.pair_disagreements`
+# on top of the 134 MB alive when it starts.  A collision-free box holds one
+# array of values: `product --factors S2,S2 --bound 2895 --beta 1,1000003
+# --json` and `collide AI --r 1 --bound 8388607 --json` each take 0.14-0.25 s
+# and 102 MB.
 MAX_BOX_ROWS = 2**23
 
 
 # Most equal-value pairs a scan lists.  On a 2-vCPU Intel Xeon VM, `product
 # --factors S2,S2,S2 --bound 70 --beta 1,1,1 --json` (15,981,879 pairs) takes
-# 7-8 s (4-5 s when the VM ran faster) and 405 MB peak RSS, writing to
-# /dev/null; bound 202 would list 1,073,281,317 pairs in a box under
-# MAX_BOX_ROWS.
+# 4-6 s and 284 MB peak RSS, writing to /dev/null; bound 202 would list
+# 1,073,281,317 pairs in a box under MAX_BOX_ROWS.
 MAX_PAIRS = 2**24
+
+
+# box positions per step of a collision scan's value build
+BUILD_CHUNK = 2**16
 
 
 def require_box(rank: int, bound: int) -> None:
@@ -92,12 +97,6 @@ def require_box(rank: int, bound: int) -> None:
         )
 
 
-def weight_box(rank: int, bound: int) -> np.ndarray:
-    """Every weight with coordinates in [0, bound], one per row, lexicographic."""
-    require_box(rank, bound)
-    return np.indices((bound + 1,) * rank, dtype=np.int64).reshape(rank, -1).T
-
-
 def exact_dtype(magnitude: int):
     """``int64`` when ``magnitude`` fits it, else ``object`` (Python ints).
 
@@ -107,47 +106,56 @@ def exact_dtype(magnitude: int):
     return np.int64 if magnitude < 2**63 else object
 
 
-def equal_value_pairs(values: np.ndarray) -> tuple:
+def equal_value_pairs(build) -> tuple:
     """Every pair i < j with ``values[i] == values[j]``, as two index arrays.
 
-    Returns ``(first, second)`` holding each pair once, sorted by
-    ``first`` and then by ``second``.  ``values`` is a 1-D ``int64`` or
-    ``object`` array of Python ints; only comparisons touch it, so both
-    take the same path and neither rounds.  More than ``MAX_PAIRS``
-    pairs is a ValueError, raised before any pair array is allocated.
+    ``build`` is a zero-argument callable that returns a fresh 1-D
+    ``int64`` array, or ``object`` array of Python ints, of the values,
+    the same ones on every call; the kernel owns what it returns.  Only
+    comparisons touch the values, so both dtypes take the same path and
+    neither rounds.  Returns ``(first, second, values)``: the pairs, each
+    once, sorted by ``first`` and then by ``second``, as ``int32``
+    indices (exact below 2**31 values), and ``values`` the input-order
+    build when a value repeats, or an empty array of its dtype when none
+    does.  More than ``MAX_PAIRS`` pairs is a ValueError, raised before
+    the second build and before any pair array is allocated.
 
-    A sorted copy of the values comes first: when no two neighbours in
-    it are equal, two empty ``np.intp`` arrays are returned at once.  A
-    repeat costs the index sort, the pair count and the pair arrays; no
-    pair is sorted.
+    One build is sorted in place: when no two neighbours in it are equal,
+    only it and the neighbour mask were ever alive.  Otherwise the mask
+    gives each run's end, and a second build gives the stable index sort
+    and is returned with the pairs; no pair is sorted.
     """
-    ordered = np.sort(values)
+    ordered = build()
+    size = len(ordered)
+    ordered.sort()
     change = ordered[1:] != ordered[:-1]
     if change.all():
-        return np.zeros(0, np.intp), np.zeros(0, np.intp)
+        return np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(0, ordered.dtype)
     del ordered
-    size = len(values)
     # sorted position s pairs with the positions after it up to its run's end
-    ends = np.flatnonzero(np.r_[change, True]) + 1
-    later = np.repeat(ends, np.diff(ends, prepend=0)) - np.arange(1, size + 1)
+    ends = np.flatnonzero(np.r_[change, True]).astype(np.int32) + 1
+    later = np.repeat(ends, np.diff(ends, prepend=0)) - np.arange(1, size + 1, dtype=np.int32)
     del change, ends
-    count = int(later.sum())
+    count = int(later.sum(dtype=np.int64))
     if count > MAX_PAIRS:
         raise ValueError(f"{count} equal-value pairs exceed the maximum of {MAX_PAIRS}")
     # a stable sort lists each run in input order, so index i pairs with
     # order[rank[i] + 1:][:length[i]], ascending; with offset[i] =
     # length[:i].sum(), output slot t takes order[rank[i] + 1 + t - offset[i]]
-    order = np.argsort(values, kind="stable")
-    rank = np.empty(size, np.intp)
-    rank[order] = np.arange(size)
+    values = build()
+    order = np.argsort(values, kind="stable").astype(np.int32)
+    rank = np.empty(size, np.int32)
+    rank[order] = np.arange(size, dtype=np.int32)
     length = later[rank]
-    position = np.repeat(rank + 1 - (np.cumsum(length) - length), length)
-    del later, rank
-    position += np.arange(count)
+    del later
+    # every offset and slot is at most count <= MAX_PAIRS < 2**31
+    position = np.repeat(rank + 1 - (np.cumsum(length, dtype=np.int32) - length), length)
+    del rank
+    position += np.arange(count, dtype=np.int32)
     # at most two pair-length arrays are alive at once
     second = order[position]
     del order, position
-    return np.repeat(np.arange(size, dtype=np.intp), length), second
+    return np.repeat(np.arange(size, dtype=np.int32), length), second, values
 
 
 def distinct_indices(size: int, *indices: np.ndarray) -> tuple:
@@ -198,22 +206,27 @@ def value_strings(values: np.ndarray, denom: int) -> np.ndarray:
 def row_strings(rows: np.ndarray, opening: str, comma: str, closing: str) -> np.ndarray:
     """Each row of a non-negative integer array written ``opening c0 comma c1 ... closing``.
 
-    Each distinct coordinate is written once, found by a sort (SU(2)/F's
-    d^2 reaches 5.2e7).  The text before a row's last coordinate is built
-    one coordinate at a time, once per distinct prefix; a mark per prefix
-    and coordinate finds them, so the rows of a box need marks for at
-    most the box.
+    Each column's distinct coordinates are written once, found by a sort
+    of that column (SU(2)/F's d^2 reaches 5.2e7).  The text before a
+    row's last coordinate is built one coordinate at a time, once per
+    distinct prefix; a mark per prefix and coordinate finds them, so the
+    rows of a box need marks for at most the box.
     """
-    coordinates, cells = np.unique(rows, return_inverse=True)
-    text = coordinates.astype(str).astype(object)
-    width = len(text)
-    *heads, last = cells.reshape(rows.shape).T
+
+    def written(column):
+        coordinates, cells = np.unique(column, return_inverse=True)
+        return coordinates.astype(str).astype(object), cells
+
+    *heads, last = rows.T
     # every row starts at the one empty prefix
     prefix, strings = np.zeros(len(rows), np.intp), np.array([opening], object)
     for column in heads:
-        distinct, prefix = distinct_indices(len(strings) * width, prefix * width + column)
+        text, cells = written(column)
+        width = len(text)
+        distinct, prefix = distinct_indices(len(strings) * width, prefix * width + cells)
         strings = strings[distinct // width] + text[distinct % width] + comma
-    return strings[prefix] + (text + closing)[last]
+    text, cells = written(last)
+    return strings[prefix] + (text + closing)[cells]
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,22 +262,26 @@ def enumerate_collisions(
     """All eigenvalue collisions in the per-coordinate box [0, bound]^rank.
 
     Every unordered pair of weights with the same exact eigenvalue is
-    listed, flagged when the two weights are duals of each other.  The
-    result keeps the rows of the box of :func:`weight_box` that some pair
-    joins, and its pairs come in (first, second) order, which is
-    lexicographic in the two weights.
+    listed, flagged when the two weights are duals of each other.  Box
+    position p, in lexicographic order, is the weight whose coordinate k
+    is p // (bound + 1)^(rank - 1 - k) % (bound + 1).  The result keeps
+    the weights that some pair joins, decoded from their positions in box
+    order, and its pairs come in (first, second) order, which is
+    lexicographic in the two weights.  No box of weights is built: the
+    values are computed from positions ``BUILD_CHUNK`` at a time, and a
+    pair is dual when its second position is the dual of its first.
 
     The scan is exact integer arithmetic: with D the lcm of the
     denominators of G and of c = G^T shift, D * lambda(w) = w^T (D G) w +
-    (D c) . w is an integer.  Every entry and partial sum is at most
-    bound^2 * sum|D G| + bound * sum|D c| in absolute value; the box is
-    evaluated in int64 when that bound is below 2**63 and in Python ints
-    otherwise.
+    (D c) . w is an integer, summed as sum_i w_i (sum_j (D G)_ji w_j +
+    (D c)_i).  Every entry and partial sum is at most bound^2 * sum|D G|
+    + bound * sum|D c| in absolute value; the values are int64 when that
+    bound is below 2**63 and Python ints otherwise.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     rank = datum.rank
-    grid = weight_box(rank, bound)
+    require_box(rank, bound)
     gram = gram_matrix(datum.cartan)
     linear = [
         sum(datum.two_delta_bar[i] * gram[i][j] for i in range(rank))
@@ -278,19 +295,38 @@ def enumerate_collisions(
         + bound * sum(abs(x) for x in lin)
     )
     dtype = exact_dtype(magnitude)
-    box = grid.astype(dtype, copy=False)
-    values = ((box @ np.array(quad, dtype)) * box).sum(1) + box @ np.array(lin, dtype)
+    side = bound + 1
+    size = side**rank
+    # coordinate k of position p is p // scales[k] % side
+    scales = [side ** (rank - 1 - k) for k in range(rank)]
 
-    first, second = equal_value_pairs(values)
-    # the box row of each row's dual weight
-    sigma = list(datum.descriptor.involution)
-    dual_row = np.ravel_multi_index(grid[:, sigma].T, (bound + 1,) * rank)
-    dual = dual_row[first] == second
-    del dual_row
+    def build():
+        values = np.empty(size, dtype)
+        for start in range(0, size, BUILD_CHUNK):
+            # int32 positions, exact under MAX_BOX_ROWS, divide faster than int64 ones
+            position = np.arange(start, min(start + BUILD_CHUNK, size), dtype=np.int32)
+            w = [(position // scale % side).astype(dtype, copy=False) for scale in scales]
+            values[start:start + BUILD_CHUNK] = sum(
+                w[i] * (lin[i] + sum(quad[j][i] * w[j] for j in range(rank)))
+                for i in range(rank)
+            )
+        return values
+
+    first, second, values = equal_value_pairs(build)
+    # the dual of position p takes coordinate sigma[k] to k; a fixed one moves nothing
+    dual_first = first.copy()
+    for k, i in enumerate(datum.descriptor.involution):
+        if i != k:
+            dual_first += (first // scales[i] % side - first // scales[k] % side) * scales[k]
+    dual = dual_first == second
+    del dual_first
     if exclude_dual_pairs:
         first, second, dual = first[~dual], second[~dual], dual[~dual]
-    used, first, second = compact_pairs(len(grid), first, second)
-    return CollisionPairs(grid[used], first, second, values[used], denom, dual)
+    used, first, second = compact_pairs(size, first, second)
+    rows = np.column_stack(np.unravel_index(used, (side,) * rank))
+    return CollisionPairs(
+        rows.astype(np.int64, copy=False), first, second, values[used], denom, dual
+    )
 
 
 # -- reflection witnesses (rank >= 3) -----------------------------------

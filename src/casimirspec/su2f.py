@@ -161,8 +161,9 @@ def collisions_at_metric(lines: np.ndarray, a: Fraction, b: Fraction) -> Collisi
     top_k, top_d2 = (int(column.max()) for column in lines.T)
     dtype = exact_dtype((abs(scaled_a) + abs(scaled_b)) * (top_k * (top_k + 2) + top_d2 + 1))
     k, d2 = lines.astype(dtype, copy=False).T
-    values = (k * (k + 2) + d2) * scaled_b - d2 * scaled_a
-    first, second = equal_value_pairs(values)
+    first, second, values = equal_value_pairs(
+        lambda: (k * (k + 2) + d2) * scaled_b - d2 * scaled_a
+    )
     used, first, second = compact_pairs(len(lines), first, second)
     values = values[used]
     ascending = np.argsort(values[first], kind="stable")
@@ -235,7 +236,7 @@ def simplicity_certificate(
     top_k, top_d2 = (int(column.max()) for column in lines.T)
     radix = top_d2 + 1
     k, d2 = lines.astype(exact_dtype((top_k * (top_k + 2) + radix) * radix), copy=False).T
-    first, second = equal_value_pairs((k * (k + 2) + d2) * radix + d2)
+    first, second, _ = equal_value_pairs(lambda: (k * (k + 2) + d2) * radix + d2)
 
     metric = None
     metric_collisions = None

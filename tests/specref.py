@@ -4,13 +4,15 @@ Each is a plain restatement of a closed form or a rule the library
 evaluates some other way: the eigenvalue form written as a polynomial,
 the reflection through a root, the rank-two catalog pairs and
 polynomials at concrete parameters, the SU(2)/F invariant dimensions
-counted by rule and its form keys one tuple per line, and a rank-one
-datum from every catalog family.
+counted by rule and its form keys one tuple per line, a rank-one datum
+from every catalog family, and the box of weights that the scans read
+off box positions.
 """
 
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
 from polyref import poly_at
 
 from casimirspec.exactalg import MultiPoly
@@ -19,6 +21,11 @@ from casimirspec.rootsys import gram_matrix
 from casimirspec.spectrum import eigenvalue_polynomial
 from casimirspec.su2f import collisions_at_metric, fixed_space, invariant_lines
 from casimirspec.symmdata import restricted_datum
+
+
+def weight_box(rank: int, bound: int) -> np.ndarray:
+    """Every weight with coordinates in [0, bound], one per row, lexicographic."""
+    return np.indices((bound + 1,) * rank, dtype=np.int64).reshape(rank, -1).T
 
 
 def polynomial_form(datum) -> MultiPoly:

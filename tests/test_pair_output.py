@@ -23,11 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairref
+from specref import weight_box
 
-from casimirspec import cli, exactalg, products, spectrum, su2f
+from casimirspec import cli, exactalg, spectrum, su2f
 from casimirspec.exactalg import rational_to_str
 from casimirspec.products import check_beta, factor_spectrum
-from casimirspec.spectrum import enumerate_collisions, weight_box
+from casimirspec.spectrum import enumerate_collisions
 from casimirspec.symmdata import restricted_datum, table_rows
 
 INT64_LIMIT = 2**63
@@ -374,39 +375,58 @@ def test_pair_arrays_keep_the_contract(scan, args):
 
 def test_pair_indices_fit_int32():
     # a box scan keeps at most MAX_BOX_ROWS rows; V_k has at most k/2 + 1
-    # invariant lines, one per tau-orbit {l, k - l}
-    assert spectrum.MAX_BOX_ROWS < 2**31
+    # invariant lines, one per tau-orbit {l, k - l}; the kernel counts its
+    # pair slots in int32 too
+    assert spectrum.MAX_BOX_ROWS < 2**31 and spectrum.MAX_PAIRS < 2**31
     assert sum(k // 2 + 1 for k in range(0, su2f.MAX_KMAX + 1, 2)) < 2**31
 
 
-def refuse_box(*args):
-    raise AssertionError("a weight box was built")
-
-
-@pytest.mark.parametrize("scan,args", PRODUCT_LISTERS)
-def test_check_beta_builds_no_box(monkeypatch, scan, args):
-    labels, bound, beta = args
-    factors = [factor_spectrum(label, bound) for label in labels]
-    with monkeypatch.context() as patch:
-        patch.setattr(spectrum, "weight_box", refuse_box)
-        patch.setattr(products, "weight_box", refuse_box, raising=False)
-        pairs = check_beta(factors, beta, bound)
-    rows, values = product_reference(factors, beta, bound)
-    assert pairref.records(pairs) == reference_records(rows, values, None, True, False)
-
-
-def test_collision_free_check_beta_holds_two_value_arrays():
-    # 1001^2 box values and their sorted copy; a box of index arrays would
-    # add 16 bytes a row
-    factors = [factor_spectrum("S2", 1000)] * 2
+def traced_peak(scan):
+    """What ``scan()`` returns, and the peak of what it allocated."""
     tracemalloc.start()
     try:
-        pairs = check_beta(factors, (1, 1000003))
+        result = scan()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize(
+    "labels,bound,beta",
+    [
+        (["S2", "S2"], 511, (1, 1000003)),
+        (["S2", "CP2", "OP2"], 63, (1, 1009, 1000033)),
+        (["S2", "S2", "S2"], 63, (1, 1009, 1000033)),
+    ],
+    ids=["S2,S2", "S2,CP2,OP2", "S2x3"],
+)
+def test_check_beta_builds_no_box(labels, bound, beta):
+    # 2^18 box values and the neighbour mask, 9 bytes a row; a box of int64
+    # index arrays would add 8 a factor
+    factors = [factor_spectrum(label, bound) for label in labels]
+    pairs, peak = traced_peak(lambda: check_beta(factors, beta, bound))
+    assert not pairs
+    assert peak < 10 * 2**18
+
+
+def test_collision_free_check_beta_holds_one_value_array():
+    # 1001^2 box values sorted in place and the neighbour mask: 9 bytes a
+    # row, where a sorted copy would add 8
+    factors = [factor_spectrum("S2", 1000)] * 2
+    pairs, peak = traced_peak(lambda: check_beta(factors, (1, 1000003)))
     assert not pairs and len(pairs.rows) == len(pairs.values) == 0
-    assert peak < 2.2 * 8 * 1001**2
+    assert peak < 1.2 * 8 * 1001**2
+
+
+def test_collision_free_enumerate_collisions_holds_one_value_array():
+    # 2^22 values built in chunks of positions, sorted in place, and the
+    # neighbour mask; with a box of weights, a sorted copy of the values and
+    # a dual row for every weight the scan peaked at 32 bytes a row
+    size = 2**22
+    pairs, peak = traced_peak(lambda: enumerate_collisions(restricted_datum("AI", r=1), size - 1))
+    assert not pairs and len(pairs.rows) == len(pairs.values) == 0
+    assert peak < 10 * size
 
 
 # -- the string tables ------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairref
-from specref import rank_one_catalog
+from specref import rank_one_catalog, weight_box
 
 from casimirspec import products
 from casimirspec.products import (
@@ -22,7 +22,7 @@ from casimirspec.products import (
     generic_beta_certificate,
     prime_sequence,
 )
-from casimirspec.spectrum import eigenvalue, weight_box
+from casimirspec.spectrum import eigenvalue
 from casimirspec.symmdata import cross_datum, restricted_datum
 
 

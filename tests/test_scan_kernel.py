@@ -110,24 +110,49 @@ def dict_pairs(values):
     return sorted((first, second) for _, first, second in reference_pairs(groups))
 
 
+def kernel(values, dtype=None):
+    """``equal_value_pairs`` on a builder that returns a fresh copy of ``values``."""
+    return equal_value_pairs(lambda: np.array(values, dtype))
+
+
 def as_pairs(pairs):
-    first, second = pairs
+    first, second, _ = pairs
     return list(zip(first.tolist(), second.tolist()))
 
 
 class TestEqualValuePairs:
     def test_pairs_sort_by_first_then_second(self):
         values = np.array([5, -1, 5, 7, -1, 5, 0], dtype=np.int64)
-        assert as_pairs(equal_value_pairs(values)) == [(0, 2), (0, 5), (1, 4), (2, 5)]
+        assert as_pairs(kernel(values)) == [(0, 2), (0, 5), (1, 4), (2, 5)]
 
     def test_no_pairs(self):
-        assert as_pairs(equal_value_pairs(np.array([], dtype=np.int64))) == []
-        assert as_pairs(equal_value_pairs(np.array([3, 1, 2], dtype=np.int64))) == []
+        assert as_pairs(kernel([], np.int64)) == []
+        assert as_pairs(kernel([3, 1, 2], np.int64)) == []
 
     @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
     def test_returns_index_arrays(self, dtype):
-        for index in equal_value_pairs(np.array([2, 1, 2, 2], dtype=dtype)):
-            assert index.dtype == np.intp
+        first, second, values = kernel([2, 1, 2, 2], dtype)
+        assert first.dtype == second.dtype == np.int32
+        # a repeat hands back the input-order build
+        assert values.dtype == dtype and values.tolist() == [2, 1, 2, 2]
+
+    def test_box_scans_build_again_only_when_a_value_repeats(self, monkeypatch):
+        calls = []
+
+        def spy(build):
+            def counted():
+                calls.append(build)
+                return build()
+            return equal_value_pairs(counted)
+
+        monkeypatch.setattr(spectrum, "equal_value_pairs", spy)
+        monkeypatch.setattr(products, "equal_value_pairs", spy)
+        assert not enumerate_collisions(cross_datum("S2"), 50)
+        assert not check_beta([factor_spectrum("S2", 30)] * 2, (1, 1000003))
+        assert len(calls) == 2
+        assert enumerate_collisions(ROWS[0], 3)
+        assert check_beta([factor_spectrum("S2", 6)] * 2, (1, 1))
+        assert len(calls) == 6
 
     def test_values_straddling_int64_are_exact(self):
         # neighbours of +-2**63 that int64 would wrap or merge
@@ -135,7 +160,7 @@ class TestEqualValuePairs:
             INT64_LIMIT - 1, INT64_LIMIT, INT64_LIMIT + 1, -INT64_LIMIT,
             INT64_LIMIT, -INT64_LIMIT - 1, INT64_LIMIT - 1, 2**64, -INT64_LIMIT - 1, 0,
         ]
-        pairs = as_pairs(equal_value_pairs(np.array(values, dtype=object)))
+        pairs = as_pairs(kernel(values, object))
         assert pairs == dict_pairs(values)
         assert pairs == [(0, 6), (1, 4), (5, 8)]
 
@@ -143,30 +168,33 @@ class TestEqualValuePairs:
     @given(st.lists(st.integers(-5, 5) | st.integers(-(2**70), 2**70), max_size=40))
     def test_matches_dict_pairs(self, values):
         dtype = exact_dtype(max(map(abs, values), default=0))
-        assert as_pairs(equal_value_pairs(np.array(values, dtype))) == dict_pairs(values)
+        assert as_pairs(kernel(values, dtype)) == dict_pairs(values)
 
     @pytest.mark.parametrize("size", [0, 1, 2, 2**16])
     @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
-    def test_all_distinct_values_return_empty_intp_arrays(self, size, dtype):
+    def test_all_distinct_values_return_empty_int32_arrays(self, size, dtype):
         values = np.random.default_rng(size).permutation(size) * 3 - size
         if dtype is object:
             # past 2**63 on both sides, where int64 would wrap
             values = np.array([v * INT64_LIMIT + v for v in values.tolist()], object)
-        for index in equal_value_pairs(values):
-            assert index.dtype == np.intp and index.shape == (0,)
+        first, second, kept = kernel(values, values.dtype)
+        for index in first, second:
+            assert index.dtype == np.int32 and index.shape == (0,)
+        assert kept.dtype == values.dtype and kept.shape == (0,)
 
-    def test_collision_free_scan_allocates_one_sorted_copy(self):
+    def test_collision_free_scan_allocates_only_the_neighbour_mask(self):
         size = 2**20
         values = np.random.default_rng(0).permutation(size).astype(np.int64) * 7
         tracemalloc.start()
         try:
-            first, second = equal_value_pairs(values)
+            # the build is the caller's array, sorted in place
+            first, second, _ = equal_value_pairs(lambda: values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(first) == len(second) == 0
-        # the sorted copy and the neighbour mask: 9 bytes a row
-        assert peak < 24 * size
+        # one byte a row; a sorted copy would add 8
+        assert peak < 1.1 * size
 
     @pytest.mark.parametrize("seed", range(2))
     @pytest.mark.parametrize("high", [7, 2000], ids=["long-runs", "short-runs"])
@@ -179,21 +207,21 @@ class TestEqualValuePairs:
         half = high // 2
         scale = INT64_LIMIT // (half + 1) if dtype is np.int64 else INT64_LIMIT
         values = [(v - half) * scale + v for v in drawn]
-        pairs = as_pairs(equal_value_pairs(np.array(values, dtype)))
+        pairs = as_pairs(kernel(values, dtype))
         assert pairs == dict_pairs(values)
 
     def test_many_pair_scan_holds_two_pair_arrays(self):
         values = check_beta([factor_spectrum("S2", 30)] * 3, (1, 1, 1)).values
         tracemalloc.start()
         try:
-            first, second = equal_value_pairs(values)
+            first, second, _ = equal_value_pairs(values.copy)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(first) == len(second) == 578127
-        # two pair-length index arrays at a time, 16 bytes a pair; a kernel
-        # that sorts the pairs holds about 57
-        assert peak < 20 * len(first) + 64 * len(values)
+        # two int32 pair-length index arrays at a time, 8 bytes a pair; a
+        # kernel that sorts the pairs holds about 57
+        assert peak < 12 * len(first) + 64 * len(values)
 
     def test_dtype_switches_exactly_at_the_bound(self):
         assert exact_dtype(INT64_LIMIT - 1) is np.int64
@@ -338,9 +366,12 @@ def test_product_beyond_int64_matches_reference(capsys, beta):
 def spy_dtypes(monkeypatch, module):
     seen = []
 
-    def spy(values):
-        seen.append(values.dtype)
-        return equal_value_pairs(values)
+    def spy(build):
+        def recorded():
+            values = build()
+            seen.append(values.dtype)
+            return values
+        return equal_value_pairs(recorded)
 
     monkeypatch.setattr(module, "equal_value_pairs", spy)
     return seen
@@ -357,7 +388,8 @@ def test_check_beta_magnitude_bound_is_inclusive(monkeypatch, top, dtype):
     seen = spy_dtypes(monkeypatch, products)
     found = pairref.witnesses(check_beta(factors, (1, 1)))
     assert found and found == reference_check_beta(factors, (1, 1))
-    assert seen == [dtype]
+    # a repeat builds twice, at one dtype
+    assert seen == [dtype, dtype]
 
 
 def test_su2f_large_metric_takes_object_side(monkeypatch):
@@ -365,10 +397,40 @@ def test_su2f_large_metric_takes_object_side(monkeypatch):
     a, b = Fraction(INT64_LIMIT, 3), Fraction(INT64_LIMIT, 5)
     pairs = su2f.collisions_at_metric(su2f.invariant_lines(12), a, b)
     assert pairref.records(pairs) == reference_collisions_at_metric(12, a, b)
-    assert seen == [np.dtype(object)]
+    assert seen and set(seen) == {np.dtype(object)}
 
 
 def test_enumerate_collisions_takes_int64_on_catalog_boxes(monkeypatch):
     seen = spy_dtypes(monkeypatch, spectrum)
-    enumerate_collisions(ROWS[0], 3)
-    assert seen == [np.int64]
+    assert enumerate_collisions(ROWS[0], 3)
+    assert seen == [np.int64, np.int64]
+
+
+# the builders' Python-int path, forced at sizes the reference loops reach
+
+
+@pytest.mark.parametrize("datum", ROWS, ids=[d.descriptor.label for d in ROWS])
+@pytest.mark.parametrize("exclude", [False, True], ids=["duals", "no-duals"])
+def test_enumerate_collisions_object_path_matches_reference(monkeypatch, datum, exclude):
+    monkeypatch.setattr(spectrum, "exact_dtype", lambda magnitude: object)
+    bound = max(b for b in range(1, 300) if (b + 1) ** datum.rank <= 300)
+    pairs = enumerate_collisions(datum, bound, exclude)
+    assert pairs.values.dtype == object
+    assert pairref.reports(pairs) == reference_enumerate_collisions(datum, bound, exclude)
+
+
+@pytest.mark.parametrize(
+    "labels,bound,beta",
+    [
+        (["S2", "S2", "S2"], 6, (1, 1, 1)),
+        (["S2", "CP2"], 12, (Fraction(1, 3), Fraction(2, 7))),
+        (["S2", "CP2", "OP2"], 5, (1, 1009, 1000033)),  # collision-free
+    ],
+    ids=["S2x3", "S2,CP2", "S2,CP2,OP2-free"],
+)
+def test_check_beta_object_path_matches_reference(monkeypatch, labels, bound, beta):
+    monkeypatch.setattr(products, "exact_dtype", lambda magnitude: object)
+    factors = [factor_spectrum(label, bound) for label in labels]
+    pairs = check_beta(factors, beta)
+    assert pairs.values.dtype == object
+    assert pairref.witnesses(pairs) == reference_check_beta(factors, beta)

@@ -485,7 +485,7 @@ class TestPlantedDuplicates:
         # the key (-d^2, k(k+2) + d^2) determines k, so no fixed_space plants
         # this one: the grouping reports lines 1 (k = 4) and 3 (k = 8) as equal
         monkeypatch.setattr(
-            su2f, "equal_value_pairs", lambda values: (np.array([1]), np.array([3]))
+            su2f, "equal_value_pairs", lambda build: (np.array([1]), np.array([3]), build())
         )
         assert invariant_lines(12)[[1, 3], 0].tolist() == [4, 8]
         code, out = self._run(capsys)
