@@ -49,8 +49,19 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
             print(line)
 
 
-# pair records formatted per stdout write
-PAIR_CHUNK = 1 << 15
+# pair records per block, each block one str.join and one stdout write.  A
+# block of 2^11 product records is about 330 kB of text, so its grid and
+# join stay in a 2 MB L2 cache.  Fresh-process cli.run medians on a 2-vCPU
+# x86-64 VM, at 2^15, 2^13, 2^12, 2^11, 2^10 and 2^9 records:
+# - product --factors S2,S2,S2 --bound 40 --beta 1,2,61 --json (86,213
+#   pairs, into a StringIO, 15 runs each): 55.8, 53.0, 51.1, 50.9, 50.5
+#   and 51.3 ms;
+# - collide EVIII --bound 3 --json (650,191 pairs, to /dev/null, 5 runs
+#   each): 433, 226, -, 231, 237 and 234 ms, peak RSS 79.6, 63.0, -,
+#   60.7, 60.7 and 60.7 MB.
+# From 2^12 down the times are inside the run-to-run spread; 2^11 is the
+# largest block at the lowest peak.
+PAIR_CHUNK = 1 << 11
 # marks where a field goes: json.dumps writes it "\u0000", and no payload holds it
 _MARK = "\0"
 
@@ -67,10 +78,11 @@ def _emit_pairs(payload: dict, as_json: bool, pairs, key: str, record, line="", 
     two marked records, or ``line`` twice.  A JSON row is ``json.dumps``
     of a row at the indent of its marker's line, so the bytes are those of
     ``_emit`` with every record in place.  Each distinct value and each
-    kept row is rendered once, into string tables that the pair arrays
-    index as they are, and each ``PAIR_CHUNK`` records reach stdout as
-    one ``str.join`` of an object grid of the fixed text and the indexed
-    table columns.
+    kept row is rendered once (``spectrum.value_strings`` and
+    ``spectrum.row_strings``), into string tables that the pair arrays
+    index as they are.  Every ``PAIR_CHUNK`` records reach stdout as one
+    ``str.join`` of an object grid of the fixed text and the indexed
+    table columns; the grid is allocated once and each block refills it.
     """
     if not pairs:
         _emit({**payload, key: []}, as_json, [empty])

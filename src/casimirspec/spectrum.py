@@ -190,53 +190,67 @@ def compact_pairs(size: int, first: np.ndarray, second: np.ndarray) -> tuple:
 def value_strings(values: np.ndarray, denom: int) -> np.ndarray:
     """``rational_to_str(values[i] / denom)`` for each entry, as an object array.
 
-    ``int64`` values are reduced by ``np.gcd`` and written from integers;
-    an ``object`` array of Python ints, or a denominator past ``int64``,
+    ``int64`` values are reduced by ``np.gcd`` and their numerators
+    written as Python ints; a ``/d`` suffix follows only where the reduced
+    denominator d is not 1, and no suffix is built when no d is.  An
+    ``object`` array of Python ints, or a denominator past ``int64``,
     goes through Fraction.
     """
     if values.dtype == object or denom >= 2**63:
         strings = (rational_to_str(Fraction(v, denom)) for v in values.tolist())
         return np.fromiter(strings, object, len(values))
     common = np.gcd(values, denom)
-    dens, den_index = np.unique(denom // common, return_inverse=True)
+    strings = np.fromiter(map(str, (values // common).tolist()), object, len(values))
+    dens = denom // common
+    if (dens == 1).all():
+        return strings
+    dens, den_index = np.unique(dens, return_inverse=True)
     suffixes = np.array(["" if d == 1 else f"/{d}" for d in dens.tolist()], object)
-    return (values // common).astype(str).astype(object) + suffixes[den_index]
+    return strings + suffixes[den_index]
 
 
 def row_strings(rows: np.ndarray, opening: str, comma: str, closing: str) -> np.ndarray:
     """Each row of a non-negative integer array written ``opening c0 comma c1 ... closing``.
 
-    Each column's distinct coordinates are written once, found by a sort
-    of that column (SU(2)/F's d^2 reaches 5.2e7).  The text before a
-    row's last coordinate is built one coordinate at a time, once per
-    distinct prefix; a mark per prefix and coordinate finds them, so the
-    rows of a box need marks for at most the box.
+    The text before a row's last coordinate grows one coordinate at a
+    time over runs of adjacent rows.  A row starts a run of the prefix
+    through column j where it differs from the row above in column j or
+    in an earlier one, and each run's text is its parent run's text
+    with one coordinate added.  Rows in ascending lexicographic order, as
+    every scan hands them, have one run per distinct prefix; rows in any
+    other order get the same strings, with a prefix written once per run.
+    The last column's distinct coordinates are written once, found by a
+    sort of that column alone (SU(2)/F's d^2 reaches 5.2e7).
     """
-
-    def written(column):
-        coordinates, cells = np.unique(column, return_inverse=True)
-        return coordinates.astype(str).astype(object), cells
-
     *heads, last = rows.T
-    # every row starts at the one empty prefix
-    prefix, strings = np.zeros(len(rows), np.intp), np.array([opening], object)
+    # the rows that start a run of the prefix so far: at first, of the empty one
+    starts = np.zeros(len(rows), bool)
+    starts[:1] = True
+    strings = np.array([opening], object)
     for column in heads:
-        text, cells = written(column)
-        width = len(text)
-        distinct, prefix = distinct_indices(len(strings) * width, prefix * width + cells)
-        strings = strings[distinct // width] + text[distinct % width] + comma
-    text, cells = written(last)
-    return strings[prefix] + (text + closing)[cells]
+        parent = starts
+        starts = parent.copy()
+        starts[1:] |= column[1:] != column[:-1]
+        begin = np.flatnonzero(starts)
+        # every parent run starts a run here, so this counts the parent runs
+        strings = strings[np.cumsum(parent[begin]) - 1] + np.fromiter(
+            (str(c) + comma for c in column[begin].tolist()), object, len(begin)
+        )
+    coordinates, cells = np.unique(last, return_inverse=True)
+    tails = np.fromiter((str(c) + closing for c in coordinates.tolist()), object, len(coordinates))
+    return strings[np.cumsum(starts) - 1] + tails[cells]
 
 
 @dataclass(frozen=True, eq=False)
 class CollisionPairs:
     """The equal-value pairs of one scan, held as arrays.
 
-    ``rows`` holds only the rows that some pair joins, each once, in the
-    scan's ascending order: box order for a box scan, table order for
-    SU(2)/F.  ``values`` holds one exact integer per kept row, ``int64``
-    or Python ints in an ``object`` array.  Pair t joins
+    ``rows`` holds only the rows that some pair joins, distinct and in
+    ascending lexicographic order: box order for a box scan, (k, d^2)
+    table order for SU(2)/F.  The writer's ``row_strings`` relies on that
+    order for speed only, not for correctness.  ``values`` holds one exact
+    integer per kept row, ``int64`` or Python ints in an ``object``
+    array.  Pair t joins
     ``rows[first[t]]`` and ``rows[second[t]]``, with ``first[t] <
     second[t]``, at the value ``values[first[t]] / denom``.  ``first``
     and ``second`` are ``int32``, which is exact: a box scan keeps at

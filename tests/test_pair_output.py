@@ -34,7 +34,17 @@ from casimirspec.symmdata import restricted_datum, table_rows
 INT64_LIMIT = 2**63
 
 
-def run_op(argv, chunk=cli.PAIR_CHUNK):
+# a chunk size that leaves the last block one record long
+LAST_ONE = "one record short"
+
+
+def run_op(argv, chunk=cli.PAIR_CHUNK, count=None):
+    """``cli.run(argv)``'s exit code and stdout, written ``chunk`` records at a time.
+
+    ``LAST_ONE`` stands for ``count - 1`` records, or 1 for a single record.
+    """
+    if chunk == LAST_ONE:
+        chunk = max(count - 1, 1)
     captured = io.StringIO()
     with mock.patch.object(cli, "PAIR_CHUNK", chunk), contextlib.redirect_stdout(captured):
         code = cli.run(argv)
@@ -108,9 +118,10 @@ def collide_case(label, params, bound, include_duals, chunk):
         "include_duals": include_duals,
         "collisions": [report_json(rep) for rep in reports],
     }
-    assert run_op(argv + ["--json"], chunk) == (cli.EXIT_OK, dumps(payload))
+    count = len(reports)
+    assert run_op(argv + ["--json"], chunk, count) == (cli.EXIT_OK, dumps(payload))
     table = [report_line(rep) for rep in reports] or ["no collisions in the box"]
-    assert run_op(argv, chunk) == (cli.EXIT_OK, lines(table))
+    assert run_op(argv, chunk, count) == (cli.EXIT_OK, lines(table))
 
 
 @settings(max_examples=80, deadline=None)
@@ -118,7 +129,7 @@ def collide_case(label, params, bound, include_duals, chunk):
     space=st.sampled_from(SPACES),
     data=st.data(),
     include_duals=st.booleans(),
-    chunk=st.sampled_from([1, 2, 7, cli.PAIR_CHUNK]),
+    chunk=st.sampled_from([1, 2, 7, LAST_ONE, cli.PAIR_CHUNK]),
 )
 def test_collide_matches_dumps_and_lines(space, data, include_duals, chunk):
     label, params = space
@@ -159,18 +170,19 @@ def product_case(labels, bound, beta, chunk):
         "collisions": [witness_json(w) for w in witnesses],
     }
     code = cli.EXIT_CERT_FAILED if witnesses else cli.EXIT_OK
-    assert run_op(argv + ["--json"], chunk) == (code, dumps(payload))
+    count = len(witnesses)
+    assert run_op(argv + ["--json"], chunk, count) == (code, dumps(payload))
     table = [witness_line(w) for w in witnesses] or [
         "no collisions: beta is certified on this box"
     ]
-    assert run_op(argv, chunk) == (code, lines(table))
+    assert run_op(argv, chunk, count) == (code, lines(table))
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     labels=st.lists(st.sampled_from(FACTOR_LABELS), min_size=1, max_size=3),
     data=st.data(),
-    chunk=st.sampled_from([1, 3, cli.PAIR_CHUNK]),
+    chunk=st.sampled_from([1, 3, LAST_ONE, cli.PAIR_CHUNK]),
 )
 def test_product_beta_matches_dumps_and_lines(labels, data, chunk):
     bound = data.draw(st.integers(1, BOUNDS[len(labels)]), label="bound")
@@ -217,7 +229,7 @@ def su2f_case(kmax, metric, chunk):
     ]
     payload = {**report.to_json(), "metric_collisions": collisions}
     code = cli.EXIT_OK if report.certified else cli.EXIT_CERT_FAILED
-    assert run_op(argv + ["--json"], chunk) == (code, dumps(payload))
+    assert run_op(argv + ["--json"], chunk, len(collisions)) == (code, dumps(payload))
     table = [
         f"kmax = {kmax}",
         f"within-k forms distinct: {report.within_k_distinct}",
@@ -229,7 +241,7 @@ def su2f_case(kmax, metric, chunk):
             f"{len(collisions)} collisions"
         )
     table.append(f"certified: {report.certified}")
-    assert run_op(argv, chunk) == (code, lines(table))
+    assert run_op(argv, chunk, len(collisions)) == (code, lines(table))
     return collisions
 
 
@@ -242,7 +254,7 @@ metrics = st.none() | st.tuples(st.integers(1, 6), st.integers(1, 6)).map(
 @given(
     kmax=st.integers(2, 300),
     metric=metrics,
-    chunk=st.sampled_from([1, 2, 7, cli.PAIR_CHUNK]),
+    chunk=st.sampled_from([1, 2, 7, LAST_ONE, cli.PAIR_CHUNK]),
 )
 def test_su2f_matches_dumps_and_lines(kmax, metric, chunk):
     su2f_case(kmax, metric, chunk)
@@ -257,9 +269,17 @@ def test_su2f_matches_dumps_and_lines(kmax, metric, chunk):
         (60, None, False),
     ],
 )
-@pytest.mark.parametrize("chunk", [1, 2, 7, cli.PAIR_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 2, 7, LAST_ONE, cli.PAIR_CHUNK])
 def test_su2f_edge_runs(kmax, metric, collide, chunk):
     assert bool(su2f_case(kmax, metric, chunk)) is collide
+
+
+@pytest.mark.parametrize("chunk", [LAST_ONE, cli.PAIR_CHUNK])
+def test_lists_of_several_blocks(chunk):
+    # thousands of records, so the default block size writes several blocks
+    collide_case("EVIII", {}, 2, False, chunk)  # 14,717 pairs, rank-8 rows
+    product_case(["S2"] * 3, 10, [Fraction(1)] * 3, chunk)  # 8,664 pairs
+    assert len(su2f_case(1200, (Fraction(1), Fraction(2)), chunk)) == 11643
 
 
 # -- the array contract -----------------------------------------------------------
@@ -360,6 +380,8 @@ def test_pair_arrays_keep_the_contract(scan, args):
     position = {tuple(row): i for i, row in enumerate(rows)}
     places = [position[tuple(row)] for row in kept.tolist()]
     assert all(p < q for p, q in zip(places, places[1:]))
+    # ... which is ascending lexicographic order, the order row_strings is fast on
+    assert all(p < q for p, q in zip(kept.tolist(), kept.tolist()[1:]))
     assert [Fraction(v, pairs.denom) for v in pairs.values.tolist()] == [values[p] for p in places]
     assert set(first.tolist()) | set(second.tolist()) == set(range(len(kept)))
     # the expanded pairs are the full reference's: box scans list them by
@@ -429,6 +451,26 @@ def test_collision_free_enumerate_collisions_holds_one_value_array():
     assert peak < 10 * size
 
 
+class Discard:
+    """A stdout that drops the text written to it."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_pair_writer_memory():
+    # 86,213 pairs over 55,029 rows and 17,190 values: 8.8 MB (10^6 bytes)
+    # in 2^11-record blocks; in 2^15-record blocks the writer peaked at
+    # 16.0 MB, 186 bytes a pair
+    pairs = check_beta([factor_spectrum("S2", 40)] * 3, (1, 2, 61))
+    assert len(pairs) == 86213
+    payload = {"factors": ["S2"] * 3, "bound": 40, "beta": ["1", "2", "61"]}
+    record = {"array_a": "a", "array_b": "b", "value": "value"}
+    with contextlib.redirect_stdout(Discard()):
+        _, peak = traced_peak(lambda: cli._emit_pairs(payload, True, pairs, "collisions", record))
+    assert peak < 12 * 10**6
+
+
 # -- the string tables ------------------------------------------------------------
 
 
@@ -474,6 +516,43 @@ def test_row_strings_match_json_dumps(rows, depth):
     rendered = spectrum.row_strings(np.array(rows, np.int64), "[" + inner, "," + inner, outer + "]")
     expected = [json.dumps(row, indent=2).replace("\n", outer) for row in rows]
     assert rendered.tolist() == expected
+
+
+# distinct rows in ascending lexicographic order, as every scan hands them
+# to the writer: box rows over few or many coordinates ...
+sorted_box_rows = st.tuples(st.sampled_from([1, 3, 8]), st.sampled_from([2, 3000])).flatmap(
+    lambda shape: st.sets(
+        st.tuples(*[st.integers(0, shape[1])] * shape[0]), min_size=1, max_size=40
+    ).map(sorted)
+)
+# ... and SU(2)/F's (k, d^2) tables: even k ascending and, within k, even
+# gaps d <= k ascending, ending at su2f.MAX_KMAX's widest line, so d^2
+# runs far past the number of rows
+su2f_tables = st.lists(
+    st.integers(0, su2f.MAX_KMAX // 2 - 1).flatmap(
+        lambda half: st.tuples(
+            st.just(2 * half), st.sets(st.integers(0, half), min_size=1, max_size=6)
+        )
+    ),
+    min_size=1, max_size=8, unique_by=lambda entry: entry[0],
+).map(
+    lambda entries: sorted([k, 4 * h * h] for k, halves in entries for h in halves)
+    + [[su2f.MAX_KMAX, su2f.MAX_KMAX**2]]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=sorted_box_rows | su2f_tables, depth=st.integers(0, 4))
+def test_row_strings_in_scan_order(rows, depth):
+    array = np.array(rows, np.int64)
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    rendered = spectrum.row_strings(array, "[" + inner, "," + inner, outer + "]")
+    assert rendered.tolist() == [json.dumps(row, indent=2).replace("\n", outer) for row in rows]
+    closing = ",)" if len(rows[0]) == 1 else ")"
+    rendered = spectrum.row_strings(array, "(", ", ", closing)
+    assert rendered.tolist() == [str(tuple(row)) for row in rows]
 
 
 @settings(max_examples=150, deadline=None)
