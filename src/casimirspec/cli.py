@@ -52,15 +52,14 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
 # pair records per block, each block one str.join and one stdout write.  A
 # block of 2^11 product records is about 330 kB of text, so its grid and
 # join stay in a 2 MB L2 cache.  Fresh-process cli.run medians on a 2-vCPU
-# x86-64 VM, at 2^15, 2^13, 2^12, 2^11, 2^10 and 2^9 records:
+# x86-64 VM, at 2^12, 2^11 and 2^10 records, with prefix and tail tables:
 # - product --factors S2,S2,S2 --bound 40 --beta 1,2,61 --json (86,213
-#   pairs, into a StringIO, 15 runs each): 55.8, 53.0, 51.1, 50.9, 50.5
-#   and 51.3 ms;
-# - collide EVIII --bound 3 --json (650,191 pairs, to /dev/null, 5 runs
-#   each): 433, 226, -, 231, 237 and 234 ms, peak RSS 79.6, 63.0, -,
-#   60.7, 60.7 and 60.7 MB.
-# From 2^12 down the times are inside the run-to-run spread; 2^11 is the
-# largest block at the lowest peak.
+#   pairs, into a StringIO, 15 runs each): 43.9, 43.1 and 42.7 ms;
+# - collide EVIII --bound 3 --json (650,191 pairs, to /dev/null, 9 runs
+#   each): 182, 174 and 178 ms, peak RSS 52.3 MB at all three.
+# The times are inside the run-to-run spread.  With whole row strings,
+# 2^15 and 2^13 records took 55.8 and 53.0 ms on the product op and peaked
+# at 79.6 and 63.0 MB on EVIII, against 60.7 MB from 2^12 down.
 PAIR_CHUNK = 1 << 11
 # marks where a field goes: json.dumps writes it "\u0000", and no payload holds it
 _MARK = "\0"
@@ -77,12 +76,20 @@ def _emit_pairs(payload: dict, as_json: bool, pairs, key: str, record, line="", 
     two records, cut at their fields: ``json.dumps`` of the payload with
     two marked records, or ``line`` twice.  A JSON row is ``json.dumps``
     of a row at the indent of its marker's line, so the bytes are those of
-    ``_emit`` with every record in place.  Each distinct value and each
-    kept row is rendered once (``spectrum.value_strings`` and
-    ``spectrum.row_strings``), into string tables that the pair arrays
-    index as they are.  Every ``PAIR_CHUNK`` records reach stdout as one
-    ``str.join`` of an object grid of the fixed text and the indexed
-    table columns; the grid is allocated once and each block refills it.
+    ``_emit`` with every record in place.
+
+    No text is built per pair or per kept row.  Each distinct value is
+    written once (``spectrum.value_strings``), and each row as a prefix
+    and a tail from ``spectrum.row_strings``'s two small tables, with an
+    ``int32`` index per kept row into each; a value is picked through
+    its first row's ``int32`` value class.  A field that is followed by
+    text inside its record carries that text, appended in place to its
+    own last table, so a record is written as the text before it, one
+    piece per value or flag and two per row.  Every ``PAIR_CHUNK``
+    records reach stdout as one ``str.join`` of an object grid, allocated
+    once and refilled per block by gathers through the block's slice of
+    ``first`` and ``second``, taken as ``intp`` once per block; nothing
+    is gathered for all pairs at once.
     """
     if not pairs:
         _emit({**payload, key: []}, as_json, [empty])
@@ -103,32 +110,51 @@ def _emit_pairs(payload: dict, as_json: bool, pairs, key: str, record, line="", 
     # each record's fields, and the text before each field and after the last
     per_record = len(pieces) // 4
     fields, literals = pieces[1 : 2 * per_record : 2], pieces[0::2]
-    distinct, value_index = np.unique(pairs.values, return_inverse=True)
+    distinct, value_of = np.unique(pairs.values, return_inverse=True)
+    # a value class is below the kept row count, under 2**31
+    value_of = value_of.astype(np.int32)
     values = spectrum.value_strings(distinct, pairs.denom)
     if as_json:
-        # JSON strings: the rational strings need no escaping, only quotes
-        values = '"' + values + '"'
-    rows = spectrum.row_strings(pairs.rows, *row_text)
-    # each field's table of strings, and the table entry of every pair
+        # JSON strings: the rational strings need no escaping, only quotes,
+        # added in place as all text here is, so no second table is alive
+        np.add('"', values, out=values)
+        np.add(values, '"', out=values)
+    prefixes, prefix_of, tails, tail_of = spectrum.row_strings(pairs.rows, *row_text)
+    # each field's string tables, with the per-row entry of each and the
+    # end of the pair ("a" or "b") whose row picks it; None: the pair picks it
     tables = {
-        "a": (rows, pairs.first),
-        "b": (rows, pairs.second),
+        "a": [(prefixes, prefix_of, "a"), (tails, tail_of, "a")],
+        # a field's last table is its own: it takes the text after the field
+        "b": [(prefixes, prefix_of, "b"), (tails.copy(), tail_of, "b")],
         # a pair's value is its first row's
-        "value": (values[value_index], pairs.first),
+        "value": [(values, value_of, "a")],
     }
     if pairs.dual is not None:
-        tables["dual"] = (np.array(flags, object), pairs.dual.view(np.uint8))
-    columns = [tables[field] for field in fields]
+        tables["dual"] = [(np.array(flags, object), pairs.dual.view(np.uint8), None)]
+    columns = []
+    for slot, field in enumerate(fields, 1):
+        if slot < per_record:
+            # the text after a field, inside the record, joins its last table
+            table = tables[field][-1][0]
+            np.add(table, literals[slot], out=table)
+        columns += tables[field]
     count = len(pairs)
-    # one record per grid row: the text before it, then its fields with the text between them
-    grid = np.empty((min(count, PAIR_CHUNK), 2 * per_record), object)
-    grid[:, 0], grid[:, 2::2] = literals[per_record], literals[1:per_record]
+    # one record per grid row: the text before it, then its fields' columns
+    grid = np.empty((min(count, PAIR_CHUNK), 1 + len(columns)), object)
+    grid[:, 0] = literals[per_record]
     # the first record follows the head
     grid[0, 0] = literals[0]
     for start in range(0, count, PAIR_CHUNK):
-        block = grid[: min(PAIR_CHUNK, count - start)]
-        for slot, (table, index) in enumerate(columns):
-            block[:, 2 * slot + 1] = table[index[start:start + PAIR_CHUNK]]
+        stop = min(start + PAIR_CHUNK, count)
+        block = grid[: stop - start]
+        # each end's rows, as intp once for the two or three gathers through them
+        ends = {
+            "a": pairs.first[start:stop].astype(np.intp),
+            "b": pairs.second[start:stop].astype(np.intp),
+            None: slice(start, stop),
+        }
+        for column, (table, index, end) in enumerate(columns, 1):
+            block[:, column] = table[index[ends[end]]]
         sys.stdout.write("".join(block.ravel().tolist()))
         grid[0, 0] = literals[per_record]
     sys.stdout.write(literals[-1])

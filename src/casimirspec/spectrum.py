@@ -206,11 +206,19 @@ def value_strings(values: np.ndarray, denom: int) -> np.ndarray:
         return strings
     dens, den_index = np.unique(dens, return_inverse=True)
     suffixes = np.array(["" if d == 1 else f"/{d}" for d in dens.tolist()], object)
-    return strings + suffixes[den_index]
+    # in place: one table of strings is alive, not two
+    np.add(strings, suffixes[den_index], out=strings)
+    return strings
 
 
-def row_strings(rows: np.ndarray, opening: str, comma: str, closing: str) -> np.ndarray:
-    """Each row of a non-negative integer array written ``opening c0 comma c1 ... closing``.
+def row_strings(rows: np.ndarray, opening: str, comma: str, closing: str) -> tuple:
+    """Rows of a non-negative integer array as ``opening c0 comma ... closing``, in two tables.
+
+    Returns ``(prefixes, prefix_of, tails, tail_of)``: row i is written
+    ``prefixes[prefix_of[i]] + tails[tail_of[i]]``, and no row's whole
+    text is built.  A prefix is the text up to the last coordinate, a
+    tail the last coordinate and ``closing``; ``prefix_of`` and
+    ``tail_of`` are ``int32``.
 
     The text before a row's last coordinate grows one coordinate at a
     time over runs of adjacent rows.  A row starts a run of the prefix
@@ -218,27 +226,39 @@ def row_strings(rows: np.ndarray, opening: str, comma: str, closing: str) -> np.
     in an earlier one, and each run's text is its parent run's text
     with one coordinate added.  Rows in ascending lexicographic order, as
     every scan hands them, have one run per distinct prefix; rows in any
-    other order get the same strings, with a prefix written once per run.
+    other order get the same text, with a prefix written once per run.
     The last column's distinct coordinates are written once, found by a
     sort of that column alone (SU(2)/F's d^2 reaches 5.2e7).
     """
     *heads, last = rows.T
+    # the last column's distinct coordinates, ascending, and each row's place
+    # among them, from one sort: np.unique's inverse would add three row-length
+    # arrays (and its plain form imports numpy.ma)
+    last = np.ascontiguousarray(last)
+    coordinates = np.sort(last)
+    distinct = np.ones(len(rows), bool)
+    distinct[1:] = coordinates[1:] != coordinates[:-1]
+    coordinates = coordinates[distinct]
+    tail_of = np.searchsorted(coordinates, last).astype(np.int32)
+    del last, distinct
+    tails = np.fromiter((str(c) + closing for c in coordinates.tolist()), object, len(coordinates))
     # the rows that start a run of the prefix so far: at first, of the empty one
     starts = np.zeros(len(rows), bool)
     starts[:1] = True
-    strings = np.array([opening], object)
+    prefixes = np.array([opening], object)
     for column in heads:
         parent = starts
         starts = parent.copy()
         starts[1:] |= column[1:] != column[:-1]
         begin = np.flatnonzero(starts)
         # every parent run starts a run here, so this counts the parent runs
-        strings = strings[np.cumsum(parent[begin]) - 1] + np.fromiter(
+        prefixes = prefixes[np.cumsum(parent[begin]) - 1] + np.fromiter(
             (str(c) + comma for c in column[begin].tolist()), object, len(begin)
         )
-    coordinates, cells = np.unique(last, return_inverse=True)
-    tails = np.fromiter((str(c) + closing for c in coordinates.tolist()), object, len(coordinates))
-    return strings[np.cumsum(starts) - 1] + tails[cells]
+    # a run count is at most the row count, below 2**31 (MAX_BOX_ROWS, su2f.MAX_KMAX)
+    prefix_of = np.cumsum(starts, dtype=np.int32)
+    prefix_of -= 1
+    return prefixes, prefix_of, tails, tail_of
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,8 +267,9 @@ class CollisionPairs:
 
     ``rows`` holds only the rows that some pair joins, distinct and in
     ascending lexicographic order: box order for a box scan, (k, d^2)
-    table order for SU(2)/F.  The writer's ``row_strings`` relies on that
-    order for speed only, not for correctness.  ``values`` holds one exact
+    table order for SU(2)/F.  In that order the writer's ``row_strings``
+    writes each distinct prefix once; in any other it writes the same
+    rows from a prefix per run.  ``values`` holds one exact
     integer per kept row, ``int64`` or Python ints in an ``object``
     array.  Pair t joins
     ``rows[first[t]]`` and ``rows[second[t]]``, with ``first[t] <

@@ -459,16 +459,25 @@ class Discard:
 
 
 def test_pair_writer_memory():
-    # 86,213 pairs over 55,029 rows and 17,190 values: 8.8 MB (10^6 bytes)
-    # in 2^11-record blocks; in 2^15-record blocks the writer peaked at
-    # 16.0 MB, 186 bytes a pair
+    # 86,213 pairs over 55,029 rows and 17,190 values: 2.6 MB (10^6 bytes)
+    # with prefix and tail tables changed in place; whole row strings took
+    # 8.8 MB, and 2^15-record blocks 16.0 MB
     pairs = check_beta([factor_spectrum("S2", 40)] * 3, (1, 2, 61))
     assert len(pairs) == 86213
     payload = {"factors": ["S2"] * 3, "bound": 40, "beta": ["1", "2", "61"]}
     record = {"array_a": "a", "array_b": "b", "value": "value"}
     with contextlib.redirect_stdout(Discard()):
         _, peak = traced_peak(lambda: cli._emit_pairs(payload, True, pairs, "collisions", record))
-    assert peak < 12 * 10**6
+    assert peak < 3.2 * 10**6
+    # SU(2)/F's (k, d^2) rows, d^2 far past the row count: 11,643 pairs over
+    # 18,762 rows, 1.4 MB; whole row strings took 3.2 MB
+    pairs = su2f.collisions_at_metric(su2f.invariant_lines(1200), 1, 2)
+    assert (len(pairs), len(pairs.rows)) == (11643, 18762)
+    with contextlib.redirect_stdout(Discard()):
+        _, peak = traced_peak(
+            lambda: cli._emit_pairs({}, True, pairs, "metric_collisions", ["a", "b", "value"])
+        )
+    assert peak < 1.8 * 10**6
 
 
 # -- the string tables ------------------------------------------------------------
@@ -507,15 +516,23 @@ box_rows = st.sampled_from([1, 3, 8]).flatmap(
 )
 
 
+def written_rows(rows, opening, comma, closing):
+    """Each row's text from ``spectrum.row_strings``: its prefix, then its tail."""
+    prefixes, prefix_of, tails, tail_of = spectrum.row_strings(rows, opening, comma, closing)
+    assert prefix_of.dtype == tail_of.dtype == np.int32
+    assert prefix_of.shape == tail_of.shape == (len(rows),)
+    return [prefixes[p] + tails[t] for p, t in zip(prefix_of.tolist(), tail_of.tolist())]
+
+
 @settings(max_examples=150, deadline=None)
 @given(rows=box_rows, depth=st.integers(0, 4))
 def test_row_strings_match_json_dumps(rows, depth):
     # json.dumps(..., indent=2) writes a list nested ``depth`` levels deep so
     outer = "\n" + "  " * depth
     inner = outer + "  "
-    rendered = spectrum.row_strings(np.array(rows, np.int64), "[" + inner, "," + inner, outer + "]")
+    rendered = written_rows(np.array(rows, np.int64), "[" + inner, "," + inner, outer + "]")
     expected = [json.dumps(row, indent=2).replace("\n", outer) for row in rows]
-    assert rendered.tolist() == expected
+    assert rendered == expected
 
 
 # distinct rows in ascending lexicographic order, as every scan hands them
@@ -548,19 +565,23 @@ def test_row_strings_in_scan_order(rows, depth):
     assert all(a < b for a, b in zip(rows, rows[1:]))
     outer = "\n" + "  " * depth
     inner = outer + "  "
-    rendered = spectrum.row_strings(array, "[" + inner, "," + inner, outer + "]")
-    assert rendered.tolist() == [json.dumps(row, indent=2).replace("\n", outer) for row in rows]
+    rendered = written_rows(array, "[" + inner, "," + inner, outer + "]")
+    assert rendered == [json.dumps(row, indent=2).replace("\n", outer) for row in rows]
     closing = ",)" if len(rows[0]) == 1 else ")"
-    rendered = spectrum.row_strings(array, "(", ", ", closing)
-    assert rendered.tolist() == [str(tuple(row)) for row in rows]
+    rendered = written_rows(array, "(", ", ", closing)
+    assert rendered == [str(tuple(row)) for row in rows]
+    # each distinct prefix and each distinct last coordinate is written once
+    prefixes, _, tails, _ = spectrum.row_strings(array, "(", ", ", closing)
+    assert len(prefixes) == len({tuple(row[:-1]) for row in rows})
+    assert len(tails) == len({row[-1] for row in rows})
 
 
 @settings(max_examples=150, deadline=None)
 @given(rows=box_rows)
 def test_row_strings_match_tuples(rows):
     closing = ",)" if len(rows[0]) == 1 else ")"
-    rendered = spectrum.row_strings(np.array(rows, np.int64), "(", ", ", closing)
-    assert rendered.tolist() == [str(tuple(row)) for row in rows]
+    rendered = written_rows(np.array(rows, np.int64), "(", ", ", closing)
+    assert rendered == [str(tuple(row)) for row in rows]
 
 
 @pytest.mark.parametrize("rank", range(1, 9))
@@ -573,12 +594,12 @@ def test_row_strings_on_random_rows(rank):
     for depth in range(5):
         outer = "\n" + "  " * depth
         inner = outer + "  "
-        rendered = spectrum.row_strings(rows, "[" + inner, "," + inner, outer + "]")
+        rendered = written_rows(rows, "[" + inner, "," + inner, outer + "]")
         expected = [json.dumps(row, indent=2).replace("\n", outer) for row in rows.tolist()]
-        assert rendered.tolist() == expected
+        assert rendered == expected
     closing = ",)" if rank == 1 else ")"
-    rendered = spectrum.row_strings(rows, "(", ", ", closing)
-    assert rendered.tolist() == [str(tuple(row)) for row in rows.tolist()]
+    rendered = written_rows(rows, "(", ", ", closing)
+    assert rendered == [str(tuple(row)) for row in rows.tolist()]
 
 
 @settings(max_examples=100, deadline=None)
@@ -596,10 +617,10 @@ def test_row_strings_past_the_cell_count(rows, depth):
     assert array.max() >= array.size
     outer = "\n" + "  " * depth
     inner = outer + "  "
-    rendered = spectrum.row_strings(array, "[" + inner, "," + inner, outer + "]")
-    assert rendered.tolist() == [json.dumps(row, indent=2).replace("\n", outer) for row in rows]
-    rendered = spectrum.row_strings(array, "(", ", ", ")")
-    assert rendered.tolist() == [str(tuple(row)) for row in rows]
+    rendered = written_rows(array, "[" + inner, "," + inner, outer + "]")
+    assert rendered == [json.dumps(row, indent=2).replace("\n", outer) for row in rows]
+    rendered = written_rows(array, "(", ", ", ")")
+    assert rendered == [str(tuple(row)) for row in rows]
 
 
 def test_product_beta_denominator_past_int64():
