@@ -27,10 +27,9 @@ formula in ``hopf_eigenvalue``, evaluated on integer arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .exactalg import Record
 from .simplicity import SplitFamily
 from .spectrum import equal_value_pairs, exact_dtype, require_box
 
@@ -59,8 +58,7 @@ def hopf_eigenvalue(n: int, p, q) -> tuple:
     return alpha, freudenthal
 
 
-@dataclass(frozen=True)
-class HopfScanReport:
+class HopfScanReport(Record):
     """Exhaustive collision scan over the box p, q <= bound."""
 
     n: int

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
@@ -418,7 +419,9 @@ def _cmd_simplicity(args) -> int:
     return EXIT_OK if ok else EXIT_CERT_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: a ``_cmd_*`` function patched after that call is not run."""
     parser = argparse.ArgumentParser(
         prog="casimirspec",
         description="Exact Laplace-Casimir spectra and simplicity certificates",

@@ -6,6 +6,7 @@ rationals, sparse multivariate polynomials over named metric parameters,
 univariate polynomials in a formal variable ``t`` whose coefficients are
 such multivariate polynomials, characteristic polynomials of diagonal
 matrices, and exact resultants.  There is no floating point anywhere.
+``Record`` is the base of every engine's frozen value types.
 
 Rationals are ``fractions.Fraction`` (always reduced, positive
 denominator).  They serialize as ``"num/den"`` with the denominator
@@ -26,6 +27,46 @@ from operator import add, index
 from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
+
+
+class Record:
+    """A frozen value type: ``@dataclass(frozen=True)`` without generated code.
+
+    Fields are the subclass's own annotations, in order, with class attributes
+    as defaults.  ``class C(Record, eq=False)`` keeps identity equality.
+    """
+
+    def __init_subclass__(cls, eq=True):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        cls, rest = type(self), self._fields[len(args):]
+        missing = [f for f in rest if f not in kwargs and f not in cls.__dict__]
+        if len(args) > len(self._fields) or missing or not kwargs.keys() <= set(rest):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(self._fields)}")
+        self.__dict__.update(zip(self._fields, args), **kwargs)
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def as_rational(value: RationalLike) -> Fraction:

@@ -25,7 +25,6 @@ refused with ``ValueError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import islice, product, takewhile
@@ -34,7 +33,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .exactalg import rational_to_str
+from .exactalg import Record, rational_to_str
 from .spectrum import (
     CollisionPairs, compact_pairs, eigenvalue, equal_value_pairs, exact_dtype, require_box,
 )
@@ -54,8 +53,7 @@ MAX_DIFFERENCE_GRID = 2**24
 MAX_SEARCH_ENTRIES = 2**31
 
 
-@dataclass(frozen=True)
-class FactorSpectrum:
+class FactorSpectrum(Record):
     """Eigenvalues lambda(0..bound) of one rank-one factor, exact."""
 
     label: str
@@ -319,8 +317,7 @@ def candidate_tuples(length: int) -> Iterator[tuple]:
         yield from level_tuples(length, values)
 
 
-@dataclass(frozen=True)
-class BetaCertificate:
+class BetaCertificate(Record):
     """A weight vector certified collision-free on a finite index box.
 
     The claim is exactly the box stated here, nothing more: every

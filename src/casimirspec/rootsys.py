@@ -23,21 +23,19 @@ under global rescaling, so only determinism is at stake in this choice.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
 from math import lcm
 from operator import floordiv
 
-from .exactalg import fraction_free_elimination
+from .exactalg import Record, fraction_free_elimination
 
 FAMILIES = ("A", "B", "C", "D", "BC", "E6", "E7", "E8", "F4", "G2")
 
 _FIXED_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
 
 
-@dataclass(frozen=True)
-class RootSystemType:
+class RootSystemType(Record):
     """A root system family together with its rank."""
 
     family: str
@@ -77,8 +75,7 @@ def parse_type(text: str) -> RootSystemType:
     return RootSystemType(family, int(rank))
 
 
-@dataclass(frozen=True)
-class CartanData:
+class CartanData(Record):
     """Cartan matrix, simple-root norms, and doubled-root flags."""
 
     system: RootSystemType

@@ -33,7 +33,6 @@ made beyond that truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import lt
@@ -44,6 +43,7 @@ import numpy as np
 from .exactalg import (
     MultiPoly,
     ParametricMatrix,
+    Record,
     char_poly,
     derivative,
     rational_to_str,
@@ -209,8 +209,7 @@ def condition_c(family: SplitFamily) -> list:
     return violations
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(Record):
     """Exact condition verdicts at one positive metric point."""
 
     mode: str  # "real" (RI) or "complex" (CI)

@@ -17,14 +17,13 @@ the catalog of rank-two cases with their closed-form collision pairs.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
 from typing import Optional
 
 import numpy as np
 
-from .exactalg import MultiPoly, rational_to_str
+from .exactalg import MultiPoly, Record, rational_to_str
 from .symmdata import RestrictedDatum
 from .rootsys import gram_matrix, cartan_data, parse_type, solve
 
@@ -164,13 +163,20 @@ def distinct_indices(size: int, *indices: np.ndarray) -> tuple:
     Returns ``(distinct, *places)``: ``distinct`` ascending, and
     ``distinct[places[k]] == indices[k]`` entry by entry.  A mark per
     index in ``range(size)`` stands in for sorting the entries.  The
-    places are ``int32``, exact for any ``size`` below 2**31.
+    places are ``int32``, exact for any ``size`` below 2**31.  Indices are
+    read as ``intp`` by blocks: an ``int32`` index takes a slower buffered cast.
     """
     mark = np.zeros(size, bool)
-    for index in indices:
-        mark[index] = True
+    starts = range(0, max(map(len, indices)), BUILD_CHUNK)
+    for start in starts:
+        for index in indices:
+            mark[index[start:start + BUILD_CHUNK].astype(np.intp)] = True
     place = np.cumsum(mark, dtype=np.int32) - 1
-    return (np.flatnonzero(mark), *(place[index] for index in indices))
+    places = [np.empty(len(index), np.int32) for index in indices]
+    for start in starts:
+        for index, out in zip(indices, places):
+            out[start:start + BUILD_CHUNK] = place[index[start:start + BUILD_CHUNK].astype(np.intp)]
+    return (np.flatnonzero(mark), *places)
 
 
 def compact_pairs(size: int, first: np.ndarray, second: np.ndarray) -> tuple:
@@ -261,8 +267,7 @@ def row_strings(rows: np.ndarray, opening: str, comma: str, closing: str) -> tup
     return prefixes, prefix_of, tails, tail_of
 
 
-@dataclass(frozen=True, eq=False)
-class CollisionPairs:
+class CollisionPairs(Record, eq=False):
     """The equal-value pairs of one scan, held as arrays.
 
     ``rows`` holds only the rows that some pair joins, distinct and in
@@ -375,8 +380,7 @@ class WitnessError(ValueError):
     """Raised when a datum is outside the reflection construction's scope."""
 
 
-@dataclass(frozen=True)
-class ReflectionWitness:
+class ReflectionWitness(Record):
     """A half-sum-fixing reflection collision certificate.
 
     ``alpha`` is an integer multiple of beta_i - beta_j written in the
@@ -480,8 +484,7 @@ def reflection_witness(datum: RestrictedDatum) -> ReflectionWitness:
 # -- rank-two catalog ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Rank2Pair:
+class Rank2Pair(Record):
     """One closed-form collision pair, possibly parameterized.
 
     Coordinates are polynomials in a free integer parameter ``s`` which
@@ -497,8 +500,7 @@ class Rank2Pair:
     min_param: int
 
 
-@dataclass(frozen=True)
-class Rank2Case:
+class Rank2Case(Record):
     """One rank-two space whose half-sum is not proportional to M1 + M2."""
 
     label: str

@@ -36,7 +36,6 @@ family for the condition engines is the same table, its keys over 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -45,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exactalg import rational_to_str
+from .exactalg import Record, rational_to_str
 from .simplicity import SplitFamily
 from .spectrum import CollisionPairs, compact_pairs, equal_value_pairs, exact_dtype
 
@@ -170,8 +169,7 @@ def collisions_at_metric(lines: np.ndarray, a: Fraction, b: Fraction) -> Collisi
     return CollisionPairs(lines[used], first[ascending], second[ascending], values, 8 * denom)
 
 
-@dataclass(frozen=True)
-class SimplicityReport:
+class SimplicityReport(Record):
     """Certificate data for the two-parameter metric family on SU(2)/F."""
 
     kmax: int

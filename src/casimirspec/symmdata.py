@@ -28,11 +28,10 @@ ordering of the rows):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactalg import rational_to_str
+from .exactalg import Record, rational_to_str
 from .rootsys import (
     CartanData,
     RootSystemType,
@@ -49,13 +48,13 @@ LABELS = (
 
 # Largest restricted rank a catalog row accepts.  The Cartan matrix is dense,
 # and each forward elimination on it (one in cartan_data, one per eigenvalue)
-# is O(rank^2): `witness --label AI --r 5000` takes 17-19 s and 435 MB on a
-# 2-vCPU Intel Xeon VM, rank 6000 about 26 s, near half of a 60 s budget.
+# is O(rank^2): `witness --label AI --r 5000` takes 12-19 s and 613 MB on a
+# 2-vCPU Intel Xeon VM whose speed drifts, rank 6000 about 26 s, near half of
+# a 60 s budget.
 MAX_RANK = 5000
 
 
-@dataclass(frozen=True)
-class SymmetricSpaceDescriptor:
+class SymmetricSpaceDescriptor(Record):
     """One symmetric-space type at concrete parameter values."""
 
     label: str
@@ -69,8 +68,7 @@ class SymmetricSpaceDescriptor:
         return len(self.multiplicities)
 
 
-@dataclass(frozen=True)
-class RestrictedDatum:
+class RestrictedDatum(Record):
     """Everything the eigenvalue machinery needs about one space."""
 
     descriptor: SymmetricSpaceDescriptor

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import casimirspec
-from casimirspec import bundles, products, spectrum, su2f
+from casimirspec import bundles, cli, products, spectrum, su2f
 from casimirspec.cli import EXIT_CERT_FAILED, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, run
 from casimirspec.spectrum import MAX_BOX_ROWS
 from casimirspec.symmdata import LABELS, MAX_RANK, restricted_datum
@@ -668,3 +668,33 @@ def test_closed_stdout_is_exit_3():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == EXIT_INTERNAL
     assert err == "error: stdout was closed before the output was written\n"
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_one_process_runs_like_fresh_ones(capsys, monkeypatch):
+    # the cached parser keeps no state from one run to the next
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    src = pathlib.Path(casimirspec.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    collide = ["collide", "AI", "--r", "2", "--bound", "4"]
+    missing_bound = ["collide", "AI", "--r", "2"]
+    for argv, expected in (
+        (collide, EXIT_OK), (["table-delta", "--json"], EXIT_OK),
+        (missing_bound, EXIT_USAGE), (collide, EXIT_OK),
+    ):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "casimirspec.cli", *argv],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert (code, captured.out.encode(), captured.err.encode()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr,
+        )
+        assert code == expected

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from itertools import islice, product
 from math import gcd, lcm
@@ -22,8 +21,9 @@ from casimirspec.products import (
     generic_beta_certificate,
     prime_sequence,
 )
+from casimirspec.rootsys import CartanData
 from casimirspec.spectrum import eigenvalue
-from casimirspec.symmdata import cross_datum, restricted_datum
+from casimirspec.symmdata import RestrictedDatum, cross_datum, restricted_datum
 
 
 def reference_collision_hyperplanes(factors, bound):
@@ -78,6 +78,14 @@ def rational_factors(bound):
     ]
 
 
+def rational_datum():
+    """CP2 with a rational norm and half-sum: its eigenvalues are not integers."""
+    datum = cross_datum("CP2")
+    c = datum.cartan
+    rational = CartanData(c.system, c.cartan, (Fraction(2, 3),), c.doubled)
+    return RestrictedDatum(datum.descriptor, rational, (Fraction(5, 7),))
+
+
 # cross_datum aliases of every family, the rank-one catalog data, and one
 # rank-one datum whose eigenvalues are not integers
 FACTOR_SPECTRUM_CASES = [
@@ -87,14 +95,7 @@ FACTOR_SPECTRUM_CASES = [
     "OP2",
     "FII",
     *(pytest.param(d, id=f"catalog-{d.descriptor.label}") for d in rank_one_catalog()),
-    pytest.param(
-        replace(
-            cross_datum("CP2"),
-            cartan=replace(cross_datum("CP2").cartan, norms=(Fraction(2, 3),)),
-            two_delta_bar=(Fraction(5, 7),),
-        ),
-        id="rational",
-    ),
+    pytest.param(rational_datum(), id="rational"),
 ]
 
 
