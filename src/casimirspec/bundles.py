@@ -31,7 +31,7 @@ import numpy as np
 
 from .exactalg import Record
 from .simplicity import SplitFamily
-from .spectrum import equal_value_pairs, exact_dtype, require_box
+from .spectrum import BUILD_CHUNK, equal_value_pairs, exact_dtype, require_box
 
 METRIC_PARAMS = ("gamma1", "gamma2")
 
@@ -96,23 +96,42 @@ def pair_disagreements(first: np.ndarray, second: np.ndarray) -> int:
     ``second[i] == second[j]``, over all N^2 ordered pairs including
     i == j.  With D ranging over the classes of ``first``, R over those
     of ``second`` and D & R over those of the joint labeling, the count
-    is sum |D|^2 + sum |R|^2 - 2 sum |D & R|^2, computed in O(N log N).
-    Each sum is at most N^2; the class sizes are squared in int64 when
+    is sum |D|^2 + sum |R|^2 - 2 sum |D & R|^2, computed in O(N log N)
+    from the runs of three sorts: ``second`` sorted gives the R, ``first``
+    ordered by a stable argsort the D, and ``second`` in that order,
+    sorted within the runs of ``first`` by ``np.lexsort``, the D & R.
+    Each sum is at most N^2; the run lengths are squared in int64 when
     N^2 is below 2**63 and in Python ints otherwise.  Labels are 1-D
     arrays of exact integers (``int64`` or ``object``).
     """
-    size = len(first)
-    dtype = exact_dtype(size * size)
-    _, first_class, first_sizes = np.unique(first, return_inverse=True, return_counts=True)
-    _, second_class, second_sizes = np.unique(second, return_inverse=True, return_counts=True)
-    joint = first_class.astype(dtype) * size + second_class.astype(dtype)
-    joint_sizes = np.unique(joint, return_counts=True)[1]
+    dtype = exact_dtype(len(first) ** 2)
 
-    def square_sum(sizes) -> int:
-        sizes = sizes.astype(dtype)
-        return int((sizes * sizes).sum())
+    def square_sum(starts) -> int:
+        """Sum of squared run lengths, from a mask of the entries that start a run."""
+        sizes = np.diff(np.flatnonzero(np.r_[starts, True])).astype(dtype, copy=False)
+        sizes *= sizes
+        return int(sizes.sum())
 
-    return square_sum(first_sizes) + square_sum(second_sizes) - 2 * square_sum(joint_sizes)
+    def run_starts(ordered) -> np.ndarray:
+        starts = np.ones(len(ordered), bool)
+        starts[1:] = ordered[1:] != ordered[:-1]
+        return starts
+
+    total = square_sum(run_starts(np.sort(second)))
+    order = np.argsort(first, kind="stable")
+    starts = run_starts(first[order])
+    total += square_sum(starts)
+    gathered = second[order]
+    del order
+    # the run ids of first, the primary key, keep each run's block in place;
+    # int32 counts the runs of a box under MAX_BOX_ROWS exactly
+    order = np.lexsort((gathered, np.cumsum(starts, dtype=np.int32)))
+    # compared a block at a time, so the sorted labels are never held whole
+    for start in range(0, len(order), BUILD_CHUNK):
+        block = gathered[order[start:start + BUILD_CHUNK + 1]]
+        starts[start + 1:start + len(block)] |= block[1:] != block[:-1]
+    del gathered, order
+    return total - 2 * square_sum(starts)
 
 
 def hopf_swap_theorem_scan(n: int, bound: int) -> HopfScanReport:
@@ -146,33 +165,48 @@ def hopf_swap_theorem_scan(n: int, bound: int) -> HopfScanReport:
     top = 2 * (n + 1) * bound + n
     radix = top * top + 1
     dtype = exact_dtype(2 * radix * radix)
+    size = side * side
 
-    def coordinates():
-        """The columns p and q of the box, whose row i is (i // side, i % side)."""
-        return (c.astype(dtype, copy=False) for c in np.divmod(np.arange(side * side), side))
+    def coordinates(start):
+        """The columns p and q of one ``BUILD_CHUNK`` block of box rows from ``start``.
+
+        Row i of the box is (i // side, i % side).
+        """
+        positions = np.arange(start, min(start + BUILD_CHUNK, size))
+        return (c.astype(dtype, copy=False) for c in np.divmod(positions, side))
+
+    def keys(key):
+        """``key`` on the columns of every block, joined into one box-length array.
+
+        A block's columns and temporaries are dropped once ``key`` has read
+        them; one block is returned as it is.
+        """
+        blocks = [key(coordinates(start)) for start in range(0, size, BUILD_CHUNK)]
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+    def reduced_key(columns):
+        x, y = (2 * (n + 1) * c + n for c in columns)
+        return (x * x + y * y) * radix + x * y
+
+    def direct_key(columns):
+        alpha, freudenthal = hopf_eigenvalue(n, *columns)
+        return alpha * radix + freudenthal
 
     def rows(positions):
         return map(tuple, np.column_stack(np.divmod(positions, side)).tolist())
 
-    def reduced_keys():
-        x, y = (2 * (n + 1) * c + n for c in coordinates())
-        return (x * x + y * y) * radix + x * y
-
-    # each full-length array is dropped after its last use; the swaps
-    # (0, 1) ~ (1, 0) repeat a key, so the kernel hands back its second build
-    first, second, reduced = equal_value_pairs(reduced_keys)
+    # the swaps (0, 1) ~ (1, 0) repeat a key, so the kernel hands back its second build
+    first, second, reduced = equal_value_pairs(lambda: keys(reduced_key))
     # a collision is a swap when its second row is the first one's transpose
     swap = second == first % side * side + first // side
     non_swap = tuple(zip(rows(first[~swap]), rows(second[~swap])))
     collision_pairs, swap_pairs = len(first), int(swap.sum())
     del first, second, swap
-    alpha, freudenthal = hopf_eigenvalue(n, *coordinates())
-    direct = alpha * radix + freudenthal
-    del alpha, freudenthal
+    direct = keys(direct_key)
     return HopfScanReport(
         n=n,
         bound=bound,
-        weights_scanned=side * side,
+        weights_scanned=size,
         collision_pairs=collision_pairs,
         swap_pairs=swap_pairs,
         non_swap_pairs=non_swap,

@@ -25,10 +25,10 @@ from hypothesis import strategies as st
 import pairref
 from specref import weight_box
 
-from casimirspec import cli, exactalg, spectrum, su2f
+from casimirspec import cli, exactalg, products, spectrum, su2f
 from casimirspec.exactalg import rational_to_str
 from casimirspec.products import check_beta, factor_spectrum
-from casimirspec.spectrum import enumerate_collisions
+from casimirspec.spectrum import enumerate_collisions, equal_value_pairs
 from casimirspec.symmdata import restricted_datum, table_rows
 
 INT64_LIMIT = 2**63
@@ -423,9 +423,12 @@ def traced_peak(scan):
     ],
     ids=["S2,S2", "S2,CP2,OP2", "S2x3"],
 )
-def test_check_beta_builds_no_box(labels, bound, beta):
-    # 2^18 box values and the neighbour mask, 9 bytes a row; a box of int64
-    # index arrays would add 8 a factor
+def test_check_beta_builds_no_box(monkeypatch, labels, bound, beta):
+    # with the block test off, the kernel holds 2^18 box values and the
+    # neighbour mask, 9 bytes a row; a box of int64 index arrays would add 8
+    # a factor.  The block test certifies these boxes holding far less
+    # (tests/test_scan_kernel.py)
+    monkeypatch.setattr(products, "block_verdict", lambda weights, tables, dtype: None)
     factors = [factor_spectrum(label, bound) for label in labels]
     pairs, peak = traced_peak(lambda: check_beta(factors, beta, bound))
     assert not pairs
@@ -433,11 +436,15 @@ def test_check_beta_builds_no_box(labels, bound, beta):
 
 
 def test_collision_free_check_beta_holds_one_value_array():
-    # 1001^2 box values sorted in place and the neighbour mask: 9 bytes a
-    # row, where a sorted copy would add 8
+    # check_beta certifies this box by blocks and builds none of it; the
+    # kernel, handed the same 1001^2 build, sorts it in place beside the
+    # neighbour mask: 9 bytes a row, where a sorted copy would add 8
     factors = [factor_spectrum("S2", 1000)] * 2
-    pairs, peak = traced_peak(lambda: check_beta(factors, (1, 1000003)))
-    assert not pairs and len(pairs.rows) == len(pairs.values) == 0
+    tables = products.integer_tables(factors, 1000)
+    (first, second, values), peak = traced_peak(
+        lambda: equal_value_pairs(lambda: products.box_values([1, 1000003], tables, np.int64))
+    )
+    assert len(first) == len(second) == len(values) == 0
     assert peak < 1.2 * 8 * 1001**2
 
 

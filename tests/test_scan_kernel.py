@@ -8,6 +8,7 @@ dict, then list every pair.
 import json
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 from casimirspec import products, spectrum, su2f
 from casimirspec.cli import run
 from casimirspec.exactalg import rational_to_str
-from casimirspec.products import FactorSpectrum, check_beta, factor_spectrum
+from casimirspec.products import (
+    FactorSpectrum, all_distinct, block_verdict, check_beta, factor_spectrum,
+)
 from casimirspec.spectrum import (
     dual_weight,
     enumerate_collisions,
@@ -137,22 +140,28 @@ class TestEqualValuePairs:
         assert values.dtype == dtype and values.tolist() == [2, 1, 2, 2]
 
     def test_box_scans_build_again_only_when_a_value_repeats(self, monkeypatch):
-        calls = []
+        calls, kernels = [], []
 
         def spy(build):
             def counted():
                 calls.append(build)
                 return build()
+            kernels.append(build)
             return equal_value_pairs(counted)
 
         monkeypatch.setattr(spectrum, "equal_value_pairs", spy)
         monkeypatch.setattr(products, "equal_value_pairs", spy)
         assert not enumerate_collisions(cross_datum("S2"), 50)
-        assert not check_beta([factor_spectrum("S2", 30)] * 2, (1, 1000003))
+        # the beta search's winner on S2^3 at bound 8: no gap of the heaviest
+        # factor's table exceeds the others' span, so the kernel decides
+        assert not check_beta([factor_spectrum("S2", 8)] * 3, (179, 191, 229))
         assert len(calls) == 2
         assert enumerate_collisions(ROWS[0], 3)
         assert check_beta([factor_spectrum("S2", 6)] * 2, (1, 1))
-        assert len(calls) == 6
+        assert len(calls) == 6 and len(kernels) == 4
+        # a box the block test certifies never reaches the kernel
+        assert not check_beta([factor_spectrum("S2", 30)] * 2, (1, 1000003))
+        assert len(calls) == 6 and len(kernels) == 4
 
     def test_values_straddling_int64_are_exact(self):
         # neighbours of +-2**63 that int64 would wrap or merge
@@ -298,6 +307,134 @@ def test_check_beta_with_fractional_weights_matches_reference(factors, beta, dty
     pairs = check_beta(factors, beta)
     assert pairs.values.dtype == dtype
     assert pairref.witnesses(pairs) == reference_check_beta(factors, beta)
+
+
+# -- the block test against the kernel -----------------------------------------
+
+
+def kernel_check_beta(factors, beta, bound=None):
+    """``check_beta`` with the block test switched off: the kernel decides every box."""
+    with mock.patch.object(products, "block_verdict", lambda weights, tables, dtype: None):
+        return check_beta(factors, beta, bound)
+
+
+def block_check_beta(factors, beta, bound=None):
+    """``check_beta``, and the block test's verdict on its box."""
+    verdicts = []
+
+    def recorded(weights, tables, dtype):
+        verdicts.append(block_verdict(weights, tables, dtype))
+        return verdicts[-1]
+
+    with mock.patch.object(products, "block_verdict", recorded):
+        pairs = check_beta(factors, beta, bound)
+    # the inner boxes are decided by calls of their own; the whole box's returns last
+    return pairs, verdicts[-1]
+
+
+def assert_same_pairs(pairs, expected):
+    assert pairs.rows.dtype == expected.rows.dtype and pairs.rows.shape == expected.rows.shape
+    assert pairs.rows.tolist() == expected.rows.tolist()
+    for name in ("first", "second", "values"):
+        found, wanted = getattr(pairs, name), getattr(expected, name)
+        assert found.dtype == wanted.dtype and found.tolist() == wanted.tolist()
+    assert pairs.denom == expected.denom and pairs.dual is expected.dual is None
+
+
+BLOCK_FACTORS = ["S2", "CP2", "HP2", "OP2", "S2/3", "2CP2/7"]
+
+
+def block_factors(labels, bound):
+    scaled = dict(zip(["S2/3", "2CP2/7"], scaled_factors(bound)))
+    return [scaled.get(label) or factor_spectrum(label, bound) for label in labels]
+
+
+# small weights collide, far-apart ones cut, and past 2**63 the box takes Python ints
+block_weights = (
+    st.integers(1, 5)
+    | st.integers(1, 10**9)
+    | st.builds(Fraction, st.integers(1, 10**9), st.integers(1, 1000))
+    | st.integers(INT64_LIMIT, 2**70)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    labels=st.lists(st.sampled_from(BLOCK_FACTORS), min_size=1, max_size=3),
+    bound=st.integers(1, 13),
+    weights=st.lists(block_weights, min_size=3, max_size=3),
+)
+@example(labels=["S2", "S2"], bound=1, weights=[1, 1, 1])  # gap = span: no cut
+@example(labels=["S2", "S2", "S2"], bound=6, weights=[1, 1, 10**6])
+def test_block_verdict_matches_kernel(labels, bound, weights):
+    beta = weights[: len(labels)]
+    factors = block_factors(labels, bound)
+    expected = kernel_check_beta(factors, beta, bound)
+    pairs, verdict = block_check_beta(factors, beta, bound)
+    assert verdict in (None, not expected)
+    assert_same_pairs(pairs, expected)
+
+
+@pytest.mark.parametrize(
+    "labels,bound,beta,verdict",
+    [
+        # the gaps of 4 equal the other factor's span: no cut, and (0, 1) ~ (1, 0)
+        (["S2", "S2"], 1, (1, 1), None),
+        (["S2", "S2", "S2"], 40, (1, 2, 61), None),
+        # every gap cut, at every level: no array is built
+        (["S2", "S2"], 13, (1, 1000003), True),
+        (["S2", "S2", "S2"], 13, (1, 1000003, 1000000000039), True),
+        (["S2", "CP2", "OP2"], 13, (1, 1009, 1000033), True),
+        (["S2", "S2"], 13, (1, 2**64), True),
+        # blocks 0-3 form one cluster, where 30 * 4 + 24 = 144 + 0
+        (["S2", "S2"], 13, (1, 30), False),
+        # the inner box over the lighter factors collides, in every block
+        (["S2", "S2", "S2"], 6, (1, 1, 10**6), False),
+        (["S2/3", "2CP2/7", "S2"], 6, (1, 1, 10**6), False),
+    ],
+)
+def test_block_verdict_cases(labels, bound, beta, verdict):
+    factors = block_factors(labels, bound)
+    expected = kernel_check_beta(factors, beta, bound)
+    pairs, found = block_check_beta(factors, beta, bound)
+    assert found is verdict
+    assert verdict is None or verdict is not bool(expected)
+    assert_same_pairs(pairs, expected)
+
+
+def test_colliding_core_with_a_separated_top_factor():
+    factors = [factor_spectrum("S2", 6)] * 3
+    pairs, verdict = block_check_beta(factors, (1, 1, 10**6))
+    assert verdict is False and len(pairs) > 0
+    assert_same_pairs(pairs, kernel_check_beta(factors, (1, 1, 10**6)))
+    assert pairref.witnesses(pairs) == reference_check_beta(factors, (1, 1, 10**6))
+
+
+def test_nearly_separated_beta_sorts_five_blocks(monkeypatch):
+    sorted_sizes = []
+
+    def spy(values):
+        sorted_sizes.append(len(values))
+        return all_distinct(values)
+
+    monkeypatch.setattr(products, "all_distinct", spy)
+    assert not check_beta([factor_spectrum("S2", 2895)] * 2, (1, 1000003))
+    # one cluster of 5 blocks of 2,896 values; the other blocks are cut apart
+    assert sorted_sizes == [5 * 2896]
+
+
+def test_block_certified_box_allocates_no_box_length_array():
+    factors = [factor_spectrum("S2", 1000)] * 2
+    tracemalloc.start()
+    try:
+        pairs = check_beta(factors, (1, 1000003))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not pairs
+    # the sorted offsets of each level, Python ints: about 0.25 bytes a box
+    # row, where a neighbour mask alone is 1 and the box of values 8
+    assert peak < 0.5 * 1001**2
 
 
 def test_check_beta_collision_rich_box():
