@@ -12,15 +12,15 @@ entry i in factor i's difference set {lambda_i(m) - lambda_i(m')}, so
 this module builds them factor by factor, never pairing box arrays.  It
 then produces a deterministic beta certified collision-free on that box.
 
-Both steps run on one integer table per factor, lambda_i(0..bound) times
-the lcm of the denominators.  The hyperplanes are packed into one
-``int64`` key per normal and deduplicated by sorting; the beta candidates
-are tested in batches, each one sorted ``(batch, box)`` array of box
-values, ``int32`` while they stay below 2**31.  Python ints take over
-wherever a bound stated below would reach 2**63, and ``check_beta``
-stays the exact witness lister that confirms the winner.  Grids past
-``MAX_DIFFERENCE_GRID`` and searches past ``MAX_SEARCH_ENTRIES`` are
-refused with ``ValueError``.
+Both steps run on each factor's table lambda_i(0..bound), which is
+integral (:func:`factor_spectrum`), so a factor keeps no denominator.
+The hyperplanes are packed into one ``int64`` key per normal and
+deduplicated by sorting; the beta candidates are tested in batches, each
+one sorted ``(batch, box)`` array of box values, ``int32`` while they
+stay below 2**31.  Python ints take over wherever a bound stated below
+would reach 2**63, and ``check_beta`` stays the exact witness lister
+that confirms the winner.  Grids past ``MAX_DIFFERENCE_GRID`` and
+searches past ``MAX_SEARCH_ENTRIES`` are refused with ``ValueError``.
 
 ``check_beta`` decides a box by blocks before it sorts one.  Take the
 factor k with the largest weighted span and cut its sorted weighted
@@ -46,7 +46,8 @@ import numpy as np
 
 from .exactalg import Record, rational_to_str
 from .spectrum import (
-    CollisionPairs, compact_pairs, eigenvalue, equal_value_pairs, exact_dtype, require_box,
+    CollisionPairs, compact_pairs, distinct, eigenvalue, equal_value_pairs, exact_dtype,
+    require_box,
 )
 from .symmdata import RestrictedDatum, cross_datum
 
@@ -65,15 +66,14 @@ MAX_SEARCH_ENTRIES = 2**31
 
 
 class FactorSpectrum(Record):
-    """Eigenvalues lambda(0..bound) of one rank-one factor, exact."""
+    """Eigenvalues lambda(0..bound) of one rank-one factor, exact Python ints."""
 
     label: str
-    datum: RestrictedDatum
-    eigenvalues: tuple
+    table: tuple
 
     @property
     def bound(self) -> int:
-        return len(self.eigenvalues) - 1
+        return len(self.table) - 1
 
 
 def factor_spectrum(factor: Union[str, RestrictedDatum], bound: int) -> FactorSpectrum:
@@ -81,11 +81,14 @@ def factor_spectrum(factor: Union[str, RestrictedDatum], bound: int) -> FactorSp
 
     The factor may be an alias like ``S2``/``CP2``/``HP2``/``OP2`` or an
     already-built rank-one restricted datum.  At rank one the eigenvalue
-    g m^2 + g s m is a quadratic in m, so :func:`~casimirspec.spectrum.eigenvalue`
-    is evaluated at m = 0, 1, 2 only; its coefficients, written over
-    their lcm D as integers A and B, give the table A m^2 + B m in Python
-    ints, and each entry is returned as ``Fraction(A m^2 + B m, D)``.  A
-    zero value at index 0 and strict increase of the table are asserted.
+    A m^2 + B m is a quadratic in m, so :func:`~casimirspec.spectrum.eigenvalue`
+    is evaluated at m = 0, 1, 2 only, and the table is built from A and B
+    in Python ints.  They are integers on every rank-one symmetric space:
+    A = g is the square norm of the simple root, 2 or 4, and B = g 2deltabar
+    is 2 m_gamma or 2 (m_gamma + 2 m_2gamma).  A datum with any other A or
+    B is refused with ``ValueError``; a rational factor t / D is the
+    integer factor t under the weight beta / D.  A zero value at index 0
+    and strict increase of the table are asserted.
     """
     datum = cross_datum(factor) if isinstance(factor, str) else factor
     if datum.rank != 1:
@@ -97,41 +100,13 @@ def factor_spectrum(factor: Union[str, RestrictedDatum], bound: int) -> FactorSp
         raise AssertionError("eigenvalue at the zero weight must be 0")
     square = (at2 - 2 * at1) / 2
     linear = at1 - square
-    denom = lcm(square.denominator, linear.denominator)
-    a, b = int(square * denom), int(linear * denom)
-    table = [(a * m + b) * m for m in range(bound + 1)]
+    if square.denominator != 1 or linear.denominator != 1:
+        raise ValueError(f"{datum.descriptor.label} has a non-integral spectrum")
+    a, b = int(square), int(linear)
+    table = tuple((a * m + b) * m for m in range(bound + 1))
     if any(table[i] >= table[i + 1] for i in range(bound)):
         raise AssertionError("rank-one spectrum must be strictly increasing")
-    eigenvalues = tuple(Fraction(x, denom) for x in table)
-    return FactorSpectrum(label=datum.descriptor.label, datum=datum, eigenvalues=eigenvalues)
-
-
-def common_denominator(factors: Sequence[FactorSpectrum], bound: int) -> int:
-    """The lcm of the denominators of lambda_i(0..bound) over every factor."""
-    return lcm(*(v.denominator for f in factors for v in f.eigenvalues[: bound + 1]))
-
-
-def integer_tables(factors: Sequence[FactorSpectrum], bound: int) -> list:
-    """lambda_i(0..bound) of every factor times the lcm D of all denominators.
-
-    One common scale keeps every difference on its ray and every weighted
-    sum exact: sum_i c_i lambda_i(m_i) agree exactly when the integer
-    sums sum_i c_i t_i[m_i] do.  Each entry is its numerator times
-    D over its denominator, with no Fraction arithmetic.
-    """
-    denom = common_denominator(factors, bound)
-    tables = [f.eigenvalues[: bound + 1] for f in factors]
-    return [[v.numerator * (denom // v.denominator) for v in table] for table in tables]
-
-
-def distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct entries of a scratch array, ascending; sorts it in place.
-
-    ``np.unique`` by one sort, without its ``numpy.ma`` import or copy.
-    """
-    values = values.ravel()
-    values.sort()
-    return values[np.r_[True, values[1:] != values[:-1]]]
+    return FactorSpectrum(label=datum.descriptor.label, table=table)
 
 
 def require_difference_grid(rows: int) -> None:
@@ -159,11 +134,11 @@ def collision_hyperplanes(factors: Sequence[FactorSpectrum], bound: int = None) 
     contributes no hyperplane at all).
 
     Returns an ``(h, n)`` array, one normal per row in lexicographic
-    order.  Let M be the largest |entry| of any D_i on the integer
-    tables of :func:`integer_tables`.  When (2M + 1)^n < 2**63, one sign
-    of each normal is walked as ``int64``: the rows whose first nonzero
-    entry is positive, in blocks 0, ..., 0, d_k > 0, d_(k+1), ..., d_n,
-    each in chunks of ``HYPERPLANE_CHUNK`` rows held as n column arrays.
+    order.  Let M be the largest |entry| of any D_i.  When (2M + 1)^n <
+    2**63, one sign of each normal is walked as ``int64``: the rows whose
+    first nonzero entry is positive, in blocks 0, ..., 0, d_k > 0,
+    d_(k+1), ..., d_n, each in chunks of ``HYPERPLANE_CHUNK`` rows held
+    as n column arrays.
     A row whose later entries reach below zero mixes signs; it is divided
     by its gcd and packed into the key sum_i (x_i + M) (2M + 1)^(n - 1 - i),
     whose order is the rows' lexicographic order.  These keys lie above
@@ -185,7 +160,7 @@ def collision_hyperplanes(factors: Sequence[FactorSpectrum], bound: int = None) 
     if n == 1:
         return np.zeros((0, 1), np.int64)
     require_difference_grid((2 * bound + 1) ** n)
-    tables = integer_tables(factors, bound)
+    tables = [f.table[: bound + 1] for f in factors]
     span = max(max(table) - min(table) for table in tables)
     base = 2 * span + 1
     if max(abs(x) for table in tables for x in table) >= INT64_LIMIT or base**n >= INT64_LIMIT:
@@ -234,14 +209,18 @@ def collision_hyperplanes(factors: Sequence[FactorSpectrum], bound: int = None) 
     return normals
 
 
-def box_values(weights: list, tables: list, dtype) -> np.ndarray:
-    """The box sums sum_i w_i t_i[m_i] in box order, by outer sums of the weighted tables.
+def box_values(weights: Sequence, tables: list, dtype) -> np.ndarray:
+    """The box sums sum_i w_i t_i[m_i] of each weight vector w, by outer sums.
 
-    ``dtype`` must bound every entry and partial sum, as :func:`check_beta`'s does.
+    ``weights`` holds one weight vector w per row; row j of the ``(rows,
+    box)`` result holds vector j's sums in box order.  ``dtype`` must
+    bound every entry and partial sum, as the callers' dtypes do.
     """
-    values = np.zeros(1, dtype)
-    for w, table in zip(weights, tables):
-        values = np.add.outer(values, w * np.array(table, dtype)).ravel()
+    weights = np.array(weights, dtype)
+    values = np.zeros((len(weights), 1), dtype)
+    for i, table in enumerate(tables):
+        values = values[:, :, None] + weights[:, i, None, None] * np.array(table, dtype)
+        values = values.reshape(len(weights), -1)
     return values
 
 
@@ -272,20 +251,16 @@ def block_verdict(weights: list, tables: list, dtype) -> Optional[bool]:
     weights, tables = weights[:k] + weights[k + 1:], tables[:k] + tables[k + 1:]
     inner = block_verdict(weights, tables, dtype)
     if inner is None:
-        inner = all_distinct(box_values(weights, tables, dtype))
+        inner = all_distinct(box_values([weights], tables, dtype)[0])
     if not inner:
         return False
-    clusters = [
-        offsets[start:stop]
-        for start, stop in zip([0] + cuts, cuts + [len(offsets)])
-        if stop - start > 1
-    ]
-    if clusters:
-        rest = box_values(weights, tables, dtype)
-        for cluster in clusters:
-            if not all_distinct(np.add.outer(np.array(cluster, dtype), rest).ravel()):
-                return False
-    return True
+    # a cluster's sums are its offsets, at weight 1, plus the inner box
+    clusters = [offsets[start:stop] for start, stop in zip([0] + cuts, cuts + [len(offsets)])]
+    return all(
+        all_distinct(box_values([[1] + weights], [cluster] + tables, dtype)[0])
+        for cluster in clusters
+        if len(cluster) > 1
+    )
 
 
 def check_beta(
@@ -298,14 +273,12 @@ def check_beta(
     its pairs in (first, second) order.  No box of index arrays is built:
     the joined rows are decoded from their box positions.
 
-    The box values are sum_i w_i t_i[m_i], built by outer sums of the
-    weighted tables: t_i are the integer tables of
-    :func:`integer_tables`, at the lcm D of the eigenvalue denominators,
-    and w_i = beta_i Q are the weights at the lcm Q of the denominators
-    of beta, so the box holds D Q times the weighted eigenvalues and the
-    denominator is D Q.  Every entry and partial sum is at most sum_i w_i
-    max |t_i|; the box is summed in int64 when that bound is below 2**63
-    and in Python ints otherwise.
+    The box values are sum_i w_i t_i[m_i], built by :func:`box_values`:
+    t_i are the factors' integer tables, and w_i = beta_i Q are the
+    weights at the lcm Q of the denominators of beta, so the box holds Q
+    times the weighted eigenvalues and the denominator is Q.  Every entry
+    and partial sum is at most sum_i w_i max |t_i|; the box is summed in
+    int64 when that bound is below 2**63 and in Python ints otherwise.
 
     A block test decides first (:func:`block_verdict`).  Let factor k
     have the largest weighted span w_k S_k, with S_i = max t_i - min t_i,
@@ -343,18 +316,17 @@ def check_beta(
     require_box(len(factors), bound)
     scale = lcm(*(x.denominator for x in beta))
     weights = [x.numerator * (scale // x.denominator) for x in beta]
-    tables = integer_tables(factors, bound)
+    tables = [f.table[: bound + 1] for f in factors]
     dtype = exact_dtype(sum(w * max(map(abs, table)) for w, table in zip(weights, tables)))
     if block_verdict(weights, tables, dtype):
         first = second = np.zeros(0, np.int32)
         values = np.zeros(0, dtype)
     else:
-        first, second, values = equal_value_pairs(lambda: box_values(weights, tables, dtype))
+        first, second, values = equal_value_pairs(lambda: box_values([weights], tables, dtype)[0])
     shape = (bound + 1,) * len(factors)
     used, first, second = compact_pairs(prod(shape), first, second)
     rows = np.column_stack(np.unravel_index(used, shape))
-    denom = common_denominator(factors, bound) * scale
-    return CollisionPairs(rows.astype(np.int64, copy=False), first, second, values[used], denom)
+    return CollisionPairs(rows.astype(np.int64, copy=False), first, second, values[used], scale)
 
 
 def prime_sequence() -> Iterator[int]:
@@ -429,21 +401,16 @@ class BetaCertificate(Record):
 def first_free_candidate(tables: list, candidates: list) -> int:
     """Index of the first collision-free candidate of a batch, or -1.
 
-    ``tables`` are the integer tables of :func:`integer_tables` as
-    ``int64`` arrays.  The batch's box values sum_i c_i t_i[m_i] form one
-    ``(batch, box)`` outer sum; each row is sorted and a candidate is
-    free when no two neighbours are equal.  Every entry and partial sum
-    is at most max(c) * sum_i max |t_i|, which the caller keeps below
-    2**63.  Below 2**31 the sums are built and sorted as ``int32``, which
-    halves the bytes each sort moves, and as ``int64`` otherwise.
+    ``tables`` are the factors' integer tables.  The batch's box values
+    sum_i c_i t_i[m_i] are one ``(batch, box)`` array of
+    :func:`box_values`; each row is sorted and a candidate is free when
+    no two neighbours are equal.  Every entry and partial sum is at most
+    max(c) * sum_i max |t_i|, which the caller keeps below 2**63.  Below
+    2**31 the sums are built and sorted as ``int32``, which halves the
+    bytes each sort moves, and as ``int64`` otherwise.
     """
-    widest = max(map(max, candidates)) * sum(int(abs(table).max()) for table in tables)
-    dtype = np.int32 if widest < INT32_LIMIT else np.int64
-    weights = np.array(candidates, dtype)
-    values = np.zeros((len(candidates), 1), dtype)
-    for i, table in enumerate(tables):
-        values = values[:, :, None] + weights[:, i, None, None] * table.astype(dtype)
-        values = values.reshape(len(weights), -1)
+    widest = max(map(max, candidates)) * sum(max(map(abs, table)) for table in tables)
+    values = box_values(candidates, tables, np.int32 if widest < INT32_LIMIT else np.int64)
     values.sort(axis=1)
     free = np.flatnonzero((values[:, 1:] != values[:, :-1]).all(axis=1))
     return int(free[0]) if len(free) else -1
@@ -457,13 +424,13 @@ def generic_beta_certificate(
     Candidates with entries from the 1-then-primes sequence are tried in
     the deterministic order of :func:`candidate_tuples`; the first one
     with no collision on the box wins.  They are tested in batches by
-    :func:`first_free_candidate`, on the tables t_i of
-    :func:`integer_tables`.  Batch sizes double from one candidate up to
-    ``BATCH_ENTRIES // box`` (at least one), so an early winner costs no
-    wide batch.  A batch whose largest entry times sum_i max |t_i| reaches
-    2**63 is tested by :func:`check_beta` instead, one candidate at a
-    time.  A search that would sort more than ``MAX_SEARCH_ENTRIES`` box
-    values (candidates times box rows) is refused with ``ValueError``.
+    :func:`first_free_candidate`, on the factors' integer tables t_i.
+    Batch sizes double from one candidate up to ``BATCH_ENTRIES // box``
+    (at least one), so an early winner costs no wide batch.  A batch
+    whose largest entry times sum_i max |t_i| reaches 2**63 is tested by
+    :func:`check_beta` instead, one candidate at a time.  A search that
+    would sort more than ``MAX_SEARCH_ENTRIES`` box values (candidates
+    times box rows) is refused with ``ValueError``.
 
     The boundary is confirmed on the exact path: :func:`check_beta`
     finds no collision for the winner and some for the candidate tried
@@ -474,9 +441,8 @@ def generic_beta_certificate(
     if bound is None:
         bound = min(f.bound for f in factors)
     normals = collision_hyperplanes(factors, bound)
-    tables = integer_tables(factors, bound)
-    widest = sum(max(abs(x) for x in table) for table in tables)
-    arrays = [np.array(table, exact_dtype(widest)) for table in tables]
+    tables = [f.table[: bound + 1] for f in factors]
+    widest = sum(max(map(abs, table)) for table in tables)
     box = (bound + 1) ** len(factors)
     widest_batch, allowed = max(1, BATCH_ENTRIES // box), MAX_SEARCH_ENTRIES // box
     candidates = candidate_tuples(len(factors))
@@ -490,7 +456,7 @@ def generic_beta_certificate(
                 f"of {box} rows exceed the maximum of {MAX_SEARCH_ENTRIES} sorted values"
             )
         if max(map(max, chunk)) * widest < INT64_LIMIT:
-            found = first_free_candidate(arrays, chunk)
+            found = first_free_candidate(tables, chunk)
         else:
             found = next((j for j, c in enumerate(chunk) if not check_beta(factors, c, bound)), -1)
         if found >= 0:

@@ -49,7 +49,7 @@ from .exactalg import (
     rational_to_str,
     resultant_from_roots,
 )
-from .spectrum import equal_value_pairs, exact_dtype
+from .spectrum import distinct, equal_value_pairs, exact_dtype
 
 TYPE_CLASSES = ("real", "complex", "quaternionic")
 REAL, COMPLEX, QUATERNIONIC = range(3)
@@ -163,8 +163,7 @@ def _entry_pairs(family: SplitFamily, first, second, exempt_duals: bool) -> list
     """Sorted distinct id pairs of the entries i < j that row pairs join, rows in entry order."""
     i, j = family.entry[first], family.entry[second]
     keep = (i != j) & ~(exempt_duals & (family.duals[i] == j))
-    joined = np.sort(i[keep] * len(family) + j[keep])
-    joined = joined[np.diff(joined, prepend=-1) > 0]  # distinct, without np.unique's numpy.ma
+    joined = distinct(i[keep] * len(family) + j[keep])
     first, second = (index.tolist() for index in np.divmod(joined, len(family)))
     return [(family.ids[a], family.ids[b]) for a, b in zip(first, second)]
 

@@ -158,6 +158,18 @@ def equal_value_pairs(build) -> tuple:
     return np.repeat(np.arange(size, dtype=np.int32), length), second, values
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a scratch array, ascending; sorts it in place.
+
+    ``np.unique`` by one sort, without its ``numpy.ma`` import or copy.
+    """
+    values = values.ravel()
+    values.sort()
+    keep = np.ones(len(values), bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def distinct_indices(size: int, *indices: np.ndarray) -> tuple:
     """The distinct entries of index arrays into ``range(size)``, and each entry's place.
 
@@ -240,14 +252,11 @@ def row_strings(rows: np.ndarray, opening: str, comma: str, closing: str) -> tup
     *heads, last = rows.T
     # the last column's distinct coordinates, ascending, and each row's place
     # among them, from one sort: np.unique's inverse would add three row-length
-    # arrays (and its plain form imports numpy.ma)
+    # arrays
     last = np.ascontiguousarray(last)
-    coordinates = np.sort(last)
-    distinct = np.ones(len(rows), bool)
-    distinct[1:] = coordinates[1:] != coordinates[:-1]
-    coordinates = coordinates[distinct]
+    coordinates = distinct(last.copy())
     tail_of = np.searchsorted(coordinates, last).astype(np.int32)
-    del last, distinct
+    del last
     tails = np.fromiter((str(c) + closing for c in coordinates.tolist()), object, len(coordinates))
     # the rows that start a run of the prefix so far: at first, of the empty one
     starts = np.zeros(len(rows), bool)

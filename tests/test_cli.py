@@ -152,6 +152,15 @@ class TestProduct:
         payload = json.loads(out)
         assert payload["beta"] == ["1", "61"] or len(payload["beta"]) == 2
 
+    def test_hyperplane_walk_ending_on_a_chunk_with_no_mixed_sign_row(self, capsys):
+        # a block's last chunk holds only rows whose later entries are all >= 0
+        code, out, _ = run_capture(
+            capsys, ["product", "--factors", "S2,CP2", "--bound", "37", "--json"]
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert (payload["beta"], payload["hyperplanes"]) == (["1", "71"], 200164)
+
     def test_symmetric_beta_rejected(self, capsys):
         code, out, _ = run_capture(
             capsys,

@@ -301,7 +301,7 @@ def product_reference(factors, beta, bound):
     """The full box of index arrays and each array's weighted eigenvalue."""
     box = weight_box(len(factors), bound).tolist()
     values = [
-        sum(Fraction(b) * f.eigenvalues[m] for b, f, m in zip(beta, factors, row)) for row in box
+        sum(Fraction(b) * f.table[m] for b, f, m in zip(beta, factors, row)) for row in box
     ]
     return box, values
 
@@ -440,9 +440,9 @@ def test_collision_free_check_beta_holds_one_value_array():
     # kernel, handed the same 1001^2 build, sorts it in place beside the
     # neighbour mask: 9 bytes a row, where a sorted copy would add 8
     factors = [factor_spectrum("S2", 1000)] * 2
-    tables = products.integer_tables(factors, 1000)
+    tables = [f.table for f in factors]
     (first, second, values), peak = traced_peak(
-        lambda: equal_value_pairs(lambda: products.box_values([1, 1000003], tables, np.int64))
+        lambda: equal_value_pairs(lambda: products.box_values([[1, 1000003]], tables, np.int64)[0])
     )
     assert len(first) == len(second) == len(values) == 0
     assert peak < 1.2 * 8 * 1001**2

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import islice, product
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 import pytest
@@ -28,9 +28,8 @@ from casimirspec.symmdata import RestrictedDatum, cross_datum, restricted_datum
 
 def reference_collision_hyperplanes(factors, bound):
     """The pair loop over box arrays that collision_hyperplanes replaced."""
-    denom = lcm(*(v.denominator for f in factors for v in f.eigenvalues))
     values = [
-        tuple(int(f.eigenvalues[m] * denom) for m, f in zip(array, factors))
+        tuple(f.table[m] for m, f in zip(array, factors))
         for array in weight_box(len(factors), bound).tolist()
     ]
     normals = set()
@@ -69,12 +68,16 @@ def reference_generic_beta(factors, bound):
 HYPERPLANE_LABELS = ["S2", "S3", "S4", "S5", "CP2", "CP3", "HP2", "OP2"]
 
 
-def rational_factors(bound):
-    """Scaled copies of shipped spectra, with non-integral eigenvalues."""
+def scaled_factors(bound):
+    """7 S2 and 6 CP2: the spectra S2/3 and 2CP2/7 at their common denominator 21.
+
+    A uniform scale of the spectra moves no collision, normal or beta
+    winner, so these stand for the rational factors t / D.
+    """
     s2, cp2 = factor_spectrum("S2", bound), factor_spectrum("CP2", bound)
     return [
-        FactorSpectrum("S2/3", s2.datum, tuple(v / 3 for v in s2.eigenvalues)),
-        FactorSpectrum("2CP2/7", cp2.datum, tuple(v * 2 / 7 for v in cp2.eigenvalues)),
+        FactorSpectrum("7S2", tuple(7 * v for v in s2.table)),
+        FactorSpectrum("6CP2", tuple(6 * v for v in cp2.table)),
     ]
 
 
@@ -86,8 +89,7 @@ def rational_datum():
     return RestrictedDatum(datum.descriptor, rational, (Fraction(5, 7),))
 
 
-# cross_datum aliases of every family, the rank-one catalog data, and one
-# rank-one datum whose eigenvalues are not integers
+# cross_datum aliases of every family and the rank-one catalog data
 FACTOR_SPECTRUM_CASES = [
     *(f"S{d}" for d in (2, 3, 4, 5, 7, 16)),
     *(f"CP{n}" for n in (1, 2, 3, 5)),
@@ -95,18 +97,17 @@ FACTOR_SPECTRUM_CASES = [
     "OP2",
     "FII",
     *(pytest.param(d, id=f"catalog-{d.descriptor.label}") for d in rank_one_catalog()),
-    pytest.param(rational_datum(), id="rational"),
 ]
 
 
 class TestFactorSpectrum:
     def test_two_sphere(self):
         spec = factor_spectrum("S2", 5)
-        assert spec.eigenvalues == (0, 4, 12, 24, 40, 60)  # 2 m (m + 1)
+        assert spec.table == (0, 4, 12, 24, 40, 60)  # 2 m (m + 1)
 
     def test_monotone_to_large_bound(self):
         spec = factor_spectrum("OP2", 300)
-        values = spec.eigenvalues
+        values = spec.table
         assert all(values[i] < values[i + 1] for i in range(len(values) - 1))
 
     def test_rejects_higher_rank(self):
@@ -117,7 +118,13 @@ class TestFactorSpectrum:
     def test_matches_per_index_eigenvalues(self, factor):
         datum = cross_datum(factor) if isinstance(factor, str) else factor
         expected = tuple(eigenvalue(datum, (m,)) for m in range(301))
-        assert factor_spectrum(factor, 300).eigenvalues == expected
+        assert factor_spectrum(factor, 300).table == expected
+
+    def test_refuses_non_integral_spectrum(self):
+        datum = rational_datum()
+        assert eigenvalue(datum, (1,)).denominator != 1
+        with pytest.raises(ValueError, match="non-integral spectrum"):
+            factor_spectrum(datum, 5)
 
 
 class TestHyperplanes:
@@ -154,34 +161,37 @@ class TestHyperplanes:
         assert len(normals) == 67234
         assert normals.tolist() == reference_collision_hyperplanes(factors, 30)
 
-    def test_matches_reference_pair_loop_on_rational_spectra(self):
-        # every shipped spectrum is integral; these scaled copies are not,
-        # and the first table runs past the bound
-        s2, cp2 = factor_spectrum("S2", 12), factor_spectrum("CP2", 6)
-        factors = [
-            FactorSpectrum("S2/3", s2.datum, tuple(v / 3 for v in s2.eigenvalues)),
-            FactorSpectrum("2CP2/7", cp2.datum, tuple(v * 2 / 7 for v in cp2.eigenvalues)),
-        ]
+    def test_matches_reference_pair_loop_on_scaled_spectra(self):
+        # the first table runs past the bound
+        factors = [scaled_factors(12)[0], scaled_factors(6)[1]]
         normals = collision_hyperplanes(factors, 6).tolist()
         assert normals == reference_collision_hyperplanes(factors, 6)
-        # lambda(1, 0) - lambda(0, 1) = (4/3, -24/7) = (4/21) * (7, -18)
+        # lambda(1, 0) - lambda(0, 1) = (28, -72) = 4 * (7, -18)
         assert [7, -18] in normals and [-7, 18] in normals
 
     @pytest.mark.parametrize(
         "labels,bound",
         [
-            ("S2/3,2CP2/7", 9),
-            ("S2/3,2CP2/7,S2", 5),
+            ("7S2,6CP2", 9),
+            ("7S2,6CP2,S2", 5),
             ("S2,S2,S2", 6),
-            ("2CP2/7,S3,S2/3", 4),
-            ("S2/3,2CP2/7,S2,OP2", 2),
+            ("6CP2,S3,7S2", 4),
+            ("7S2,6CP2,S2,OP2", 2),
             ("S3,S3,S3,S3", 2),
         ],
     )
-    @pytest.mark.parametrize("path", ["int64", "python-int"])
-    def test_walk_matches_reference_on_two_to_four_factors(self, monkeypatch, labels, bound, path):
-        scaled = dict(zip(["S2/3", "2CP2/7"], rational_factors(bound)))
+    # chunks of 1 and 7 rows end blocks on chunks with no mixed-sign row
+    @pytest.mark.parametrize(
+        "path,chunk",
+        [("int64", products.HYPERPLANE_CHUNK), ("int64", 7), ("int64", 1),
+         ("python-int", products.HYPERPLANE_CHUNK)],
+    )
+    def test_walk_matches_reference_on_two_to_four_factors(
+        self, monkeypatch, labels, bound, path, chunk
+    ):
+        scaled = dict(zip(["7S2", "6CP2"], scaled_factors(bound)))
         factors = [scaled.get(label) or factor_spectrum(label, bound) for label in labels.split(",")]
+        monkeypatch.setattr(products, "HYPERPLANE_CHUNK", chunk)
         if path == "python-int":
             monkeypatch.setattr(products, "INT64_LIMIT", 1)
             monkeypatch.setattr(products, "distinct", None)  # the array path is not taken
@@ -299,8 +309,8 @@ class TestBatchedSearch:
         assert (cert.beta, cert.candidates_tried) == reference_generic_beta(factors, bound)
 
     @pytest.mark.parametrize("bound", [1, 3, 6])
-    def test_matches_oracle_on_rational_spectra(self, bound):
-        factors = rational_factors(bound)
+    def test_matches_oracle_on_scaled_spectra(self, bound):
+        factors = scaled_factors(bound)
         cert = generic_beta_certificate(factors, bound)
         assert (cert.beta, cert.candidates_tried) == reference_generic_beta(factors, bound)
         assert cert.hyperplanes == len(reference_collision_hyperplanes(factors, bound))
@@ -319,7 +329,7 @@ class TestBatchedSearch:
 
     def test_first_free_candidate_positions(self):
         factors = [factor_spectrum("S2", 4)] * 2
-        tables = [np.array(t) for t in products.integer_tables(factors, 4)]
+        tables = [f.table for f in factors]
         # (1, 1) and (1, 2) collide at bound 4, (1, 11) does not
         assert first_free_candidate(tables, [(1, 11), (1, 1)]) == 0
         assert first_free_candidate(tables, [(1, 1), (1, 2), (1, 11)]) == 2
@@ -389,8 +399,7 @@ class TestBatchedSearch:
     @pytest.mark.parametrize("top", [2**62 + 5, 2**64])
     def test_huge_spectra_take_python_ints(self, top):
         # (2M + 1)^2 passes 2**63, and with 2**64 the normals themselves do
-        datum = factor_spectrum("S2", 2).datum
-        factors = [FactorSpectrum("A", datum, (0, 1, 2**62)), FactorSpectrum("B", datum, (0, 2, top))]
+        factors = [FactorSpectrum("A", (0, 1, 2**62)), FactorSpectrum("B", (0, 2, top))]
         normals = collision_hyperplanes(factors)
         assert normals.tolist() == reference_collision_hyperplanes(factors, 2)
         cert = generic_beta_certificate(factors)
@@ -416,11 +425,18 @@ class TestBatchedSearch:
     def test_difference_grid_cap_refuses(self, monkeypatch):
         factors = [factor_spectrum("S2", 4)] * 2
         monkeypatch.setattr(products, "MAX_DIFFERENCE_GRID", 80)
-        # |D_i| >= 2 * 4 + 1 = 9, so 9 * 9 is refused before any table is built
-        with monkeypatch.context() as m:
-            m.setattr(products, "integer_tables", None)
-            with pytest.raises(ValueError, match="at least 81 vectors exceeds the maximum of 80"):
-                collision_hyperplanes(factors, 4)
+
+        class Unread(tuple):
+            """A table whose entries cannot be read: only its length is known."""
+
+            def __getitem__(self, index):
+                raise AssertionError("a table was read")
+
+        # |D_i| >= 2 * 4 + 1 = 9, so 9 * 9 is refused before any table is read,
+        # so before any difference set is built
+        unread = [FactorSpectrum(f.label, Unread(f.table)) for f in factors]
+        with pytest.raises(ValueError, match="at least 81 vectors exceeds the maximum of 80"):
+            collision_hyperplanes(unread, 4)
         # |D_i| = 19 for S2 at bound 4
         monkeypatch.setattr(products, "MAX_DIFFERENCE_GRID", 19 * 19 - 1)
         with pytest.raises(ValueError, match="at least 361 vectors"):

@@ -79,7 +79,7 @@ def reference_check_beta(factors, beta, bound=None):
     if bound is None:
         bound = min(f.bound for f in factors)
     beta = [Fraction(x) for x in beta]
-    tables = [[b * v for v in f.eigenvalues[: bound + 1]] for b, f in zip(beta, factors)]
+    tables = [[b * v for v in f.table[: bound + 1]] for b, f in zip(beta, factors)]
     groups = {}
     for array in reference_box((bound,) * len(factors)):
         value = sum(tables[i][array[i]] for i in range(len(factors)))
@@ -279,11 +279,11 @@ def test_check_beta_matches_reference(labels, data):
 
 
 def scaled_factors(bound):
-    """S2/3 and 2CP2/7: spectra whose eigenvalues are not integers."""
+    """7 S2 and 6 CP2: the spectra S2/3 and 2CP2/7 at their common denominator 21."""
     s2, cp2 = factor_spectrum("S2", bound), factor_spectrum("CP2", bound)
     return [
-        FactorSpectrum("S2/3", s2.datum, tuple(v / 3 for v in s2.eigenvalues)),
-        FactorSpectrum("2CP2/7", cp2.datum, tuple(v * 2 / 7 for v in cp2.eigenvalues)),
+        FactorSpectrum("7S2", tuple(7 * v for v in s2.table)),
+        FactorSpectrum("6CP2", tuple(6 * v for v in cp2.table)),
     ]
 
 
@@ -341,11 +341,11 @@ def assert_same_pairs(pairs, expected):
     assert pairs.denom == expected.denom and pairs.dual is expected.dual is None
 
 
-BLOCK_FACTORS = ["S2", "CP2", "HP2", "OP2", "S2/3", "2CP2/7"]
+BLOCK_FACTORS = ["S2", "CP2", "HP2", "OP2", "7S2", "6CP2"]
 
 
 def block_factors(labels, bound):
-    scaled = dict(zip(["S2/3", "2CP2/7"], scaled_factors(bound)))
+    scaled = dict(zip(["7S2", "6CP2"], scaled_factors(bound)))
     return [scaled.get(label) or factor_spectrum(label, bound) for label in labels]
 
 
@@ -390,7 +390,7 @@ def test_block_verdict_matches_kernel(labels, bound, weights):
         (["S2", "S2"], 13, (1, 30), False),
         # the inner box over the lighter factors collides, in every block
         (["S2", "S2", "S2"], 6, (1, 1, 10**6), False),
-        (["S2/3", "2CP2/7", "S2"], 6, (1, 1, 10**6), False),
+        (["7S2", "6CP2", "S2"], 6, (1, 1, 10**6), False),
     ],
 )
 def test_block_verdict_cases(labels, bound, beta, verdict):
@@ -517,11 +517,7 @@ def spy_dtypes(monkeypatch, module):
 @pytest.mark.parametrize("top,dtype", [(2**62 - 1, np.int64), (2**62, np.dtype(object))])
 def test_check_beta_magnitude_bound_is_inclusive(monkeypatch, top, dtype):
     # the largest sum is 2**62 + top: 2**63 - 1 still takes int64, 2**63 does not
-    datum = cross_datum("S2")
-    factors = [
-        FactorSpectrum("A", datum, (0, 1, 2**62)),
-        FactorSpectrum("B", datum, (0, 2, top)),
-    ]
+    factors = [FactorSpectrum("A", (0, 1, 2**62)), FactorSpectrum("B", (0, 2, top))]
     seen = spy_dtypes(monkeypatch, products)
     found = pairref.witnesses(check_beta(factors, (1, 1)))
     assert found and found == reference_check_beta(factors, (1, 1))
