@@ -14,13 +14,14 @@ then produces a deterministic beta certified collision-free on that box.
 
 Both steps run on each factor's table lambda_i(0..bound), which is
 integral (:func:`factor_spectrum`), so a factor keeps no denominator.
-The hyperplanes are packed into one ``int64`` key per normal and
+The hyperplanes are packed into one integer key per normal and
 deduplicated by sorting; the beta candidates are tested in batches, each
 one sorted ``(batch, box)`` array of box values, ``int32`` while they
-stay below 2**31.  Python ints take over wherever a bound stated below
-would reach 2**63, and ``check_beta`` stays the exact witness lister
-that confirms the winner.  Grids past ``MAX_DIFFERENCE_GRID`` and
-searches past ``MAX_SEARCH_ENTRIES`` are refused with ``ValueError``.
+stay below 2**31, and otherwise in the dtype that
+:func:`~casimirspec.spectrum.exact_dtype` gives a bound on their
+entries.  ``check_beta`` stays the exact witness lister that confirms
+the winner.  Grids past ``MAX_DIFFERENCE_GRID`` and searches past
+``MAX_SEARCH_ENTRIES`` are refused with ``ValueError``.
 
 ``check_beta`` decides a box by blocks before it sorts one.  Take the
 factor k with the largest weighted span and cut its sorted weighted
@@ -30,8 +31,8 @@ others, shifted by that entry, so blocks on either side of a cut have
 disjoint value ranges.  The box is therefore collision-free exactly when
 the inner box is (decided the same way, one factor down) and each
 cluster of blocks between cuts has distinct values (built and sorted on
-its own).  A box with no cut, or one that collides, is handed whole to
-the pair kernel.
+its own).  A box with a cluster of most of its blocks, or one that
+collides, is handed whole to the pair kernel.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import islice, product, takewhile
-from math import gcd, lcm, prod
+from math import lcm, prod
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -51,8 +52,6 @@ from .spectrum import (
 )
 from .symmdata import RestrictedDatum, cross_datum
 
-# one more than the largest int64; the array paths stay below it
-INT64_LIMIT = 2**63
 # one more than the largest int32; beta batches below it sort narrow rows
 INT32_LIMIT = 2**31
 # difference-grid rows per step of the hyperplane walk
@@ -134,21 +133,21 @@ def collision_hyperplanes(factors: Sequence[FactorSpectrum], bound: int = None) 
     contributes no hyperplane at all).
 
     Returns an ``(h, n)`` array, one normal per row in lexicographic
-    order.  Let M be the largest |entry| of any D_i.  When (2M + 1)^n <
-    2**63, one sign of each normal is walked as ``int64``: the rows whose
-    first nonzero entry is positive, in blocks 0, ..., 0, d_k > 0,
-    d_(k+1), ..., d_n, each in chunks of ``HYPERPLANE_CHUNK`` rows held
-    as n column arrays.
+    order.  Let M be the largest |entry| of any D_i.  One sign of each
+    normal is walked: the rows whose first nonzero entry is positive, in
+    blocks 0, ..., 0, d_k > 0, d_(k+1), ..., d_n, each in chunks of
+    ``HYPERPLANE_CHUNK`` rows held as n column arrays.
     A row whose later entries reach below zero mixes signs; it is divided
     by its gcd and packed into the key sum_i (x_i + M) (2M + 1)^(n - 1 - i),
     whose order is the rows' lexicographic order.  These keys lie above
     the key of the zero row, and the key of -x is twice that key minus
     the key of x, so the negated rows, in reverse, are the sorted rows
-    below it and need no second sort.
-    Otherwise the product is walked over Python ints.  A grid of more
-    than ``MAX_DIFFERENCE_GRID`` rows is refused with ``ValueError``
-    before the difference sets are built, since a rank-one spectrum has
-    |D_i| >= 2 bound + 1, and again once their sizes are known.
+    below it and need no second sort.  Keys stay below (2M + 1)^n: with
+    the tables' largest |entry| it sets the walk's dtype, by
+    :func:`~casimirspec.spectrum.exact_dtype`.  A grid of more than
+    ``MAX_DIFFERENCE_GRID`` rows is refused with ``ValueError`` before
+    the difference sets are built, since a rank-one spectrum has |D_i| >=
+    2 bound + 1, and again once their sizes are known.
     """
     if not factors:
         raise ValueError("need at least one factor")
@@ -163,16 +162,9 @@ def collision_hyperplanes(factors: Sequence[FactorSpectrum], bound: int = None) 
     tables = [f.table[: bound + 1] for f in factors]
     span = max(max(table) - min(table) for table in tables)
     base = 2 * span + 1
-    if max(abs(x) for table in tables for x in table) >= INT64_LIMIT or base**n >= INT64_LIMIT:
-        differences = [{x - y for x in table for y in table} for table in tables]
-        require_difference_grid(prod(len(d) for d in differences))
-        normals = set()
-        for diff in product(*differences):
-            if max(diff) > 0 > min(diff):
-                content = gcd(*diff)
-                normals.add(tuple(x // content for x in diff))
-        return np.array(sorted(normals), exact_dtype(span)).reshape(-1, n)
-    differences = [distinct(np.subtract.outer(t, t)) for t in map(np.array, tables)]
+    dtype = exact_dtype(max(base**n, max(abs(x) for table in tables for x in table)))
+    arrays = (np.array(table, dtype) for table in tables)
+    differences = [distinct(np.subtract.outer(t, t)) for t in arrays]
     require_difference_grid(prod(len(d) for d in differences))
     weights = [base ** (n - 1 - i) for i in range(n)]
     middle = span * sum(weights)  # the key of the zero row
@@ -191,19 +183,20 @@ def collision_hyperplanes(factors: Sequence[FactorSpectrum], bound: int = None) 
             mixed = reduce(np.minimum, rows[1:]) < 0
             rows = [column[mixed] for column in rows]
             content = reduce(np.gcd, rows)
-            keys = np.full(len(content), middle, np.int64)
+            keys = np.full(len(content), middle, dtype)
             for column, w in zip(rows, weights[k:]):
                 column //= content
                 column *= w
                 keys += column
             parts.append(distinct(keys))
-    keys = distinct(np.concatenate(parts or [np.zeros(0, np.int64)]))
+    keys = distinct(np.concatenate(parts or [np.zeros(0, dtype)]))
     del parts
     # the negated rows, reversed, are the sorted rows below the middle
     half = len(keys)
-    normals = np.empty((2 * half, n), np.int64)
+    normals = np.empty((2 * half, n), exact_dtype(base))  # entries reach 2M before the shift
     for i in reversed(range(n)):
-        keys, normals[half:, i] = np.divmod(keys, base)
+        normals[half:, i] = keys % base
+        keys //= base
     normals[half:] -= span
     np.negative(normals[half:][::-1], out=normals[:half])
     return normals
@@ -231,13 +224,14 @@ def all_distinct(values: np.ndarray) -> bool:
 
 
 def block_verdict(weights: list, tables: list, dtype) -> Optional[bool]:
-    """Whether the box sums sum_i w_i t_i[m_i] are distinct, by blocks; None with no cut.
+    """Whether the box sums sum_i w_i t_i[m_i] are distinct, by blocks; None to sort whole.
 
     The block test that :func:`check_beta` states and proves.  The inner
-    box is decided by this same test, or by one sort when it has no cut
+    box is decided by this same test, or by one sort when it gets None
     (an empty box has one sum).  Offsets, gaps and spans are Python ints;
-    ``dtype`` bounds every sum, as in :func:`check_beta`.  With no cut,
-    nothing is built.
+    ``dtype`` bounds every sum, as in :func:`check_beta`.  Nothing is
+    built when a cluster holds more than half of the blocks, as with no
+    cut: its sort would cost about one of the whole box.
     """
     if not tables:
         return True
@@ -246,7 +240,9 @@ def block_verdict(weights: list, tables: list, dtype) -> Optional[bool]:
     rest_span = sum(spans) - spans[k]
     offsets = sorted(weights[k] * x for x in tables[k])
     cuts = [m + 1 for m in range(len(offsets) - 1) if offsets[m + 1] - offsets[m] > rest_span]
-    if not cuts:
+    # a cluster's sums are its offsets, at weight 1, plus the inner box
+    clusters = [offsets[start:stop] for start, stop in zip([0] + cuts, cuts + [len(offsets)])]
+    if 2 * max(map(len, clusters)) > len(offsets):
         return None
     weights, tables = weights[:k] + weights[k + 1:], tables[:k] + tables[k + 1:]
     inner = block_verdict(weights, tables, dtype)
@@ -254,8 +250,6 @@ def block_verdict(weights: list, tables: list, dtype) -> Optional[bool]:
         inner = all_distinct(box_values([weights], tables, dtype)[0])
     if not inner:
         return False
-    # a cluster's sums are its offsets, at weight 1, plus the inner box
-    clusters = [offsets[start:stop] for start, stop in zip([0] + cuts, cuts + [len(offsets)])]
     return all(
         all_distinct(box_values([[1] + weights], [cluster] + tables, dtype)[0])
         for cluster in clusters
@@ -298,11 +292,11 @@ def check_beta(
     is not cut.  A scale-separated beta, each factor's gaps wider than
     the span of the lighter ones, is certified from the tables alone;
     ``--bound 2895 --beta 1,1000003`` on S2, S2 sorts 5 of its 2,896
-    blocks.  The test is only a pre-check: a box with no cut goes
-    straight to :func:`~casimirspec.spectrum.equal_value_pairs`, and so
-    does a box it finds colliding, so that kernel stays the one pair
-    lister.  It sorts one build in place and builds again only when a
-    value repeats.
+    blocks.  The test is only a pre-check: a box with no cut, or with a
+    cluster of more than half of the blocks, goes straight to
+    :func:`~casimirspec.spectrum.equal_value_pairs`, and so does a box it
+    finds colliding, so that kernel stays the one pair lister.  It sorts
+    one build in place and builds again only when a value repeats.
     """
     if bound is None:
         bound = min(f.bound for f in factors)
@@ -405,12 +399,13 @@ def first_free_candidate(tables: list, candidates: list) -> int:
     sum_i c_i t_i[m_i] are one ``(batch, box)`` array of
     :func:`box_values`; each row is sorted and a candidate is free when
     no two neighbours are equal.  Every entry and partial sum is at most
-    max(c) * sum_i max |t_i|, which the caller keeps below 2**63.  Below
-    2**31 the sums are built and sorted as ``int32``, which halves the
-    bytes each sort moves, and as ``int64`` otherwise.
+    max(c) * sum_i max |t_i|.  Below 2**31 the sums are built and sorted
+    as ``int32``, which halves the bytes each sort moves, and otherwise in
+    the :func:`~casimirspec.spectrum.exact_dtype` of that bound.
     """
     widest = max(map(max, candidates)) * sum(max(map(abs, table)) for table in tables)
-    values = box_values(candidates, tables, np.int32 if widest < INT32_LIMIT else np.int64)
+    dtype = np.int32 if widest < INT32_LIMIT else exact_dtype(widest)
+    values = box_values(candidates, tables, dtype)
     values.sort(axis=1)
     free = np.flatnonzero((values[:, 1:] != values[:, :-1]).all(axis=1))
     return int(free[0]) if len(free) else -1
@@ -426,9 +421,7 @@ def generic_beta_certificate(
     with no collision on the box wins.  They are tested in batches by
     :func:`first_free_candidate`, on the factors' integer tables t_i.
     Batch sizes double from one candidate up to ``BATCH_ENTRIES // box``
-    (at least one), so an early winner costs no wide batch.  A batch
-    whose largest entry times sum_i max |t_i| reaches 2**63 is tested by
-    :func:`check_beta` instead, one candidate at a time.  A search that
+    (at least one), so an early winner costs no wide batch.  A search that
     would sort more than ``MAX_SEARCH_ENTRIES`` box values (candidates
     times box rows) is refused with ``ValueError``.
 
@@ -442,7 +435,6 @@ def generic_beta_certificate(
         bound = min(f.bound for f in factors)
     normals = collision_hyperplanes(factors, bound)
     tables = [f.table[: bound + 1] for f in factors]
-    widest = sum(max(map(abs, table)) for table in tables)
     box = (bound + 1) ** len(factors)
     widest_batch, allowed = max(1, BATCH_ENTRIES // box), MAX_SEARCH_ENTRIES // box
     candidates = candidate_tuples(len(factors))
@@ -455,10 +447,7 @@ def generic_beta_certificate(
                 f"no collision-free beta among the first {tried} candidates; more on a box "
                 f"of {box} rows exceed the maximum of {MAX_SEARCH_ENTRIES} sorted values"
             )
-        if max(map(max, chunk)) * widest < INT64_LIMIT:
-            found = first_free_candidate(tables, chunk)
-        else:
-            found = next((j for j, c in enumerate(chunk) if not check_beta(factors, c, bound)), -1)
+        found = first_free_candidate(tables, chunk)
         if found >= 0:
             break
         tried, previous = tried + len(chunk), chunk[-1]

@@ -170,54 +170,43 @@ def distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def distinct_indices(size: int, *indices: np.ndarray) -> tuple:
-    """The distinct entries of index arrays into ``range(size)``, and each entry's place.
-
-    Returns ``(distinct, *places)``: ``distinct`` ascending, and
-    ``distinct[places[k]] == indices[k]`` entry by entry.  A mark per
-    index in ``range(size)`` stands in for sorting the entries.  The
-    places are ``int32``, exact for any ``size`` below 2**31.  Indices are
-    read as ``intp`` by blocks: an ``int32`` index takes a slower buffered cast.
-    """
-    mark = np.zeros(size, bool)
-    starts = range(0, max(map(len, indices)), BUILD_CHUNK)
-    for start in starts:
-        for index in indices:
-            mark[index[start:start + BUILD_CHUNK].astype(np.intp)] = True
-    place = np.cumsum(mark, dtype=np.int32) - 1
-    places = [np.empty(len(index), np.int32) for index in indices]
-    for start in starts:
-        for index, out in zip(indices, places):
-            out[start:start + BUILD_CHUNK] = place[index[start:start + BUILD_CHUNK].astype(np.intp)]
-    return (np.flatnonzero(mark), *places)
-
-
 def compact_pairs(size: int, first: np.ndarray, second: np.ndarray) -> tuple:
     """The rows some pair joins, and the pairs as ``int32`` indices into them.
 
     ``first`` and ``second`` index ``range(size)``.  Returns ``(used,
     first, second)``: ``used`` the distinct joined rows, ascending, and
     ``used[first]``, ``used[second]`` the given pairs, in their order.
-    With no pairs the three arrays are empty and nothing of length
-    ``size`` is allocated.
+    A mark per row stands in for a sort, and indices are read as ``intp``
+    by blocks: an ``int32`` index takes a slower buffered cast.  With no
+    pairs the three arrays are empty and nothing of length ``size`` is
+    allocated.
     """
     if not len(first):
         return np.zeros(0, np.intp), np.zeros(0, np.int32), np.zeros(0, np.int32)
-    return distinct_indices(size, first, second)
+    mark = np.zeros(size, bool)
+    starts = range(0, len(first), BUILD_CHUNK)
+    for start in starts:
+        for index in (first, second):
+            mark[index[start:start + BUILD_CHUNK].astype(np.intp)] = True
+    place = np.cumsum(mark, dtype=np.int32) - 1
+    places = [np.empty(len(first), np.int32) for _ in range(2)]
+    for start in starts:
+        for index, out in zip((first, second), places):
+            out[start:start + BUILD_CHUNK] = place[index[start:start + BUILD_CHUNK].astype(np.intp)]
+    return (np.flatnonzero(mark), *places)
 
 
 def value_strings(values: np.ndarray, denom: int) -> np.ndarray:
     """``rational_to_str(values[i] / denom)`` for each entry, as an object array.
 
-    ``int64`` values are reduced by ``np.gcd`` and their numerators
-    written as Python ints; a ``/d`` suffix follows only where the reduced
-    denominator d is not 1, and no suffix is built when no d is.  An
-    ``object`` array of Python ints, or a denominator past ``int64``,
-    goes through Fraction.
+    The values, ``int64`` or an ``object`` array of Python ints, are
+    reduced by ``np.gcd`` and their numerators written as Python ints; a
+    ``/d`` suffix follows only where the reduced denominator d is not 1,
+    and no suffix is built when no d is.  A denominator past ``int64``
+    casts the values to ``object``, since ``np.gcd`` takes no wider int.
     """
-    if values.dtype == object or denom >= 2**63:
-        strings = (rational_to_str(Fraction(v, denom)) for v in values.tolist())
-        return np.fromiter(strings, object, len(values))
+    if denom >= 2**63:
+        values = values.astype(object)
     common = np.gcd(values, denom)
     strings = np.fromiter(map(str, (values // common).tolist()), object, len(values))
     dens = denom // common

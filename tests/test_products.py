@@ -193,8 +193,7 @@ class TestHyperplanes:
         factors = [scaled.get(label) or factor_spectrum(label, bound) for label in labels.split(",")]
         monkeypatch.setattr(products, "HYPERPLANE_CHUNK", chunk)
         if path == "python-int":
-            monkeypatch.setattr(products, "INT64_LIMIT", 1)
-            monkeypatch.setattr(products, "distinct", None)  # the array path is not taken
+            monkeypatch.setattr(products, "exact_dtype", lambda magnitude: object)
         normals = collision_hyperplanes(factors, bound).tolist()
         assert normals == reference_collision_hyperplanes(factors, bound)
         # the walk takes one sign per normal: a normal is there with its negation
@@ -352,26 +351,29 @@ class TestBatchedSearch:
         wide = [np.array([0, 2**32]), np.array([0, 1])]
         assert first_free_candidate(narrow, [(1, 1)]) == 0
         assert first_free_candidate(wide, [(1, 1)]) == 0
-        monkeypatch.setattr(products, "INT32_LIMIT", products.INT64_LIMIT)
+        monkeypatch.setattr(products, "INT32_LIMIT", 2**63)
         assert first_free_candidate(wide, [(1, 1)]) == -1
 
-    @pytest.mark.parametrize("limit", [1, 10**4])
+    @pytest.mark.parametrize("limit", [1, 300])
     def test_python_int_fallback(self, monkeypatch, limit):
-        # limit 1 sends every batch to check_beta; 10**4 only the later ones
+        # with no int32 batch, the five batches bound their sums by 80, 160,
+        # 240, 400 and 880: limit 1 builds every batch on object arrays, 300
+        # keeps the first three in int64
         factors = [factor_spectrum("S2", 4)] * 2
         expected = reference_generic_beta(factors, 4)
-        monkeypatch.setattr(products, "INT64_LIMIT", limit)
-        batched = []
+        monkeypatch.setattr(products, "INT32_LIMIT", 1)
+        asked = {}
 
-        def spy(tables, candidates):
-            batched.append(candidates)
-            return first_free_candidate(tables, candidates)
+        def forced(magnitude):
+            asked[magnitude] = object if magnitude >= limit else np.int64
+            return asked[magnitude]
 
-        monkeypatch.setattr(products, "first_free_candidate", spy)
+        monkeypatch.setattr(products, "exact_dtype", forced)
         cert = generic_beta_certificate(factors, 4)
         assert (cert.beta, cert.candidates_tried) == expected
-        assert (batched == []) == (limit == 1)
         assert cert.hyperplanes == 106
+        batches = [asked[widest] for widest in (80, 160, 240, 400, 880)]
+        assert batches == ([object] * 5 if limit == 1 else [np.int64] * 3 + [object] * 2)
 
     @pytest.mark.parametrize(
         "labels,bound", [("S2,S2", 12), ("S2,CP2,OP2", 3), ("S3,S3,S3,S3", 1)]
@@ -379,22 +381,26 @@ class TestBatchedSearch:
     def test_hyperplanes_python_int_fallback(self, monkeypatch, labels, bound):
         factors = [factor_spectrum(label, bound) for label in labels.split(",")]
         expected = collision_hyperplanes(factors, bound)
-        monkeypatch.setattr(products, "INT64_LIMIT", 1)
-        monkeypatch.setattr(products, "distinct", None)  # the array path is not taken
+        monkeypatch.setattr(products, "exact_dtype", lambda magnitude: object)
         normals = collision_hyperplanes(factors, bound)
+        assert normals.dtype == object
         assert normals.tolist() == expected.tolist()
         assert normals.tolist() == reference_collision_hyperplanes(factors, bound)
 
     def test_hyperplanes_at_the_packing_bound(self, monkeypatch):
-        # (2M + 1)^n = 49**2 for S2, S2 at bound 3: one below the limit
-        # packs into int64 keys, the limit itself takes Python ints
+        # every key of S2, S2 at bound 3 is below (2M + 1)^n = 49**2, the walk's
+        # bound, and every normal entry below 2M + 1 = 49 before the shift
         factors = [factor_spectrum("S2", 3)] * 2
         expected = reference_collision_hyperplanes(factors, 3)
-        monkeypatch.setattr(products, "INT64_LIMIT", 49**2 + 1)
+        asked = []
+
+        def forced(magnitude):
+            asked.append(magnitude)
+            return object
+
+        monkeypatch.setattr(products, "exact_dtype", forced)
         assert collision_hyperplanes(factors, 3).tolist() == expected
-        monkeypatch.setattr(products, "INT64_LIMIT", 49**2)
-        monkeypatch.setattr(products, "distinct", None)
-        assert collision_hyperplanes(factors, 3).tolist() == expected
+        assert asked == [49**2, 49]
 
     @pytest.mark.parametrize("top", [2**62 + 5, 2**64])
     def test_huge_spectra_take_python_ints(self, top):

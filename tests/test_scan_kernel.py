@@ -388,6 +388,8 @@ def test_block_verdict_matches_kernel(labels, bound, weights):
         (["S2", "S2"], 13, (1, 2**64), True),
         # blocks 0-3 form one cluster, where 30 * 4 + 24 = 144 + 0
         (["S2", "S2"], 13, (1, 30), False),
+        # one cut leaves 13 of the 14 blocks in one cluster: nothing is sorted
+        (["S2", "S2"], 13, (1, Fraction(15, 2)), None),
         # the inner box over the lighter factors collides, in every block
         (["S2", "S2", "S2"], 6, (1, 1, 10**6), False),
         (["7S2", "6CP2", "S2"], 6, (1, 1, 10**6), False),
