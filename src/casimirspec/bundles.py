@@ -20,9 +20,12 @@ and a multiset {x, y} of positive numbers is determined by those two
 invariants, so the only collisions are coordinate swaps (p, q) <-> (q, p),
 which index dual representations.  The scan below verifies this
 exhaustively on a box and cross-checks the invariant reduction against
-the direct two-equation system on every pair of weights.  The scan and
-the representation family both take (alpha, freudenthal) from the one
-formula in ``hopf_eigenvalue``, evaluated on integer arrays.
+the direct two-equation system on every pair of weights: the pairs the
+reduction makes equal are listed once by the collision scan, so the
+disagreements are counted from that list and one sort of the direct
+keys, without visiting the N^2 pairs.  The scan and the representation
+family both take (alpha, freudenthal) from the one formula in
+``hopf_eigenvalue``, evaluated on integer arrays.
 """
 
 from __future__ import annotations
@@ -89,49 +92,35 @@ class HopfScanReport(Record):
         }
 
 
-def pair_disagreements(first: np.ndarray, second: np.ndarray) -> int:
+def pair_disagreements(labels: np.ndarray, first: np.ndarray, second: np.ndarray) -> int:
     """Ordered pairs (i, j) on which two labelings disagree about equality.
 
-    Counts the pairs with exactly one of ``first[i] == first[j]`` and
-    ``second[i] == second[j]``, over all N^2 ordered pairs including
-    i == j.  With D ranging over the classes of ``first``, R over those
-    of ``second`` and D & R over those of the joint labeling, the count
-    is sum |D|^2 + sum |R|^2 - 2 sum |D & R|^2, computed in O(N log N)
-    from the runs of three sorts: ``second`` sorted gives the R, ``first``
-    ordered by a stable argsort the D, and ``second`` in that order,
-    sorted within the runs of ``first`` by ``np.lexsort``, the D & R.
-    Each sum is at most N^2; the run lengths are squared in int64 when
-    N^2 is below 2**63 and in Python ints otherwise.  Labels are 1-D
-    arrays of exact integers (``int64`` or ``object``).
+    ``labels`` is one labeling, a 1-D array of exact integers (``int64``
+    or ``object``) that is sorted in place.  The other is given by its
+    equal pairs: precondition, ``(first[k], second[k])`` lists every pair
+    i < j that it labels equal, each once, which is the contract of
+    ``equal_value_pairs``.  Counts the pairs with exactly one of
+    ``labels[i] == labels[j]`` and "equal in the other labeling", over
+    all N^2 ordered pairs including i == j.
+
+    With P_X the unordered pairs equal under labeling X, the count is
+    2 (P_D + P_R - 2 P_DR).  P_R is the number of listed pairs; P_DR is
+    the number of them on which ``labels`` agree too, gathered a
+    ``BUILD_CHUNK`` block at a time before the sort; P_D is the sum of
+    r (r - 1) / 2 over the runs of ``labels`` once sorted.  Every run is
+    at most N long, so below ``MAX_BOX_ROWS`` rows each sum stays under
+    2**46 in int64.  Only comparisons touch the labels, so both dtypes
+    take the same path.
     """
-    dtype = exact_dtype(len(first) ** 2)
-
-    def square_sum(starts) -> int:
-        """Sum of squared run lengths, from a mask of the entries that start a run."""
-        sizes = np.diff(np.flatnonzero(np.r_[starts, True])).astype(dtype, copy=False)
-        sizes *= sizes
-        return int(sizes.sum())
-
-    def run_starts(ordered) -> np.ndarray:
-        starts = np.ones(len(ordered), bool)
-        starts[1:] = ordered[1:] != ordered[:-1]
-        return starts
-
-    total = square_sum(run_starts(np.sort(second)))
-    order = np.argsort(first, kind="stable")
-    starts = run_starts(first[order])
-    total += square_sum(starts)
-    gathered = second[order]
-    del order
-    # the run ids of first, the primary key, keep each run's block in place;
-    # int32 counts the runs of a box under MAX_BOX_ROWS exactly
-    order = np.lexsort((gathered, np.cumsum(starts, dtype=np.int32)))
-    # compared a block at a time, so the sorted labels are never held whole
-    for start in range(0, len(order), BUILD_CHUNK):
-        block = gathered[order[start:start + BUILD_CHUNK + 1]]
-        starts[start + 1:start + len(block)] |= block[1:] != block[:-1]
-    del gathered, order
-    return total - 2 * square_sum(starts)
+    agree = 0
+    for start in range(0, len(first), BUILD_CHUNK):
+        block = slice(start, start + BUILD_CHUNK)
+        agree += int(np.count_nonzero(labels[first[block]] == labels[second[block]]))
+    labels.sort()
+    runs = np.diff(np.flatnonzero(np.r_[True, labels[1:] != labels[:-1], True]))
+    # sum r (r - 1) / 2 = (sum r^2 - N) / 2, and the dot product takes no temporary
+    equal = (int(runs @ runs) - len(labels)) // 2
+    return 2 * (equal + len(first) - 2 * agree)
 
 
 def hopf_swap_theorem_scan(n: int, bound: int) -> HopfScanReport:
@@ -145,8 +134,10 @@ def hopf_swap_theorem_scan(n: int, bound: int) -> HopfScanReport:
     ``agreement_pairs_checked`` is the number of ordered pairs, N^2 for
     the N weights of the box, and ``agreement_mismatches`` the number of
     them on which "equal (x^2 + y^2, x y)" and "equal (alpha,
-    freudenthal)" disagree, counted exactly by ``pair_disagreements``
-    without visiting the pairs one by one.
+    freudenthal)" disagree.  ``pair_disagreements`` counts them exactly
+    from the collision pairs, which are the pairs with equal reduced key,
+    and the direct keys, built once the pairs are classified and sorted
+    in place; no pair is visited one by one.
 
     Both keys are packed in radix R = X^2 + 1, where X = 2(n+1) bound + n
     is the largest substituted coordinate: the reduced key is
@@ -195,23 +186,22 @@ def hopf_swap_theorem_scan(n: int, bound: int) -> HopfScanReport:
     def rows(positions):
         return map(tuple, np.column_stack(np.divmod(positions, side)).tolist())
 
-    # the swaps (0, 1) ~ (1, 0) repeat a key, so the kernel hands back its second build
-    first, second, reduced = equal_value_pairs(lambda: keys(reduced_key))
+    # the swaps (0, 1) ~ (1, 0) repeat a key; nothing reads the kernel's second build
+    first, second = equal_value_pairs(lambda: keys(reduced_key))[:2]
     # a collision is a swap when its second row is the first one's transpose
     swap = second == first % side * side + first // side
     non_swap = tuple(zip(rows(first[~swap]), rows(second[~swap])))
-    collision_pairs, swap_pairs = len(first), int(swap.sum())
-    del first, second, swap
-    direct = keys(direct_key)
+    swap_pairs = int(swap.sum())
+    del swap
     return HopfScanReport(
         n=n,
         bound=bound,
         weights_scanned=size,
-        collision_pairs=collision_pairs,
+        collision_pairs=len(first),
         swap_pairs=swap_pairs,
         non_swap_pairs=non_swap,
         agreement_pairs_checked=side**4,
-        agreement_mismatches=pair_disagreements(direct, reduced),
+        agreement_mismatches=pair_disagreements(keys(direct_key), first, second),
     )
 
 

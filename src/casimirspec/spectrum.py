@@ -67,13 +67,14 @@ def eigenvalue_polynomial(gram, shift_polys, variables, coord_names) -> MultiPol
 
 # Largest box (bound + 1)^rank a scan accepts, in rows.  The Hopf scan sets
 # it: on a 2-vCPU Intel Xeon VM, near 2^23 rows, a fresh process running
-# `hopf --n 2 --bound 2895 --json` spends 3.5-4.2 s in `cli.run` and peaks
-# at 359 MB RSS, 176 MB of it allocated inside `bundles.pair_disagreements`
-# on top of the 134 MB alive when it starts.  A collision-free box costs far
-# less: `collide AI --r 1 --bound 8388607 --json` holds one array of values,
-# sorted in place, and takes 0.19-0.26 s and 103 MB; `product --factors S2,S2
-# --bound 2895 --beta 1,1000003 --json`, whose block test sorts 5 of its
-# 2,896 blocks, takes 0.015-0.017 s and 31 MB.
+# `hopf --n 2 --bound 2895 --json` spends 1.4-2.1 s in `cli.run` and peaks
+# at 319 MB RSS, set inside `equal_value_pairs` (285 MB traced);
+# `bundles.pair_disagreements` then adds 67 MB to the 101 MB alive.  A
+# collision-free box costs far less: `collide AI --r 1 --bound 8388607
+# --json` holds one array of values, sorted in place, and takes 0.19-0.26 s
+# and 103 MB; `product --factors S2,S2 --bound 2895 --beta 1,1000003
+# --json`, whose block test sorts 5 of its 2,896 blocks, takes
+# 0.015-0.017 s and 31 MB.
 MAX_BOX_ROWS = 2**23
 
 

@@ -48,8 +48,12 @@ def collision_system_check(n, first, second):
     return inv_a == inv_b
 
 
-def reference_scan(n, bound):
-    """The swap scan with dict grouping and O(N^2) agreement matrices."""
+def reference_scan(n, bound, perturb=None):
+    """The swap scan with dict grouping and O(N^2) agreement matrices.
+
+    ``perturb(p, q, alpha, freudenthal)``, when given, replaces the direct
+    system's (alpha, freudenthal) arrays before they are compared.
+    """
     side = bound + 1
     groups = {}
     for p in range(side):
@@ -76,6 +80,8 @@ def reference_scan(n, bound):
     q_flat = grid_q.ravel()
     alpha = -(n * n) * (q_flat - p_flat) ** 2
     freud = n * (p_flat**2 + q_flat**2) + 2 * p_flat * q_flat + n * (p_flat + q_flat)
+    if perturb is not None:
+        alpha, freud = perturb(p_flat, q_flat, alpha, freud)
     x = 2 * (n + 1) * p_flat + n
     y = 2 * (n + 1) * q_flat + n
     sum_sq = x * x + y * y
@@ -105,6 +111,34 @@ def brute_disagreements(first, second):
 def label_array(values):
     dtype = np.int64 if all(abs(v) < 2**63 for v in values) else object
     return np.array(values, dtype=dtype)
+
+
+def equal_pairs(labels):
+    """Every pair i < j with equal labels, each once, as two index arrays."""
+    pairs = [
+        (i, j)
+        for i in range(len(labels))
+        for j in range(i + 1, len(labels))
+        if labels[i] == labels[j]
+    ]
+    first, second = np.array(pairs, np.int32).reshape(-1, 2).T
+    return first, second
+
+
+def counted_disagreements(labels, other):
+    """``pair_disagreements`` of ``labels`` against the equal pairs of ``other``."""
+    return pair_disagreements(label_array(labels), *equal_pairs(other))
+
+
+def merge_origin_with_degree_one(p, q, alpha, freudenthal):
+    """The direct key of (0, 1) and (1, 0) moved onto (0, 0)'s: two reduced classes merge."""
+    degree_one = p + q == 1
+    return np.where(degree_one, 0, alpha), np.where(degree_one, 0, freudenthal)
+
+
+def split_swaps(p, q, alpha, freudenthal):
+    """freudenthal + 1 where p > q: each swap pair of one reduced class splits."""
+    return alpha, np.where(p > q, freudenthal + 1, freudenthal)
 
 
 LABELS = st.sampled_from([0, 1, 2, -7, 2**63, -(2**64), 3**50])
@@ -264,7 +298,8 @@ class TestSwapTheoremScan:
     def test_builds_no_box_and_drops_each_array(self):
         # rows are decoded from box positions; with the box, x, y, alpha, F and
         # both keys alive through the sorts the scan peaked at 141 bytes a row.
-        # It peaks near 85 now, and a box of int64 rows would add 16
+        # It peaks near 34 now, inside the collision kernel, and a box of int64
+        # rows would add 16
         hopf_swap_theorem_scan(2, 20)
         tracemalloc.start()
         try:
@@ -273,26 +308,58 @@ class TestSwapTheoremScan:
         finally:
             tracemalloc.stop()
         assert report.swap_theorem_holds and report.weights_scanned == 301**2
-        assert peak < 90 * 301**2
+        assert peak < 45 * 301**2
 
 
 class TestPairDisagreements:
     @given(st.lists(st.tuples(LABELS, LABELS), min_size=1, max_size=24))
     def test_matches_brute_force(self, pairs):
-        first = [a for a, _ in pairs]
-        second = [b for _, b in pairs]
-        expected = brute_disagreements(first, second)
-        assert pair_disagreements(label_array(first), label_array(second)) == expected
+        labels = [a for a, _ in pairs]
+        other = [b for _, b in pairs]
+        assert counted_disagreements(labels, other) == brute_disagreements(labels, other)
 
     def test_nonzero_counts(self):
         # classes {0, 1}, {2} against {0}, {1, 2}: pairs (0, 1) and (1, 2) each way
-        assert pair_disagreements(np.array([0, 0, 1]), np.array([5, 6, 6])) == 4
-        assert pair_disagreements(np.array([3, 3, 3]), np.array([1, 2, 3])) == 6
-        huge = np.array([2**70, 2**70, 0], dtype=object)
-        assert pair_disagreements(huge, np.array([0, 1, 1])) == 4
+        assert counted_disagreements([0, 0, 1], [5, 6, 6]) == 4
+        assert counted_disagreements([3, 3, 3], [1, 2, 3]) == 6
+        assert counted_disagreements([2**70, 2**70, 0], [0, 1, 1]) == 4
 
     def test_same_partition_agrees(self):
-        assert pair_disagreements(np.array([4, 9, 4, 1]), np.array([0, 2, 0, -3])) == 0
+        assert counted_disagreements([4, 9, 4, 1], [0, 2, 0, -3]) == 0
+
+    def test_sorts_labels_in_place(self):
+        labels = np.array([3, 1, 2, 1])
+        assert pair_disagreements(labels, *equal_pairs([0, 1, 2, 3])) == 2
+        assert labels.tolist() == [1, 1, 2, 3]
+
+
+class TestInjectedDisagreement:
+    """A perturbed direct key makes the scan's count non-zero, and exact."""
+
+    @pytest.mark.parametrize("perturb", [merge_origin_with_degree_one, split_swaps])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_count_matches_reference(self, monkeypatch, perturb, dtype):
+        n, bound = 2, 7
+        real = bundles.hopf_eigenvalue
+        monkeypatch.setattr(
+            bundles, "hopf_eigenvalue", lambda n, p, q: perturb(p, q, *real(n, p, q))
+        )
+        if dtype is object:
+            monkeypatch.setattr(bundles, "exact_dtype", lambda magnitude: object)
+        seen = []
+        count = bundles.pair_disagreements
+
+        def spy(labels, first, second):
+            seen.append(labels.dtype)
+            return count(labels, first, second)
+
+        monkeypatch.setattr(bundles, "pair_disagreements", spy)
+        report = hopf_swap_theorem_scan(n, bound)
+        assert seen == [np.dtype(dtype)]
+        expected = reference_scan(n, bound, perturb)
+        assert report.agreement_mismatches != 0
+        assert report == expected
+        assert not report.swap_theorem_holds
 
 
 class TestRepresentationFamily:
