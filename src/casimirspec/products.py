@@ -14,13 +14,15 @@ then produces a deterministic beta certified collision-free on that box.
 
 Both steps run on each factor's table lambda_i(0..bound), which is
 integral (:func:`factor_spectrum`), so a factor keeps no denominator.
-The hyperplanes are packed into one integer key per normal and
-deduplicated by sorting; the beta candidates are tested in batches, each
-one sorted ``(batch, box)`` array of box values, ``int32`` while they
-stay below 2**31, and otherwise in the dtype that
-:func:`~casimirspec.spectrum.exact_dtype` gives a bound on their
-entries.  ``check_beta`` stays the exact witness lister that confirms
-the winner.  Grids past ``MAX_DIFFERENCE_GRID`` and searches past
+The hyperplane walk builds only rows that mix signs, by sign blocks
+with gcds broadcast over each block's trailing columns, packs them into
+one integer key per normal and deduplicates by sorting.  The beta
+candidates are tested in batches, each one sorted ``(batch, box)`` array
+of box values.  Keys, normals and batches are ``int32`` while their
+bounds stay below 2**31, and otherwise in the dtype that
+:func:`~casimirspec.spectrum.exact_dtype` gives (:func:`narrow_dtype`).
+``check_beta`` stays the exact witness lister that confirms the winner.
+Grids past ``MAX_DIFFERENCE_GRID`` and searches past
 ``MAX_SEARCH_ENTRIES`` are refused with ``ValueError``.
 
 ``check_beta`` decides a box by blocks before it sorts one.  Take the
@@ -52,13 +54,15 @@ from .spectrum import (
 )
 from .symmdata import RestrictedDatum, cross_datum
 
-# one more than the largest int32; beta batches below it sort narrow rows
+# one more than the largest int32; keys, normals and beta batches below it are int32
 INT32_LIMIT = 2**31
 # difference-grid rows per step of the hyperplane walk
 HYPERPLANE_CHUNK = 2**16
 # candidate box values per batch of the beta search
 BATCH_ENTRIES = 2**18
-# largest difference grid prod_i |D_i| the hyperplane walk takes on
+# largest difference grid prod_i |D_i| the hyperplane walk takes on; S2^3 at bound 19
+# takes 0.39-0.43 s and 231 MB peak RSS with its 100 MB of int32 normals on a 2-vCPU
+# Xeon VM, against 0.71-0.81 s and 332 MB when whole blocks built int64 normals
 MAX_DIFFERENCE_GRID = 2**24
 # most box values (candidates times box rows) the beta search sorts
 MAX_SEARCH_ENTRIES = 2**31
@@ -108,6 +112,16 @@ def factor_spectrum(factor: Union[str, RestrictedDatum], bound: int) -> FactorSp
     return FactorSpectrum(label=datum.descriptor.label, table=table)
 
 
+def narrow_dtype(magnitude: int):
+    """``int32`` below ``INT32_LIMIT``, else :func:`~casimirspec.spectrum.exact_dtype`."""
+    return np.int32 if magnitude < INT32_LIMIT else exact_dtype(magnitude)
+
+
+def outer(ufunc, columns: list, dtype) -> np.ndarray:
+    """``ufunc`` over each row of the columns' outer grid, flattened in C order; [0] for none."""
+    return reduce(ufunc, np.ix_(*columns), np.zeros((), dtype)).ravel()
+
+
 def require_difference_grid(rows: int) -> None:
     """Refuse a hyperplane walk over more than ``MAX_DIFFERENCE_GRID`` rows."""
     if rows > MAX_DIFFERENCE_GRID:
@@ -134,17 +148,17 @@ def collision_hyperplanes(factors: Sequence[FactorSpectrum], bound: int = None) 
 
     Returns an ``(h, n)`` array, one normal per row in lexicographic
     order.  Let M be the largest |entry| of any D_i.  One sign of each
-    normal is walked: the rows whose first nonzero entry is positive, in
-    blocks 0, ..., 0, d_k > 0, d_(k+1), ..., d_n, each in chunks of
-    ``HYPERPLANE_CHUNK`` rows held as n column arrays.
-    A row whose later entries reach below zero mixes signs; it is divided
-    by its gcd and packed into the key sum_i (x_i + M) (2M + 1)^(n - 1 - i),
-    whose order is the rows' lexicographic order.  These keys lie above
-    the key of the zero row, and the key of -x is twice that key minus
-    the key of x, so the negated rows, in reverse, are the sorted rows
-    below it and need no second sort.  Keys stay below (2M + 1)^n: with
-    the tables' largest |entry| it sets the walk's dtype, by
-    :func:`~casimirspec.spectrum.exact_dtype`.  A grid of more than
+    normal is walked, and only rows that mix signs are built: block (k, j)
+    holds 0, ..., 0, d_k > 0, d_(k+1..j-1) >= 0, d_j < 0, d_(j+1..n) free.
+    Its trailing columns whose grid fits ``HYPERPLANE_CHUNK`` rows are
+    broadcast against chunks of its leading rows, so each partial gcd and
+    weighted sum is taken once (:func:`outer`).  Row x over its gcd
+    is packed into the key sum_i (x_i + M) (2M + 1)^(n - 1 - i), whose
+    order is the rows' order.  The key of -x is twice the zero row's key
+    minus that of x, so the negated rows, in reverse, are the sorted keys
+    below it.  Keys stay below (2M + 1)^n and entries below 2M + 1 before
+    the shift: with the tables' largest |entry| these bounds set the two
+    dtypes, by :func:`narrow_dtype`.  A grid of more than
     ``MAX_DIFFERENCE_GRID`` rows is refused with ``ValueError`` before
     the difference sets are built, since a rank-one spectrum has |D_i| >=
     2 bound + 1, and again once their sizes are known.
@@ -162,38 +176,35 @@ def collision_hyperplanes(factors: Sequence[FactorSpectrum], bound: int = None) 
     tables = [f.table[: bound + 1] for f in factors]
     span = max(max(table) - min(table) for table in tables)
     base = 2 * span + 1
-    dtype = exact_dtype(max(base**n, max(abs(x) for table in tables for x in table)))
+    dtype = narrow_dtype(max(base**n, max(abs(x) for table in tables for x in table)))
+    entry = narrow_dtype(base)  # normal entries reach 2M before the shift
     arrays = (np.array(table, dtype) for table in tables)
-    differences = [distinct(np.subtract.outer(t, t)) for t in arrays]
+    differences = [distinct(np.subtract.outer(t, t)).astype(entry, copy=False) for t in arrays]
     require_difference_grid(prod(len(d) for d in differences))
     weights = [base ** (n - 1 - i) for i in range(n)]
     middle = span * sum(weights)  # the key of the zero row
     parts = []
-    # block k holds the rows with zeros before entry k and entry k positive;
-    # the zeros add nothing to the key, the minimum or the gcd
-    for k in range(n - 1):
-        columns = [differences[k][differences[k] > 0]] + differences[k + 1:]
-        shape = tuple(map(len, columns))
-        for start in range(0, prod(shape), HYPERPLANE_CHUNK):
-            stop = min(start + HYPERPLANE_CHUNK, prod(shape))
-            index = np.unravel_index(np.arange(start, stop), shape)
-            rows = [d[i] for d, i in zip(columns, index)]
-            del index
-            # the first entry is positive: a negative one later mixes signs
-            mixed = reduce(np.minimum, rows[1:]) < 0
-            rows = [column[mixed] for column in rows]
-            content = reduce(np.gcd, rows)
-            keys = np.full(len(content), middle, dtype)
-            for column, w in zip(rows, weights[k:]):
-                column //= content
-                column *= w
-                keys += column
+    # block (k, j) as above; its zeros before entry k add nothing to a key or a gcd
+    for k, j in ((k, j) for k in range(n - 1) for j in range(k + 1, n)):
+        signs = [np.greater] + [np.greater_equal] * (j - k - 1) + [np.less]
+        columns = [d[sign(d, 0)] for d, sign in zip(differences[k:], signs)] + differences[j + 1:]
+        sizes = list(map(len, columns))
+        split = next(s for s in range(len(sizes) + 1) if prod(sizes[s:]) <= HYPERPLANE_CHUNK)
+        terms = [np.multiply(c, w, dtype=dtype) for c, w in zip(columns, weights[k:])]
+        lead_gcd, trail_gcd = (outer(np.gcd, c, entry) for c in (columns[:split], columns[split:]))
+        lead_sum, trail_sum = (outer(np.add, t, dtype) for t in (terms[:split], terms[split:]))
+        step = HYPERPLANE_CHUNK // max(len(trail_gcd), 1)
+        for start in range(0, len(lead_gcd), step):
+            # row x / gcd(x) has the key of the zero row plus sum_i x_i w_i / gcd(x)
+            keys = np.add.outer(lead_sum[start:start + step], trail_sum)
+            keys //= np.gcd.outer(lead_gcd[start:start + step], trail_gcd)
+            keys += middle
             parts.append(distinct(keys))
     keys = distinct(np.concatenate(parts or [np.zeros(0, dtype)]))
     del parts
     # the negated rows, reversed, are the sorted rows below the middle
     half = len(keys)
-    normals = np.empty((2 * half, n), exact_dtype(base))  # entries reach 2M before the shift
+    normals = np.empty((2 * half, n), entry)
     for i in reversed(range(n)):
         normals[half:, i] = keys % base
         keys //= base
@@ -399,13 +410,11 @@ def first_free_candidate(tables: list, candidates: list) -> int:
     sum_i c_i t_i[m_i] are one ``(batch, box)`` array of
     :func:`box_values`; each row is sorted and a candidate is free when
     no two neighbours are equal.  Every entry and partial sum is at most
-    max(c) * sum_i max |t_i|.  Below 2**31 the sums are built and sorted
-    as ``int32``, which halves the bytes each sort moves, and otherwise in
-    the :func:`~casimirspec.spectrum.exact_dtype` of that bound.
+    max(c) * sum_i max |t_i|, whose :func:`narrow_dtype` the sums take:
+    ``int32`` halves the bytes each sort moves.
     """
     widest = max(map(max, candidates)) * sum(max(map(abs, table)) for table in tables)
-    dtype = np.int32 if widest < INT32_LIMIT else exact_dtype(widest)
-    values = box_values(candidates, tables, dtype)
+    values = box_values(candidates, tables, narrow_dtype(widest))
     values.sort(axis=1)
     free = np.flatnonzero((values[:, 1:] != values[:, :-1]).all(axis=1))
     return int(free[0]) if len(free) else -1
@@ -460,8 +469,9 @@ def generic_beta_certificate(
         raise AssertionError("the candidate before the winner is collision-free")
     # a box collision is exactly a hit on a truncated hyperplane, so the
     # winner must also clear every stored normal
-    dtype = exact_dtype(int(abs(normals).max(initial=0)) * sum(winner))
-    if (normals.astype(dtype) @ np.array(winner, dtype) == 0).any():
+    top = max(int(normals.max(initial=0)), -int(normals.min(initial=0)))
+    dtype = exact_dtype(top * sum(winner))
+    if not sum(np.multiply(column, c, dtype=dtype) for column, c in zip(normals.T, winner)).all():
         raise AssertionError("hyperplane list and exhaustive check disagree")
     return BetaCertificate(
         factors=tuple(f.label for f in factors),

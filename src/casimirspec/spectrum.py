@@ -203,21 +203,27 @@ def value_strings(values: np.ndarray, denom: int) -> np.ndarray:
     The values, ``int64`` or an ``object`` array of Python ints, are
     reduced by ``np.gcd`` and their numerators written as Python ints; a
     ``/d`` suffix follows only where the reduced denominator d is not 1,
-    and no suffix is built when no d is.  A denominator past ``int64``
-    casts the values to ``object``, since ``np.gcd`` takes no wider int.
+    and no suffix is built for a block where no d is.  A denominator past
+    ``int64`` casts the values to ``object``, since ``np.gcd`` takes no
+    wider int.  The work runs in blocks of ``BUILD_CHUNK`` values, so no
+    block's ints, denominators or suffixes outlive its strings.
     """
-    if denom >= 2**63:
-        values = values.astype(object)
-    common = np.gcd(values, denom)
-    strings = np.fromiter(map(str, (values // common).tolist()), object, len(values))
-    dens = denom // common
-    if (dens == 1).all():
-        return strings
-    dens, den_index = np.unique(dens, return_inverse=True)
-    suffixes = np.array(["" if d == 1 else f"/{d}" for d in dens.tolist()], object)
-    # in place: one table of strings is alive, not two
-    np.add(strings, suffixes[den_index], out=strings)
-    return strings
+    blocks = []
+    for start in range(0, len(values), BUILD_CHUNK):
+        block = values[start:start + BUILD_CHUNK]
+        if denom >= 2**63:
+            block = block.astype(object)
+        common = np.gcd(block, denom)
+        strings = np.fromiter(map(str, (block // common).tolist()), object, len(block))
+        dens = denom // common
+        if not (dens == 1).all():
+            dens, den_index = np.unique(dens, return_inverse=True)
+            suffixes = np.array(["" if d == 1 else f"/{d}" for d in dens.tolist()], object)
+            # in place: one table of strings is alive, not two
+            np.add(strings, suffixes[den_index], out=strings)
+        blocks.append(strings)
+    # one block is returned as built, with no second table of pointers
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks or [np.empty(0, object)])
 
 
 def row_strings(rows: np.ndarray, opening: str, comma: str, closing: str) -> tuple:

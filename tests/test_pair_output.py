@@ -516,6 +516,18 @@ def test_value_strings_past_int64(values, denom):
     assert spectrum.value_strings(np.array(values, object), denom).tolist() == expected
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 10**6])
+@pytest.mark.parametrize("denom", [1, 12, 2**70])
+def test_value_strings_by_blocks(monkeypatch, chunk, denom):
+    # at 7 values a block, the first block's values are multiples of 12, so at
+    # denominator 12 it takes no suffix while the blocks after it do
+    values = [12 * i for i in range(7)] + list(range(-20, 20)) + [2**62, INT64_LIMIT - 1]
+    monkeypatch.setattr(spectrum, "BUILD_CHUNK", chunk)
+    expected = [rational_to_str(Fraction(v, denom)) for v in values]
+    assert spectrum.value_strings(np.array(values, np.int64), denom).tolist() == expected
+    assert spectrum.value_strings(np.zeros(0, np.int64), denom).tolist() == []
+
+
 box_rows = st.sampled_from([1, 3, 8]).flatmap(
     lambda rank: st.lists(
         st.lists(st.integers(0, 3000), min_size=rank, max_size=rank), min_size=1, max_size=20

@@ -180,10 +180,14 @@ class TestHyperplanes:
             ("S3,S3,S3,S3", 2),
         ],
     )
-    # chunks of 1 and 7 rows end blocks on chunks with no mixed-sign row
+    # a chunk of 1 row enumerates every block row by row; chunks of 7 and 100
+    # rows split blocks between leading rows and a broadcast trailing grid.
+    # The int64-keys limit lies between 2M + 1 and (2M + 1)^n: the keys take
+    # int64 while the normals stay int32
     @pytest.mark.parametrize(
         "path,chunk",
-        [("int64", products.HYPERPLANE_CHUNK), ("int64", 7), ("int64", 1),
+        [("int32", products.HYPERPLANE_CHUNK), ("int32", 100), ("int32", 7), ("int32", 1),
+         ("int64-keys", products.HYPERPLANE_CHUNK), ("int64-keys", 7), ("int64-keys", 1),
          ("python-int", products.HYPERPLANE_CHUNK)],
     )
     def test_walk_matches_reference_on_two_to_four_factors(
@@ -191,10 +195,18 @@ class TestHyperplanes:
     ):
         scaled = dict(zip(["7S2", "6CP2"], scaled_factors(bound)))
         factors = [scaled.get(label) or factor_spectrum(label, bound) for label in labels.split(",")]
+        base = 2 * max(max(f.table[: bound + 1]) - min(f.table[: bound + 1]) for f in factors) + 1
+        limit = {"int32": products.INT32_LIMIT, "int64-keys": base + 1, "python-int": 1}[path]
+        wide = object if path == "python-int" else np.int64
         monkeypatch.setattr(products, "HYPERPLANE_CHUNK", chunk)
-        if path == "python-int":
-            monkeypatch.setattr(products, "exact_dtype", lambda magnitude: object)
-        normals = collision_hyperplanes(factors, bound).tolist()
+        monkeypatch.setattr(products, "INT32_LIMIT", limit)
+        asked = []
+        monkeypatch.setattr(products, "exact_dtype", lambda magnitude: asked.append(wide) or wide)
+        normals = collision_hyperplanes(factors, bound)
+        # the keys, below (2M + 1)^n, and the normals, below 2M + 1, leave int32 at the limit
+        assert len(asked) == (base ** len(factors) >= limit) + (base >= limit)
+        assert normals.dtype == (np.int32 if base < limit else wide)
+        normals = normals.tolist()
         assert normals == reference_collision_hyperplanes(factors, bound)
         # the walk takes one sign per normal: a normal is there with its negation
         assert normals == [[-x for x in normal] for normal in reversed(normals)]
@@ -381,6 +393,7 @@ class TestBatchedSearch:
     def test_hyperplanes_python_int_fallback(self, monkeypatch, labels, bound):
         factors = [factor_spectrum(label, bound) for label in labels.split(",")]
         expected = collision_hyperplanes(factors, bound)
+        monkeypatch.setattr(products, "INT32_LIMIT", 1)
         monkeypatch.setattr(products, "exact_dtype", lambda magnitude: object)
         normals = collision_hyperplanes(factors, bound)
         assert normals.dtype == object
@@ -398,8 +411,11 @@ class TestBatchedSearch:
             asked.append(magnitude)
             return object
 
+        monkeypatch.setattr(products, "INT32_LIMIT", 1)
         monkeypatch.setattr(products, "exact_dtype", forced)
-        assert collision_hyperplanes(factors, 3).tolist() == expected
+        normals = collision_hyperplanes(factors, 3)
+        assert normals.dtype == object
+        assert normals.tolist() == expected
         assert asked == [49**2, 49]
 
     @pytest.mark.parametrize("top", [2**62 + 5, 2**64])
@@ -407,6 +423,7 @@ class TestBatchedSearch:
         # (2M + 1)^2 passes 2**63, and with 2**64 the normals themselves do
         factors = [FactorSpectrum("A", (0, 1, 2**62)), FactorSpectrum("B", (0, 2, top))]
         normals = collision_hyperplanes(factors)
+        assert normals.dtype == object
         assert normals.tolist() == reference_collision_hyperplanes(factors, 2)
         cert = generic_beta_certificate(factors)
         assert (cert.beta, cert.candidates_tried) == reference_generic_beta(factors, 2)
